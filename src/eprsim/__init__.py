@@ -34,7 +34,6 @@ from .events import (
     run_experiment,
 )
 from .coincidence import (
-    CoincidencePair,
     Coincidences,
     MatchPolicy,
     coincidence_rate,
@@ -63,7 +62,6 @@ from .oracle import (
     singlet_correlation,
     weight_approx,
     weight_exact,
-    weight_exact_grid,
 )
 from .tagio import RunManifest, read_tags, write_tags
 
@@ -74,11 +72,11 @@ __all__ = [
     "outcome_prob", "sample_outcome", "delay_timescale", "sample_delay", "sample_hidden_pair",
     "DetectionEvent", "EmissionSpec", "ExperimentConfig", "StationStream", "EventLog",
     "generate_pair", "run_experiment",
-    "CoincidencePair", "Coincidences", "MatchPolicy",
+    "Coincidences", "MatchPolicy",
     "pair_filter", "stream_match", "match_events", "coincidence_rate",
     "DEFAULT_QUADRUPLE", "CorrelationTable", "ChshResult", "SweepResult",
     "tabulate", "chsh", "chsh_combination", "window_sweep",
-    "QuadratureSpec", "weight_exact", "weight_exact_grid", "weight_approx",
+    "QuadratureSpec", "weight_exact", "weight_approx",
     "joint_prob", "correlation_exact", "correlation_curve", "coincidence_rate_exact",
     "chsh_exact", "singlet_correlation", "mixed_correlation",
     "RunManifest", "read_tags", "write_tags",

@@ -16,15 +16,14 @@ post-selected ensemble is the object under study.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
 from .errors import ValidationError
-from .events import DetectionEvent, EventLog
+from .events import EventLog
 
 __all__ = [
-    "CoincidencePair",
     "Coincidences",
     "MatchPolicy",
     "pair_filter",
@@ -37,15 +36,6 @@ __all__ = [
 # scans the time-tag streams, matching each station-1 event to the
 # nearest unmatched station-2 event within the window, earliest first.
 MatchPolicy = Literal["paired", "stream-greedy"]
-
-
-@dataclass(frozen=True)
-class CoincidencePair:
-    """One matched pair of detections; dt = time2 - time1."""
-
-    event1: DetectionEvent
-    event2: DetectionEvent
-    dt: float
 
 
 @dataclass(eq=False)
@@ -74,16 +64,6 @@ class Coincidences:
     @property
     def dt(self) -> np.ndarray:
         return self.time2 - self.time1
-
-    def pair(self, k: int) -> CoincidencePair:
-        pid1 = int(self.pair_id1[k]) if self.pair_id1 is not None else -1
-        pid2 = int(self.pair_id2[k]) if self.pair_id2 is not None else -1
-        ev1 = DetectionEvent(1, pid1, int(self.setting1[k]), int(self.outcome1[k]), float(self.time1[k]))
-        ev2 = DetectionEvent(2, pid2, int(self.setting2[k]), int(self.outcome2[k]), float(self.time2[k]))
-        return CoincidencePair(ev1, ev2, float(self.time2[k] - self.time1[k]))
-
-    def __iter__(self) -> Iterator[CoincidencePair]:
-        return (self.pair(k) for k in range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coincidences):

@@ -172,15 +172,6 @@ class StationStream:
     def __len__(self) -> int:
         return len(self.time_tag)
 
-    def event(self, i: int) -> DetectionEvent:
-        return DetectionEvent(
-            station=self.station,
-            pair_id=int(self.pair_id[i]) if self.pair_id is not None else -1,
-            setting_index=int(self.setting_index[i]),
-            outcome=int(self.outcome[i]),
-            time_tag=float(self.time_tag[i]),
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, StationStream):
             return NotImplemented

@@ -1,24 +1,28 @@
 """Exact model predictions by deterministic numerical integration.
 
-The conditional outcome distribution of the coincidence-selected ensemble
-is a ratio of integrals over the hidden angle s on [0, pi):
+Every oracle quantity at settings (a1, a2) follows from four integrals
+over the hidden angle s on [0, pi):
 
-    p(x1, x2 | a1, a2) =
-        int p(x1|zeta1) p(x2|zeta2) w(T(zeta1), T(zeta2), W) ds
-        / int w(T(zeta1), T(zeta2), W) ds
+    D = int w ds,  C1 = int c1 w ds,  C2 = int c2 w ds,  C12 = int c1 c2 w ds
 
-with zeta1 = a1 - s, zeta2 = a2 - (s + pi/2), and w the probability that
-two independent uniform delays on [0, T1] x [0, T2] land within W of each
-other.  ``weight_exact`` evaluates w in closed form (band-overlap
-geometry); ``weight_exact_grid`` recomputes it by a fixed-grid 2-D
-midpoint rule as an independent check; ``weight_approx`` is the small-W
-linearization 2W / max(T1, T2).
+with c_k = cos 2 zeta_k, zeta1 = a1 - s, zeta2 = a2 - (s + pi/2), and w
+the probability that two independent uniform delays on [0, T1] x [0, T2]
+land within W of each other.  Then
 
-Integrals use an adaptive Gauss-Kronrod (G7/K15) subdivision on [0, pi)
-seeded at the points where a delay timescale vanishes or crosses W, with
-the error budget scaled to the denominator so the returned ratio meets
-the requested absolute tolerance.  Closed-form quantum references for the
-two rotationally invariant states are provided for comparison curves.
+    p(x1, x2 | a1, a2) = (D + x1 C1 + x2 C2 + x1 x2 C12) / (4 D)
+    E(a1, a2) = C12 / D,   coincidence rate = D / pi.
+
+``weight_exact`` evaluates w in closed form (band-overlap geometry);
+``weight_approx`` is the small-W linearization 2W / max(T1, T2).
+
+The four integrals come from one adaptive Gauss-Kronrod (G7/K15) pass
+over the vector integrand (QUADPACK QAG applied to a vector, as in
+scipy's ``quad_vec``).  Panels are split by their largest component
+error until the summed error is at most tol * D / 4, which keeps every
+returned ratio within tol.  The pass is seeded at the kinks of w: where a
+delay timescale vanishes, where it crosses W, and where |T1 - T2| = W.
+Closed-form quantum references for the two rotationally invariant states
+are provided for comparison curves.
 """
 
 from __future__ import annotations
@@ -26,18 +30,16 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .analysis import DEFAULT_QUADRUPLE, chsh_combination
 from .errors import QuadratureError, ValidationError
-from .model import ModelParams, Setting
+from .model import ModelParams, Setting, delay_timescale
 
 __all__ = [
     "QuadratureSpec",
     "weight_exact",
-    "weight_exact_grid",
     "weight_approx",
     "joint_prob",
     "correlation_exact",
@@ -53,24 +55,21 @@ _PI = math.pi
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Settings for the two numerical integrators.
+    """Settings for the adaptive pass that computes D, C1, C2 and C12.
 
-    tol          absolute error target on returned probabilities and
-                 correlations (adaptive 1-D method)
-    limit        maximum number of subintervals on [0, pi)
-    grid_points  per-axis resolution of the fixed-grid 2-D weight check,
-                 whose error is bounded by 1/grid_points
+    tol    absolute error target on returned probabilities and
+           correlations; each of the four integrals is held to tol * D / 4
+    limit  maximum number of subintervals on [0, pi)
     """
 
     tol: float = 1e-8
     limit: int = 4000
-    grid_points: int = 2_000_003
 
     def __post_init__(self):
         if not (self.tol > 0):
             raise ValidationError(f"tolerance must be > 0, got {self.tol}")
-        if self.limit < 1 or self.grid_points < 1:
-            raise ValidationError("limit and grid_points must be >= 1")
+        if self.limit < 1:
+            raise ValidationError("limit must be >= 1")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -92,16 +91,20 @@ def mixed_correlation(a1: Setting, a2: Setting) -> float:
 # ---------------------------------------------------------------------------
 # Coincidence weight function.
 
-def _corner_area(c, span):
-    """Corner area cut off by a diagonal at offset c, clipped to width span.
+def _corner_fraction(c, span, side):
+    """Corner area cut off by a diagonal at offset c, clipped to width span,
+    as a fraction of the rectangle span x side (c <= side).
 
-    Equals 0.5 c^2 - 0.5 (c - span)^2 for c > span, written in product
-    form: the squared-difference version cancels catastrophically when
-    span is many orders below c, and that noise would stall the adaptive
-    integrator near the timescale zeros.
+    The area is m (c - m/2) with m = min(c, span): 0.5 c^2, or
+    0.5 span (2c - span) once the corner is clipped.  This product form
+    avoids the cancellation of 0.5 c^2 - 0.5 (c - span)^2 when span is many
+    orders below c, noise that would stall the adaptive integrator near
+    the timescale zeros.  Each factor divides by one side, both ratios in
+    [0, 1], because span * side underflows for subnormal timescales.
     """
     c = np.clip(c, 0.0, None)
-    return np.where(c > span, 0.5 * span * (2.0 * c - span), 0.5 * c * c)
+    m = np.minimum(c, span)
+    return (m / span) * ((c - 0.5 * m) / side)
 
 
 def _weight_arr(t1, t2, window):
@@ -122,9 +125,7 @@ def _weight_arr(t1, t2, window):
         out[only2] = np.minimum(window, t1[only2]) / t1[only2]
     if regular.any():
         a, b = t1[regular], t2[regular]
-        above = _corner_area(b - window, a)
-        below = _corner_area(a - window, b)
-        out[regular] = 1.0 - (above + below) / (a * b)
+        out[regular] = 1.0 - _corner_fraction(b - window, a, b) - _corner_fraction(a - window, b, a)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -141,34 +142,6 @@ def weight_exact(t1, t2, window):
         raise ValidationError("timescales and window must be >= 0")
     out = _weight_arr(t1a, t2a, float(window))
     return float(out) if scalar else out
-
-
-def weight_exact_grid(t1: float, t2: float, window: float, n: int | None = None) -> float:
-    """Independent fixed-grid 2-D midpoint evaluation of the weight.
-
-    Counts midpoints (i+1/2)h1, (j+1/2)h2 of an n x n cell grid that fall
-    inside the band |x - y| <= window; the count is resolved per row in
-    closed index arithmetic, which equals the literal n x n sum.  The
-    absolute error is bounded by 1/n.
-    """
-    if t1 < 0 or t2 < 0 or window < 0:
-        raise ValidationError("timescales and window must be >= 0")
-    if n is None:
-        n = DEFAULT_QUAD.grid_points
-    if t1 == 0.0 and t2 == 0.0:
-        return 1.0
-    if t1 == 0.0 or t2 == 0.0:
-        tt = t2 if t1 == 0.0 else t1
-        h = tt / n
-        count = int(np.clip(np.floor(window / h + 0.5), 0, n))
-        return count / n
-    h1 = t1 / n
-    h2 = t2 / n
-    mid1 = (np.arange(n) + 0.5) * h1
-    jlo = np.ceil((mid1 - window) / h2 - 0.5)
-    jhi = np.floor((mid1 + window) / h2 - 0.5)
-    counts = np.clip(jhi, -1, n - 1) - np.clip(jlo, 0, n) + 1.0
-    return float(np.sum(np.clip(counts, 0.0, None)) / (float(n) * float(n)))
 
 
 def weight_approx(t1: float, t2: float, window: float) -> float:
@@ -205,66 +178,83 @@ _G_WEIGHTS = np.array([
 _EPS50 = 50.0 * np.finfo(float).eps
 
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """One G7/K15 panel: Kronrod value and QUADPACK-style error estimate."""
+def _gk15(f, a: float, b: float):
+    """One G7/K15 panel: Kronrod value and QUADPACK-style error estimate.
+
+    f maps the 15 nodes to 15 values, or to a (k, 15) array for k
+    integrands at once; the value then has length k and the error is the
+    largest component error.
+    """
     h = 0.5 * (b - a)
     c = 0.5 * (a + b)
     fx = f(c + h * _GK_NODES)
-    resk = float(_GK_WEIGHTS @ fx)
-    resg = float(_G_WEIGHTS @ fx)
-    resabs = float(_GK_WEIGHTS @ np.abs(fx))
-    mean = 0.5 * resk
-    resasc = float(_GK_WEIGHTS @ np.abs(fx - mean))
-    err = abs(resk - resg) * h
-    resasc *= h
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, _EPS50 * resabs * h)
-    return resk * h, err
+    resk = fx @ _GK_WEIGHTS
+    resg = fx @ _G_WEIGHTS
+    resabs = np.abs(fx) @ _GK_WEIGHTS * h
+    resasc = np.abs(fx - 0.5 * resk[..., None]) @ _GK_WEIGHTS * h
+    err = np.abs(resk - resg) * h
+    # QUADPACK's rescaling, skipped where resasc = 0 (a constant integrand).
+    ratio = np.minimum(1.0, 200.0 * err / np.where(resasc > 0.0, resasc, 1.0))
+    err = np.where(resasc > 0.0, resasc * ratio**1.5, err)
+    return resk * h, float(np.max(np.maximum(err, _EPS50 * resabs)))
 
 
-def _adaptive_integrate(f, points, tol: float, limit: int) -> tuple[float, float, int]:
+def _adaptive_integrate(f, points, tol, limit: int):
     """Integrate f over the union of [points_k, points_k+1] segments.
 
     Splits the current worst segment until the summed error estimate
-    drops below ``tol`` or ``limit`` segments exist.  Returns
+    drops below ``tol`` or ``limit`` segments exist.  ``tol`` is a number
+    or a function of the running value estimate.  For a vector integrand
+    (see ``_gk15``) the error estimate bounds every component.  Returns
     (value, error_estimate, n_segments).
     """
+    budget = tol if callable(tol) else lambda _: tol
     heap = []
     tie = 0
+    total_val = 0.0
     total_err = 0.0
     for a, b in zip(points[:-1], points[1:]):
         if not b > a:
             continue
         val, err = _gk15(f, a, b)
-        heapq.heappush(heap, (-err, tie, a, b, val, err))
+        heapq.heappush(heap, (-err, tie, a, b, val))
         tie += 1
+        total_val += val
         total_err += err
-    frozen: list[tuple[float, float]] = []  # (val, err) of unsplittable segments
-    while total_err > tol and len(heap) + len(frozen) < limit and heap:
-        neg_err, _, a, b, val, err = heapq.heappop(heap)
+    frozen = []  # (err, val) of unsplittable segments
+    while total_err > budget(total_val) and len(heap) + len(frozen) < limit and heap:
+        neg_err, _, a, b, val = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        if not (a < m < b) or err <= 0.0:
-            frozen.append((val, err))
+        if not (a < m < b) or neg_err >= 0.0:
+            frozen.append((-neg_err, val))
             continue
         v1, e1 = _gk15(f, a, m)
         v2, e2 = _gk15(f, m, b)
-        total_err += e1 + e2 - err
-        heapq.heappush(heap, (-e1, tie, a, m, v1, e1))
-        tie += 1
-        heapq.heappush(heap, (-e2, tie, m, b, v2, e2))
-        tie += 1
-    vals = [seg[4] for seg in heap] + [v for v, _ in frozen]
-    errs = [seg[5] for seg in heap] + [e for _, e in frozen]
-    return math.fsum(vals), math.fsum(errs), len(vals)
+        total_val += v1 + v2 - val
+        total_err += e1 + e2 + neg_err
+        heapq.heappush(heap, (-e1, tie, a, m, v1))
+        heapq.heappush(heap, (-e2, tie + 1, m, b, v2))
+        tie += 2
+    vals = [seg[4] for seg in heap] + [v for _, v in frozen]
+    errs = [-seg[0] for seg in heap] + [e for e, _ in frozen]
+    return np.sum(vals, axis=0), math.fsum(errs), len(vals)
+
+
+# Cells of the grid on [0, pi] scanned for sign changes of T1 - T2 -+ W,
+# and bisection steps to refine each (pi / 4096 / 2**52 is below one ulp).
+_KINK_GRID = 4096
+_KINK_STEPS = 52
 
 
 def _anchor_points(a1: float, a2: float, params: ModelParams) -> tuple[float, ...]:
-    """Subdivision seeds on [0, pi]: timescale zeros and W-crossings.
+    """Subdivision seeds on [0, pi]: the kinks of the weight along s.
 
     T1 vanishes at s = a1 (mod pi/2) and T2 at s = a2 (mod pi/2); when
     0 < W < t0 each timescale also crosses W at offsets +-z0 from its
-    zeros, with |sin 2 z0| = (W/t0)**(1/d).
+    zeros, with |sin 2 z0| = (W/t0)**(1/d).  The clipped-corner case of the
+    weight switches where |T1 - T2| = W; those points are found by a sign
+    scan on a fixed grid and bisection.  Two crossings inside one grid
+    cell are missed and left to the adaptive refinement.
     """
     pts = {0.0, _PI}
     offsets = [0.0]
@@ -275,6 +265,22 @@ def _anchor_points(a1: float, a2: float, params: ModelParams) -> tuple[float, ..
         for off in offsets:
             for k in range(4):
                 pts.add((base + off + k * _PI / 2.0) % _PI)
+    if params.d > 0 and params.window > 0:
+
+        def gap(s, target):
+            return delay_timescale(a1 - s, params) - delay_timescale(a2 - 0.5 * _PI - s, params) - target
+
+        grid = np.linspace(0.0, _PI, _KINK_GRID + 1)
+        target = np.array([[params.window], [-params.window]])
+        row, k = np.nonzero(np.diff(np.signbit(gap(grid, target)), axis=1))
+        lo, hi, target = grid[k], grid[k + 1], target[row, 0]
+        lo_sign = np.signbit(gap(lo, target))
+        for _ in range(_KINK_STEPS):
+            mid = 0.5 * (lo + hi)
+            left = np.signbit(gap(mid, target)) == lo_sign
+            lo = np.where(left, mid, lo)
+            hi = np.where(left, hi, mid)
+        pts.update((0.5 * (lo + hi)).tolist())
     ordered = sorted(pts)
     dedup = [ordered[0]]
     for p in ordered[1:]:
@@ -285,54 +291,33 @@ def _anchor_points(a1: float, a2: float, params: ModelParams) -> tuple[float, ..
     return tuple(dedup)
 
 
-def _timescale_arr(zeta: np.ndarray, params: ModelParams) -> np.ndarray:
-    if params.d == 0:
-        return np.full(zeta.shape, params.t0)
-    return params.t0 * np.abs(np.sin(2.0 * zeta)) ** params.d
+def _integrals(a1: float, a2: float, params: ModelParams, quad: QuadratureSpec) -> np.ndarray:
+    """(D, C1, C2, C12) from one adaptive pass, each within tol * D / 4.
 
+    Raises QuadratureError when D is zero or the pass misses its budget;
+    ``achieved`` is then the tol the pass did meet.
+    """
 
-def _weight_of_s(s: np.ndarray, a1: float, a2: float, params: ModelParams) -> np.ndarray:
-    z1 = a1 - s
-    z2 = (a2 - 0.5 * _PI) - s
-    return _weight_arr(_timescale_arr(z1, params), _timescale_arr(z2, params), params.window)
+    def integrand(s):
+        z1 = a1 - s
+        z2 = (a2 - 0.5 * _PI) - s
+        w = _weight_arr(delay_timescale(z1, params), delay_timescale(z2, params), params.window)
+        c1w = np.cos(2.0 * z1) * w
+        c2 = np.cos(2.0 * z2)
+        return np.stack((w, c1w, c2 * w, c2 * c1w))
 
-
-@lru_cache(maxsize=512)
-def _denominator(a1: float, a2: float, params: ModelParams, quad: QuadratureSpec) -> tuple[float, float]:
-    """Normalization integral int_0^pi w ds with error <= tol * D / 4."""
     anchors = _anchor_points(a1, a2, params)
-
-    def den(s):
-        return _weight_of_s(s, a1, a2, params)
-
-    d_val, d_err, _ = _adaptive_integrate(den, anchors, 0.25 * quad.tol, quad.limit)
+    val, err, _ = _adaptive_integrate(integrand, anchors, lambda v: 0.25 * quad.tol * v[0], quad.limit)
+    d_val = val[0]
     if d_val <= 0.0:
-        raise QuadratureError("coincidence normalization integral is zero", d_err)
-    budget = 0.25 * quad.tol * d_val
-    if d_err > budget:
-        d_val, d_err, _ = _adaptive_integrate(den, anchors, budget, quad.limit)
-        if d_err > budget:
-            raise QuadratureError(
-                f"normalization integral did not converge: achieved {d_err:.3e}, needed {budget:.3e}",
-                d_err,
-            )
-    return d_val, d_err
-
-
-def _ratio_to_denominator(numf, a1: float, a2: float, params: ModelParams, quad: QuadratureSpec) -> float:
-    """Evaluate int numf ds / int w ds with absolute error <= quad.tol."""
-    d_val, d_err = _denominator(a1, a2, params, quad)
-    anchors = _anchor_points(a1, a2, params)
-    budget = 0.25 * quad.tol * d_val
-    n_val, n_err, _ = _adaptive_integrate(numf, anchors, budget, quad.limit)
-    ratio = n_val / d_val
-    achieved = (n_err + abs(ratio) * d_err) / d_val
-    if achieved > quad.tol:
+        raise QuadratureError("coincidence normalization integral is zero", err)
+    if err > 0.25 * quad.tol * d_val:
+        achieved = 4.0 * err / d_val
         raise QuadratureError(
             f"quadrature did not converge: achieved {achieved:.3e}, requested {quad.tol:.3e}",
             achieved,
         )
-    return ratio
+    return val
 
 
 def joint_prob(
@@ -350,16 +335,8 @@ def joint_prob(
     """
     if x1 not in (-1, 1) or x2 not in (-1, 1):
         raise ValidationError(f"outcomes must be -1 or +1, got {x1!r}, {x2!r}")
-    a1, a2 = float(a1), float(a2)
-
-    def num(s):
-        z1 = a1 - s
-        z2 = (a2 - 0.5 * _PI) - s
-        p1 = (1.0 + x1 * np.cos(2.0 * z1)) * 0.5
-        p2 = (1.0 + x2 * np.cos(2.0 * z2)) * 0.5
-        return p1 * p2 * _weight_arr(_timescale_arr(z1, params), _timescale_arr(z2, params), params.window)
-
-    return _ratio_to_denominator(num, a1, a2, params, quad)
+    d, c1, c2, c12 = _integrals(float(a1), float(a2), params, quad)
+    return float((d + x1 * c1 + x2 * c2 + x1 * x2 * c12) / (4.0 * d))
 
 
 def correlation_exact(
@@ -368,24 +345,12 @@ def correlation_exact(
     params: ModelParams,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
-    """Exact correlation E(a1, a2) = sum_x1,x2 x1 x2 p(x1, x2 | a1, a2).
+    """Exact correlation E(a1, a2) = sum_x1,x2 x1 x2 p(x1, x2 | a1, a2) = C12 / D.
 
-    Computed from the equivalent single ratio with numerator
-    cos 2 zeta1 cos 2 zeta2 w, which the outcome sum collapses to.
     Depends on a1 - a2 only.
     """
-    a1, a2 = float(a1), float(a2)
-
-    def num(s):
-        z1 = a1 - s
-        z2 = (a2 - 0.5 * _PI) - s
-        return (
-            np.cos(2.0 * z1)
-            * np.cos(2.0 * z2)
-            * _weight_arr(_timescale_arr(z1, params), _timescale_arr(z2, params), params.window)
-        )
-
-    return _ratio_to_denominator(num, a1, a2, params, quad)
+    d, _, _, c12 = _integrals(float(a1), float(a2), params, quad)
+    return float(c12 / d)
 
 
 def correlation_curve(deltas, params: ModelParams, quad: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
@@ -399,9 +364,8 @@ def coincidence_rate_exact(
     params: ModelParams,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
-    """Expected fraction of pairs surviving the window at these settings."""
-    d_val, _ = _denominator(float(a1), float(a2), params, quad)
-    return d_val / _PI
+    """Expected fraction of pairs surviving the window at these settings: D / pi."""
+    return float(_integrals(float(a1), float(a2), params, quad)[0] / _PI)
 
 
 def chsh_exact(

@@ -42,7 +42,6 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
     "write_csv_columns",
-    "read_csv_columns",
     "write_correlation_csv",
     "write_sweep_csv",
     "write_curve_csv",
@@ -100,7 +99,10 @@ def _parse_station_file(path: Path, expected_station: int) -> StationStream:
     station = expected_station
     for tok in head[3:]:
         if tok.startswith("station="):
-            station = int(tok.split("=", 1)[1])
+            try:
+                station = int(tok.split("=", 1)[1])
+            except ValueError:
+                raise TagFormatError(f"{path}:1: bad station token {tok!r}") from None
     if station != expected_station:
         raise TagFormatError(f"{path}:1: station {station} file given for station {expected_station}")
     header = tuple(lines[1].strip().split(","))
@@ -243,15 +245,6 @@ def write_csv_columns(path: str | Path, columns: list[tuple[str, np.ndarray]]) -
         for k in range(length):
             fh.write(",".join(_cell(a[k]) for a in arrays) + "\n")
     return path
-
-
-def read_csv_columns(path: str | Path) -> dict[str, np.ndarray]:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    names = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:] if line.strip()]
-    data = {name: np.array([float(r[i]) for r in rows]) for i, name in enumerate(names)}
-    return data
 
 
 def write_correlation_csv(path: str | Path, table) -> Path:

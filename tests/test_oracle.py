@@ -2,13 +2,13 @@
 
 Frozen expected values were computed with the adaptive integrator and
 independently confirmed by a 16M-point midpoint rule over the hidden
-angle and by the counting-grid weight evaluator; Monte Carlo agreement is
-covered by the acceptance suite.
+angle and by the counting-grid weight evaluator below; Monte Carlo
+agreement is covered by the acceptance suite.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eprsim import (
     ModelParams,
@@ -24,11 +24,48 @@ from eprsim import (
     singlet_correlation,
     weight_approx,
     weight_exact,
-    weight_exact_grid,
 )
-from eprsim.oracle import _adaptive_integrate, _gk15
+from eprsim.analysis import DEFAULT_QUADRUPLE
+from eprsim.cli import parse_windows
+from eprsim.model import delay_timescale
+from eprsim.oracle import DEFAULT_QUAD, _adaptive_integrate, _gk15
 
 times = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+
+GRID_POINTS = 2_000_003
+
+
+def weight_exact_grid(t1: float, t2: float, window: float, n: int = GRID_POINTS) -> float:
+    """Independent fixed-grid 2-D midpoint evaluation of the weight.
+
+    Counts midpoints (i+1/2)h1, (j+1/2)h2 of an n x n cell grid that fall
+    inside the band |x - y| <= window; the count is resolved per row in
+    closed index arithmetic, which equals the literal n x n sum.  The
+    absolute error is bounded by 1/n.
+    """
+    if t1 == 0.0 and t2 == 0.0:
+        return 1.0
+    if t1 == 0.0 or t2 == 0.0:
+        tt = t2 if t1 == 0.0 else t1
+        h = tt / n
+        count = int(np.clip(np.floor(window / h + 0.5), 0, n))
+        return count / n
+    h1 = t1 / n
+    h2 = t2 / n
+    mid1 = (np.arange(n) + 0.5) * h1
+    jlo = np.ceil((mid1 - window) / h2 - 0.5)
+    jhi = np.floor((mid1 + window) / h2 - 0.5)
+    counts = np.clip(jhi, -1, n - 1) - np.clip(jlo, 0, n) + 1.0
+    return float(np.sum(np.clip(counts, 0.0, None)) / (float(n) * float(n)))
+
+
+def correlation_midpoint(a1: float, a2: float, params: ModelParams, n: int = 200_000) -> float:
+    """E(a1, a2) by an n-node midpoint rule over the hidden angle on [0, pi)."""
+    s = (np.arange(n) + 0.5) * (np.pi / n)
+    z1 = a1 - s
+    z2 = (a2 - 0.5 * np.pi) - s
+    w = weight_exact(delay_timescale(z1, params), delay_timescale(z2, params), params.window)
+    return float(np.sum(np.cos(2 * z1) * np.cos(2 * z2) * w) / np.sum(w))
 
 
 class TestWeightExact:
@@ -56,17 +93,24 @@ class TestWeightExact:
             with pytest.raises(ValidationError):
                 weight_exact(*bad)
 
+    # Explicit examples: subnormal sides where t1 * t2 underflows to 0.
     @given(t1=times, t2=times, w=times)
+    @example(t1=0.5, t2=5e-324, w=0.25)
+    @example(t1=1.1e-308, t2=1.1e-308, w=0.0)
     def test_bounds_and_symmetry(self, t1, t2, w):
         val = weight_exact(t1, t2, w)
         assert 0.0 <= val <= 1.0
         assert weight_exact(t2, t1, w) == pytest.approx(val, abs=1e-12)
 
     @given(t1=times, t2=times, w=st.floats(min_value=0, max_value=50))
+    @example(t1=0.5, t2=5e-324, w=0.0)
+    @example(t1=1.1e-308, t2=1.1e-308, w=0.0)
     def test_monotone_in_window(self, t1, t2, w):
         assert weight_exact(t1, t2, w + 0.5) >= weight_exact(t1, t2, w) - 1e-12
 
     @given(t1=times, t2=times)
+    @example(t1=0.5, t2=5e-324)
+    @example(t1=1.1e-308, t2=1.1e-308)
     def test_saturates_at_max_timescale(self, t1, t2):
         assert weight_exact(t1, t2, max(t1, t2)) == pytest.approx(1.0, abs=1e-12)
 
@@ -222,6 +266,16 @@ class TestCorrelationExact:
         p = ModelParams(d=4.0, t0=1.0, window=1.0)
         for delta in (0.0, 0.3, 1.0):
             assert correlation_exact(delta, 0.0, p) == pytest.approx(mixed_correlation(delta, 0.0), abs=1e-9)
+
+    @pytest.mark.parametrize("window", parse_windows("1:1000:log20"))
+    def test_meets_tolerance_across_sweep_windows(self, window):
+        # The |T1 - T2| = W kinks must seed the adaptive pass: without them
+        # the error estimate is optimistic and E misses tol by up to 1.7e-7
+        # here.  The 2e5-node midpoint reference is good to ~4e-11.
+        p = ModelParams(d=4.0, t0=1000.0, window=window)
+        a, ap, b, bp = DEFAULT_QUADRUPLE
+        for a1, a2 in [(a, b), (a, bp), (ap, b), (ap, bp)]:
+            assert abs(correlation_exact(a1, a2, p) - correlation_midpoint(a1, a2, p)) <= DEFAULT_QUAD.tol
 
     def test_curve_shape(self):
         p = ModelParams(d=0.0, t0=1.0, window=0.5)
