@@ -13,17 +13,7 @@ model's exact predictions for cross-validation of the Monte Carlo.
 __version__ = "0.1.0"
 
 from .errors import EprSimError, QuadratureError, TagFormatError, ValidationError
-from .model import (
-    HiddenPair,
-    ModelParams,
-    Setting,
-    delay_timescale,
-    normalize_angle,
-    outcome_prob,
-    sample_delay,
-    sample_hidden_pair,
-    sample_outcome,
-)
+from .model import ModelParams, Setting, delay_timescale, normalize_angle, outcome_prob
 from .events import (
     DetectionEvent,
     EmissionSpec,
@@ -68,8 +58,7 @@ from .tagio import RunManifest, read_tags, write_tags
 __all__ = [
     "__version__",
     "EprSimError", "QuadratureError", "TagFormatError", "ValidationError",
-    "ModelParams", "HiddenPair", "Setting", "normalize_angle",
-    "outcome_prob", "sample_outcome", "delay_timescale", "sample_delay", "sample_hidden_pair",
+    "ModelParams", "Setting", "normalize_angle", "outcome_prob", "delay_timescale",
     "DetectionEvent", "EmissionSpec", "ExperimentConfig", "StationStream", "EventLog",
     "generate_pair", "run_experiment",
     "Coincidences", "MatchPolicy",

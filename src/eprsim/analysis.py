@@ -8,7 +8,7 @@ the binomial plug-in sqrt((1 - E**2) / N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -210,36 +210,29 @@ def window_sweep(
     windows,
     quadruple: tuple[float, float, float, float] = DEFAULT_QUADRUPLE,
     policy: MatchPolicy = "paired",
-    independent: bool = False,
     n_workers: int = 1,
     log: EventLog | None = None,
 ) -> SweepResult:
     """S(W) over a window grid.
 
-    By default one event log is generated and re-filtered per window
-    (delays do not depend on the window), which is cheap and gives a
-    smooth correlated-sample curve.  ``independent=True`` regenerates the
-    log per window with seeds ``seed + k + 1`` for honest independent
-    error bars.  An existing ``log`` can be supplied to re-analyze stored
-    data.
+    One event log is generated and re-filtered per window (delays do not
+    depend on the window), which is cheap and gives a smooth
+    correlated-sample curve; for independent error bars, run one sweep per
+    seed.  An existing ``log`` can be supplied to re-analyze stored data.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 1 or len(windows) == 0:
         raise ValidationError("windows must be a non-empty 1-D sequence")
     if np.any(np.diff(windows) <= 0):
         raise ValidationError("window values must be strictly increasing")
-    if log is None and not independent:
+    if log is None:
         log = run_experiment(config, n_workers=n_workers)
     s_vals = np.empty(len(windows))
     s_errs = np.empty(len(windows))
     rates = np.empty(len(windows))
     for k, w in enumerate(windows):
-        if independent:
-            log_k = run_experiment(replace(config, seed=config.seed + k + 1), n_workers=n_workers)
-        else:
-            log_k = log
-        coinc = match_events(log_k, float(w), policy)
-        rates[k] = len(coinc) / log_k.n_pairs
+        coinc = match_events(log, float(w), policy)
+        rates[k] = len(coinc) / log.n_pairs
         result = chsh(tabulate(coinc, config), quadruple)
         s_vals[k] = result.s
         s_errs[k] = result.stderr

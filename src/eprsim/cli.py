@@ -180,6 +180,30 @@ def _tags_prefix(args, outdir: Path, attr: str) -> Path | None:
     return prefix if prefix.is_absolute() else outdir / prefix
 
 
+def _analyze_window(log, config, window, policy, quadruple, outdir: Path, manifest: RunManifest) -> None:
+    """Match at one window, write the correlation table and record S in ``manifest``."""
+    coinc = match_events(log, window, policy)
+    table = tabulate(coinc, config)
+    result = chsh(table, quadruple)
+    manifest.outputs.append(str(write_correlation_csv(outdir / "correlations.csv", table)))
+    rate = len(coinc) / log.n_pairs
+    manifest.results = {
+        "policy": policy,
+        "window": window,
+        "coincidence_rate": rate,
+        "s": result.s,
+        "s_stderr": result.stderr,
+        "correlations": {
+            "e_ab": result.e_ab,
+            "e_abp": result.e_abp,
+            "e_apb": result.e_apb,
+            "e_apbp": result.e_apbp,
+        },
+    }
+    print(f"{manifest.mode}: n_pairs={log.n_pairs} window={window} rate={rate:.6f}")
+    print(f"{manifest.mode}: S = {result.s:.6f} +- {result.stderr:.6f}")
+
+
 def _run_mc(args, outdir: Path) -> RunManifest:
     config, quadruple = _build_config(args)
     policy = _resolve_policy(args)
@@ -194,26 +218,7 @@ def _run_mc(args, outdir: Path) -> RunManifest:
         side_path = side.write(Path(f"{tags_prefix}.manifest.json"))
         manifest.outputs += [str(p1), str(p2), str(side_path)]
 
-    coinc = match_events(log, config.params.window, policy)
-    table = tabulate(coinc, config)
-    result = chsh(table, quadruple)
-    csv_path = write_correlation_csv(outdir / "correlations.csv", table)
-    manifest.outputs.append(str(csv_path))
-    manifest.results = {
-        "policy": policy,
-        "window": config.params.window,
-        "coincidence_rate": len(coinc) / log.n_pairs,
-        "s": result.s,
-        "s_stderr": result.stderr,
-        "correlations": {
-            "e_ab": result.e_ab,
-            "e_abp": result.e_abp,
-            "e_apb": result.e_apb,
-            "e_apbp": result.e_apbp,
-        },
-    }
-    print(f"mc: n_pairs={log.n_pairs} window={config.params.window} rate={manifest.results['coincidence_rate']:.6f}")
-    print(f"mc: S = {result.s:.6f} +- {result.stderr:.6f}")
+    _analyze_window(log, config, config.params.window, policy, quadruple, outdir, manifest)
     return manifest
 
 
@@ -261,13 +266,11 @@ def _run_reanalyze(args, outdir: Path) -> RunManifest:
         raise ValidationError("reanalyze mode requires --tags-in <prefix>")
     prefix = _tags_prefix(args, outdir, "tags_in")
     side_path = Path(f"{prefix}.manifest.json")
-    config = None
-    if side_path.exists():
-        config = config_from_dict(RunManifest.read(side_path).config)
-    if config is None:
+    if not side_path.exists():
         raise ValidationError(
             f"no manifest {side_path} next to the tag files; cannot resolve setting angles for reanalysis"
         )
+    config = config_from_dict(RunManifest.read(side_path).config)
     log = read_tags(prefix, config)
     policy = _resolve_policy(args)
     quadruple = parse_angle_list(args.quadruple, expect=4) if args.quadruple else DEFAULT_QUADRUPLE
@@ -280,19 +283,7 @@ def _run_reanalyze(args, outdir: Path) -> RunManifest:
         manifest.results = {"policy": policy, "crossings_at_2": sweep.crossings(2.0)}
         print(f"reanalyze: sweep over {len(windows)} windows, crossings at 2: {sweep.crossings(2.0)}")
     else:
-        coinc = match_events(log, args.window, policy)
-        table = tabulate(coinc, config)
-        result = chsh(table, quadruple)
-        csv_path = write_correlation_csv(outdir / "correlations.csv", table)
-        manifest.outputs.append(str(csv_path))
-        manifest.results = {
-            "policy": policy,
-            "window": args.window,
-            "coincidence_rate": len(coinc) / log.n_pairs,
-            "s": result.s,
-            "s_stderr": result.stderr,
-        }
-        print(f"reanalyze: window={args.window} S = {result.s:.6f} +- {result.stderr:.6f}")
+        _analyze_window(log, config, args.window, policy, quadruple, outdir, manifest)
     return manifest
 
 

@@ -11,6 +11,10 @@ With well-separated emissions the two selectors agree exactly; with
 overlapping emissions (Poisson stress tests) only the stream matcher is
 meaningful.  Events left unmatched are dropped from all statistics: the
 post-selected ensemble is the object under study.
+
+``pair_filter`` reads the pair-ordered station columns row by row;
+``stream_match`` scans each station in :meth:`StationStream.time_order`
+and reports its matches in station-1 time order.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ValidationError
-from .events import EventLog
+from .events import EventLog, columns_equal
 
 __all__ = [
     "Coincidences",
@@ -68,14 +72,9 @@ class Coincidences:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coincidences):
             return NotImplemented
-        cols = ("setting1", "setting2", "outcome1", "outcome2", "time1", "time2")
-        if not all(np.array_equal(getattr(self, c), getattr(other, c)) for c in cols):
-            return False
-        for c in ("pair_id1", "pair_id2"):
-            a, b = getattr(self, c), getattr(other, c)
-            if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
-                return False
-        return self.n_source_pairs == other.n_source_pairs
+        names = ("setting1", "setting2", "outcome1", "outcome2", "time1", "time2", "pair_id1", "pair_id2",
+                 "n_source_pairs")
+        return columns_equal(self, other, names)
 
 
 def _check_window(window: float) -> float:
@@ -88,22 +87,28 @@ def pair_filter(log: EventLog, window: float) -> Coincidences:
     """Keep each emitted pair iff its two time tags differ by <= window.
 
     The boundary is closed (|dt| <= window), a measure-zero choice fixed
-    for reproducibility.
+    for reproducibility.  Raises if either stream lacks pair ids or the
+    two stations' ``pair_id`` columns differ.
     """
     window = _check_window(window)
-    pid, t1, i1, x1, t2, i2, x2 = log.paired_view
-    keep = np.abs(t2 - t1) <= window
+    s1, s2 = log.station1, log.station2
+    if s1.pair_id is None or s2.pair_id is None:
+        raise ValidationError("per-pair filtering needs pair ids in both streams")
+    if not np.array_equal(s1.pair_id, s2.pair_id):
+        raise ValidationError("mismatched pair_id columns between stations")
+    keep = np.abs(s2.time_tag - s1.time_tag) <= window
+    pid = s1.pair_id[keep]
     return Coincidences(
-        setting1=i1[keep],
-        setting2=i2[keep],
-        outcome1=x1[keep],
-        outcome2=x2[keep],
-        time1=t1[keep],
-        time2=t2[keep],
+        setting1=s1.setting_index[keep],
+        setting2=s2.setting_index[keep],
+        outcome1=s1.outcome[keep],
+        outcome2=s2.outcome[keep],
+        time1=s1.time_tag[keep],
+        time2=s2.time_tag[keep],
         n_source_pairs=log.n_pairs,
         window=window,
-        pair_id1=pid[keep],
-        pair_id2=pid[keep],
+        pair_id1=pid,
+        pair_id2=pid,
     )
 
 
@@ -115,10 +120,10 @@ def _greedy_match(t1: np.ndarray, t2: np.ndarray, window: float) -> tuple[np.nda
     tag).  Returns matched index arrays (into t1 and into t2).
     """
     n1, n2 = len(t1), len(t2)
-    lo_bound = np.searchsorted(t2, t1 - window, side="left")
+    lo_list = np.searchsorted(t2, t1 - window, side="left").tolist()
     t1l = t1.tolist()
     t2l = t2.tolist()
-    lo_list = lo_bound.tolist()
+    del t1, t2  # the scan reads only the lists; a caller's temporary copies can go
     # next_free[j] = smallest unmatched index >= j (path-compressed).
     next_free = list(range(n2 + 1))
 
@@ -160,7 +165,9 @@ def stream_match(log: EventLog, window: float) -> Coincidences:
     """
     window = _check_window(window)
     s1, s2 = log.station1, log.station2
-    k1, k2 = _greedy_match(s1.time_tag, s2.time_tag, window)
+    o1, o2 = s1.time_order(), s2.time_order()
+    m1, m2 = _greedy_match(s1.time_tag[o1], s2.time_tag[o2], window)
+    k1, k2 = o1[m1], o2[m2]
     return Coincidences(
         setting1=s1.setting_index[k1],
         setting2=s2.setting_index[k2],

@@ -14,6 +14,11 @@ a pair sees therefore depend only on ``(seed, pair_id)``, never on
 generation order, so runs are reproducible bit-for-bit for any worker
 count and :func:`generate_pair` can rebuild any single pair in isolation.
 
+A run is stored in pair order: row k of both station streams is pair k,
+and the two streams share one ``pair_id`` array.  Consumers that need
+time order (the stream matcher, tag files) take it from
+:meth:`StationStream.time_order`.
+
 Time tags are quantized to ``10**-TIME_TAG_DECIMALS`` time units
 (micro-nanoseconds by default), the resolution of the on-disk tag format;
 this makes in-memory logs and round-tripped files identical.
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -154,13 +158,27 @@ def _uniform_block(seed: int, start: int, count: int, out: np.ndarray) -> None:
         pid += take
 
 
+def columns_equal(a, b, names) -> bool:
+    """Field-wise equality of two column records; a None field equals only None."""
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
+        if x is None or y is None:
+            if x is not y:
+                return False
+        elif not np.array_equal(x, y):
+            return False
+    return True
+
+
 @dataclass(eq=False)
 class StationStream:
-    """All events of one station, sorted by time tag.
+    """All events of one station.
 
-    ``pair_id`` may be None for streams read from tag files that omit the
-    column; such streams support stream matching but not per-pair
-    filtering.
+    Rows of a stream with pair ids are in ascending ``pair_id`` order, so
+    row k of the two streams of one log is the same pair.  ``pair_id`` may
+    be None for streams read from tag files that omit the column; such
+    streams keep the row order of their file and support stream matching
+    but not per-pair filtering.
     """
 
     station: int
@@ -172,20 +190,14 @@ class StationStream:
     def __len__(self) -> int:
         return len(self.time_tag)
 
+    def time_order(self) -> np.ndarray:
+        """Row indices in time-tag order; tied tags keep their row order."""
+        return np.argsort(self.time_tag, kind="stable")
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, StationStream):
             return NotImplemented
-        if self.station != other.station:
-            return False
-        if (self.pair_id is None) != (other.pair_id is None):
-            return False
-        if self.pair_id is not None and not np.array_equal(self.pair_id, other.pair_id):
-            return False
-        return (
-            np.array_equal(self.time_tag, other.time_tag)
-            and np.array_equal(self.setting_index, other.setting_index)
-            and np.array_equal(self.outcome, other.outcome)
-        )
+        return columns_equal(self, other, ("station", "time_tag", "setting_index", "outcome", "pair_id"))
 
 
 @dataclass(eq=False)
@@ -209,31 +221,6 @@ class EventLog:
         if not isinstance(other, EventLog):
             return NotImplemented
         return self.station1 == other.station1 and self.station2 == other.station2
-
-    @cached_property
-    def paired_view(self):
-        """Streams re-aligned by pair_id: (pair_id, t1, i1, x1, t2, i2, x2).
-
-        Cached because window sweeps re-filter the same log many times.
-        Raises if either stream lacks pair ids or the id sets differ.
-        """
-        s1, s2 = self.station1, self.station2
-        if s1.pair_id is None or s2.pair_id is None:
-            raise ValidationError("per-pair filtering needs pair ids in both streams")
-        o1 = np.argsort(s1.pair_id, kind="stable")
-        o2 = np.argsort(s2.pair_id, kind="stable")
-        pid = s1.pair_id[o1]
-        if not np.array_equal(pid, s2.pair_id[o2]):
-            raise ValidationError("mismatched pair_id sets between stations")
-        return (
-            pid,
-            s1.time_tag[o1],
-            s1.setting_index[o1],
-            s1.outcome[o1],
-            s2.time_tag[o2],
-            s2.setting_index[o2],
-            s2.outcome[o2],
-        )
 
 
 def _quantize_times(t: np.ndarray) -> np.ndarray:
@@ -298,6 +285,7 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> EventLog:
 
     The result is identical for any ``n_workers``: workers only split the
     pair range, and each pair's variates are fixed by ``(seed, pair_id)``.
+    Both stations come back in pair order and share one ``pair_id`` array.
     """
     if n_workers < 1:
         raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
@@ -341,18 +329,8 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> EventLog:
     t1 = _quantize_times(emission + cols["delay1"])
     t2 = _quantize_times(emission + cols["delay2"])
 
-    def build(station, t, idx, x):
-        order = np.lexsort((pid, t))
-        return StationStream(
-            station=station,
-            time_tag=t[order],
-            setting_index=idx[order].astype(np.int16),
-            outcome=x[order],
-            pair_id=pid[order],
-        )
-
     return EventLog(
-        station1=build(1, t1, cols["idx1"], cols["x1"]),
-        station2=build(2, t2, cols["idx2"], cols["x2"]),
+        station1=StationStream(1, t1, cols["idx1"], cols["x1"], pid),
+        station2=StationStream(2, t2, cols["idx2"], cols["x2"], pid),
         config=config,
     )

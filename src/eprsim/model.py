@@ -14,16 +14,14 @@ and the coincidence bookkeeping live in :mod:`eprsim.events` and
 :mod:`eprsim.coincidence`.  All angles are radians, all times are in the
 same unit as ``t0`` (nanoseconds by convention).
 
-Sampling functions come in two forms: ``sample_*`` draws from a
-``numpy.random.Generator``, and ``*_from_uniform`` is the underlying
-deterministic map from a uniform variate in [0, 1).  The event generator
-uses the ``*_from_uniform`` maps on pre-allocated variate blocks so that
-scalar and vectorized paths share one definition.
+Randomness enters only through the ``*_from_uniform`` maps, each a
+deterministic function of a uniform variate in [0, 1).  The event
+generator applies them to pre-allocated variate blocks, so scalar and
+vectorized paths share one definition.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,17 +30,13 @@ from .errors import ValidationError
 
 __all__ = [
     "ModelParams",
-    "HiddenPair",
     "Setting",
     "normalize_angle",
     "outcome_prob",
     "outcome_from_uniform",
-    "sample_outcome",
     "delay_timescale",
     "delay_from_uniform",
-    "sample_delay",
     "hidden_from_uniform",
-    "sample_hidden_pair",
 ]
 
 # A polarizer setting is a plain angle in radians.  Every quantity derived
@@ -72,17 +66,6 @@ class ModelParams:
             raise ValidationError(f"d must be >= 0, got {self.d}")
 
 
-@dataclass(frozen=True)
-class HiddenPair:
-    """Hidden polarization angles carried by one emitted pair.
-
-    s2 is orthogonal to s1 by construction: s2 = s1 + pi/2 (mod 2 pi).
-    """
-
-    s1: float
-    s2: float
-
-
 def normalize_angle(angle):
     """Reduce an angle to the fundamental polarization domain [0, pi).
 
@@ -108,13 +91,6 @@ def outcome_from_uniform(u, zeta):
     return np.where(u < outcome_prob(+1, zeta), 1, -1).astype(np.int8)
 
 
-def sample_outcome(zeta, rng: np.random.Generator):
-    """Draw an outcome in {-1, +1} with the Malus-law probability."""
-    u = rng.random(np.shape(zeta)) if np.ndim(zeta) else rng.random()
-    out = outcome_from_uniform(u, zeta)
-    return out if np.ndim(zeta) else int(out)
-
-
 def delay_timescale(zeta, params: ModelParams):
     """Delay timescale T(zeta) = t0 * |sin 2 zeta|**d, in [0, t0].
 
@@ -136,20 +112,6 @@ def delay_from_uniform(u, zeta, params: ModelParams):
     return np.asarray(u, dtype=float) * delay_timescale(zeta, params)
 
 
-def sample_delay(zeta, params: ModelParams, rng: np.random.Generator):
-    """Draw a detection delay, uniform on [0, T(zeta)]."""
-    u = rng.random(np.shape(zeta)) if np.ndim(zeta) else rng.random()
-    out = delay_from_uniform(u, zeta, params)
-    return out if np.ndim(zeta) else float(out)
-
-
 def hidden_from_uniform(u):
     """Map a uniform variate to the hidden angle s1, uniform on [0, 2 pi)."""
     return np.asarray(u, dtype=float) * (2.0 * np.pi)
-
-
-def sample_hidden_pair(rng: np.random.Generator) -> HiddenPair:
-    """Draw one hidden pair: s1 uniform on [0, 2 pi), s2 = s1 + pi/2."""
-    s1 = float(hidden_from_uniform(rng.random()))
-    s2 = math.fmod(s1 + 0.5 * math.pi, 2.0 * math.pi)
-    return HiddenPair(s1=s1, s2=s2)

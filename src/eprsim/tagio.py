@@ -8,10 +8,13 @@ coincidence analysis can be redone later from raw tags alone.  Format:
     0,37.482910,1,1
     ...
 
-Times are fixed-point with six decimals, matching the generator's tag
-resolution, so a write/read cycle reproduces the in-memory log exactly
-and re-writing a read file is byte-identical.  The pair_id column is
-optional on read; stream matching does not need it.
+Rows are written in time order.  Times are fixed-point with six
+decimals, matching the generator's tag resolution, so a write/read cycle
+reproduces the in-memory log exactly and re-writing a read file is
+byte-identical.  The pair_id column is optional on read; stream matching
+does not need it.  Files with pair ids are read back into pair order,
+the order :func:`eprsim.events.run_experiment` returns; files without
+keep their row order.
 
 Result tables (correlations, sweeps, reference curves) are plain CSV with
 floats serialized via repr, which round-trips exactly.  A JSON manifest
@@ -50,6 +53,7 @@ __all__ = [
 _MAGIC = "eprsim-tags"
 FORMAT_VERSION = "v1"
 _COLUMNS = ("pair_id", "time_ns", "setting_index", "outcome")
+_FORMAT_ROWS = 1 << 16
 
 
 def station_path(prefix: str | Path, station: int) -> Path:
@@ -57,21 +61,19 @@ def station_path(prefix: str | Path, station: int) -> Path:
 
 
 def _format_station(stream: StationStream) -> str:
-    buf = io.StringIO()
-    buf.write(f"# {_MAGIC} {FORMAT_VERSION} station={stream.station}\n")
-    has_pid = stream.pair_id is not None
-    buf.write(",".join(_COLUMNS if has_pid else _COLUMNS[1:]) + "\n")
-    t = stream.time_tag
-    idx = stream.setting_index
-    x = stream.outcome
-    if has_pid:
-        pid = stream.pair_id
-        for k in range(len(stream)):
-            buf.write(f"{pid[k]},{t[k]:.{TIME_TAG_DECIMALS}f},{idx[k]},{x[k]}\n")
-    else:
-        for k in range(len(stream)):
-            buf.write(f"{t[k]:.{TIME_TAG_DECIMALS}f},{idx[k]},{x[k]}\n")
-    return buf.getvalue()
+    """Tag file text, rows in time order."""
+    columns = [stream.time_tag, stream.setting_index, stream.outcome]
+    names, row = _COLUMNS[1:], f"{{:.{TIME_TAG_DECIMALS}f}},{{}},{{}}\n"
+    if stream.pair_id is not None:
+        columns.insert(0, stream.pair_id)
+        names, row = _COLUMNS, "{}," + row
+    parts = [f"# {_MAGIC} {FORMAT_VERSION} station={stream.station}\n" + ",".join(names) + "\n"]
+    order = stream.time_order()
+    # Blocks bound the Python objects alive at once to _FORMAT_ROWS rows' worth.
+    for lo in range(0, len(order), _FORMAT_ROWS):
+        rows = order[lo : lo + _FORMAT_ROWS]
+        parts.append("".join(map(row.format, *(c[rows].tolist() for c in columns))))
+    return "".join(parts)
 
 
 def write_tags(log: EventLog, prefix: str | Path) -> tuple[Path, Path]:
@@ -117,8 +119,10 @@ def _parse_station_file(path: Path, expected_station: int) -> StationStream:
     body = lines[2:]
     while body and not body[-1].strip():
         body.pop()
+    if not body:
+        raise TagFormatError(f"{path}: no events")
     try:
-        data = np.loadtxt(io.StringIO("\n".join(body)), delimiter=",", ndmin=2) if body else np.empty((0, ncols))
+        data = np.loadtxt(io.StringIO("\n".join(body)), delimiter=",", ndmin=2)
     except ValueError:
         data = None
     if data is None or data.shape[1] != ncols:
@@ -148,8 +152,9 @@ def _parse_station_file(path: Path, expected_station: int) -> StationStream:
         k = int(np.nonzero(~np.isfinite(t))[0][0])
         raise TagFormatError(f"{path}:{k + 3}: non-finite time tag")
 
+    # Pair order, the form run_experiment returns; without pair ids, file order.
     pid = col["pair_id"].astype(np.int64) if has_pid else None
-    order = np.lexsort((pid, t)) if has_pid else np.argsort(t, kind="stable")
+    order = np.argsort(pid, kind="stable") if has_pid else np.arange(len(t))
     return StationStream(
         station=expected_station,
         time_tag=t[order],

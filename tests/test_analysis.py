@@ -1,5 +1,7 @@
 """Correlation table, CHSH, and window-sweep tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -178,11 +180,11 @@ class TestWindowSweep:
 
     def test_independent_logs_differ_but_agree_statistically(self, config):
         windows = np.array([0.05])
-        reused = window_sweep(config, windows)
-        independent = window_sweep(config, windows, independent=True)
-        assert reused.s[0] != independent.s[0]
-        sigma = float(np.hypot(reused.s_stderr[0], independent.s_stderr[0]))
-        assert abs(reused.s[0] - independent.s[0]) < 5.0 * sigma
+        first = window_sweep(config, windows)
+        second = window_sweep(replace(config, seed=config.seed + 1), windows)
+        assert first.s[0] != second.s[0]
+        sigma = float(np.hypot(first.s_stderr[0], second.s_stderr[0]))
+        assert abs(first.s[0] - second.s[0]) < 5.0 * sigma
 
     def test_existing_log_reused(self, config):
         log = run_experiment(config)

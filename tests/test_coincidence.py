@@ -20,18 +20,16 @@ from eprsim.coincidence import _greedy_match
 
 
 def tiny_log(times1, times2, pair_ids=True):
-    """Hand-built log; settings 0, outcomes +1, optional shared pair ids."""
+    """Hand-built log in pair order: row k is pair k; settings 0, outcomes +1."""
 
     def stream(station, times):
-        times = np.asarray(times, dtype=float)
-        order = np.argsort(times, kind="stable")
         n = len(times)
         return StationStream(
             station=station,
-            time_tag=times[order],
+            time_tag=np.asarray(times, dtype=float),
             setting_index=np.zeros(n, dtype=np.int16),
             outcome=np.ones(n, dtype=np.int8),
-            pair_id=np.arange(n, dtype=np.int64)[order] if pair_ids else None,
+            pair_id=np.arange(n, dtype=np.int64) if pair_ids else None,
         )
 
     return EventLog(station1=stream(1, times1), station2=stream(2, times2))
@@ -154,6 +152,14 @@ class TestStreamMatch:
         assert got == expected
         # The greedy result is one of the legal matchings.
         assert frozenset(got) in all_legal_matchings(t1.tolist(), t2.tolist(), window)
+
+    def test_rows_out_of_time_order(self):
+        # Pair order is not time order: pair 0 is emitted after pair 1.
+        # Matches are found in time order and reported against the rows.
+        coinc = stream_match(tiny_log([5.0, 0.0], [5.1, 0.2]), window=0.5)
+        assert coinc.time1.tolist() == [0.0, 5.0]
+        assert coinc.time2.tolist() == [0.2, 5.1]
+        assert coinc.pair_id1.tolist() == coinc.pair_id2.tolist() == [1, 0]
 
     def test_works_without_pair_ids(self):
         log = tiny_log([0.0, 1.0], [0.1, 1.05], pair_ids=False)

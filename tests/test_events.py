@@ -1,5 +1,7 @@
 """Event-generation tests: determinism, stream structure, statistics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from eprsim import (
     ModelParams,
     ValidationError,
     generate_pair,
+    pair_filter,
     run_experiment,
 )
 from eprsim.events import CHUNK_PAIRS, TIME_TAG_DECIMALS, pair_uniforms
@@ -85,13 +88,16 @@ class TestGeneratePair:
 
 class TestRunExperiment:
     def test_counts_and_sorting(self):
-        log = run_experiment(small_config())
+        # Poisson emission with a mean spacing far below t0 interleaves the
+        # pairs, so pair order and time order differ.
+        log = run_experiment(small_config(emission=EmissionSpec.poisson(50.0)))
         assert log.n_pairs == 5000
         for stream in (log.station1, log.station2):
             assert len(stream) == 5000
-            assert np.all(np.diff(stream.time_tag) >= 0)
+            assert np.array_equal(stream.pair_id, np.arange(5000))
+            assert np.any(np.diff(stream.time_tag) < 0)
+            assert np.all(np.diff(stream.time_tag[stream.time_order()]) >= 0)
             assert set(np.unique(stream.outcome)) <= {-1, 1}
-        assert sorted(log.station1.pair_id) == list(range(5000))
 
     def test_time_tags_quantized(self):
         log = run_experiment(small_config())
@@ -186,32 +192,20 @@ class TestRunExperiment:
 
 
 class TestEventLogPairing:
-    def test_paired_view_requires_ids(self):
+    def test_pair_filter_requires_ids(self):
         log = run_experiment(small_config(n_pairs=50))
-        stripped = EventLog(
-            station1=log.station1.__class__(
-                station=1,
-                time_tag=log.station1.time_tag,
-                setting_index=log.station1.setting_index,
-                outcome=log.station1.outcome,
-                pair_id=None,
-            ),
-            station2=log.station2,
-        )
-        with pytest.raises(ValidationError):
-            stripped.paired_view
+        stripped = EventLog(station1=replace(log.station1, pair_id=None), station2=log.station2)
+        with pytest.raises(ValidationError, match="needs pair ids"):
+            pair_filter(stripped, 0.1)
 
     def test_mismatched_pair_ids_rejected(self):
         log = run_experiment(small_config(n_pairs=50))
-        bad = EventLog(
-            station1=log.station1,
-            station2=log.station2.__class__(
-                station=2,
-                time_tag=log.station2.time_tag,
-                setting_index=log.station2.setting_index,
-                outcome=log.station2.outcome,
-                pair_id=log.station2.pair_id + 1,
-            ),
-        )
-        with pytest.raises(ValidationError):
-            bad.paired_view
+        bad = EventLog(station1=log.station1, station2=replace(log.station2, pair_id=log.station2.pair_id + 1))
+        with pytest.raises(ValidationError, match="mismatched pair_id"):
+            pair_filter(bad, 0.1)
+
+    def test_equality_distinguishes_missing_pair_ids(self):
+        stream = run_experiment(small_config(n_pairs=50)).station1
+        stripped = replace(stream, pair_id=None)
+        assert stripped != stream and stream != stripped
+        assert stripped == replace(stream, pair_id=None)

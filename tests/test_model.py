@@ -1,11 +1,12 @@
-"""Model-layer unit tests: Malus probabilities, delay timescales, samplers."""
+"""Model-layer unit tests: Malus probabilities, delay timescales, uniform-variate maps."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from eprsim import ModelParams, ValidationError
+from eprsim import ModelParams, ValidationError, generate_pair
+from eprsim.events import pair_uniforms
 from eprsim.model import (
     delay_from_uniform,
     delay_timescale,
@@ -13,9 +14,6 @@ from eprsim.model import (
     normalize_angle,
     outcome_from_uniform,
     outcome_prob,
-    sample_delay,
-    sample_hidden_pair,
-    sample_outcome,
 )
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -91,34 +89,36 @@ class TestDelayTimescale:
 
 
 class TestSamplers:
+    """Distributions of the uniform-variate maps fed with rng.random draws."""
+
     def test_outcome_deterministic_extremes(self):
         rng = np.random.default_rng(1)
-        assert all(sample_outcome(0.0, rng) == 1 for _ in range(200))
-        assert all(sample_outcome(np.pi / 2, rng) == -1 for _ in range(200))
+        assert np.all(outcome_from_uniform(rng.random(200), 0.0) == 1)
+        assert np.all(outcome_from_uniform(rng.random(200), np.pi / 2) == -1)
 
     def test_outcome_mean_unbiased_at_pi_over_4(self):
         rng = np.random.default_rng(2)
         n = 10**6
-        draws = sample_outcome(np.full(n, np.pi / 4), rng)
+        draws = outcome_from_uniform(rng.random(n), np.full(n, np.pi / 4))
         assert abs(draws.mean()) < 5.0 / np.sqrt(n)
 
     @pytest.mark.parametrize("zeta", np.linspace(0.05, 3.0, 7))
     def test_outcome_frequency_matches_probability(self, zeta):
         rng = np.random.default_rng(int(zeta * 1000))
         n = 40_000
-        freq = np.mean(sample_outcome(np.full(n, zeta), rng) == 1)
+        freq = np.mean(outcome_from_uniform(rng.random(n), np.full(n, zeta)) == 1)
         assert abs(freq - outcome_prob(+1, zeta)) < 5.0 / np.sqrt(n)
 
     def test_delay_at_degenerate_timescale_is_zero(self):
         rng = np.random.default_rng(3)
         p = ModelParams(d=4, t0=1.0, window=0)
-        assert all(sample_delay(0.0, p, rng) == 0.0 for _ in range(100))
+        assert np.all(delay_from_uniform(rng.random(100), 0.0, p) == 0.0)
 
     def test_delay_mean_is_half_timescale(self):
         rng = np.random.default_rng(4)
         p = ModelParams(d=4, t0=1.0, window=0)
         n = 10**6
-        draws = sample_delay(np.full(n, np.pi / 4), p, rng)
+        draws = delay_from_uniform(rng.random(n), np.full(n, np.pi / 4), p)
         sigma = (1.0 / np.sqrt(12.0)) / np.sqrt(n)
         assert abs(draws.mean() - 0.5) < 5.0 * sigma
 
@@ -127,27 +127,31 @@ class TestSamplers:
         p = ModelParams(d=4, t0=2.0, window=0)
         zeta = np.pi / 8
         scale = delay_timescale(zeta, p)
-        draws = sample_delay(np.full(10**5, zeta), p, rng)
+        draws = delay_from_uniform(rng.random(10**5), np.full(10**5, zeta), p)
         assert np.all((0 <= draws) & (draws <= scale))
         assert stats.kstest(draws / scale, "uniform").pvalue > 0.001
 
     def test_delay_d_zero_spans_t0(self):
         rng = np.random.default_rng(6)
         p = ModelParams(d=0, t0=1.0, window=0)
-        draws = sample_delay(np.full(1000, np.pi / 4), p, rng)
+        draws = delay_from_uniform(rng.random(1000), np.full(1000, np.pi / 4), p)
         assert np.all((0 <= draws) & (draws <= 1.0))
 
 
 class TestHiddenPair:
     def test_orthogonality(self):
-        rng = np.random.default_rng(7)
-        for _ in range(500):
-            pair = sample_hidden_pair(rng)
-            assert np.isclose((pair.s2 - pair.s1) % np.pi, np.pi / 2, atol=1e-12)
+        # s2 = s1 + pi/2: setting station 1 to s1 and station 2 to s1 + pi/2
+        # puts both at zero misalignment, so both give +1 with zero delay.
+        p = ModelParams(d=4.0, t0=1.0, window=0.1)
+        for pair_id in range(500):
+            s1 = float(hidden_from_uniform(pair_uniforms(seed=7, pair_id=pair_id)[0]))
+            ev1, ev2 = generate_pair(pair_id, 3.0, s1, s1 + 0.5 * np.pi, p, seed=7)
+            assert (ev1.outcome, ev2.outcome) == (1, 1)
+            assert ev1.time_tag == ev2.time_tag == 3.0
 
     def test_range(self):
         rng = np.random.default_rng(8)
-        draws = np.array([sample_hidden_pair(rng).s1 for _ in range(2000)])
+        draws = hidden_from_uniform(rng.random(2000))
         assert np.all((0 <= draws) & (draws < 2 * np.pi))
 
     def test_uniformity_mod_pi_ks(self):
@@ -157,7 +161,7 @@ class TestHiddenPair:
 
 
 class TestUniformMaps:
-    """The deterministic maps behind the samplers, used by the event generator."""
+    """Pointwise behaviour of the deterministic maps the event generator uses."""
 
     def test_outcome_threshold(self):
         zeta = 0.7

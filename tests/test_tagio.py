@@ -1,10 +1,27 @@
-"""Tag file tests: byte-identical round trip and line-accurate header errors."""
+"""Tag file tests: byte-identical round trip, line-accurate errors, CLI exit codes."""
 
+import hashlib
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from eprsim import ExperimentConfig, ModelParams, TagFormatError, read_tags, run_experiment, write_tags
+from eprsim import (
+    EmissionSpec,
+    EventLog,
+    ExperimentConfig,
+    ModelParams,
+    TagFormatError,
+    read_tags,
+    run_experiment,
+    write_tags,
+)
+from eprsim import tagio
 from eprsim.cli import main
 from eprsim.tagio import station_path
+
+# Poisson emission interleaves pairs, so time order differs from pair order.
+POISSON = ExperimentConfig(ModelParams(4, 1000, 10), n_pairs=2000, seed=7, emission=EmissionSpec.poisson(0.005))
 
 
 @pytest.fixture
@@ -15,10 +32,26 @@ def tag_prefix(tmp_path):
     return tmp_path / "run", log
 
 
-def _replace_header(prefix, header: str) -> None:
+@pytest.fixture
+def cli_run(tmp_path):
+    """An mc run with tag files written under tmp_path; returns the CLI's --out argument."""
+    out = str(tmp_path)
+    assert main(["--mode", "mc", "--pairs", "200", "--tags-out", "tags", "--out", out]) == 0
+    return out
+
+
+def _replace_line(prefix, k: int, text: str) -> None:
+    """Replace line k (0-based) of the station-1 file."""
     path = station_path(prefix, 1)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text(header + "\n" + "".join(lines[1:]), encoding="utf-8")
+    lines[k] = text + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def _keep_headers_only(prefix) -> None:
+    for station in (1, 2):
+        path = station_path(prefix, station)
+        path.write_text("".join(path.read_text(encoding="utf-8").splitlines(keepends=True)[:2]), encoding="utf-8")
 
 
 def test_round_trip_is_byte_identical(tag_prefix, tmp_path):
@@ -30,6 +63,47 @@ def test_round_trip_is_byte_identical(tag_prefix, tmp_path):
         assert station_path(tmp_path / "again", station).read_bytes() == station_path(prefix, station).read_bytes()
 
 
+@pytest.mark.parametrize("block_rows", [None, 7], ids=["default-blocks", "partial-last-block"])
+def test_poisson_tag_files_pinned(tmp_path, monkeypatch, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(tagio, "_FORMAT_ROWS", block_rows)
+    paths = write_tags(run_experiment(POISSON), tmp_path / "run")
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == [
+        "9ee181b691e838f4019f3b3569362af3c18966cbc49e8a0f0a4a52be8406f338",
+        "7e889aa248ca439f6d292dafeb891f7d0264a1cd515dd48c947714d69b6fdcc4",
+    ]
+
+
+def test_read_back_in_pair_order(tmp_path):
+    log = run_experiment(POISSON)
+    write_tags(log, tmp_path / "run")
+    back = read_tags(tmp_path / "run", POISSON)
+    assert back == log
+    assert np.array_equal(back.station1.pair_id, np.arange(2000))
+
+
+def test_without_pair_ids_rows_stay_in_file_order(tag_prefix, tmp_path):
+    _, log = tag_prefix
+    stripped = EventLog(replace(log.station1, pair_id=None), replace(log.station2, pair_id=None))
+    write_tags(stripped, tmp_path / "nopid")
+    back = read_tags(tmp_path / "nopid")
+    for written, read in ((log.station1, back.station1), (log.station2, back.station2)):
+        order = written.time_order()
+        assert read.pair_id is None
+        assert np.array_equal(read.time_tag, written.time_tag[order])
+        assert np.array_equal(read.outcome, written.outcome[order])
+    write_tags(back, tmp_path / "again")
+    for station in (1, 2):
+        assert station_path(tmp_path / "again", station).read_bytes() == station_path(tmp_path / "nopid", station).read_bytes()
+
+
+def test_header_only_files_rejected(tag_prefix):
+    prefix, _ = tag_prefix
+    _keep_headers_only(prefix)
+    with pytest.raises(TagFormatError, match=r"station1\.csv: no events"):
+        read_tags(prefix)
+
+
 @pytest.mark.parametrize(
     "header",
     ["# eprsim-tags v1 station=x", "# eprsim-tags v2 station=1"],
@@ -37,14 +111,40 @@ def test_round_trip_is_byte_identical(tag_prefix, tmp_path):
 )
 def test_header_errors_name_line_one(tag_prefix, header):
     prefix, _ = tag_prefix
-    _replace_header(prefix, header)
+    _replace_line(prefix, 0, header)
     with pytest.raises(TagFormatError, match=r"station1\.csv:1: "):
         read_tags(prefix)
 
 
-def test_cli_reports_bad_station_token_as_runtime_error(tmp_path, capsys):
-    out = str(tmp_path)
-    assert main(["--mode", "mc", "--pairs", "200", "--tags-out", "tags", "--out", out]) == 0
-    _replace_header(tmp_path / "tags", "# eprsim-tags v1 station=x")
-    assert main(["--mode", "reanalyze", "--tags-in", "tags", "--out", out]) == 2
+def test_cli_reports_bad_station_token_as_runtime_error(cli_run, tmp_path, capsys):
+    _replace_line(tmp_path / "tags", 0, "# eprsim-tags v1 station=x")
+    assert main(["--mode", "reanalyze", "--tags-in", "tags", "--out", cli_run]) == 2
     assert "station1.csv:1: bad station token" in capsys.readouterr().err
+
+
+def test_cli_header_only_files_exit_2(cli_run, tmp_path, capsys):
+    _keep_headers_only(tmp_path / "tags")
+    assert main(["--mode", "reanalyze", "--tags-in", "tags", "--windows", "1:100:log3", "--out", cli_run]) == 2
+    assert "station1.csv: no events" in capsys.readouterr().err
+
+
+def test_cli_missing_tag_file_exits_2(cli_run, tmp_path, capsys):
+    station_path(tmp_path / "tags", 2).unlink()
+    assert main(["--mode", "reanalyze", "--tags-in", "tags", "--out", cli_run]) == 2
+    assert "station2.csv: cannot read tag file" in capsys.readouterr().err
+
+
+def test_cli_non_numeric_row_exits_2_naming_the_line(cli_run, tmp_path, capsys):
+    _replace_line(tmp_path / "tags", 4, "2,abc,0,1")
+    assert main(["--mode", "reanalyze", "--tags-in", "tags", "--out", cli_run]) == 2
+    assert "station1.csv:5: non-numeric time_ns value 'abc'" in capsys.readouterr().err
+
+
+def test_cli_angle_without_unit_exits_1(tmp_path, capsys):
+    assert main(["--mode", "mc", "--pairs", "200", "--angles1", "0,45", "--out", str(tmp_path)]) == 1
+    assert "explicit unit suffix" in capsys.readouterr().err
+
+
+def test_cli_reanalyze_without_tags_in_exits_1(tmp_path, capsys):
+    assert main(["--mode", "reanalyze", "--out", str(tmp_path)]) == 1
+    assert "requires --tags-in" in capsys.readouterr().err
