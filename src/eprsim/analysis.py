@@ -88,14 +88,17 @@ class CorrelationTable:
 def tabulate(coincidences: Coincidences, config: ExperimentConfig | None = None) -> CorrelationTable:
     """Tally coincidences into a correlation table.
 
-    Setting-list sizes and angles come from ``config`` when given;
+    Settings and outcomes are read from the log through the selection's
+    rows.  Setting-list sizes and angles come from ``config`` when given;
     otherwise sizes are inferred from the largest index present and the
     angles are left unknown.
     """
     if len(coincidences) == 0:
         raise ValidationError("cannot tabulate an empty coincidence list")
-    i1 = np.asarray(coincidences.setting1, dtype=np.int64)
-    i2 = np.asarray(coincidences.setting2, dtype=np.int64)
+    st1, st2 = coincidences.log.station1, coincidences.log.station2
+    r1, r2 = coincidences.rows1, coincidences.rows2
+    i1 = st1.setting_index[r1].astype(np.int64)
+    i2 = st2.setting_index[r2].astype(np.int64)
     if config is not None:
         n1, n2 = len(config.settings1), len(config.settings2)
         settings1, settings2 = config.settings1, config.settings2
@@ -104,8 +107,8 @@ def tabulate(coincidences: Coincidences, config: ExperimentConfig | None = None)
     else:
         n1, n2 = int(i1.max()) + 1, int(i2.max()) + 1
         settings1 = settings2 = None
-    o1 = (coincidences.outcome1 < 0).astype(np.int64)  # +1 -> 0, -1 -> 1
-    o2 = (coincidences.outcome2 < 0).astype(np.int64)
+    o1 = (st1.outcome[r1] < 0).astype(np.int64)  # +1 -> 0, -1 -> 1
+    o2 = (st2.outcome[r2] < 0).astype(np.int64)
     flat = ((i1 * n2 + i2) * 2 + o1) * 2 + o2
     counts = np.bincount(flat, minlength=n1 * n2 * 4).reshape(n1, n2, 2, 2)
     return CorrelationTable(counts=counts, settings1=settings1, settings2=settings2)

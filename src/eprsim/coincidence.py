@@ -12,9 +12,12 @@ overlapping emissions (Poisson stress tests) only the stream matcher is
 meaningful.  Events left unmatched are dropped from all statistics: the
 post-selected ensemble is the object under study.
 
-``pair_filter`` reads the pair-ordered station columns row by row;
-``stream_match`` scans each station in :meth:`StationStream.time_order`
-and reports its matches in station-1 time order.
+A selection is two row-index arrays into the one stored log: coincidence
+k is row ``rows1[k]`` of station 1 and row ``rows2[k]`` of station 2; no
+column is copied.  ``pair_filter`` keeps rows in pair order (rows1 ==
+rows2); ``stream_match`` scans each station in
+:meth:`StationStream.time_order` and reports its matches in station-1
+time order.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ValidationError
-from .events import EventLog, columns_equal
+from .events import EventLog
 
 __all__ = [
     "Coincidences",
@@ -44,37 +47,23 @@ MatchPolicy = Literal["paired", "stream-greedy"]
 
 @dataclass(eq=False)
 class Coincidences:
-    """Column-oriented set of coincidence pairs.
+    """The coincidences one selector kept from ``log``.
 
-    Columns are aligned: entry k of every array describes the k-th
-    matched pair.  ``n_source_pairs`` is the number of emitted pairs in
-    the log that produced this selection, kept for rate normalization.
+    Coincidence k pairs row ``rows1[k]`` of ``log.station1`` with row
+    ``rows2[k]`` of ``log.station2``; read any column through the rows.
     """
 
-    setting1: np.ndarray
-    setting2: np.ndarray
-    outcome1: np.ndarray
-    outcome2: np.ndarray
-    time1: np.ndarray
-    time2: np.ndarray
-    n_source_pairs: int
-    window: float
-    pair_id1: np.ndarray | None = None
-    pair_id2: np.ndarray | None = None
+    log: EventLog
+    rows1: np.ndarray
+    rows2: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.time1)
+        return len(self.rows1)
 
     @property
-    def dt(self) -> np.ndarray:
-        return self.time2 - self.time1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Coincidences):
-            return NotImplemented
-        names = ("setting1", "setting2", "outcome1", "outcome2", "time1", "time2", "pair_id1", "pair_id2",
-                 "n_source_pairs")
-        return columns_equal(self, other, names)
+    def n_source_pairs(self) -> int:
+        """Emitted pairs in the log, the denominator of the coincidence rate."""
+        return self.log.n_pairs
 
 
 def _check_window(window: float) -> float:
@@ -96,20 +85,8 @@ def pair_filter(log: EventLog, window: float) -> Coincidences:
         raise ValidationError("per-pair filtering needs pair ids in both streams")
     if not np.array_equal(s1.pair_id, s2.pair_id):
         raise ValidationError("mismatched pair_id columns between stations")
-    keep = np.abs(s2.time_tag - s1.time_tag) <= window
-    pid = s1.pair_id[keep]
-    return Coincidences(
-        setting1=s1.setting_index[keep],
-        setting2=s2.setting_index[keep],
-        outcome1=s1.outcome[keep],
-        outcome2=s2.outcome[keep],
-        time1=s1.time_tag[keep],
-        time2=s2.time_tag[keep],
-        n_source_pairs=log.n_pairs,
-        window=window,
-        pair_id1=pid,
-        pair_id2=pid,
-    )
+    rows = np.flatnonzero(np.abs(s2.time_tag - s1.time_tag) <= window)
+    return Coincidences(log, rows, rows)
 
 
 def _greedy_match(t1: np.ndarray, t2: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
@@ -167,19 +144,7 @@ def stream_match(log: EventLog, window: float) -> Coincidences:
     s1, s2 = log.station1, log.station2
     o1, o2 = s1.time_order(), s2.time_order()
     m1, m2 = _greedy_match(s1.time_tag[o1], s2.time_tag[o2], window)
-    k1, k2 = o1[m1], o2[m2]
-    return Coincidences(
-        setting1=s1.setting_index[k1],
-        setting2=s2.setting_index[k2],
-        outcome1=s1.outcome[k1],
-        outcome2=s2.outcome[k2],
-        time1=s1.time_tag[k1],
-        time2=s2.time_tag[k2],
-        n_source_pairs=log.n_pairs,
-        window=window,
-        pair_id1=s1.pair_id[k1] if s1.pair_id is not None else None,
-        pair_id2=s2.pair_id[k2] if s2.pair_id is not None else None,
-    )
+    return Coincidences(log, o1[m1], o2[m2])
 
 
 def match_events(log: EventLog, window: float, policy: MatchPolicy = "paired") -> Coincidences:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import ModelParams, Setting, delay_from_uniform, hidden_from_uniform, outcome_from_uniform
+from .model import ModelParams, Setting, delay_from_uniform, hidden_from_uniform, misalignments, outcome_from_uniform
 
 __all__ = [
     "DetectionEvent",
@@ -158,18 +158,6 @@ def _uniform_block(seed: int, start: int, count: int, out: np.ndarray) -> None:
         pid += take
 
 
-def columns_equal(a, b, names) -> bool:
-    """Field-wise equality of two column records; a None field equals only None."""
-    for name in names:
-        x, y = getattr(a, name), getattr(b, name)
-        if x is None or y is None:
-            if x is not y:
-                return False
-        elif not np.array_equal(x, y):
-            return False
-    return True
-
-
 @dataclass(eq=False)
 class StationStream:
     """All events of one station.
@@ -197,7 +185,10 @@ class StationStream:
     def __eq__(self, other) -> bool:
         if not isinstance(other, StationStream):
             return NotImplemented
-        return columns_equal(self, other, ("station", "time_tag", "setting_index", "outcome", "pair_id"))
+        if self.station != other.station or (self.pair_id is None) != (other.pair_id is None):
+            return False
+        names = ("time_tag", "setting_index", "outcome") + (() if self.pair_id is None else ("pair_id",))
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in names)
 
 
 @dataclass(eq=False)
@@ -244,8 +235,7 @@ def generate_pair(
     """
     u = pair_uniforms(seed, pair_id)
     s1 = float(hidden_from_uniform(u[_COL_HIDDEN]))
-    zeta1 = setting1 - s1
-    zeta2 = setting2 - (s1 + 0.5 * np.pi)
+    zeta1, zeta2 = misalignments(setting1, setting2, s1)
     x1 = int(outcome_from_uniform(u[_COL_OUT1], zeta1))
     x2 = int(outcome_from_uniform(u[_COL_OUT2], zeta2))
     t1 = float(_quantize_times(np.float64(emission_time + delay_from_uniform(u[_COL_DELAY1], zeta1, params))))
@@ -268,8 +258,7 @@ def _generate_columns(config: ExperimentConfig, start: int, count: int, cols: di
     idx1 = np.minimum((u[:, _COL_SET1] * k1).astype(np.int64), k1 - 1)
     idx2 = np.minimum((u[:, _COL_SET2] * k2).astype(np.int64), k2 - 1)
     s1 = hidden_from_uniform(u[:, _COL_HIDDEN])
-    zeta1 = a1[idx1] - s1
-    zeta2 = a2[idx2] - (s1 + 0.5 * np.pi)
+    zeta1, zeta2 = misalignments(a1[idx1], a2[idx2], s1)
 
     cols["idx1"][sl] = idx1
     cols["idx2"][sl] = idx2

@@ -34,6 +34,7 @@ __all__ = [
     "normalize_angle",
     "outcome_prob",
     "outcome_from_uniform",
+    "misalignments",
     "delay_timescale",
     "delay_from_uniform",
     "hidden_from_uniform",
@@ -91,15 +92,24 @@ def outcome_from_uniform(u, zeta):
     return np.where(u < outcome_prob(+1, zeta), 1, -1).astype(np.int8)
 
 
+def misalignments(a1, a2, s1):
+    """Misalignments (zeta1, zeta2) of a pair with hidden angle s1.
+
+    zeta1 = a1 - s1 and zeta2 = a2 - s2 with s2 = s1 + pi/2: the one
+    statement of the pair geometry, shared by the event generator and the
+    oracle's integrand.
+    """
+    return a1 - s1, a2 - (s1 + 0.5 * np.pi)
+
+
 def delay_timescale(zeta, params: ModelParams):
     """Delay timescale T(zeta) = t0 * |sin 2 zeta|**d, in [0, t0].
 
     d = 0 means no delay dependence at all: T == t0 everywhere, including
-    the points where sin 2 zeta = 0 (the 0**0 = 1 convention).
+    the points where sin 2 zeta = 0 or is NaN, since pow(x, 0) = 1 for
+    every x in IEEE arithmetic.
     """
     zeta = np.asarray(zeta, dtype=float)
-    if params.d == 0:
-        return np.broadcast_to(np.float64(params.t0), zeta.shape).copy() if zeta.shape else np.float64(params.t0)
     return params.t0 * np.abs(np.sin(2.0 * zeta)) ** params.d
 
 

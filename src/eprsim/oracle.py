@@ -35,7 +35,7 @@ import numpy as np
 
 from .analysis import DEFAULT_QUADRUPLE, chsh_combination
 from .errors import QuadratureError, ValidationError
-from .model import ModelParams, Setting, delay_timescale
+from .model import ModelParams, Setting, delay_timescale, misalignments
 
 __all__ = [
     "QuadratureSpec",
@@ -268,7 +268,8 @@ def _anchor_points(a1: float, a2: float, params: ModelParams) -> tuple[float, ..
     if params.d > 0 and params.window > 0:
 
         def gap(s, target):
-            return delay_timescale(a1 - s, params) - delay_timescale(a2 - 0.5 * _PI - s, params) - target
+            z1, z2 = misalignments(a1, a2, s)
+            return delay_timescale(z1, params) - delay_timescale(z2, params) - target
 
         grid = np.linspace(0.0, _PI, _KINK_GRID + 1)
         target = np.array([[params.window], [-params.window]])
@@ -299,8 +300,7 @@ def _integrals(a1: float, a2: float, params: ModelParams, quad: QuadratureSpec) 
     """
 
     def integrand(s):
-        z1 = a1 - s
-        z2 = (a2 - 0.5 * _PI) - s
+        z1, z2 = misalignments(a1, a2, s)
         w = _weight_arr(delay_timescale(z1, params), delay_timescale(z2, params), params.window)
         c1w = np.cos(2.0 * z1) * w
         c2 = np.cos(2.0 * z2)

@@ -85,6 +85,17 @@ def write_tags(log: EventLog, prefix: str | Path) -> tuple[Path, Path]:
     return paths
 
 
+def _is_index(x: np.ndarray, limit: float) -> np.ndarray:
+    """Which values are integers in [0, limit)."""
+    return (x >= 0) & (x < limit) & (x == np.round(x))
+
+
+def _check_rows(path: Path, bad: np.ndarray, message: str) -> None:
+    """Raise naming the first data line where ``bad`` holds (line 3 is row 0)."""
+    if bad.any():
+        raise TagFormatError(f"{path}:{int(np.argmax(bad)) + 3}: {message}")
+
+
 def _parse_station_file(path: Path, expected_station: int) -> StationStream:
     try:
         text = path.read_text(encoding="utf-8")
@@ -144,17 +155,21 @@ def _parse_station_file(path: Path, expected_station: int) -> StationStream:
     if bad.size:
         raise TagFormatError(f"{path}:{bad[0] + 3}: outcome must be 1 or -1, found {outcome[bad[0]]!r}")
     idx = col["setting_index"]
-    if np.any(idx < 0) or np.any(idx != np.round(idx)):
-        k = int(np.nonzero((idx < 0) | (idx != np.round(idx)))[0][0])
-        raise TagFormatError(f"{path}:{k + 3}: setting_index must be a non-negative integer")
+    _check_rows(path, ~_is_index(idx, 2.0**15), "setting_index must be an integer in [0, 2**15)")
     t = col["time_ns"]
-    if not np.all(np.isfinite(t)):
-        k = int(np.nonzero(~np.isfinite(t))[0][0])
-        raise TagFormatError(f"{path}:{k + 3}: non-finite time tag")
+    _check_rows(path, ~np.isfinite(t), "non-finite time tag")
 
     # Pair order, the form run_experiment returns; without pair ids, file order.
-    pid = col["pair_id"].astype(np.int64) if has_pid else None
-    order = np.argsort(pid, kind="stable") if has_pid else np.arange(len(t))
+    if has_pid:
+        # 2**53: above it a float no longer holds every integer exactly.
+        _check_rows(path, ~_is_index(col["pair_id"], 2.0**53), "pair_id must be an integer in [0, 2**53)")
+        pid = col["pair_id"].astype(np.int64)
+        order = np.argsort(pid, kind="stable")
+        repeats = np.zeros(len(pid), dtype=bool)
+        repeats[order[1:]] = np.diff(pid[order]) == 0
+        _check_rows(path, repeats, "repeated pair_id")
+    else:
+        order = np.arange(len(t))
     return StationStream(
         station=expected_station,
         time_tag=t[order],

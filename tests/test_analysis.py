@@ -9,8 +9,10 @@ from eprsim import (
     DEFAULT_QUADRUPLE,
     CorrelationTable,
     Coincidences,
+    EventLog,
     ExperimentConfig,
     ModelParams,
+    StationStream,
     SweepResult,
     ValidationError,
     chsh,
@@ -23,7 +25,7 @@ from eprsim import (
 
 
 def coincidences_from_counts(cells):
-    """Build a Coincidences column set realizing given per-cell counts.
+    """A selection of every row of a log realizing given per-cell counts.
 
     ``cells`` maps (i1, i2) -> (n_pp, n_pm, n_mp, n_mm).
     """
@@ -35,16 +37,13 @@ def coincidences_from_counts(cells):
             x1 += [o1] * count
             x2 += [o2] * count
     n = len(s1)
-    return Coincidences(
-        setting1=np.array(s1, dtype=np.int16),
-        setting2=np.array(s2, dtype=np.int16),
-        outcome1=np.array(x1, dtype=np.int8),
-        outcome2=np.array(x2, dtype=np.int8),
-        time1=np.zeros(n),
-        time2=np.zeros(n),
-        n_source_pairs=n,
-        window=1.0,
-    )
+    rows = np.arange(n)
+
+    def stream(station, settings, outcomes):
+        return StationStream(station, np.zeros(n), np.array(settings, dtype=np.int16),
+                             np.array(outcomes, dtype=np.int8), rows)
+
+    return Coincidences(EventLog(stream(1, s1, x1), stream(2, s2, x2)), rows, rows)
 
 
 class TestTabulate:
@@ -78,6 +77,18 @@ class TestTabulate:
         assert table.empty_cells == [(1, 0)]
         assert np.isnan(table.correlation[1, 0])
         assert not np.isnan(table.correlation[0, 0])
+
+    def test_reads_columns_through_rows(self):
+        # Station 2 lists the same two events in the other row order;
+        # coincidence k must read station 2 at rows2[k], not at rows1[k].
+        log = EventLog(
+            StationStream(1, np.zeros(2), np.array([0, 1], dtype=np.int16), np.array([1, -1], dtype=np.int8)),
+            StationStream(2, np.zeros(2), np.array([1, 0], dtype=np.int16), np.array([-1, 1], dtype=np.int8)),
+        )
+        table = tabulate(Coincidences(log, np.array([0, 1]), np.array([1, 0])))
+        assert table.cell(0, 0) == (1, 0, 0, 0)
+        assert table.cell(1, 1) == (0, 0, 0, 1)
+        assert table.n_total.sum() == 2
 
     def test_index_outside_config_rejected(self):
         cfg = ExperimentConfig(settings1=(0.0,), settings2=(0.5,), n_pairs=10, seed=0)

@@ -35,6 +35,17 @@ def tiny_log(times1, times2, pair_ids=True):
     return EventLog(station1=stream(1, times1), station2=stream(2, times2))
 
 
+def column(coinc, station, name):
+    """Column ``name`` of one station, read through the selection's rows."""
+    stream, rows = (coinc.log.station1, coinc.rows1) if station == 1 else (coinc.log.station2, coinc.rows2)
+    return getattr(stream, name)[rows]
+
+
+def dt(coinc):
+    """Station-2 minus station-1 time tag of each coincidence."""
+    return column(coinc, 2, "time_tag") - column(coinc, 1, "time_tag")
+
+
 def greedy_reference(t1, t2, window):
     """Plain quadratic re-implementation of the matching rule.
 
@@ -78,7 +89,7 @@ class TestPairFilter:
     def test_kept_inside_window(self):
         coinc = pair_filter(tiny_log([0.0], [0.3]), window=0.5)
         assert len(coinc) == 1
-        assert coinc.dt[0] == pytest.approx(0.3)
+        assert dt(coinc)[0] == pytest.approx(0.3)
 
     def test_dropped_outside_window(self):
         assert len(pair_filter(tiny_log([0.0], [0.6]), window=0.5)) == 0
@@ -88,9 +99,16 @@ class TestPairFilter:
 
     def test_monotone_in_window(self):
         log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1.0, window=0), n_pairs=4000, seed=1))
-        kept_narrow = set(pair_filter(log, 0.05).pair_id1.tolist())
-        kept_wide = set(pair_filter(log, 0.2).pair_id1.tolist())
+        kept_narrow = set(column(pair_filter(log, 0.05), 1, "pair_id").tolist())
+        kept_wide = set(column(pair_filter(log, 0.2), 1, "pair_id").tolist())
         assert kept_narrow <= kept_wide
+
+    def test_selection_is_rows_of_the_log(self):
+        log = tiny_log([0.0, 1.0, 2.0], [0.1, 1.9, 2.2])
+        coinc = pair_filter(log, window=0.5)
+        assert coinc.log is log
+        assert coinc.rows1.tolist() == coinc.rows2.tolist() == [0, 2]
+        assert coinc.n_source_pairs == 3
 
     def test_negative_window_rejected(self):
         with pytest.raises(ValidationError):
@@ -99,14 +117,14 @@ class TestPairFilter:
     def test_dt_within_window_always(self):
         log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1.0, window=0), n_pairs=4000, seed=2))
         for w in (0.01, 0.1, 0.5):
-            assert np.all(np.abs(pair_filter(log, w).dt) <= w)
+            assert np.all(np.abs(dt(pair_filter(log, w))) <= w)
 
 
 class TestStreamMatch:
     def test_single_match(self):
         coinc = stream_match(tiny_log([0.0], [0.2]), window=0.5)
         assert len(coinc) == 1
-        assert coinc.dt[0] == pytest.approx(0.2)
+        assert dt(coinc)[0] == pytest.approx(0.2)
 
     def test_no_match(self):
         assert len(stream_match(tiny_log([0.0], [0.6]), window=0.5)) == 0
@@ -117,18 +135,18 @@ class TestStreamMatch:
         # enumeration of every legal matching below.
         coinc = stream_match(tiny_log([0.0, 1.0], [0.4]), window=0.5)
         assert len(coinc) == 1
-        assert coinc.time1[0] == 0.0 and coinc.time2[0] == 0.4
+        assert column(coinc, 1, "time_tag")[0] == 0.0 and column(coinc, 2, "time_tag")[0] == 0.4
         legal = all_legal_matchings([0.0, 1.0], [0.4], 0.5)
         assert frozenset({(0, 0)}) in legal  # the greedy choice is a legal matching
 
     def test_nearest_wins(self):
         coinc = stream_match(tiny_log([1.0], [0.7, 1.1, 1.8]), window=0.5)
         assert len(coinc) == 1
-        assert coinc.time2[0] == 1.1
+        assert column(coinc, 2, "time_tag")[0] == 1.1
 
     def test_tie_goes_to_earlier_tag(self):
         coinc = stream_match(tiny_log([1.0], [0.8, 1.2]), window=0.5)
-        assert coinc.time2[0] == 0.8
+        assert column(coinc, 2, "time_tag")[0] == 0.8
 
     def test_one_event_one_match(self):
         rng = np.random.default_rng(3)
@@ -157,15 +175,14 @@ class TestStreamMatch:
         # Pair order is not time order: pair 0 is emitted after pair 1.
         # Matches are found in time order and reported against the rows.
         coinc = stream_match(tiny_log([5.0, 0.0], [5.1, 0.2]), window=0.5)
-        assert coinc.time1.tolist() == [0.0, 5.0]
-        assert coinc.time2.tolist() == [0.2, 5.1]
-        assert coinc.pair_id1.tolist() == coinc.pair_id2.tolist() == [1, 0]
+        assert column(coinc, 1, "time_tag").tolist() == [0.0, 5.0]
+        assert column(coinc, 2, "time_tag").tolist() == [0.2, 5.1]
+        assert column(coinc, 1, "pair_id").tolist() == column(coinc, 2, "pair_id").tolist() == [1, 0]
 
     def test_works_without_pair_ids(self):
         log = tiny_log([0.0, 1.0], [0.1, 1.05], pair_ids=False)
         coinc = stream_match(log, window=0.2)
-        assert len(coinc) == 2
-        assert coinc.pair_id1 is None
+        assert coinc.rows1.tolist() == coinc.rows2.tolist() == [0, 1]
 
 
 class TestCrossValidation:
@@ -182,11 +199,11 @@ class TestCrossValidation:
         for w in (0.01, 0.1, 0.45, 1.0):
             via_pairs = pair_filter(log, w)
             via_stream = stream_match(log, w)
-            order_p = np.argsort(via_pairs.pair_id1)
-            order_s = np.argsort(via_stream.pair_id1)
-            assert np.array_equal(via_pairs.pair_id1[order_p], via_stream.pair_id1[order_s])
-            assert np.array_equal(via_pairs.time1[order_p], via_stream.time1[order_s])
-            assert np.array_equal(via_pairs.time2[order_p], via_stream.time2[order_s])
+            order_p = np.argsort(column(via_pairs, 1, "pair_id"))
+            order_s = np.argsort(column(via_stream, 1, "pair_id"))
+            for station, name in ((1, "pair_id"), (2, "pair_id"), (1, "time_tag"), (2, "time_tag")):
+                assert np.array_equal(column(via_pairs, station, name)[order_p],
+                                      column(via_stream, station, name)[order_s])
 
     def test_poisson_streams_interleave_but_match_legally(self):
         cfg = ExperimentConfig(
@@ -197,8 +214,8 @@ class TestCrossValidation:
         )
         log = run_experiment(cfg)
         coinc = stream_match(log, 0.3)
-        assert np.all(np.abs(coinc.dt) <= 0.3)
-        assert len(np.unique(coinc.pair_id2)) == len(coinc)
+        assert np.all(np.abs(dt(coinc)) <= 0.3)
+        assert len(np.unique(column(coinc, 2, "pair_id"))) == len(coinc)
 
 
 class TestCoincidenceRate:

@@ -301,6 +301,22 @@ class TestRateAndChsh:
         p = ModelParams(d=0.0, t0=1.0, window=0.1)
         assert chsh_exact(p) == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
+    @pytest.mark.parametrize("d", [0.0, 2.0, 4.0, 6.0])
+    def test_larsson_gill_coincidence_time_bound(self, d):
+        # Larsson & Gill (EPL 67, 707, 2004): a local model post-selected
+        # by coincidence time obeys S <= 6/gamma - 4, gamma the smallest
+        # coincidence probability over the four CHSH setting pairs.  The
+        # bound constrains S only where gamma > 3/4 (it is then below 4);
+        # here that holds at W = 750 and at W = t0, where it is 2.
+        a, ap, b, bp = DEFAULT_QUADRUPLE
+        constraining = 0
+        for window in (*np.geomspace(1.0, 1000.0, 5), 750.0):
+            p = ModelParams(d=d, t0=1000.0, window=window)
+            gamma = min(coincidence_rate_exact(x, y, p) for x in (a, ap) for y in (b, bp))
+            assert chsh_exact(p) <= 6.0 / gamma - 4.0
+            constraining += gamma > 0.75
+        assert constraining == 2
+
     def test_scale_invariance_in_w_over_t0(self):
         a = ModelParams(d=4.0, t0=1.0, window=1e-2)
         b = ModelParams(d=4.0, t0=1000.0, window=10.0)

@@ -48,6 +48,16 @@ def _replace_line(prefix, k: int, text: str) -> None:
     path.write_text("".join(lines), encoding="utf-8")
 
 
+def _set_pair_ids(prefix, ids) -> None:
+    """Overwrite the pair_id field of the first data rows of both station files."""
+    for station in (1, 2):
+        path = station_path(prefix, station)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for k, pid in enumerate(ids, start=2):
+            lines[k] = f"{pid}," + lines[k].split(",", 1)[1]
+        path.write_text("".join(lines), encoding="utf-8")
+
+
 def _keep_headers_only(prefix) -> None:
     for station in (1, 2):
         path = station_path(prefix, station)
@@ -114,6 +124,44 @@ def test_header_errors_name_line_one(tag_prefix, header):
     _replace_line(prefix, 0, header)
     with pytest.raises(TagFormatError, match=r"station1\.csv:1: "):
         read_tags(prefix)
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        (("0.5", "0"), r"station1\.csv:3: pair_id must be an integer"),
+        (("-1",), r"station1\.csv:3: pair_id must be an integer"),
+        (("1e300",), r"station1\.csv:3: pair_id must be an integer"),
+        (("nan",), r"station1\.csv:3: pair_id must be an integer"),
+        (("0", "0"), r"station1\.csv:4: repeated pair_id"),
+        (("1", "1", "1"), r"station1\.csv:4: repeated pair_id"),
+    ],
+    ids=["fractional", "negative", "too-large", "nan", "repeated", "repeated-thrice"],
+)
+def test_bad_pair_ids_rejected_naming_the_line(tag_prefix, ids, message):
+    prefix, _ = tag_prefix
+    _set_pair_ids(prefix, ids)
+    with pytest.raises(TagFormatError, match=message):
+        read_tags(prefix)
+
+
+def test_setting_index_outside_int16_rejected(tag_prefix):
+    prefix, _ = tag_prefix
+    _replace_line(prefix, 3, "1,10000.000000,65536,1")
+    with pytest.raises(TagFormatError, match=r"station1\.csv:4: setting_index must be an integer"):
+        read_tags(prefix)
+
+
+def test_cli_fractional_pair_id_exits_2(cli_run, tmp_path, capsys):
+    _set_pair_ids(tmp_path / "tags", ("0.5", "0"))
+    assert main(["--mode", "reanalyze", "--matcher", "paired", "--tags-in", "tags", "--out", cli_run]) == 2
+    assert "station1.csv:3: pair_id must be an integer" in capsys.readouterr().err
+
+
+def test_cli_repeated_pair_id_exits_2(cli_run, tmp_path, capsys):
+    _set_pair_ids(tmp_path / "tags", ("0", "0"))
+    assert main(["--mode", "reanalyze", "--matcher", "paired", "--tags-in", "tags", "--out", cli_run]) == 2
+    assert "station1.csv:4: repeated pair_id" in capsys.readouterr().err
 
 
 def test_cli_reports_bad_station_token_as_runtime_error(cli_run, tmp_path, capsys):
