@@ -181,16 +181,20 @@ def _tags_prefix(args, outdir: Path, attr: str) -> Path | None:
 
 
 def _analyze_window(log, config, window, policy, quadruple, outdir: Path, manifest: RunManifest) -> None:
-    """Match at one window, write the correlation table and record S in ``manifest``."""
+    """Match at one window, write the correlation table, record S and event counts in ``manifest``."""
     coinc = match_events(log, window, policy)
     table = tabulate(coinc, config)
     result = chsh(table, quadruple)
     manifest.outputs.append(str(write_correlation_csv(outdir / "correlations.csv", table)))
-    rate = len(coinc) / log.n_pairs
+    matched = len(coinc)
+    rate = matched / log.n_pairs
     manifest.results = {
         "policy": policy,
         "window": window,
         "coincidence_rate": rate,
+        "matched": matched,
+        "unmatched1": len(log.station1) - matched,
+        "unmatched2": len(log.station2) - matched,
         "s": result.s,
         "s_stderr": result.stderr,
         "correlations": {

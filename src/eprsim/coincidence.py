@@ -18,11 +18,27 @@ column is copied.  ``pair_filter`` keeps rows in pair order (rows1 ==
 rows2); ``stream_match`` scans each station in
 :meth:`StationStream.time_order` and reports its matches in station-1
 time order.
+
+The stream matcher runs in two stages and returns exactly what one
+greedy scan over all events returns.  Station-1 event i can take the station-2 tags in one index range
+[lo_i, hi_i), from two ``searchsorted`` calls.  Stage 1 (``_split``,
+vectorised) matches i to its tag when the range holds exactly one tag
+and no other event's range holds it: the scan would give i that tag,
+since no earlier event can take it, and i's choice changes no other
+event's options.  Events with an empty range are dropped.  Stage 2, the
+sequential scan, visits only the remaining (contested) events.  None of
+their ranges holds a tag stage 1 matched, so the scan over them makes
+the choices it would make over all events.  Stage 1 uses the scan's own
+bounds, so float rounding and the closed boundary |dt| == window cannot
+make the stages disagree.  Under regular emission no event is contested
+and the scan does nothing; dense Poisson streams leave nearly every
+event to the scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Literal
 
 import numpy as np
@@ -89,20 +105,44 @@ def pair_filter(log: EventLog, window: float) -> Coincidences:
     return Coincidences(log, rows, rows)
 
 
+def _split(t1: np.ndarray, t2: np.ndarray, window: float):
+    """Stage 1 of the stream matcher: match every uncontested station-1 event.
+
+    Event i's candidates are t2[lo[i]:hi[i]], the tags the scan walks.  It
+    is uncontested when that range holds one tag and no other event's
+    range holds that tag.  Returns ``(partner, contested, lo, hi)``:
+    ``partner[i]`` is the tag matched to uncontested event i and -1 for
+    every other event; ``contested`` marks the events with candidates
+    that are left for the scan.
+    """
+    n2 = len(t2)
+    lo = np.searchsorted(t2, t1 - window, side="left")
+    hi = np.searchsorted(t2, t1 + window, side="right")
+    # cover[j]: how many candidate ranges hold station-2 tag j.
+    cover = np.cumsum(np.bincount(lo, minlength=n2 + 1) - np.bincount(hi, minlength=n2 + 1))
+    alone = (hi - lo == 1) & (cover[lo] == 1)
+    contested = (hi > lo) & ~alone
+    return np.where(alone, lo, -1), contested, lo, hi
+
+
 def _greedy_match(t1: np.ndarray, t2: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
     """Greedy earliest-first nearest-neighbor matching of sorted streams.
 
     Station-1 events are visited in time order; each takes the nearest
     unmatched station-2 tag within the window (ties go to the earlier
-    tag).  Returns matched index arrays (into t1 and into t2).
+    tag).  Returns matched index arrays (into t1 and into t2), in
+    station-1 order.  ``_split`` matches the uncontested events; the scan
+    visits only the contested ones.  Their ranges hold no tag ``_split``
+    matched, so ``next_free`` need not mark those tags.
     """
-    n1, n2 = len(t1), len(t2)
-    lo_list = np.searchsorted(t2, t1 - window, side="left").tolist()
-    t1l = t1.tolist()
-    t2l = t2.tolist()
-    del t1, t2  # the scan reads only the lists; a caller's temporary copies can go
+    partner, contested, lo, hi = _split(t1, t2, window)
+    top = int(hi[contested].max(initial=0))  # the scan reads no station-2 tag at or past this
+    t1l = t1[contested].tolist()
+    lo_list = lo[contested].tolist()
+    t2l = t2[:top].tolist()
+    del t1, t2, lo, hi  # the scan reads only the lists; a caller's temporary copies can go
     # next_free[j] = smallest unmatched index >= j (path-compressed).
-    next_free = list(range(n2 + 1))
+    next_free = list(range(top + 1))
 
     def find(j: int) -> int:
         root = j
@@ -112,33 +152,37 @@ def _greedy_match(t1: np.ndarray, t2: np.ndarray, window: float) -> tuple[np.nda
             next_free[j], j = root, next_free[j]
         return root
 
-    out1: list[int] = []
-    out2: list[int] = []
-    for i in range(n1):
-        ti = t1l[i]
-        hi = ti + window
-        j = find(lo_list[i])
+    out = memoryview(partner)
+    for i, ti, j in zip(compress(count(), contested.tobytes()), t1l, lo_list):
+        end = ti + window
+        if next_free[j] != j:
+            j = find(j)
         best = -1
         best_d = 0.0
-        while j < n2 and t2l[j] <= hi:
+        while j < top and t2l[j] <= end:
             d = abs(t2l[j] - ti)
             if best < 0 or d < best_d:
                 best, best_d = j, d
             elif t2l[j] > ti:
                 break  # farther right can only be worse
-            j = find(j + 1)
+            j += 1
+            if next_free[j] != j:
+                j = find(j)
         if best >= 0:
             next_free[best] = best + 1
-            out1.append(i)
-            out2.append(best)
-    return np.asarray(out1, dtype=np.int64), np.asarray(out2, dtype=np.int64)
+            out[i] = best
+    m1 = np.flatnonzero(partner >= 0)
+    return m1, partner[m1]
 
 
 def stream_match(log: EventLog, window: float) -> Coincidences:
     """Match raw time-tag streams with the greedy nearest-neighbor scan.
 
     Works without pair ids; each event participates in at most one
-    coincidence.  The scan order makes this inherently sequential.
+    coincidence.  Uncontested events are matched in vectorised code and
+    the sequential scan runs only where events compete for a tag (see
+    the module docstring); the result is that of the scan over all
+    events.
     """
     window = _check_window(window)
     s1, s2 = log.station1, log.station2

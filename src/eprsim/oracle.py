@@ -123,7 +123,9 @@ def _weight_arr(t1, t2, window):
         out[only1] = np.minimum(window, t2[only1]) / t2[only1]
     if only2.any():
         out[only2] = np.minimum(window, t1[only2]) / t1[only2]
-    if regular.any():
+    if window == 0.0:
+        out[regular] = 0.0  # a band of zero width; the two corners below cancel only to 1 ulp
+    elif regular.any():
         a, b = t1[regular], t2[regular]
         out[regular] = 1.0 - _corner_fraction(b - window, a, b) - _corner_fraction(a - window, b, a)
     return np.clip(out, 0.0, 1.0)

@@ -1,11 +1,13 @@
 """CLI outputs pinned by sha256: a paired sweep, the stream matcher, and a tag-file round trip.
 
-A change that moves any count, rate or S value changes the bytes.
+A change that moves any count, rate or S value changes the bytes.  The
+manifests are not pinned; their event accounting is read back below.
 """
 
 import hashlib
 
 from eprsim.cli import main
+from eprsim.tagio import RunManifest
 
 SWEEP_SHA = "82c61d6f7aa64b329b4aa1399762d7c2f83efdcdc4d1e92ad4b2537416c5af64"
 STREAM_SHA = "a060207784af8f229534532d9a36d937da205600682d6a3b1c32fd212151e90e"
@@ -34,3 +36,20 @@ def test_reanalyzed_tags_reproduce_the_paired_sweep(tmp_path):
     assert _sha(tmp_path / "correlations.csv") == PAIRED_SHA
     assert main(["--mode", "reanalyze", "--tags-in", "tags", "--windows", "1:1000:log20", "--out", out]) == 0
     assert _sha(tmp_path / "sweep.csv") == SWEEP_SHA
+
+
+def test_manifest_accounts_for_every_event(tmp_path):
+    # Regular emission: the paired filter (mc) and the stream matcher
+    # (reanalyze) keep the same pairs, and every unkept pair leaves one
+    # unmatched event at each station.
+    out = str(tmp_path)
+    assert main(["--mode", "mc", "--pairs", "2000", "--window", "10", "--tags-out", "tags", "--out", out]) == 0
+    paired = RunManifest.read(tmp_path / "mc.manifest.json").results
+    assert main(["--mode", "reanalyze", "--tags-in", "tags", "--window", "10", "--out", out]) == 0
+    stream = RunManifest.read(tmp_path / "reanalyze.manifest.json").results
+    assert (paired["policy"], stream["policy"]) == ("paired", "stream-greedy")
+    for results in (paired, stream):
+        assert 0 < results["matched"] < 2000
+        assert results["unmatched1"] == results["unmatched2"] == 2000 - results["matched"]
+        assert results["coincidence_rate"] == results["matched"] / 2000
+    assert paired["matched"] == stream["matched"]

@@ -16,7 +16,8 @@ from eprsim import (
     run_experiment,
     stream_match,
 )
-from eprsim.coincidence import _greedy_match
+from eprsim.cli import parse_windows
+from eprsim.coincidence import _greedy_match, _split
 
 
 def tiny_log(times1, times2, pair_ids=True):
@@ -66,6 +67,64 @@ def greedy_reference(t1, t2, window):
             used[best] = True
             matches.append((i, best))
     return matches
+
+
+def scan_reference(t1: np.ndarray, t2: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
+    """The single-stage matcher: the union-find scan over every station-1 event.
+
+    Kept verbatim as the reference the two-stage ``_greedy_match`` must
+    reproduce exactly.
+    """
+    n1, n2 = len(t1), len(t2)
+    lo_list = np.searchsorted(t2, t1 - window, side="left").tolist()
+    t1l = t1.tolist()
+    t2l = t2.tolist()
+    del t1, t2  # the scan reads only the lists; a caller's temporary copies can go
+    # next_free[j] = smallest unmatched index >= j (path-compressed).
+    next_free = list(range(n2 + 1))
+
+    def find(j: int) -> int:
+        root = j
+        while next_free[root] != root:
+            root = next_free[root]
+        while next_free[j] != root:
+            next_free[j], j = root, next_free[j]
+        return root
+
+    out1: list[int] = []
+    out2: list[int] = []
+    for i in range(n1):
+        ti = t1l[i]
+        hi = ti + window
+        j = find(lo_list[i])
+        best = -1
+        best_d = 0.0
+        while j < n2 and t2l[j] <= hi:
+            d = abs(t2l[j] - ti)
+            if best < 0 or d < best_d:
+                best, best_d = j, d
+            elif t2l[j] > ti:
+                break  # farther right can only be worse
+            j = find(j + 1)
+        if best >= 0:
+            next_free[best] = best + 1
+            out1.append(i)
+            out2.append(best)
+    return np.asarray(out1, dtype=np.int64), np.asarray(out2, dtype=np.int64)
+
+
+def sorted_tags(emission, n_pairs, seed):
+    """Time-ordered station tags of a generated run (d=4, t0=1000)."""
+    log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=n_pairs,
+                                          seed=seed, emission=emission))
+    return tuple(s.time_tag[s.time_order()] for s in (log.station1, log.station2))
+
+
+def assert_same_as_scan(t1, t2, window):
+    m1, m2 = _greedy_match(t1, t2, window)
+    r1, r2 = scan_reference(t1, t2, window)
+    assert m1.dtype == r1.dtype and m2.dtype == r2.dtype
+    assert np.array_equal(m1, r1) and np.array_equal(m2, r2)
 
 
 def all_legal_matchings(t1, t2, window):
@@ -183,6 +242,51 @@ class TestStreamMatch:
         log = tiny_log([0.0, 1.0], [0.1, 1.05], pair_ids=False)
         coinc = stream_match(log, window=0.2)
         assert coinc.rows1.tolist() == coinc.rows2.tolist() == [0, 1]
+
+
+class TestTwoStageMatch:
+    """The vectorised first stage plus the scan on contested events equals one scan over all events."""
+
+    def test_small_cases_with_ties_and_boundary_gaps(self):
+        # Tags on a 0.1 grid make equal tags, equal distances and |dt| == W
+        # (up to the rounding of the grid points) common.
+        rng = np.random.default_rng(11)
+        for case in range(2500):
+            n1, n2 = rng.integers(0, 10, size=2)
+            t1 = np.sort(np.round(rng.uniform(0, 3, n1), 1))
+            t2 = np.sort(np.round(rng.uniform(0, 3, n2), 1))
+            window = (0.0, 0.1, 0.3, 0.5, float(rng.uniform(0, 1)))[case % 5]
+            assert_same_as_scan(t1, t2, window)
+
+    def test_regular_emission_leaves_nothing_to_scan(self):
+        t1, t2 = sorted_tags(EmissionSpec.regular(10_000.0), 5000, seed=8)
+        for window in parse_windows("1:1000:log20"):
+            _, contested, _, _ = _split(t1, t2, window)
+            assert not contested.any()
+            assert_same_as_scan(t1, t2, window)
+
+    def test_sparse_poisson_runs_both_stages(self):
+        t1, t2 = sorted_tags(EmissionSpec.poisson(5e-4), 5000, seed=9)
+        partner, contested, _, _ = _split(t1, t2, 1000.0)
+        assert contested.any() and (partner >= 0).any()
+        assert_same_as_scan(t1, t2, 1000.0)
+
+    def test_dense_poisson(self):
+        t1, t2 = sorted_tags(EmissionSpec.poisson(5e-3), 20_000, seed=10)
+        assert_same_as_scan(t1, t2, 1000.0)
+
+    def test_split(self):
+        # Station 1 at 0, 10, 11, 30; station 2 at 0.5, 10.5, 20, 40; W = 1.
+        # 0 -> 0.5 alone; 10 and 11 share 10.5; 30 has no candidate.
+        t1 = np.array([0.0, 10.0, 11.0, 30.0])
+        t2 = np.array([0.5, 10.5, 20.0, 40.0])
+        partner, contested, lo, hi = _split(t1, t2, 1.0)
+        assert partner.tolist() == [0, -1, -1, -1]
+        assert contested.tolist() == [False, True, True, False]
+        assert lo.tolist() == [0, 1, 1, 3] and hi.tolist() == [1, 2, 2, 3]
+        # A range of one tag that another range also holds is contested.
+        partner, contested, _, _ = _split(np.array([0.0, 1.5]), np.array([1.0, 2.0]), 1.0)
+        assert partner.tolist() == [-1, -1] and contested.tolist() == [True, True]
 
 
 class TestCrossValidation:

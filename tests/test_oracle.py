@@ -26,7 +26,7 @@ from eprsim import (
     weight_exact,
 )
 from eprsim.analysis import DEFAULT_QUADRUPLE
-from eprsim.cli import parse_windows
+from eprsim.cli import main, parse_windows
 from eprsim.model import delay_timescale
 from eprsim.oracle import DEFAULT_QUAD, _adaptive_integrate, _gk15
 
@@ -75,6 +75,13 @@ class TestWeightExact:
 
     def test_zero_window_zero_measure(self):
         assert weight_exact(1.0, 1.0, 0.0) == 0.0
+
+    def test_zero_window_exactly_zero_for_positive_timescales(self):
+        # The corner formula left 1-ulp residues here for about a quarter of the pairs.
+        rng = np.random.default_rng(12)
+        t1, t2 = rng.uniform(0, 1000, (2, 100_000))
+        assert np.all(t1 > 0) and np.all(t2 > 0)
+        assert np.count_nonzero(weight_exact(t1, t2, 0.0)) == 0
 
     def test_half_window_unit_square(self):
         # Unit square minus two corner triangles of area (1 - 1/2)^2 / 2:
@@ -316,6 +323,16 @@ class TestRateAndChsh:
             assert chsh_exact(p) <= 6.0 / gamma - 4.0
             constraining += gamma > 0.75
         assert constraining == 2
+
+    @pytest.mark.parametrize("d", [0.0, 2.0, 4.0])
+    def test_zero_window_has_zero_normalization(self, d):
+        p = ModelParams(d=d, t0=1000.0, window=0.0)
+        with pytest.raises(QuadratureError, match="coincidence normalization integral is zero"):
+            coincidence_rate_exact(0.0, np.pi / 8, p)
+
+    def test_cli_zero_window_exits_2(self, tmp_path, capsys):
+        assert main(["--mode", "oracle", "--window", "0", "--out", str(tmp_path)]) == 2
+        assert "coincidence normalization integral is zero" in capsys.readouterr().err
 
     def test_scale_invariance_in_w_over_t0(self):
         a = ModelParams(d=4.0, t0=1.0, window=1e-2)
