@@ -19,9 +19,12 @@ and the two streams share one ``pair_id`` array.  Consumers that need
 time order (the stream matcher, tag files) take it from
 :meth:`StationStream.time_order`.
 
-Time tags are quantized to ``10**-TIME_TAG_DECIMALS`` time units
-(micro-nanoseconds by default), the resolution of the on-disk tag format;
-this makes in-memory logs and round-tripped files identical.
+Time tags are rounded to ``TIME_TAG_DECIMALS`` decimals (micro-nanoseconds
+by default), the resolution of the on-disk tag format.  Below 2**33 time
+units that is a grid of 1e-6; above it the spacing of doubles (1.9e-6 at
+2**33) is coarser than the grid.  Either way a tag written with that many
+decimals reads back as the identical double, so in-memory logs and
+round-tripped files are identical.
 """
 
 from __future__ import annotations

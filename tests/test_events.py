@@ -13,7 +13,9 @@ from eprsim import (
     ValidationError,
     generate_pair,
     pair_filter,
+    read_tags,
     run_experiment,
+    write_tags,
 )
 from eprsim.events import CHUNK_PAIRS, TIME_TAG_DECIMALS, pair_uniforms
 from eprsim.model import hidden_from_uniform
@@ -99,10 +101,19 @@ class TestRunExperiment:
             assert np.all(np.diff(stream.time_tag[stream.time_order()]) >= 0)
             assert set(np.unique(stream.outcome)) <= {-1, 1}
 
-    def test_time_tags_quantized(self):
+    def test_time_tags_quantized(self, tmp_path):
         log = run_experiment(small_config())
         for stream in (log.station1, log.station2):
             assert np.array_equal(stream.time_tag, np.round(stream.time_tag, TIME_TAG_DECIMALS))
+        # Beyond 2**33 the spacing of doubles exceeds 1e-6, so tags are no
+        # longer on a 1e-6 grid; what holds is that they round-trip exactly.
+        cfg = small_config(params=ModelParams(d=4.0, t0=1000.0, window=10.0), emission=EmissionSpec.regular(2e6))
+        log = run_experiment(cfg)
+        beyond = log.station1.time_tag > 2.0**33
+        assert beyond.sum() > 500
+        assert np.all(np.spacing(log.station1.time_tag[beyond]) > 10.0**-TIME_TAG_DECIMALS)
+        write_tags(log, tmp_path / "far")
+        assert read_tags(tmp_path / "far", cfg) == log
 
     def test_seed_reproducibility(self):
         cfg = small_config()

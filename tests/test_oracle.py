@@ -27,8 +27,8 @@ from eprsim import (
 )
 from eprsim.analysis import DEFAULT_QUADRUPLE
 from eprsim.cli import main, parse_windows
-from eprsim.model import delay_timescale
-from eprsim.oracle import DEFAULT_QUAD, _adaptive_integrate, _gk15
+from eprsim.model import delay_timescale, misalignments
+from eprsim.oracle import DEFAULT_QUAD, _anchor_points, _gk15, _integrals, _integrate
 
 times = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 
@@ -100,6 +100,13 @@ class TestWeightExact:
             with pytest.raises(ValidationError):
                 weight_exact(*bad)
 
+    def test_nan_arguments_rejected(self):
+        nan = float("nan")
+        for bad in [(1.0, 2.0, nan), (1.0, nan, 0.5), (nan, 1.0, 0.5), (np.array([1.0, nan]), 1.0, 0.5),
+                    (np.ones(3), np.array([0.5, 2.0, nan]), 0.5), (np.ones(2), np.ones(2), nan)]:
+            with pytest.raises(ValidationError):
+                weight_exact(*bad)
+
     # Explicit examples: subnormal sides where t1 * t2 underflows to 0.
     @given(t1=times, t2=times, w=times)
     @example(t1=0.5, t2=5e-324, w=0.25)
@@ -162,20 +169,52 @@ class TestWeightApprox:
         assert slope == pytest.approx(1.0, abs=0.1)
 
 
+def with_unit_first(f):
+    """A batch integrand (1, f(s)) for _integrate.
+
+    Its first integral is the length L of the range, so a relative budget
+    rtol is an absolute one of rtol * L on the second integral.
+    """
+    return lambda p, s: np.stack((np.ones_like(s), f(s)))
+
+
 class TestQuadratureMachinery:
     def test_gk15_exact_for_low_degree_polynomials(self):
-        val, err = _gk15(lambda x: 3 * x**2, 0.0, 2.0)
-        assert val == pytest.approx(8.0, rel=1e-14)
-        assert err < 1e-12
+        val, err = _gk15(lambda p, s: (3 * s**2)[None], np.zeros(1, int), np.array([0.0]), np.array([2.0]))
+        assert val[0, 0] == pytest.approx(8.0, rel=1e-14)
+        assert err[0] < 1e-12
 
     def test_adaptive_converges_on_oscillatory(self):
-        val, err, n = _adaptive_integrate(lambda x: np.cos(40 * x), (0.0, np.pi), 1e-12, 2000)
-        assert val == pytest.approx(np.sin(40 * np.pi) / 40, abs=1e-12)
-        assert err <= 1e-12
+        val, err, n = _integrate(with_unit_first(lambda x: np.cos(40 * x)), [0, 0], [0.0, np.pi], 1e-12 / np.pi, 2000)
+        assert val[0, 1] == pytest.approx(np.sin(40 * np.pi) / 40, abs=1e-12)
+        assert err[0] <= 1e-12
+        assert 1 < n[0] <= 2000
+
+    def test_limit_caps_the_panels(self):
+        # From one panel a round splits every panel (1, 2, 4, ...); the
+        # last round may split only 3 of the 4 to stop at 7.
+        val, err, n = _integrate(with_unit_first(lambda x: np.cos(40 * x)), [0, 0], [0.0, np.pi], 1e-12 / np.pi, 7)
+        assert n[0] == 7
+        assert err[0] > 1e-12
 
     def test_adaptive_handles_kink(self):
-        val, err, n = _adaptive_integrate(lambda x: np.abs(x - 0.7), (0.0, 2.0), 1e-12, 4000)
-        assert val == pytest.approx(0.5 * 0.7**2 + 0.5 * 1.3**2, abs=1e-11)
+        val, err, n = _integrate(with_unit_first(lambda x: np.abs(x - 0.7)), [0, 0], [0.0, 2.0], 0.5e-12, 4000)
+        assert val[0, 1] == pytest.approx(0.5 * 0.7**2 + 0.5 * 1.3**2, abs=1e-11)
+
+    def test_each_point_meets_its_own_budget(self):
+        # Three points whose first integrals differ by 12 orders of
+        # magnitude: with one budget for the whole batch the small ones
+        # would stop far outside their own.
+        scale = np.array([1.0, 1e-6, 1e-12])
+
+        def f(p, s):
+            return np.stack((scale[p] * (1.0 + np.sin(s) ** 2), scale[p] * np.abs(np.cos(3 * s) - 0.2)))
+
+        val, err, n = _integrate(f, [0, 0, 1, 1, 2, 2], [0.0, np.pi, 0.0, np.pi, 0.0, np.pi], 1e-10, 4000)
+        np.testing.assert_allclose(val[:, 0], 1.5 * np.pi * scale, rtol=1e-13)
+        assert np.all(err <= 1e-10 * val[:, 0])
+        # Scaling a point's integrand leaves its panels as they were.
+        assert n[0] == n[1] == n[2]
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
@@ -189,6 +228,66 @@ class TestQuadratureMachinery:
         with pytest.raises(QuadratureError) as info:
             correlation_exact(0.3, 0.0, params, starved)
         assert info.value.achieved is not None and info.value.achieved > 1e-12
+
+    def test_starved_point_in_batch_reports_its_own_achieved(self):
+        # At delta = 0 the seeds give 6 panels and the pass needs 24; at
+        # delta = 0.2 they give 20, and 30 panels are not enough.
+        params = ModelParams(d=4.0, t0=1.0, window=1e-3)
+        quad = QuadratureSpec(limit=30)
+        assert np.isfinite(correlation_exact(0.0, 0.0, params, quad))
+        with pytest.raises(QuadratureError) as alone:
+            correlation_exact(0.2, 0.0, params, quad)
+        with pytest.raises(QuadratureError, match="quadrature did not converge") as batch:
+            correlation_curve([0.0, 0.0, 0.2, 0.0], params, quad)
+        assert alone.value.achieved > quad.tol
+        assert batch.value.achieved == pytest.approx(alone.value.achieved, rel=1e-9)
+
+    def test_curve_points_do_not_couple(self):
+        # Every point of a batch gets the panels it gets alone.
+        params = ModelParams(d=4.0, t0=1000.0, window=10.0)
+        deltas = np.linspace(0.0, np.pi, 64)
+        curve = correlation_curve(deltas, params)
+        alone = np.array([correlation_exact(d, 0.0, params) for d in deltas])
+        np.testing.assert_allclose(curve, alone, rtol=0, atol=1e-14)
+
+    def test_empty_curve(self):
+        assert correlation_curve([], ModelParams()).shape == (0,)
+
+
+# The four CHSH setting pairs, at every fourth window of the S(W) sweep,
+# where the |T1 - T2| = W kinks matter, and a few other (d, W, delta).
+QUAD_VEC_CASES = [
+    (4.0, w, a1, a2)
+    for w in parse_windows("1:1000:log20")[::4]
+    for a1 in DEFAULT_QUADRUPLE[:2]
+    for a2 in DEFAULT_QUADRUPLE[2:]
+] + [(4.0, 10.0, 0.7, 0.0), (2.0, 30.0, 0.3, 0.0), (6.0, 500.0, 1.2, 0.0), (1.0, 3.0, 2.0, 0.0),
+     (0.0, 10.0, 0.4, 0.0), (4.0, 1000.0, 0.0, 0.0)]
+
+
+class TestQuadVecCrossCheck:
+    """The batched pass against scipy's quad_vec, seeded with the same anchors."""
+
+    @staticmethod
+    def reference(a1, a2, params):
+        quad_vec = pytest.importorskip("scipy.integrate").quad_vec
+
+        def integrand(s):
+            z1, z2 = misalignments(a1, a2, s)
+            w = weight_exact(delay_timescale(z1, params), delay_timescale(z2, params), params.window)
+            return np.array([w, np.cos(2 * z1) * np.cos(2 * z2) * w])
+
+        _, seeds = _anchor_points(np.array([a1]), np.array([a2]), params)
+        (d, c12), _ = quad_vec(integrand, 0.0, np.pi, epsabs=1e-13, epsrel=0.0, points=seeds[1:-1], limit=100_000)
+        return d, c12
+
+    @pytest.mark.parametrize("d,window,a1,a2", QUAD_VEC_CASES)
+    def test_agrees_with_quad_vec(self, d, window, a1, a2):
+        params = ModelParams(d=d, t0=1000.0, window=window)
+        d_ref, c12_ref = self.reference(a1, a2, params)
+        d_val, _, _, c12 = _integrals([a1], [a2], params, DEFAULT_QUAD)[0]
+        assert abs(c12 / d_val - c12_ref / d_ref) <= DEFAULT_QUAD.tol
+        assert abs(d_val - d_ref) <= 0.25 * DEFAULT_QUAD.tol * d_val
 
 
 class TestReferenceCorrelations:
