@@ -15,18 +15,15 @@ __version__ = "0.1.0"
 from .errors import EprSimError, QuadratureError, TagFormatError, ValidationError
 from .model import ModelParams, Setting, delay_timescale, normalize_angle, outcome_prob
 from .events import (
-    DetectionEvent,
     EmissionSpec,
     EventLog,
     ExperimentConfig,
     StationStream,
-    generate_pair,
     run_experiment,
 )
 from .coincidence import (
     Coincidences,
     MatchPolicy,
-    coincidence_rate,
     match_events,
     pair_filter,
     stream_match,
@@ -50,7 +47,6 @@ from .oracle import (
     joint_prob,
     mixed_correlation,
     singlet_correlation,
-    weight_approx,
     weight_exact,
 )
 from .tagio import RunManifest, read_tags, write_tags
@@ -59,13 +55,12 @@ __all__ = [
     "__version__",
     "EprSimError", "QuadratureError", "TagFormatError", "ValidationError",
     "ModelParams", "Setting", "normalize_angle", "outcome_prob", "delay_timescale",
-    "DetectionEvent", "EmissionSpec", "ExperimentConfig", "StationStream", "EventLog",
-    "generate_pair", "run_experiment",
+    "EmissionSpec", "ExperimentConfig", "StationStream", "EventLog", "run_experiment",
     "Coincidences", "MatchPolicy",
-    "pair_filter", "stream_match", "match_events", "coincidence_rate",
+    "pair_filter", "stream_match", "match_events",
     "DEFAULT_QUADRUPLE", "CorrelationTable", "ChshResult", "SweepResult",
     "tabulate", "chsh", "chsh_combination", "window_sweep",
-    "QuadratureSpec", "weight_exact", "weight_approx",
+    "QuadratureSpec", "weight_exact",
     "joint_prob", "correlation_exact", "correlation_curve", "coincidence_rate_exact",
     "chsh_exact", "singlet_correlation", "mixed_correlation",
     "RunManifest", "read_tags", "write_tags",

@@ -79,11 +79,6 @@ class CorrelationTable:
         """Setting combinations with zero coincidences, reported distinctly."""
         return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.n_total == 0))]
 
-    def cell(self, i: int, j: int) -> tuple[int, int, int, int]:
-        """Counts (N++, N+-, N-+, N--) for setting pair (i, j)."""
-        c = self.counts[i, j]
-        return int(c[0, 0]), int(c[0, 1]), int(c[1, 0]), int(c[1, 1])
-
 
 def tabulate(coincidences: Coincidences, config: ExperimentConfig | None = None) -> CorrelationTable:
     """Tally coincidences into a correlation table.
@@ -182,21 +177,6 @@ class SweepResult:
     s: np.ndarray
     s_stderr: np.ndarray
     rate: np.ndarray
-    quadruple: tuple[float, float, float, float] = DEFAULT_QUADRUPLE
-    policy: str = "paired"
-
-    def __post_init__(self):
-        self.windows = np.asarray(self.windows, dtype=float)
-        self.s = np.asarray(self.s, dtype=float)
-        self.s_stderr = np.asarray(self.s_stderr, dtype=float)
-        self.rate = np.asarray(self.rate, dtype=float)
-        if len(self.windows) == 0:
-            raise ValidationError("sweep needs at least one window")
-        if np.any(np.diff(self.windows) <= 0):
-            raise ValidationError("window values must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.windows)
 
     def crossings(self, level: float = 2.0) -> list[tuple[float, float]]:
         """Grid cells (w_lo, w_hi) where s crosses ``level``."""
@@ -226,7 +206,7 @@ def window_sweep(
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 1 or len(windows) == 0:
         raise ValidationError("windows must be a non-empty 1-D sequence")
-    if np.any(np.diff(windows) <= 0):
+    if not np.all(windows[1:] > windows[:-1]):  # "not >" so that a NaN or a repeated inf fails too
         raise ValidationError("window values must be strictly increasing")
     if log is None:
         log = run_experiment(config, n_workers=n_workers)
@@ -239,4 +219,4 @@ def window_sweep(
         result = chsh(tabulate(coinc, config), quadruple)
         s_vals[k] = result.s
         s_errs[k] = result.stderr
-    return SweepResult(windows=windows, s=s_vals, s_stderr=s_errs, rate=rates, quadruple=quadruple, policy=policy)
+    return SweepResult(windows=windows, s=s_vals, s_stderr=s_errs, rate=rates)

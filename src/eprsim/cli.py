@@ -50,14 +50,16 @@ _CURVE_POINTS = 64
 def parse_angle(text: str) -> float:
     """Angle with a mandatory unit suffix: '45deg' or '0.7854rad'."""
     t = text.strip().lower()
+    unit = t[-3:]
+    if unit not in ("deg", "rad"):
+        raise ValidationError(f"angle {text!r} needs an explicit unit suffix 'deg' or 'rad'")
     try:
-        if t.endswith("deg"):
-            return float(np.deg2rad(float(t[:-3])))
-        if t.endswith("rad"):
-            return float(t[:-3])
+        value = float(t[:-3])
     except ValueError:
         raise ValidationError(f"cannot parse angle value in {text!r}") from None
-    raise ValidationError(f"angle {text!r} needs an explicit unit suffix 'deg' or 'rad'")
+    if not np.isfinite(value):
+        raise ValidationError(f"angle {text!r} is not finite")
+    return float(np.deg2rad(value)) if unit == "deg" else value
 
 
 def parse_angle_list(text: str, expect: int | None = None) -> tuple[float, ...]:
@@ -78,6 +80,8 @@ def parse_windows(text: str) -> np.ndarray:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ValidationError(f"non-numeric bound in window grid {text!r}") from None
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValidationError(f"window grid {text!r} needs finite bounds")
     kind, num = parts[2][:3], parts[2][3:]
     if kind not in ("log", "lin") or not num.isdigit():
         raise ValidationError(f"grid spec {parts[2]!r} must be logN or linN")

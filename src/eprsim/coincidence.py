@@ -52,7 +52,6 @@ __all__ = [
     "pair_filter",
     "stream_match",
     "match_events",
-    "coincidence_rate",
 ]
 
 # "paired" uses pair identity (per-pair window rule); "stream-greedy"
@@ -198,8 +197,3 @@ def match_events(log: EventLog, window: float, policy: MatchPolicy = "paired") -
     if policy == "stream-greedy":
         return stream_match(log, window)
     raise ValidationError(f"unknown match policy {policy!r}")
-
-
-def coincidence_rate(log: EventLog, window: float, policy: MatchPolicy = "paired") -> float:
-    """Fraction of emitted pairs surviving coincidence selection."""
-    return len(match_events(log, window, policy)) / log.n_pairs

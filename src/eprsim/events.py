@@ -11,8 +11,7 @@ Randomness discipline: each pair consumes a fixed number of uniform
 variates taken from a counter-based generator keyed by ``(seed,
 chunk_index)``, where pairs are grouped in fixed-size chunks.  The variates
 a pair sees therefore depend only on ``(seed, pair_id)``, never on
-generation order, so runs are reproducible bit-for-bit for any worker
-count and :func:`generate_pair` can rebuild any single pair in isolation.
+generation order, so runs are reproducible bit-for-bit for any worker count.
 
 A run is stored in pair order: row k of both station streams is pair k,
 and the two streams share one ``pair_id`` array.  Consumers that need
@@ -38,12 +37,10 @@ from .errors import ValidationError
 from .model import ModelParams, Setting, delay_from_uniform, hidden_from_uniform, misalignments, outcome_from_uniform
 
 __all__ = [
-    "DetectionEvent",
     "EmissionSpec",
     "ExperimentConfig",
     "StationStream",
     "EventLog",
-    "generate_pair",
     "run_experiment",
     "TIME_TAG_DECIMALS",
     "DRAWS_PER_PAIR",
@@ -67,17 +64,6 @@ _MAX_SEED = 2**64
 
 
 @dataclass(frozen=True)
-class DetectionEvent:
-    """One recorded detection at one station."""
-
-    station: int
-    pair_id: int
-    setting_index: int
-    outcome: int
-    time_tag: float
-
-
-@dataclass(frozen=True)
 class EmissionSpec:
     """Emission-time process: regular spacing or Poisson arrivals."""
 
@@ -87,8 +73,8 @@ class EmissionSpec:
 
     def __post_init__(self):
         if self.mode == "regular":
-            if self.interval is None or not (self.interval > 0):
-                raise ValidationError(f"regular emission needs interval > 0, got {self.interval}")
+            if self.interval is None or not (0 < self.interval < np.inf):
+                raise ValidationError(f"regular emission needs a finite interval > 0, got {self.interval}")
         elif self.mode == "poisson":
             if self.rate is None or not (self.rate > 0):
                 raise ValidationError(f"poisson emission needs rate > 0, got {self.rate}")
@@ -122,6 +108,8 @@ class ExperimentConfig:
             raise ValidationError(f"n_pairs must be >= 1, got {self.n_pairs}")
         if not self.settings1 or not self.settings2:
             raise ValidationError("both setting lists must be non-empty")
+        if not np.all(np.isfinite(self.settings1 + self.settings2)):
+            raise ValidationError(f"settings must be finite angles, got {self.settings1} and {self.settings2}")
         if not isinstance(self.seed, (int, np.integer)) or not (0 <= int(self.seed) < _MAX_SEED):
             raise ValidationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
@@ -141,12 +129,6 @@ def _chunk_uniforms(seed: int, chunk: int, rows: int) -> np.ndarray:
     """Uniform variate block for pairs [chunk*CHUNK_PAIRS, +rows)."""
     bitgen = np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64))
     return np.random.Generator(bitgen).random((rows, DRAWS_PER_PAIR))
-
-
-def pair_uniforms(seed: int, pair_id: int) -> np.ndarray:
-    """The DRAWS_PER_PAIR variates that pair ``pair_id`` consumes."""
-    chunk, row = divmod(int(pair_id), CHUNK_PAIRS)
-    return _chunk_uniforms(seed, chunk, row + 1)[row]
 
 
 def _uniform_block(seed: int, start: int, count: int, out: np.ndarray) -> None:
@@ -219,33 +201,6 @@ class EventLog:
 
 def _quantize_times(t: np.ndarray) -> np.ndarray:
     return np.round(t, TIME_TAG_DECIMALS)
-
-
-def generate_pair(
-    pair_id: int,
-    emission_time: float,
-    setting1: Setting,
-    setting2: Setting,
-    params: ModelParams,
-    seed: int,
-) -> tuple[DetectionEvent, DetectionEvent]:
-    """Generate the two detection events of a single pair.
-
-    Randomness is fully determined by ``(seed, pair_id)``; repeated calls
-    return the identical pair, and the result matches what
-    :func:`run_experiment` produces for this pair_id when the stations
-    have these settings at the drawn indices.
-    """
-    u = pair_uniforms(seed, pair_id)
-    s1 = float(hidden_from_uniform(u[_COL_HIDDEN]))
-    zeta1, zeta2 = misalignments(setting1, setting2, s1)
-    x1 = int(outcome_from_uniform(u[_COL_OUT1], zeta1))
-    x2 = int(outcome_from_uniform(u[_COL_OUT2], zeta2))
-    t1 = float(_quantize_times(np.float64(emission_time + delay_from_uniform(u[_COL_DELAY1], zeta1, params))))
-    t2 = float(_quantize_times(np.float64(emission_time + delay_from_uniform(u[_COL_DELAY2], zeta2, params))))
-    ev1 = DetectionEvent(station=1, pair_id=pair_id, setting_index=0, outcome=x1, time_tag=t1)
-    ev2 = DetectionEvent(station=2, pair_id=pair_id, setting_index=0, outcome=x2, time_tag=t2)
-    return ev1, ev2
 
 
 def _generate_columns(config: ExperimentConfig, start: int, count: int, cols: dict) -> None:

@@ -16,8 +16,7 @@ same unit as ``t0`` (nanoseconds by convention).
 
 Randomness enters only through the ``*_from_uniform`` maps, each a
 deterministic function of a uniform variate in [0, 1).  The event
-generator applies them to pre-allocated variate blocks, so scalar and
-vectorized paths share one definition.
+generator applies them to pre-allocated variate blocks.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ class ModelParams:
     """The three knobs of the model.
 
     d       dimensionless exponent of the delay timescale (>= 0)
-    t0      maximum delay timescale, time units (> 0)
+    t0      maximum delay timescale, time units (finite, > 0)
     window  coincidence window W, same time units (>= 0)
     """
 
@@ -59,8 +58,8 @@ class ModelParams:
     window: float = 10.0
 
     def __post_init__(self):
-        if not (self.t0 > 0):
-            raise ValidationError(f"t0 must be > 0, got {self.t0}")
+        if not (0 < self.t0 < np.inf):
+            raise ValidationError(f"t0 must be finite and > 0, got {self.t0}")
         if not (self.window >= 0):
             raise ValidationError(f"window must be >= 0, got {self.window}")
         if not (self.d >= 0):

@@ -12,8 +12,7 @@ land within W of each other.  Then
     p(x1, x2 | a1, a2) = (D + x1 C1 + x2 C2 + x1 x2 C12) / (4 D)
     E(a1, a2) = C12 / D,   coincidence rate = D / pi.
 
-``weight_exact`` evaluates w in closed form (band-overlap geometry);
-``weight_approx`` is the small-W linearization 2W / max(T1, T2).
+``weight_exact`` evaluates w in closed form (band-overlap geometry).
 
 The four integrals come from one adaptive Gauss-Kronrod (G7/K15) pass
 over the vector integrand (QUADPACK QAG applied to a vector, as in
@@ -59,7 +58,6 @@ from .model import ModelParams, Setting, delay_timescale, misalignments
 __all__ = [
     "QuadratureSpec",
     "weight_exact",
-    "weight_approx",
     "joint_prob",
     "correlation_exact",
     "correlation_curve",
@@ -164,16 +162,6 @@ def weight_exact(t1, t2, window):
         raise ValidationError("timescales and window must be >= 0")
     out = _weight_arr(t1a, t2a, float(window))
     return float(out) if scalar else out
-
-
-def weight_approx(t1: float, t2: float, window: float) -> float:
-    """Small-window linearization of the weight: 2W / max(t1, t2), capped at 1."""
-    if t1 < 0 or t2 < 0 or window < 0:
-        raise ValidationError("timescales and window must be >= 0")
-    m = max(t1, t2)
-    if m == 0.0:
-        raise ValidationError("weight_approx undefined when both timescales are zero")
-    return min(1.0, 2.0 * window / m)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +332,13 @@ def _integrals(a1, a2, params: ModelParams, quad: QuadratureSpec) -> np.ndarray:
     """(D, C1, C2, C12) at each settings pair (a1[p], a2[p]), shape (n, 4).
 
     One batched pass; each point's four integrals are within tol * D / 4.
-    Raises QuadratureError for the first point whose D is zero or whose
-    pass misses its budget; ``achieved`` is then the tol that point met.
+    Raises ValidationError for a non-finite setting, and QuadratureError
+    for the first point whose D is zero or whose pass misses its budget;
+    ``achieved`` is then the tol that point met.
     """
     a1, a2 = np.asarray(a1, dtype=float), np.asarray(a2, dtype=float)
+    if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
+        raise ValidationError("settings must be finite angles")
 
     def integrand(p, s):
         z1, z2 = misalignments(a1[p], a2[p], s)

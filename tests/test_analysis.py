@@ -63,7 +63,7 @@ class TestTabulate:
 
     def test_counts_axes(self):
         table = tabulate(coincidences_from_counts({(0, 1): (1, 2, 3, 4)}))
-        assert table.cell(0, 1) == (1, 2, 3, 4)
+        np.testing.assert_array_equal(table.counts[0, 1], [[1, 2], [3, 4]])
         assert table.n_total[0, 1] == 10
 
     def test_empty_input_rejected(self):
@@ -86,8 +86,8 @@ class TestTabulate:
             StationStream(2, np.zeros(2), np.array([1, 0], dtype=np.int16), np.array([-1, 1], dtype=np.int8)),
         )
         table = tabulate(Coincidences(log, np.array([0, 1]), np.array([1, 0])))
-        assert table.cell(0, 0) == (1, 0, 0, 0)
-        assert table.cell(1, 1) == (0, 0, 0, 1)
+        np.testing.assert_array_equal(table.counts[0, 0], [[1, 0], [0, 0]])
+        np.testing.assert_array_equal(table.counts[1, 1], [[0, 0], [0, 1]])
         assert table.n_total.sum() == 2
 
     def test_index_outside_config_rejected(self):
@@ -153,16 +153,12 @@ class TestChsh:
 
 
 class TestSweepResult:
-    def test_windows_must_increase(self):
-        with pytest.raises(ValidationError):
-            SweepResult(windows=[1.0, 1.0], s=[2, 2], s_stderr=[0, 0], rate=[0.5, 0.5])
-
     def test_crossings(self):
         sweep = SweepResult(
-            windows=[1.0, 2.0, 4.0, 8.0],
-            s=[2.5, 2.2, 1.8, 1.5],
-            s_stderr=[0.01] * 4,
-            rate=[0.1, 0.2, 0.4, 0.8],
+            windows=np.array([1.0, 2.0, 4.0, 8.0]),
+            s=np.array([2.5, 2.2, 1.8, 1.5]),
+            s_stderr=np.full(4, 0.01),
+            rate=np.array([0.1, 0.2, 0.4, 0.8]),
         )
         assert sweep.crossings(2.0) == [(2.0, 4.0)]
 
@@ -203,6 +199,12 @@ class TestWindowSweep:
         a = window_sweep(config, windows, log=log)
         b = window_sweep(config, windows)
         np.testing.assert_array_equal(a.s, b.s)
+
+    def test_windows_must_increase(self, config):
+        # inf - inf is NaN, so a repeated infinite window must fail too.
+        for windows in ([1.0, 1.0], [1.0, np.inf, np.inf], [np.nan, 1.0]):
+            with pytest.raises(ValidationError, match="strictly increasing"):
+                window_sweep(config, windows)
 
     def test_bad_window_grid_rejected(self, config):
         with pytest.raises(ValidationError):

@@ -2,9 +2,12 @@
 
 A change that moves any count, rate or S value changes the bytes.  The
 manifests are not pinned; their event accounting is read back below.
+Non-finite input is a configuration error: exit status 1, no output.
 """
 
 import hashlib
+
+import pytest
 
 from eprsim.cli import main
 from eprsim.tagio import RunManifest
@@ -53,3 +56,22 @@ def test_manifest_accounts_for_every_event(tmp_path):
         assert results["unmatched1"] == results["unmatched2"] == 2000 - results["matched"]
         assert results["coincidence_rate"] == results["matched"] / 2000
     assert paired["matched"] == stream["matched"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "oracle", "--quadruple", "nandeg,45deg,22.5deg,67.5deg"],
+        ["--mode", "oracle", "--t0", "inf"],
+        ["--mode", "mc", "--t0", "inf"],
+        ["--mode", "mc", "--emission", "regular:inf"],
+        ["--mode", "mc", "--angles1", "0deg,infrad"],
+        ["--mode", "sweep", "--windows", "1:inf:log3"],
+        ["--mode", "sweep", "--windows", "0:inf:lin3"],
+    ],
+)
+def test_non_finite_input_exits_1(tmp_path, capsys, argv):
+    assert main([*argv, "--pairs", "100", "--out", str(tmp_path)]) == 1
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

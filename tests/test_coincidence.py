@@ -10,7 +10,6 @@ from eprsim import (
     ModelParams,
     StationStream,
     ValidationError,
-    coincidence_rate,
     match_events,
     pair_filter,
     run_experiment,
@@ -326,17 +325,17 @@ class TestCoincidenceRate:
     def test_rate_one_when_window_covers_t0(self):
         cfg = ExperimentConfig(params=ModelParams(d=4, t0=1.0, window=0), n_pairs=2000, seed=6)
         log = run_experiment(cfg)
-        assert coincidence_rate(log, 1.0) == 1.0
-        assert coincidence_rate(log, 2.0) == 1.0
+        assert len(match_events(log, 1.0)) / log.n_pairs == 1.0
+        assert len(match_events(log, 2.0)) / log.n_pairs == 1.0
 
     def test_rate_tiny_at_zero_window(self):
         cfg = ExperimentConfig(params=ModelParams(d=4, t0=1.0, window=0), n_pairs=20_000, seed=7)
         log = run_experiment(cfg)
-        assert coincidence_rate(log, 0.0) < 0.01
+        assert len(match_events(log, 0.0)) / log.n_pairs < 0.01
 
     def test_policy_dispatch(self):
         log = tiny_log([0.0], [0.1])
-        assert coincidence_rate(log, 0.5, "paired") == 1.0
-        assert coincidence_rate(log, 0.5, "stream-greedy") == 1.0
+        assert len(match_events(log, 0.5, "paired")) / log.n_pairs == 1.0
+        assert len(match_events(log, 0.5, "stream-greedy")) / log.n_pairs == 1.0
         with pytest.raises(ValidationError):
             match_events(log, 0.5, "hardware")

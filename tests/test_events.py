@@ -11,13 +11,12 @@ from eprsim import (
     ExperimentConfig,
     ModelParams,
     ValidationError,
-    generate_pair,
     pair_filter,
     read_tags,
     run_experiment,
     write_tags,
 )
-from eprsim.events import CHUNK_PAIRS, TIME_TAG_DECIMALS, pair_uniforms
+from eprsim.events import CHUNK_PAIRS, DRAWS_PER_PAIR, TIME_TAG_DECIMALS, _generate_columns, _uniform_block
 from eprsim.model import hidden_from_uniform
 
 
@@ -31,6 +30,24 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+# The raw per-pair columns that _generate_columns fills.
+COLUMNS = ("idx1", "idx2", "x1", "x2", "delay1", "delay2", "gap")
+
+
+def pair_columns(cfg, pid):
+    """The raw columns of pair ``pid`` alone, as ``run_experiment`` computes them."""
+    cols = {name: np.zeros(cfg.n_pairs) for name in COLUMNS}
+    _generate_columns(cfg, pid, 1, cols)
+    return {name: col[pid] for name, col in cols.items()}
+
+
+def hidden_angle(seed, pid):
+    """The hidden angle s1 that pair ``pid`` draws."""
+    u = np.empty((1, DRAWS_PER_PAIR))
+    _uniform_block(seed, pid, 1, u)
+    return float(hidden_from_uniform(u[0, 0]))
 
 
 class TestConfigValidation:
@@ -48,44 +65,47 @@ class TestConfigValidation:
             dict(seed=-1),
             dict(seed=2**64),
             dict(seed=1.5),
+            dict(settings1=(np.nan, 1.0)),
+            dict(settings2=(0.5, np.inf)),
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             ExperimentConfig(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [dict(mode="regular", interval=0.0), dict(mode="poisson"), dict(mode="burst")])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(mode="regular", interval=0.0),
+            dict(mode="regular", interval=np.inf),
+            dict(mode="regular", interval=np.nan),
+            dict(mode="poisson"),
+            dict(mode="burst"),
+        ],
+    )
     def test_bad_emission_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             EmissionSpec(**kwargs)
 
 
 class TestGeneratePair:
+    """One pair generated alone, from its ``(seed, pair_id)`` variates."""
+
     def test_deterministic_for_fixed_seed(self):
-        p = ModelParams(d=4.0, t0=1.0, window=0.1)
-        a = generate_pair(7, 3.0, 0.2, 0.9, p, seed=5)
-        b = generate_pair(7, 3.0, 0.2, 0.9, p, seed=5)
-        assert a == b
-        c = generate_pair(8, 3.0, 0.2, 0.9, p, seed=5)
-        assert c != a
+        cfg = small_config(n_pairs=10, seed=5)
+        a = pair_columns(cfg, 7)
+        assert pair_columns(cfg, 7) == a
+        assert pair_columns(cfg, 8) != a
+        assert pair_columns(small_config(n_pairs=10, seed=6), 7) != a
 
     def test_zero_misalignment_pins_station1(self):
         # Choosing the station-1 setting equal to the drawn hidden angle
         # makes zeta1 = 0: outcome +1 with certainty and zero delay.
-        p = ModelParams(d=4.0, t0=1.0, window=0.1)
-        for pair_id in range(25):
-            s1 = float(hidden_from_uniform(pair_uniforms(seed=3, pair_id=pair_id)[0]))
-            ev1, _ = generate_pair(pair_id, 10.0, s1, 0.33, p, seed=3)
-            assert ev1.outcome == 1
-            assert ev1.time_tag == 10.0
-
-    def test_delay_bounded_by_t0(self):
-        p = ModelParams(d=4.0, t0=1.0, window=0.1)
-        for pair_id in range(200):
-            ev1, ev2 = generate_pair(pair_id, 5.0, 0.3, 1.1, p, seed=9)
-            for ev in (ev1, ev2):
-                assert 5.0 <= ev.time_tag <= 5.0 + 1.0
-                assert ev.outcome in (-1, 1)
+        for pid in range(25):
+            s1 = hidden_angle(3, pid)
+            row = pair_columns(small_config(settings1=(s1,), settings2=(s1 + 0.5 * np.pi,), n_pairs=25, seed=3), pid)
+            assert row["x1"] == 1
+            assert row["delay1"] == 0.0
 
 
 class TestRunExperiment:
@@ -125,21 +145,22 @@ class TestRunExperiment:
         cfg = small_config(n_pairs=3 * CHUNK_PAIRS + 17)
         assert run_experiment(cfg, n_workers=1) == run_experiment(cfg, n_workers=workers)
 
-    def test_matches_generate_pair_rows(self):
-        # Single-setting lists make the per-pair scalar path directly
-        # comparable, including across a chunk boundary.
-        cfg = small_config(settings1=(0.3,), settings2=(1.2,), n_pairs=CHUNK_PAIRS + 40)
+    def test_any_pair_rebuilds_in_isolation(self):
+        # Pair pid generated alone equals row pid of the whole run, setting
+        # choice included, on both sides of a chunk boundary.  The emission
+        # gap is not recorded in the log; the whole run's columns carry it.
+        cfg = small_config(n_pairs=CHUNK_PAIRS + 40)
         log = run_experiment(cfg)
+        whole = {name: np.zeros(cfg.n_pairs) for name in COLUMNS}
+        _generate_columns(cfg, 0, cfg.n_pairs, whole)
         dt = cfg.resolved_emission().interval
-        order1 = np.argsort(log.station1.pair_id)
-        order2 = np.argsort(log.station2.pair_id)
         for pid in [0, 1, 57, CHUNK_PAIRS - 1, CHUNK_PAIRS, CHUNK_PAIRS + 39]:
-            ev1, ev2 = generate_pair(pid, pid * dt, 0.3, 1.2, cfg.params, cfg.seed)
-            k1, k2 = order1[pid], order2[pid]
-            assert log.station1.time_tag[k1] == ev1.time_tag
-            assert log.station1.outcome[k1] == ev1.outcome
-            assert log.station2.time_tag[k2] == ev2.time_tag
-            assert log.station2.outcome[k2] == ev2.outcome
+            row = pair_columns(cfg, pid)
+            assert row == {name: col[pid] for name, col in whole.items()}
+            for k, stream in ((1, log.station1), (2, log.station2)):
+                assert row[f"idx{k}"] == stream.setting_index[pid]
+                assert row[f"x{k}"] == stream.outcome[pid]
+                assert np.round(pid * dt + row[f"delay{k}"], TIME_TAG_DECIMALS) == stream.time_tag[pid]
 
     def test_setting_choice_binomial(self):
         cfg = small_config(n_pairs=10**5)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from eprsim import ModelParams, ValidationError, generate_pair
-from eprsim.events import pair_uniforms
+from eprsim import ExperimentConfig, ModelParams, ValidationError
+from eprsim.events import DRAWS_PER_PAIR, _generate_columns, _uniform_block
 from eprsim.model import (
     delay_from_uniform,
     delay_timescale,
@@ -24,7 +24,10 @@ class TestModelParams:
         p = ModelParams()
         assert (p.d, p.t0, p.window) == (4.0, 1000.0, 10.0)
 
-    @pytest.mark.parametrize("kwargs", [dict(t0=0.0), dict(t0=-1.0), dict(window=-0.1), dict(d=-1.0)])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(t0=0.0), dict(t0=-1.0), dict(t0=np.inf), dict(t0=np.nan), dict(window=-0.1), dict(d=-1.0)],
+    )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             ModelParams(**kwargs)
@@ -143,11 +146,16 @@ class TestHiddenPair:
         # s2 = s1 + pi/2: setting station 1 to s1 and station 2 to s1 + pi/2
         # puts both at zero misalignment, so both give +1 with zero delay.
         p = ModelParams(d=4.0, t0=1.0, window=0.1)
-        for pair_id in range(500):
-            s1 = float(hidden_from_uniform(pair_uniforms(seed=7, pair_id=pair_id)[0]))
-            ev1, ev2 = generate_pair(pair_id, 3.0, s1, s1 + 0.5 * np.pi, p, seed=7)
-            assert (ev1.outcome, ev2.outcome) == (1, 1)
-            assert ev1.time_tag == ev2.time_tag == 3.0
+        n = 500
+        u = np.empty((1, DRAWS_PER_PAIR))
+        for pid in range(n):
+            _uniform_block(7, pid, 1, u)
+            s1 = float(hidden_from_uniform(u[0, 0]))
+            cfg = ExperimentConfig(params=p, settings1=(s1,), settings2=(s1 + 0.5 * np.pi,), n_pairs=n, seed=7)
+            cols = {name: np.zeros(n) for name in ("idx1", "idx2", "x1", "x2", "delay1", "delay2", "gap")}
+            _generate_columns(cfg, pid, 1, cols)
+            assert (cols["x1"][pid], cols["x2"][pid]) == (1, 1)
+            assert cols["delay1"][pid] == cols["delay2"][pid] == 0.0
 
     def test_range(self):
         rng = np.random.default_rng(8)
