@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coincidence import Coincidences, MatchPolicy, match_events
+from .coincidence import Coincidences, MatchPolicy, match_events, pair_window_index
 from .errors import ValidationError
 from .events import EventLog, ExperimentConfig, run_experiment
 from .model import normalize_angle
@@ -80,6 +80,22 @@ class CorrelationTable:
         return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.n_total == 0))]
 
 
+_EMPTY = "cannot tabulate an empty coincidence list"
+_OUT_OF_RANGE = "setting index out of range for the supplied config"
+
+
+def _outside(index: np.ndarray, n: int) -> np.ndarray:
+    """Which setting indices fall outside a list of ``n`` settings."""
+    return (index < 0) | (index >= n)
+
+
+def _cell_codes(log: EventLog, rows1, rows2, i1: np.ndarray, i2: np.ndarray, n2: int) -> np.ndarray:
+    """Flat (n1, n2, 2, 2) table cell of each coincidence, given its setting indices."""
+    o1 = (log.station1.outcome[rows1] < 0).astype(np.int64)  # +1 -> 0, -1 -> 1
+    o2 = (log.station2.outcome[rows2] < 0).astype(np.int64)
+    return ((i1 * n2 + i2) * 2 + o1) * 2 + o2
+
+
 def tabulate(coincidences: Coincidences, config: ExperimentConfig | None = None) -> CorrelationTable:
     """Tally coincidences into a correlation table.
 
@@ -89,23 +105,19 @@ def tabulate(coincidences: Coincidences, config: ExperimentConfig | None = None)
     angles are left unknown.
     """
     if len(coincidences) == 0:
-        raise ValidationError("cannot tabulate an empty coincidence list")
-    st1, st2 = coincidences.log.station1, coincidences.log.station2
-    r1, r2 = coincidences.rows1, coincidences.rows2
-    i1 = st1.setting_index[r1].astype(np.int64)
-    i2 = st2.setting_index[r2].astype(np.int64)
+        raise ValidationError(_EMPTY)
+    log, r1, r2 = coincidences.log, coincidences.rows1, coincidences.rows2
+    i1 = log.station1.setting_index[r1].astype(np.int64)
+    i2 = log.station2.setting_index[r2].astype(np.int64)
     if config is not None:
         n1, n2 = len(config.settings1), len(config.settings2)
         settings1, settings2 = config.settings1, config.settings2
-        if i1.max() >= n1 or i2.max() >= n2:
-            raise ValidationError("setting index out of range for the supplied config")
+        if _outside(i1, n1).any() or _outside(i2, n2).any():
+            raise ValidationError(_OUT_OF_RANGE)
     else:
         n1, n2 = int(i1.max()) + 1, int(i2.max()) + 1
         settings1 = settings2 = None
-    o1 = (st1.outcome[r1] < 0).astype(np.int64)  # +1 -> 0, -1 -> 1
-    o2 = (st2.outcome[r2] < 0).astype(np.int64)
-    flat = ((i1 * n2 + i2) * 2 + o1) * 2 + o2
-    counts = np.bincount(flat, minlength=n1 * n2 * 4).reshape(n1, n2, 2, 2)
+    counts = np.bincount(_cell_codes(log, r1, r2, i1, i2, n2), minlength=n1 * n2 * 4).reshape(n1, n2, 2, 2)
     return CorrelationTable(counts=counts, settings1=settings1, settings2=settings2)
 
 
@@ -171,12 +183,13 @@ def chsh(
 
 @dataclass(eq=False)
 class SweepResult:
-    """CHSH statistic versus coincidence window."""
+    """CHSH statistic and coincidence count versus coincidence window."""
 
     windows: np.ndarray
     s: np.ndarray
     s_stderr: np.ndarray
     rate: np.ndarray
+    matched: np.ndarray
 
     def crossings(self, level: float = 2.0) -> list[tuple[float, float]]:
         """Grid cells (w_lo, w_hi) where s crosses ``level``."""
@@ -186,6 +199,34 @@ class SweepResult:
             if sign[k] != sign[k + 1] and sign[k] != 0:
                 out.append((float(self.windows[k]), float(self.windows[k + 1])))
         return out
+
+
+def _paired_tables(log: EventLog, windows: np.ndarray, config: ExperimentConfig):
+    """Yield every window's ``tabulate(pair_filter(log, w), config)`` from one pass.
+
+    Each pair is binned once, by the first window that keeps it and by
+    its cell; the cumulative sum of that histogram over the window axis
+    is every window's count table.  Checks raise where the per-window calls
+    would: a pair with a setting index outside ``config`` is left out of
+    the histogram and raises at the first window that keeps it.
+    """
+    first = pair_window_index(log, windows)
+    n1, n2 = len(config.settings1), len(config.settings2)
+    i1 = log.station1.setting_index.astype(np.int64)
+    i2 = log.station2.setting_index.astype(np.int64)
+    bad = _outside(i1, n1) | _outside(i2, n2)
+    stop = int(first[bad].min(initial=len(windows)))
+    rows = np.flatnonzero(~bad) if bad.any() else slice(None)
+    ncells = n1 * n2 * 4
+    flat = first[rows] * ncells + _cell_codes(log, rows, rows, i1[rows], i2[rows], n2)
+    hist = np.bincount(flat, minlength=(len(windows) + 1) * ncells).reshape(-1, n1, n2, 2, 2)
+    counts = np.cumsum(hist[:-1], axis=0)
+    for k in range(len(windows)):
+        if k == stop:
+            raise ValidationError(_OUT_OF_RANGE)
+        if k == 0 and not counts[0].any():
+            raise ValidationError(_EMPTY)
+        yield CorrelationTable(counts=counts[k], settings1=config.settings1, settings2=config.settings2)
 
 
 def window_sweep(
@@ -198,10 +239,14 @@ def window_sweep(
 ) -> SweepResult:
     """S(W) over a window grid.
 
-    One event log is generated and re-filtered per window (delays do not
-    depend on the window), which is cheap and gives a smooth
+    One event log is generated (delays do not depend on the window) and
+    every window is analyzed on it, which gives a smooth
     correlated-sample curve; for independent error bars, run one sweep per
     seed.  An existing ``log`` can be supplied to re-analyze stored data.
+    Policy ``"paired"`` reads every window's table from one histogram
+    pass over the log; ``"stream"`` matches the streams once per window.
+    Either way the tables, and any error, are those of
+    ``tabulate(match_events(log, w, policy), config)`` window by window.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 1 or len(windows) == 0:
@@ -210,13 +255,16 @@ def window_sweep(
         raise ValidationError("window values must be strictly increasing")
     if log is None:
         log = run_experiment(config, n_workers=n_workers)
+    if policy == "paired":
+        tables = _paired_tables(log, windows, config)
+    else:
+        tables = (tabulate(match_events(log, float(w), policy), config) for w in windows)
     s_vals = np.empty(len(windows))
     s_errs = np.empty(len(windows))
-    rates = np.empty(len(windows))
-    for k, w in enumerate(windows):
-        coinc = match_events(log, float(w), policy)
-        rates[k] = len(coinc) / log.n_pairs
-        result = chsh(tabulate(coinc, config), quadruple)
+    matched = np.empty(len(windows), dtype=np.int64)
+    for k, table in enumerate(tables):
+        result = chsh(table, quadruple)
         s_vals[k] = result.s
         s_errs[k] = result.stderr
-    return SweepResult(windows=windows, s=s_vals, s_stderr=s_errs, rate=rates)
+        matched[k] = table.counts.sum()
+    return SweepResult(windows=windows, s=s_vals, s_stderr=s_errs, rate=matched / log.n_pairs, matched=matched)

@@ -151,9 +151,7 @@ def _resolve_outdir(args) -> Path:
 
 
 def _resolve_policy(args) -> str:
-    if args.matcher is None:
-        return "stream-greedy" if args.mode == "reanalyze" else "paired"
-    return "stream-greedy" if args.matcher == "stream" else "paired"
+    return args.matcher or ("stream" if args.mode == "reanalyze" else "paired")
 
 
 def _build_config(args) -> tuple[ExperimentConfig, tuple[float, float, float, float]]:
@@ -184,6 +182,13 @@ def _tags_prefix(args, outdir: Path, attr: str) -> Path | None:
     return prefix if prefix.is_absolute() else outdir / prefix
 
 
+def _event_accounting(matched, events1: int, events2: int) -> dict:
+    """Matched events and each station's unmatched ones, for one window or a list of windows."""
+    matched = np.asarray(matched)
+    return {"matched": matched.tolist(), "unmatched1": (events1 - matched).tolist(),
+            "unmatched2": (events2 - matched).tolist()}
+
+
 def _analyze_window(log, config, window, policy, quadruple, outdir: Path, manifest: RunManifest) -> None:
     """Match at one window, write the correlation table, record S and event counts in ``manifest``."""
     coinc = match_events(log, window, policy)
@@ -196,9 +201,7 @@ def _analyze_window(log, config, window, policy, quadruple, outdir: Path, manife
         "policy": policy,
         "window": window,
         "coincidence_rate": rate,
-        "matched": matched,
-        "unmatched1": len(log.station1) - matched,
-        "unmatched2": len(log.station2) - matched,
+        **_event_accounting(matched, len(log.station1), len(log.station2)),
         "s": result.s,
         "s_stderr": result.stderr,
         "correlations": {
@@ -263,6 +266,8 @@ def _run_sweep(args, outdir: Path) -> RunManifest:
         "crossings_at_2": sweep.crossings(2.0),
         "s_first": float(sweep.s[0]),
         "s_last": float(sweep.s[-1]),
+        # Every emitted pair leaves one event at each station.
+        **_event_accounting(sweep.matched, config.n_pairs, config.n_pairs),
     }
     print(f"sweep: {len(windows)} windows {windows[0]:g}..{windows[-1]:g}, "
           f"S {sweep.s[0]:.4f} -> {sweep.s[-1]:.4f}, crossings at 2: {sweep.crossings(2.0)}")
@@ -288,7 +293,8 @@ def _run_reanalyze(args, outdir: Path) -> RunManifest:
         sweep = window_sweep(config, windows, quadruple=quadruple, policy=policy, log=log)
         csv_path = write_sweep_csv(outdir / "sweep.csv", sweep)
         manifest.outputs.append(str(csv_path))
-        manifest.results = {"policy": policy, "crossings_at_2": sweep.crossings(2.0)}
+        manifest.results = {"policy": policy, "crossings_at_2": sweep.crossings(2.0),
+                            **_event_accounting(sweep.matched, len(log.station1), len(log.station2))}
         print(f"reanalyze: sweep over {len(windows)} windows, crossings at 2: {sweep.crossings(2.0)}")
     else:
         _analyze_window(log, config, args.window, policy, quadruple, outdir, manifest)

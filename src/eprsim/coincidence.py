@@ -12,6 +12,12 @@ overlapping emissions (Poisson stress tests) only the stream matcher is
 meaningful.  Events left unmatched are dropped from all statistics: the
 post-selected ensemble is the object under study.
 
+A paired window sweep does not call ``pair_filter`` per window, since
+neither |dt| nor the pair-id checks depend on it: ``pair_window_index``
+computes |dt| once and gives each pair the first window W of the grid
+with |dt| <= W (``searchsorted(..., "left")``, the same closed boundary),
+so ``pair_filter`` at window k keeps exactly the pairs with index <= k.
+
 A selection is two row-index arrays into the one stored log: coincidence
 k is row ``rows1[k]`` of station 1 and row ``rows2[k]`` of station 2; no
 column is copied.  ``pair_filter`` keeps rows in pair order (rows1 ==
@@ -50,14 +56,15 @@ __all__ = [
     "Coincidences",
     "MatchPolicy",
     "pair_filter",
+    "pair_window_index",
     "stream_match",
     "match_events",
 ]
 
-# "paired" uses pair identity (per-pair window rule); "stream-greedy"
-# scans the time-tag streams, matching each station-1 event to the
-# nearest unmatched station-2 event within the window, earliest first.
-MatchPolicy = Literal["paired", "stream-greedy"]
+# "paired" uses pair identity (per-pair window rule); "stream" scans the
+# time-tag streams, matching each station-1 event to the nearest
+# unmatched station-2 event within the window, earliest first.
+MatchPolicy = Literal["paired", "stream"]
 
 
 @dataclass(eq=False)
@@ -87,6 +94,16 @@ def _check_window(window: float) -> float:
     return float(window)
 
 
+def _pair_dt(log: EventLog) -> np.ndarray:
+    """|t2 - t1| of every emitted pair; raises without matching pair ids."""
+    s1, s2 = log.station1, log.station2
+    if s1.pair_id is None or s2.pair_id is None:
+        raise ValidationError("per-pair filtering needs pair ids in both streams")
+    if not np.array_equal(s1.pair_id, s2.pair_id):
+        raise ValidationError("mismatched pair_id columns between stations")
+    return np.abs(s2.time_tag - s1.time_tag)
+
+
 def pair_filter(log: EventLog, window: float) -> Coincidences:
     """Keep each emitted pair iff its two time tags differ by <= window.
 
@@ -95,13 +112,19 @@ def pair_filter(log: EventLog, window: float) -> Coincidences:
     two stations' ``pair_id`` columns differ.
     """
     window = _check_window(window)
-    s1, s2 = log.station1, log.station2
-    if s1.pair_id is None or s2.pair_id is None:
-        raise ValidationError("per-pair filtering needs pair ids in both streams")
-    if not np.array_equal(s1.pair_id, s2.pair_id):
-        raise ValidationError("mismatched pair_id columns between stations")
-    rows = np.flatnonzero(np.abs(s2.time_tag - s1.time_tag) <= window)
+    rows = np.flatnonzero(_pair_dt(log) <= window)
     return Coincidences(log, rows, rows)
+
+
+def pair_window_index(log: EventLog, windows: np.ndarray) -> np.ndarray:
+    """Per emitted pair, the first window ``pair_filter`` keeps it at.
+
+    ``windows`` must increase strictly; a pair no window keeps gets
+    ``len(windows)``.  Raises what ``pair_filter`` at ``windows[0]``
+    raises, checking in the same order.
+    """
+    _check_window(float(windows[0]))
+    return np.searchsorted(windows, _pair_dt(log), side="left")
 
 
 def _split(t1: np.ndarray, t2: np.ndarray, window: float):
@@ -194,6 +217,6 @@ def match_events(log: EventLog, window: float, policy: MatchPolicy = "paired") -
     """Dispatch to the selector named by ``policy``."""
     if policy == "paired":
         return pair_filter(log, window)
-    if policy == "stream-greedy":
+    if policy == "stream":
         return stream_match(log, window)
     raise ValidationError(f"unknown match policy {policy!r}")

@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eprsim import (
     DEFAULT_QUADRUPLE,
     CorrelationTable,
     Coincidences,
+    EmissionSpec,
     EventLog,
     ExperimentConfig,
     ModelParams,
@@ -17,6 +19,7 @@ from eprsim import (
     ValidationError,
     chsh,
     chsh_combination,
+    match_events,
     run_experiment,
     singlet_correlation,
     tabulate,
@@ -92,8 +95,9 @@ class TestTabulate:
 
     def test_index_outside_config_rejected(self):
         cfg = ExperimentConfig(settings1=(0.0,), settings2=(0.5,), n_pairs=10, seed=0)
-        with pytest.raises(ValidationError):
-            tabulate(coincidences_from_counts({(1, 0): (1, 0, 0, 0)}), cfg)
+        for cell in ((1, 0), (0, -1), (-1, 0)):  # a negative index must not wrap into another cell
+            with pytest.raises(ValidationError, match="out of range"):
+                tabulate(coincidences_from_counts({cell: (1, 0, 0, 0)}), cfg)
 
 
 def table_from_correlation(quadruple, correlation, n=10**9):
@@ -159,6 +163,7 @@ class TestSweepResult:
             s=np.array([2.5, 2.2, 1.8, 1.5]),
             s_stderr=np.full(4, 0.01),
             rate=np.array([0.1, 0.2, 0.4, 0.8]),
+            matched=np.array([1, 2, 4, 8]),
         )
         assert sweep.crossings(2.0) == [(2.0, 4.0)]
 
@@ -181,7 +186,7 @@ class TestWindowSweep:
     def test_stream_policy_matches_paired_for_separated_emissions(self, config):
         windows = np.geomspace(1e-3, 1.0, 5)
         a = window_sweep(config, windows, policy="paired")
-        b = window_sweep(config, windows, policy="stream-greedy")
+        b = window_sweep(config, windows, policy="stream")
         np.testing.assert_array_equal(a.s, b.s)
         np.testing.assert_array_equal(a.rate, b.rate)
 
@@ -211,3 +216,137 @@ class TestWindowSweep:
             window_sweep(config, [])
         with pytest.raises(ValidationError):
             window_sweep(config, [0.2, 0.1])
+
+
+def sweep_reference(config, windows, quadruple=DEFAULT_QUADRUPLE, policy="paired", log=None):
+    """The per-window sweep: match, tabulate and CHSH once per window.
+
+    Kept verbatim (but for returning the three arrays) as the reference
+    the one-pass paired sweep must reproduce exactly.
+    """
+    windows = np.asarray(windows, dtype=float)
+    if windows.ndim != 1 or len(windows) == 0:
+        raise ValidationError("windows must be a non-empty 1-D sequence")
+    if not np.all(windows[1:] > windows[:-1]):  # "not >" so that a NaN or a repeated inf fails too
+        raise ValidationError("window values must be strictly increasing")
+    if log is None:
+        log = run_experiment(config)
+    s_vals = np.empty(len(windows))
+    s_errs = np.empty(len(windows))
+    rates = np.empty(len(windows))
+    for k, w in enumerate(windows):
+        coinc = match_events(log, float(w), policy)
+        rates[k] = len(coinc) / log.n_pairs
+        result = chsh(tabulate(coinc, config), quadruple)
+        s_vals[k] = result.s
+        s_errs[k] = result.stderr
+    return s_vals, s_errs, rates
+
+
+def assert_same_as_reference(config, windows, log, policy="paired"):
+    sweep = window_sweep(config, windows, policy=policy, log=log)
+    s, s_stderr, rate = sweep_reference(config, windows, policy=policy, log=log)
+    assert np.array_equal(sweep.s, s)
+    assert np.array_equal(sweep.s_stderr, s_stderr)
+    assert np.array_equal(sweep.rate, rate)
+    assert np.array_equal(sweep.matched, np.rint(rate * log.n_pairs))
+
+
+@st.composite
+def sweep_inputs(draw):
+    """A regular or Poisson log with 3 x 2 settings and a window grid on its own |dt| values.
+
+    Windows sit exactly on a pair's |dt| (closed boundary) or one ulp
+    below it, from the median |dt| up so that every CHSH cell is filled,
+    optionally followed by an infinite window.
+    """
+    emission = draw(st.sampled_from([None, EmissionSpec.poisson(0.002)]))
+    n = draw(st.integers(400, 1500))
+    config = ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), settings1=(0.0, np.pi / 4, np.pi / 2),
+                              settings2=(np.pi / 8, 3 * np.pi / 8), n_pairs=n, seed=draw(st.integers(0, 2**32)),
+                              emission=emission)
+    log = run_experiment(config)
+    dt = np.sort(np.abs(log.station2.time_tag - log.station1.time_tag))
+    picks = draw(st.lists(st.tuples(st.integers(n // 2, n - 1), st.booleans()), min_size=1, max_size=6))
+    windows = np.unique([np.nextafter(dt[k], 0.0) if below else dt[k] for k, below in picks])
+    if draw(st.booleans()):
+        windows = np.append(windows, np.inf)
+    return config, windows, log
+
+
+class TestOnePassSweep:
+    """The paired sweep's single histogram pass against the per-window reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_inputs())
+    def test_equals_per_window_reference(self, inputs):
+        assert_same_as_reference(*inputs)
+
+    @pytest.mark.parametrize("windows", [[1e3], [np.inf], [5.0, 50.0, 500.0, np.inf]])
+    @pytest.mark.parametrize("policy", ["paired", "stream"])
+    def test_fixed_grids(self, policy, windows):
+        config = ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=3000, seed=21)
+        assert_same_as_reference(config, windows, run_experiment(config), policy)
+
+    # Two pairs in each of the four cells, at |dt| 1 and 2.
+    CELLS = [(1, 0, 0), (2, 0, 0), (1, 0, 1), (2, 0, 1), (1, 1, 0), (2, 1, 0), (1, 1, 1), (2, 1, 1)]
+
+    def log_with(self, extra=(), drop_cell_11=False, pid2="same"):
+        """The four cells plus ``extra`` (|dt|, i1, i2) pairs, 1e4 apart, with mixed outcomes.
+
+        ``drop_cell_11`` moves cell (1, 1) to |dt| 4; ``pid2`` replaces
+        station 2's pair ids.
+        """
+        cells = self.CELLS[:6] + [(4, 1, 1)] * 2 if drop_cell_11 else self.CELLS
+        dts, i1, i2 = (np.array(col) for col in zip(*cells, *extra))
+        n = len(dts)
+        t1 = np.arange(n) * 1e4
+        x = np.where(np.arange(n) % 3 == 0, 1, -1).astype(np.int8)
+        pid = np.arange(n)
+        return EventLog(StationStream(1, t1, i1.astype(np.int16), x, pid),
+                        StationStream(2, t1 + dts, i2.astype(np.int16), -x, pid if isinstance(pid2, str) else pid2))
+
+    @pytest.mark.parametrize(
+        "windows, log_args, message",
+        [
+            # A bad first window is reported before the missing pair ids.
+            ([-1.0, 5.0], dict(pid2=None), "window must be >= 0, got -1.0"),
+            ([np.nan], dict(pid2=None), "window must be >= 0, got nan"),
+            ([5.0], dict(pid2=None), "per-pair filtering needs pair ids"),
+            ([5.0], dict(pid2=np.arange(8)[::-1].copy()), "mismatched pair_id columns"),
+            # Nothing at the first window, an out-of-range index at the second.
+            ([0.5, 5.0], dict(extra=[(3, 2, 0)]), "cannot tabulate an empty coincidence list"),
+            ([2.0, 5.0], dict(extra=[(3, 2, 0)]), "setting index out of range"),
+            ([2.0, 5.0], dict(extra=[(3, 0, -1)]), "setting index out of range"),
+            ([2.0, 3.0, 5.0], dict(extra=[(5, 0, 7)]), "setting index out of range"),
+            # A missing cell at the first window beats a bad index at the second ...
+            ([2.0, 5.0], dict(extra=[(3, 2, 0)], drop_cell_11=True),
+             r"missing combination: no coincidences for setting pair \(1,1\)"),
+            # ... but not a bad index at the same window.
+            ([2.0, 5.0], dict(extra=[(1, 2, 0)], drop_cell_11=True), "setting index out of range"),
+        ],
+    )
+    def test_rejects_what_the_reference_rejects(self, windows, log_args, message):
+        config = ExperimentConfig(n_pairs=10, seed=0)
+        log = self.log_with(**log_args)
+        with pytest.raises(ValidationError, match=message) as new:
+            window_sweep(config, windows, log=log)
+        with pytest.raises(ValidationError) as ref:
+            sweep_reference(config, windows, log=log)
+        assert str(new.value) == str(ref.value)
+
+    def test_unknown_policy_rejected_like_the_reference(self):
+        config = ExperimentConfig(n_pairs=10, seed=0)
+        log = self.log_with()
+        with pytest.raises(ValidationError, match="unknown match policy") as new:
+            window_sweep(config, [5.0], policy="hardware", log=log)
+        with pytest.raises(ValidationError) as ref:
+            sweep_reference(config, [5.0], policy="hardware", log=log)
+        assert str(new.value) == str(ref.value)
+
+    def test_index_outside_config_that_no_window_keeps_is_never_binned(self):
+        # Binned, index 2 or -1 would land outside the histogram or in
+        # another cell; the per-window sweep never reads these pairs.
+        config = ExperimentConfig(n_pairs=10, seed=0)
+        log = self.log_with(extra=[(50, 2, 0), (60, 0, -1), (70, 300, 1)])
+        assert_same_as_reference(config, [1.0, 2.0, 10.0], log)

@@ -39,16 +39,19 @@ def test_traced_sweep_and_stream_match_record_every_matcher(tracer, tmp_path):
     out = str(tmp_path)
     with tracer.span(spans.ROOT):
         assert main(["--mode", "sweep", "--pairs", "3000", "--windows", "1:1000:log3", "--out", out]) == 0
+        # The paired sweep bins every window in one pass and calls no matcher;
+        # a single-window paired run still reaches the pair_filter hook.
+        assert main(["--mode", "mc", "--pairs", "3000", "--window", "10", "--out", out]) == 0
         assert main(["--mode", "mc", "--matcher", "stream", "--emission", "poisson:0.005", "--window", "1000",
                      "--pairs", "3000", "--out", out]) == 0
 
     assert set(missing) <= RETIRED_HOOKS
     layers = spans.layer_times(tracer.spans)
-    assert layers["coincidence.pair_filter"]["calls"] == 3
+    assert layers["coincidence.pair_filter"]["calls"] == 1
     assert layers["coincidence.stream_match"]["calls"] == 1
-    assert layers["events.run_experiment"]["calls"] == 2
-    assert tracer.generated == 6000
-    assert len(tracer.matches) == 4
+    assert layers["events.run_experiment"]["calls"] == 3
+    assert tracer.generated == 9000
+    assert len(tracer.matches) == 2
     for log, window, matched, emitted in tracer.matches:
         assert isinstance(log, EventLog)
         assert window > 0

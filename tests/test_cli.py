@@ -50,12 +50,32 @@ def test_manifest_accounts_for_every_event(tmp_path):
     paired = RunManifest.read(tmp_path / "mc.manifest.json").results
     assert main(["--mode", "reanalyze", "--tags-in", "tags", "--window", "10", "--out", out]) == 0
     stream = RunManifest.read(tmp_path / "reanalyze.manifest.json").results
-    assert (paired["policy"], stream["policy"]) == ("paired", "stream-greedy")
+    assert (paired["policy"], stream["policy"]) == ("paired", "stream")
     for results in (paired, stream):
         assert 0 < results["matched"] < 2000
         assert results["unmatched1"] == results["unmatched2"] == 2000 - results["matched"]
         assert results["coincidence_rate"] == results["matched"] / 2000
     assert paired["matched"] == stream["matched"]
+
+
+def test_sweep_manifests_account_for_every_window(tmp_path):
+    # The paired sweep (one histogram pass) and the stream sweep over the
+    # same log's tags record matched and unmatched events per window.
+    out = str(tmp_path)
+    run = ["--pairs", "2000", "--seed", "5", "--out", out]
+    assert main(["--mode", "mc", "--tags-out", "tags", *run]) == 0
+    assert main(["--mode", "sweep", "--windows", "1:1000:log5", *run]) == 0
+    paired = RunManifest.read(tmp_path / "sweep.manifest.json").results
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    rates = [float(row.split(",")[3]) for row in rows]
+    assert main(["--mode", "reanalyze", "--tags-in", "tags", "--windows", "1:1000:log5", "--out", out]) == 0
+    stream = RunManifest.read(tmp_path / "reanalyze.manifest.json").results
+    assert (paired["policy"], stream["policy"]) == ("paired", "stream")
+    assert paired["matched"] == stream["matched"]
+    assert [m / 2000 for m in paired["matched"]] == rates
+    assert 0 < paired["matched"][0] < paired["matched"][-1] == 2000
+    for results in (paired, stream):
+        assert results["unmatched1"] == results["unmatched2"] == [2000 - m for m in results["matched"]]
 
 
 @pytest.mark.filterwarnings("error")

@@ -336,6 +336,6 @@ class TestCoincidenceRate:
     def test_policy_dispatch(self):
         log = tiny_log([0.0], [0.1])
         assert len(match_events(log, 0.5, "paired")) / log.n_pairs == 1.0
-        assert len(match_events(log, 0.5, "stream-greedy")) / log.n_pairs == 1.0
+        assert len(match_events(log, 0.5, "stream")) / log.n_pairs == 1.0
         with pytest.raises(ValidationError):
             match_events(log, 0.5, "hardware")
