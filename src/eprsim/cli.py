@@ -26,8 +26,8 @@ import numpy as np
 
 from .analysis import DEFAULT_QUADRUPLE, chsh, tabulate, window_sweep
 from .coincidence import match_events
-from .errors import EprSimError, ValidationError
-from .events import EmissionSpec, ExperimentConfig, run_experiment
+from .errors import EprSimError, TagFormatError, ValidationError
+from .events import EmissionSpec, ExperimentConfig, rng_provenance, run_experiment
 from .model import ModelParams
 from .oracle import DEFAULT_QUAD, QuadratureSpec, chsh_exact, correlation_curve, mixed_correlation, singlet_correlation
 from .tagio import (
@@ -230,6 +230,7 @@ def _run_mc(args, outdir: Path) -> RunManifest:
         manifest.outputs += [str(p1), str(p2), str(side_path)]
 
     _analyze_window(log, config, config.params.window, policy, quadruple, outdir, manifest)
+    manifest.results["diagnostics"] = {"rng": rng_provenance()}
     return manifest
 
 
@@ -268,6 +269,7 @@ def _run_sweep(args, outdir: Path) -> RunManifest:
         "s_last": float(sweep.s[-1]),
         # Every emitted pair leaves one event at each station.
         **_event_accounting(sweep.matched, config.n_pairs, config.n_pairs),
+        "diagnostics": {"rng": rng_provenance()},
     }
     print(f"sweep: {len(windows)} windows {windows[0]:g}..{windows[-1]:g}, "
           f"S {sweep.s[0]:.4f} -> {sweep.s[-1]:.4f}, crossings at 2: {sweep.crossings(2.0)}")
@@ -283,7 +285,13 @@ def _run_reanalyze(args, outdir: Path) -> RunManifest:
         raise ValidationError(
             f"no manifest {side_path} next to the tag files; cannot resolve setting angles for reanalysis"
         )
-    config = config_from_dict(RunManifest.read(side_path).config)
+    try:
+        config = config_from_dict(RunManifest.read(side_path).config)
+    except ValidationError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise TagFormatError(f"{side_path}: malformed manifest: {problem}") from None
     log = read_tags(prefix, config)
     policy = _resolve_policy(args)
     quadruple = parse_angle_list(args.quadruple, expect=4) if args.quadruple else DEFAULT_QUADRUPLE

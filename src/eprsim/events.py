@@ -44,6 +44,7 @@ __all__ = [
     "run_experiment",
     "TIME_TAG_DECIMALS",
     "DRAWS_PER_PAIR",
+    "rng_provenance",
 ]
 
 # Resolution of recorded time tags, in decimal digits after the point.
@@ -76,8 +77,8 @@ class EmissionSpec:
             if self.interval is None or not (0 < self.interval < np.inf):
                 raise ValidationError(f"regular emission needs a finite interval > 0, got {self.interval}")
         elif self.mode == "poisson":
-            if self.rate is None or not (self.rate > 0):
-                raise ValidationError(f"poisson emission needs rate > 0, got {self.rate}")
+            if self.rate is None or not (0 < self.rate < np.inf):
+                raise ValidationError(f"poisson emission needs a finite rate > 0, got {self.rate}")
         else:
             raise ValidationError(f"unknown emission mode {self.mode!r}")
 
@@ -129,6 +130,17 @@ def _chunk_uniforms(seed: int, chunk: int, rows: int) -> np.ndarray:
     """Uniform variate block for pairs [chunk*CHUNK_PAIRS, +rows)."""
     bitgen = np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64))
     return np.random.Generator(bitgen).random((rows, DRAWS_PER_PAIR))
+
+
+def rng_provenance() -> dict:
+    """How a run's variates are drawn (see _chunk_uniforms), for its manifest."""
+    return {
+        "bit_generator": "Philox",
+        "key": ["seed", "chunk"],
+        "chunk_pairs": CHUNK_PAIRS,
+        "draws_per_pair": DRAWS_PER_PAIR,
+        "numpy": np.__version__,
+    }
 
 
 def _uniform_block(seed: int, start: int, count: int, out: np.ndarray) -> None:
@@ -266,12 +278,20 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> EventLog:
 
     emission_spec = config.resolved_emission()
     pid = np.arange(n, dtype=np.int64)
-    if emission_spec.mode == "regular":
-        emission = pid * emission_spec.interval
-    else:
-        # Inverse-CDF exponential inter-arrival times; cumulative sum is a
-        # fixed sequential pass, independent of the worker split above.
-        emission = np.cumsum(-np.log1p(-cols["gap"]) / emission_spec.rate)
+    with np.errstate(over="ignore"):
+        if emission_spec.mode == "regular":
+            emission = pid * emission_spec.interval
+        else:
+            # Inverse-CDF exponential inter-arrival times; cumulative sum is a
+            # fixed sequential pass, independent of the worker split above.
+            emission = np.cumsum(-np.log1p(-cols["gap"]) / emission_spec.rate)
+    # Emission times never decrease and delays are at most t0, so this bounds
+    # every tag, scaled as quantizing scales it.
+    if not np.isfinite((float(emission[-1]) + config.params.t0) * 10.0**TIME_TAG_DECIMALS):
+        raise ValidationError(
+            f"emission times overflow: the last of {n} pairs is emitted at {emission[-1]}, "
+            f"too late to tag at {TIME_TAG_DECIMALS} decimals"
+        )
 
     t1 = _quantize_times(emission + cols["delay1"])
     t2 = _quantize_times(emission + cols["delay2"])

@@ -16,6 +16,27 @@ does not need it.  Files with pair ids are read back into pair order,
 the order :func:`eprsim.events.run_experiment` returns; files without
 keep their row order.
 
+The writer builds each row's digits with integer arithmetic on whole
+blocks of tags, and its bytes equal ``f"{t:.6f}"`` for every double t.
+It splits |t| = w + f, with w = floor(|t|) and f in [0, 1); both parts
+are exact.  The six decimals are f * 10**6 rounded half to even, which
+is what ``{:.6f}`` does with the exact binary value:
+
+* For 2**14 <= |t| < 2**53, f is a multiple of 2**-38, and f * 10**6 =
+  m * 15625 * 2**-32 with m * 15625 < 2**52.  The product is therefore
+  exact, and rounding it gives the right digits even at an exact tie.
+* Below 2**14, the product can be off by at most about 6e-11, so its
+  rounding is right unless it lies within 1e-6 of a half unit.
+  Those rows are formatted by ``{:.6f}``.
+* From 2**53 up, doubles are integers and mostly too large for int64.
+  Those rows, inf and nan are formatted by ``{:.6f}`` too.
+
+(``rint(t * 10**6)`` is not exact: above 2**53 / 10**6, about 9.007e9,
+the product rounds before the digits are taken.)  The sign comes from
+the sign bit, so -0.0 writes as ``-0.000000``.  The reader hands
+everything after the two header lines to ``np.loadtxt`` in one piece.
+It splits lines in Python only on a failure, to name the bad line.
+
 Result tables (correlations, sweeps, reference curves) are plain CSV with
 floats serialized via repr, which round-trips exactly.  A JSON manifest
 records the config, seed, artifact version, timestamps, and every output
@@ -60,20 +81,106 @@ def station_path(prefix: str | Path, station: int) -> Path:
     return Path(f"{prefix}.station{station}.csv")
 
 
-def _format_station(stream: StationStream) -> str:
-    """Tag file text, rows in time order."""
-    columns = [stream.time_tag, stream.setting_index, stream.outcome]
-    names, row = _COLUMNS[1:], f"{{:.{TIME_TAG_DECIMALS}f}},{{}},{{}}\n"
-    if stream.pair_id is not None:
-        columns.insert(0, stream.pair_id)
-        names, row = _COLUMNS, "{}," + row
-    parts = [f"# {_MAGIC} {FORMAT_VERSION} station={stream.station}\n" + ",".join(names) + "\n"]
+# ASCII bytes of the tag writer; 0 marks a blank that the writer drops.
+_BLANK, _MINUS, _ZERO = 0, ord("-"), ord("0")
+_TIME_SCALE = 10**TIME_TAG_DECIMALS
+# From here up, frac(t) is a multiple of 2**-52 * _EXACT_FRACTION and
+# frac(t) * 10**6 has fewer than 53 significant bits, so it is exact.
+_EXACT_FRACTION = 2.0 ** (5**TIME_TAG_DECIMALS).bit_length()
+# From here up, doubles are integers and get {:.6f} instead of digits.
+_EXACT_INTEGER = 2.0**53
+# Below _EXACT_FRACTION, frac(t) * 10**6 is off by at most ~6e-11.
+_TIE_MARGIN = 1e-6
+
+
+def _put_int(out: np.ndarray, mag: np.ndarray, neg: np.ndarray) -> None:
+    """Write integers ``mag`` >= 0 right-aligned into the uint8 matrix ``out``.
+
+    A '-' goes just before the digits where ``neg``; the positions
+    before that are blank.
+    """
+    values = mag.astype(np.uint32 if mag.max() < 2**32 else np.int64)
+    minus = neg * np.uint32(_MINUS) if neg.any() else None
+    # The last len(str(min)) positions hold a digit in every row.
+    first_gap = out.shape[1] - len(str(int(mag.min())))
+    shown = True  # whether position k + 1 holds a digit
+    for k in range(out.shape[1] - 1, -1, -1):
+        quotient = values // 10
+        digit = values - 10 * quotient + _ZERO
+        if k < first_gap:
+            lit = values > 0
+            digit *= lit
+            if minus is not None:
+                digit += minus * (shown & ~lit)
+            shown = lit
+        out[:, k] = digit
+        values = quotient
+
+
+def _format_block(pid: np.ndarray | None, t: np.ndarray, idx: np.ndarray, outcome: np.ndarray) -> bytes:
+    """Tag file rows ``pid,t,idx,outcome`` (no pid column when ``pid`` is None).
+
+    Times are written from integer digits; the rows whose digits that
+    arithmetic cannot prove (see the module docstring) get ``{:.6f}``.
+    """
+    a = np.abs(t)
+    escape = ~(a < _EXACT_INTEGER)  # also inf and nan
+    a[escape] = 0.0
+    whole = np.floor(a)
+    scaled = (a - whole) * _TIME_SCALE
+    near_tie = np.abs(scaled - np.floor(scaled) - 0.5) < _TIE_MARGIN
+    escape |= near_tie & (a < _EXACT_FRACTION)
+    decimals = np.rint(scaled).astype(np.int64)
+    carry = decimals == _TIME_SCALE
+    whole = whole.astype(np.int64) + carry
+    # Digits "1dddddd"; the leading "1" becomes the decimal point.
+    fraction = np.where(carry, _TIME_SCALE, decimals + _TIME_SCALE)
+
+    # Each field right-aligned in its own columns of one byte matrix;
+    # blanks are 0 and dropped at the end.  A field is (magnitude,
+    # negative, separator after): [pid ,] whole .fraction , idx , outcome \n
+    ints = [c.astype(np.int64) for c in (pid, idx, outcome) if c is not None]
+    fields = [(np.abs(c), c < 0, ord(",")) for c in ints]
+    time_field = len(fields) - 2
+    fields[time_field:time_field] = [(whole, np.signbit(t), None), (fraction, np.zeros_like(carry), ord(","))]
+    fields[-1] = (*fields[-1][:2], ord("\n"))
+    widths = [len(str(int(mag.max()))) + bool(neg.any()) + (sep is not None) for mag, neg, sep in fields]
+    rows = np.empty((len(t), sum(widths)), np.uint8)
+    starts = np.cumsum([0, *widths])
+    for (mag, neg, sep), lo, hi in zip(fields, starts, starts[1:]):
+        _put_int(rows[:, lo : hi - (sep is not None)], mag, neg)
+        if sep is not None:
+            rows[:, hi - 1] = sep
+    time_lo, point, time_hi = starts[time_field : time_field + 3]
+    rows[:, point] = ord(".")
+    rows[escape, time_lo : time_hi - 1] = _BLANK
+
+    text = rows.tobytes().translate(None, bytes([_BLANK]))
+    if not escape.any():
+        return text
+    # Splice each escaped time in where its blanked field was.
+    escaped = np.nonzero(escape)[0]
+    lengths = np.count_nonzero(rows, axis=1)
+    offsets = (np.cumsum(lengths) - lengths)[escaped] + np.count_nonzero(rows[escaped, :time_lo], axis=1)
+    pieces, pos = [], 0
+    for r, offset in zip(escaped, offsets):
+        pieces += [text[pos:offset], f"{t[r]:.{TIME_TAG_DECIMALS}f}".encode()]
+        pos = offset
+    pieces.append(text[pos:])
+    return b"".join(pieces)
+
+
+def _write_station(stream: StationStream, path: Path) -> None:
+    """Write one station's tag file, rows in time order."""
+    names = _COLUMNS if stream.pair_id is not None else _COLUMNS[1:]
     order = stream.time_order()
-    # Blocks bound the Python objects alive at once to _FORMAT_ROWS rows' worth.
-    for lo in range(0, len(order), _FORMAT_ROWS):
-        rows = order[lo : lo + _FORMAT_ROWS]
-        parts.append("".join(map(row.format, *(c[rows].tolist() for c in columns))))
-    return "".join(parts)
+    with path.open("wb") as fh:
+        fh.write(f"# {_MAGIC} {FORMAT_VERSION} station={stream.station}\n{','.join(names)}\n".encode())
+        # Blocks bound the working arrays to _FORMAT_ROWS rows.
+        for lo in range(0, len(order), _FORMAT_ROWS):
+            rows = order[lo : lo + _FORMAT_ROWS]
+            pid = None if stream.pair_id is None else stream.pair_id[rows]
+            fh.write(_format_block(pid, stream.time_tag[rows], stream.setting_index[rows], stream.outcome[rows]))
 
 
 def write_tags(log: EventLog, prefix: str | Path) -> tuple[Path, Path]:
@@ -81,7 +188,7 @@ def write_tags(log: EventLog, prefix: str | Path) -> tuple[Path, Path]:
     paths = (station_path(prefix, 1), station_path(prefix, 2))
     for stream, path in zip((log.station1, log.station2), paths):
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(_format_station(stream), encoding="utf-8")
+        _write_station(stream, path)
     return paths
 
 
@@ -101,10 +208,11 @@ def _parse_station_file(path: Path, expected_station: int) -> StationStream:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise TagFormatError(f"{path}: cannot read tag file: {exc}") from exc
-    lines = text.splitlines()
-    if len(lines) < 2:
+    # Only the two header lines become strings; the body goes to loadtxt whole.
+    parts = text.split("\n", 2)
+    if len(parts) < 2 or parts[1:] == [""]:
         raise TagFormatError(f"{path}: truncated tag file (need version and header lines)")
-    head = lines[0].split()
+    head = parts[0].split()
     if len(head) < 3 or head[0] != "#" or head[1] != _MAGIC:
         raise TagFormatError(f"{path}:1: not a {_MAGIC} file")
     if head[2] != FORMAT_VERSION:
@@ -118,7 +226,7 @@ def _parse_station_file(path: Path, expected_station: int) -> StationStream:
                 raise TagFormatError(f"{path}:1: bad station token {tok!r}") from None
     if station != expected_station:
         raise TagFormatError(f"{path}:1: station {station} file given for station {expected_station}")
-    header = tuple(lines[1].strip().split(","))
+    header = tuple(parts[1].strip().split(","))
     if header == _COLUMNS:
         has_pid = True
     elif header == _COLUMNS[1:]:
@@ -127,18 +235,16 @@ def _parse_station_file(path: Path, expected_station: int) -> StationStream:
         raise TagFormatError(f"{path}:2: unexpected columns {header!r}")
     ncols = len(header)
 
-    body = lines[2:]
-    while body and not body[-1].strip():
-        body.pop()
+    body = parts[2].rstrip() if len(parts) == 3 else ""
     if not body:
         raise TagFormatError(f"{path}: no events")
     try:
-        data = np.loadtxt(io.StringIO("\n".join(body)), delimiter=",", ndmin=2)
+        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
     except ValueError:
         data = None
     if data is None or data.shape[1] != ncols:
         # Slow pass purely to produce a line-accurate diagnostic.
-        for k, line in enumerate(body, start=3):
+        for k, line in enumerate(body.splitlines(), start=3):
             fields = line.split(",")
             if len(fields) != ncols:
                 raise TagFormatError(f"{path}:{k}: expected {ncols} columns, found {len(fields)}")

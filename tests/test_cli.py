@@ -6,10 +6,14 @@ Non-finite input is a configuration error: exit status 1, no output.
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
-from eprsim.cli import main
+from eprsim import ValidationError
+from eprsim.cli import main, parse_emission
+from eprsim.events import CHUNK_PAIRS, DRAWS_PER_PAIR
 from eprsim.tagio import RunManifest
 
 SWEEP_SHA = "82c61d6f7aa64b329b4aa1399762d7c2f83efdcdc4d1e92ad4b2537416c5af64"
@@ -89,9 +93,65 @@ def test_sweep_manifests_account_for_every_window(tmp_path):
         ["--mode", "mc", "--angles1", "0deg,infrad"],
         ["--mode", "sweep", "--windows", "1:inf:log3"],
         ["--mode", "sweep", "--windows", "0:inf:lin3"],
+        ["--mode", "mc", "--emission", "regular:1e306", "--tags-out", "tags"],
+        ["--mode", "mc", "--emission", "poisson:1e-320"],
+        ["--mode", "mc", "--emission", "poisson:inf"],
     ],
 )
 def test_non_finite_input_exits_1(tmp_path, capsys, argv):
     assert main([*argv, "--pairs", "100", "--out", str(tmp_path)]) == 1
     assert "invalid configuration" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("regular", "must look like"), ("poisson:fast", "non-numeric"), ("burst:1", "unknown emission mode")],
+    ids=["missing-value", "non-numeric", "unknown-mode"],
+)
+def test_parse_emission_rejects(text, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_emission(text)
+
+
+def test_mc_and_sweep_manifests_record_rng_provenance(tmp_path):
+    out = str(tmp_path)
+    assert main(["--mode", "mc", "--pairs", "100", "--out", out]) == 0
+    assert main(["--mode", "sweep", "--pairs", "2000", "--windows", "10:1000:log3", "--out", out]) == 0
+    for mode in ("mc", "sweep"):
+        rng = RunManifest.read(tmp_path / f"{mode}.manifest.json").results["diagnostics"]["rng"]
+        assert rng == {"bit_generator": "Philox", "key": ["seed", "chunk"], "chunk_pairs": CHUNK_PAIRS,
+                       "draws_per_pair": DRAWS_PER_PAIR, "numpy": np.__version__}
+
+
+@pytest.fixture
+def side_manifest(tmp_path):
+    """Tags and their side manifest from a small mc run; returns the manifest's path."""
+    assert main(["--mode", "mc", "--pairs", "200", "--tags-out", "tags", "--out", str(tmp_path)]) == 0
+    return tmp_path / "tags.manifest.json"
+
+
+def _reanalyze(tmp_path) -> int:
+    return main(["--mode", "reanalyze", "--tags-in", "tags", "--out", str(tmp_path)])
+
+
+def test_reanalyze_with_unparsable_manifest_exits_2(side_manifest, tmp_path, capsys):
+    side_manifest.write_text("{not json", encoding="utf-8")
+    assert _reanalyze(tmp_path) == 2
+    assert "tags.manifest.json: malformed manifest" in capsys.readouterr().err
+
+
+def test_reanalyze_with_manifest_missing_a_key_exits_2(side_manifest, tmp_path, capsys):
+    manifest = json.loads(side_manifest.read_text(encoding="utf-8"))
+    del manifest["config"]["settings1"]
+    side_manifest.write_text(json.dumps(manifest), encoding="utf-8")
+    assert _reanalyze(tmp_path) == 2
+    assert "tags.manifest.json: malformed manifest: missing key 'settings1'" in capsys.readouterr().err
+
+
+def test_reanalyze_with_manifest_bad_value_exits_1(side_manifest, tmp_path, capsys):
+    manifest = json.loads(side_manifest.read_text(encoding="utf-8"))
+    manifest["config"]["params"]["t0"] = -1.0
+    side_manifest.write_text(json.dumps(manifest), encoding="utf-8")
+    assert _reanalyze(tmp_path) == 1
+    assert "t0 must be finite" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eprsim import (
     EmissionSpec,
@@ -18,7 +19,7 @@ from eprsim import (
 )
 from eprsim import tagio
 from eprsim.cli import main
-from eprsim.tagio import station_path
+from eprsim.tagio import RunManifest, config_from_dict, config_to_dict, station_path
 
 # Poisson emission interleaves pairs, so time order differs from pair order.
 POISSON = ExperimentConfig(ModelParams(4, 1000, 10), n_pairs=2000, seed=7, emission=EmissionSpec.poisson(0.005))
@@ -84,6 +85,61 @@ def test_poisson_tag_files_pinned(tmp_path, monkeypatch, block_rows):
     ]
 
 
+def _reference_rows(pid, t, idx, outcome) -> bytes:
+    """The rows as ``str.format`` writes them: the writer must match these bytes."""
+    cols = [t.tolist(), idx.tolist(), outcome.tolist()]
+    if pid is None:
+        return "".join(f"{a:.6f},{b},{c}\n" for a, b, c in zip(*cols)).encode()
+    return "".join(f"{p},{a:.6f},{b},{c}\n" for p, a, b, c in zip(pid.tolist(), *cols)).encode()
+
+
+def _step(x: float, ulps: int) -> float:
+    """``x`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.inf if ulps > 0 else -np.inf))
+    return x
+
+
+# Where the digit arithmetic changes: exact fractions from 2**14, frac * 1e6
+# above 2**53 / 1e6 (where rint(t * 1e6) stops being exact), and 2**53.
+_BOUNDARIES = st.sampled_from([2.0**14, 2.0**33, 2.0**53 / 1e6, 2.0**53])
+_near_boundary = st.builds(lambda b, off, u: _step(b + off, u), _BOUNDARIES,
+                           st.sampled_from([0.0, 0.5, -0.5, 1e-3, -1e-3, 7.25e-4]), st.integers(-3, 3))
+# Half a unit of the sixth decimal: exact when the fraction is odd/128,
+# otherwise the nearest double, where frac * 1e6 can round onto the tie.
+_dyadic_tie = st.builds(lambda n, j, u: _step(n + j / 128, u),
+                        st.integers(0, 2**20), st.integers(0, 63).map(lambda j: 2 * j + 1), st.integers(-1, 1))
+_half_unit = st.builds(lambda n, k, u: _step(n + (k + 0.5) / 1e6, u),
+                       st.integers(0, 15) | st.integers(0, 2**14), st.integers(0, 10**6 - 1), st.integers(-1, 1))
+_tag = st.one_of(_near_boundary, _dyadic_tie, _half_unit, st.floats(),
+                 st.floats(0, 2.0**-1022),  # subnormal
+                 st.floats(2.0**53, 1e300), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _blocks(draw):
+    n = draw(st.integers(1, 24))
+    t = np.array([draw(_tag) * draw(st.sampled_from([1.0, -1.0])) for _ in range(n)])
+    idx = np.array(draw(st.lists(st.integers(0, 2**15 - 1), min_size=n, max_size=n)), dtype=np.int16)
+    outcome = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)), dtype=np.int8)
+    pid = draw(st.none() | st.lists(st.integers(0, 2**53 - 1), min_size=n, max_size=n).map(np.array))
+    return pid, t, idx, outcome
+
+
+def _block(*tags):
+    n = len(tags)
+    return np.arange(n), np.array(tags), np.full(n, 2**15 - 1, np.int16), np.ones(n, np.int8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks())
+@example(_block(2.5e-06, 0.8506245, 9.3759435, 7760.9703485))  # frac * 1e6 rounds onto a tie
+@example(_block(9007199559.724163, 9007200139.631691))  # rint(t * 1e6) is off by one here
+@example(_block(-0.0, 5e-324, -2.0**53, 2.0**53 + 2, 1e300, np.inf, -np.inf, np.nan, 0.9999999995))
+def test_block_writer_matches_str_format(block):
+    assert tagio._format_block(*block) == _reference_rows(*block)
+
+
 def test_read_back_in_pair_order(tmp_path):
     log = run_experiment(POISSON)
     write_tags(log, tmp_path / "run")
@@ -105,6 +161,16 @@ def test_without_pair_ids_rows_stay_in_file_order(tag_prefix, tmp_path):
     write_tags(back, tmp_path / "again")
     for station in (1, 2):
         assert station_path(tmp_path / "again", station).read_bytes() == station_path(tmp_path / "nopid", station).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ExperimentConfig(), replace(POISSON, emission=EmissionSpec.regular(250.0)), POISSON],
+    ids=["default-emission", "regular", "poisson"],
+)
+def test_config_round_trips_through_manifest_json(config):
+    manifest = RunManifest(mode="mc", seed=config.seed, config=config_to_dict(config))
+    assert config_from_dict(RunManifest.from_json(manifest.to_json()).config) == config
 
 
 def test_header_only_files_rejected(tag_prefix):
