@@ -20,6 +20,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +184,14 @@ def _tags_prefix(args, outdir: Path, attr: str) -> Path | None:
     return prefix if prefix.is_absolute() else outdir / prefix
 
 
+@contextmanager
+def _stage(stage_s: dict, name: str):
+    """Record the wall time of the enclosed block as ``stage_s[name]``, in seconds."""
+    start = time.perf_counter()
+    yield
+    stage_s[name] = time.perf_counter() - start
+
+
 def _event_accounting(matched, events1: int, events2: int) -> dict:
     """Matched events and each station's unmatched ones, for one window or a list of windows."""
     matched = np.asarray(matched)
@@ -218,19 +228,23 @@ def _analyze_window(log, config, window, policy, quadruple, outdir: Path, manife
 def _run_mc(args, outdir: Path) -> RunManifest:
     config, quadruple = _build_config(args)
     policy = _resolve_policy(args)
-    log = run_experiment(config, n_workers=args.workers)
+    stage_s = {}
+    with _stage(stage_s, "generate"):
+        log = run_experiment(config, n_workers=args.workers)
     manifest = RunManifest(mode="mc", seed=config.seed, config=config_to_dict(config))
 
     tags_prefix = _tags_prefix(args, outdir, "tags_out")
     if tags_prefix is not None:
-        p1, p2 = write_tags(log, tags_prefix)
+        with _stage(stage_s, "write_tags"):
+            p1, p2 = write_tags(log, tags_prefix)
         side = RunManifest(mode="tags", seed=config.seed, config=config_to_dict(config),
                            outputs=[p1.name, p2.name])
         side_path = side.write(Path(f"{tags_prefix}.manifest.json"))
         manifest.outputs += [str(p1), str(p2), str(side_path)]
 
-    _analyze_window(log, config, config.params.window, policy, quadruple, outdir, manifest)
-    manifest.results["diagnostics"] = {"rng": rng_provenance()}
+    with _stage(stage_s, "analyze"):
+        _analyze_window(log, config, config.params.window, policy, quadruple, outdir, manifest)
+    manifest.results["diagnostics"] = {"rng": rng_provenance(), "stage_s": stage_s}
     return manifest
 
 
@@ -258,8 +272,12 @@ def _run_sweep(args, outdir: Path) -> RunManifest:
     config, quadruple = _build_config(args)
     windows = parse_windows(args.windows or "1:1000:log20")
     policy = _resolve_policy(args)
-    sweep = window_sweep(config, windows, quadruple=quadruple, policy=policy, n_workers=args.workers)
-    csv_path = write_sweep_csv(outdir / "sweep.csv", sweep)
+    stage_s = {}
+    with _stage(stage_s, "generate"):
+        log = run_experiment(config, n_workers=args.workers)
+    with _stage(stage_s, "analyze"):
+        sweep = window_sweep(config, windows, quadruple=quadruple, policy=policy, log=log)
+        csv_path = write_sweep_csv(outdir / "sweep.csv", sweep)
     manifest = RunManifest(mode="sweep", seed=config.seed, config=config_to_dict(config))
     manifest.outputs.append(str(csv_path))
     manifest.results = {
@@ -269,7 +287,7 @@ def _run_sweep(args, outdir: Path) -> RunManifest:
         "s_last": float(sweep.s[-1]),
         # Every emitted pair leaves one event at each station.
         **_event_accounting(sweep.matched, config.n_pairs, config.n_pairs),
-        "diagnostics": {"rng": rng_provenance()},
+        "diagnostics": {"rng": rng_provenance(), "stage_s": stage_s},
     }
     print(f"sweep: {len(windows)} windows {windows[0]:g}..{windows[-1]:g}, "
           f"S {sweep.s[0]:.4f} -> {sweep.s[-1]:.4f}, crossings at 2: {sweep.crossings(2.0)}")
@@ -292,20 +310,25 @@ def _run_reanalyze(args, outdir: Path) -> RunManifest:
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise TagFormatError(f"{side_path}: malformed manifest: {problem}") from None
-    log = read_tags(prefix, config)
+    stage_s = {}
+    with _stage(stage_s, "read_tags"):
+        log = read_tags(prefix, config)
     policy = _resolve_policy(args)
     quadruple = parse_angle_list(args.quadruple, expect=4) if args.quadruple else DEFAULT_QUADRUPLE
     manifest = RunManifest(mode="reanalyze", seed=config.seed, config=config_to_dict(config))
     if args.windows:
         windows = parse_windows(args.windows)
-        sweep = window_sweep(config, windows, quadruple=quadruple, policy=policy, log=log)
-        csv_path = write_sweep_csv(outdir / "sweep.csv", sweep)
+        with _stage(stage_s, "analyze"):
+            sweep = window_sweep(config, windows, quadruple=quadruple, policy=policy, log=log)
+            csv_path = write_sweep_csv(outdir / "sweep.csv", sweep)
         manifest.outputs.append(str(csv_path))
         manifest.results = {"policy": policy, "crossings_at_2": sweep.crossings(2.0),
                             **_event_accounting(sweep.matched, len(log.station1), len(log.station2))}
         print(f"reanalyze: sweep over {len(windows)} windows, crossings at 2: {sweep.crossings(2.0)}")
     else:
-        _analyze_window(log, config, args.window, policy, quadruple, outdir, manifest)
+        with _stage(stage_s, "analyze"):
+            _analyze_window(log, config, args.window, policy, quadruple, outdir, manifest)
+    manifest.results["diagnostics"] = {"stage_s": stage_s}
     return manifest
 
 

@@ -12,6 +12,9 @@ variates taken from a counter-based generator keyed by ``(seed,
 chunk_index)``, where pairs are grouped in fixed-size chunks.  The variates
 a pair sees therefore depend only on ``(seed, pair_id)``, never on
 generation order, so runs are reproducible bit-for-bit for any worker count.
+Each worker holds one chunk of variates at a time and turns it into that
+chunk's slice of the output columns, so the variates in memory do not grow
+with ``n_pairs``.
 
 A run is stored in pair order: row k of both station streams is pair k,
 and the two streams share one ``pair_id`` array.  Consumers that need
@@ -28,6 +31,7 @@ round-tripped files are identical.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -143,18 +147,6 @@ def rng_provenance() -> dict:
     }
 
 
-def _uniform_block(seed: int, start: int, count: int, out: np.ndarray) -> None:
-    """Fill ``out`` with the variates of pairs [start, start + count)."""
-    pos = 0
-    pid = start
-    while pos < count:
-        chunk, row = divmod(pid, CHUNK_PAIRS)
-        take = min(CHUNK_PAIRS - row, count - pos)
-        out[pos : pos + take] = _chunk_uniforms(seed, chunk, row + take)[row:]
-        pos += take
-        pid += take
-
-
 @dataclass(eq=False)
 class StationStream:
     """All events of one station.
@@ -211,32 +203,32 @@ class EventLog:
         return self.station1 == other.station1 and self.station2 == other.station2
 
 
-def _quantize_times(t: np.ndarray) -> np.ndarray:
-    return np.round(t, TIME_TAG_DECIMALS)
-
-
 def _generate_columns(config: ExperimentConfig, start: int, count: int, cols: dict) -> None:
-    """Compute raw per-pair columns for pairs [start, start + count)."""
-    u = np.empty((count, DRAWS_PER_PAIR))
-    _uniform_block(config.seed, start, count, u)
+    """Compute raw per-pair columns for pairs [start, start + count), one chunk at a time."""
     params = config.params
     a1 = np.asarray(config.settings1)
     a2 = np.asarray(config.settings2)
     k1, k2 = len(a1), len(a2)
-    sl = slice(start, start + count)
+    pid, stop = start, start + count
+    while pid < stop:
+        chunk, row = divmod(pid, CHUNK_PAIRS)
+        take = min(CHUNK_PAIRS - row, stop - pid)
+        u = _chunk_uniforms(config.seed, chunk, row + take)[row:]
+        sl = slice(pid, pid + take)
+        pid += take
 
-    idx1 = np.minimum((u[:, _COL_SET1] * k1).astype(np.int64), k1 - 1)
-    idx2 = np.minimum((u[:, _COL_SET2] * k2).astype(np.int64), k2 - 1)
-    s1 = hidden_from_uniform(u[:, _COL_HIDDEN])
-    zeta1, zeta2 = misalignments(a1[idx1], a2[idx2], s1)
+        idx1 = np.minimum((u[:, _COL_SET1] * k1).astype(np.int64), k1 - 1)
+        idx2 = np.minimum((u[:, _COL_SET2] * k2).astype(np.int64), k2 - 1)
+        s1 = hidden_from_uniform(u[:, _COL_HIDDEN])
+        zeta1, zeta2 = misalignments(a1[idx1], a2[idx2], s1)
 
-    cols["idx1"][sl] = idx1
-    cols["idx2"][sl] = idx2
-    cols["x1"][sl] = outcome_from_uniform(u[:, _COL_OUT1], zeta1)
-    cols["x2"][sl] = outcome_from_uniform(u[:, _COL_OUT2], zeta2)
-    cols["delay1"][sl] = delay_from_uniform(u[:, _COL_DELAY1], zeta1, params)
-    cols["delay2"][sl] = delay_from_uniform(u[:, _COL_DELAY2], zeta2, params)
-    cols["gap"][sl] = u[:, _COL_EMIT]
+        cols["idx1"][sl] = idx1
+        cols["idx2"][sl] = idx2
+        cols["x1"][sl] = outcome_from_uniform(u[:, _COL_OUT1], zeta1)
+        cols["x2"][sl] = outcome_from_uniform(u[:, _COL_OUT2], zeta2)
+        cols["delay1"][sl] = delay_from_uniform(u[:, _COL_DELAY1], zeta1, params)
+        cols["delay2"][sl] = delay_from_uniform(u[:, _COL_DELAY2], zeta2, params)
+        cols["gap"][sl] = u[:, _COL_EMIT]
 
 
 def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> EventLog:
@@ -267,11 +259,14 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> EventLog:
         start = c0 * CHUNK_PAIRS
         stop = min(n, (c0 + chunks_per_task) * CHUNK_PAIRS)
         tasks.append((start, stop - start))
-    if n_workers == 1 or len(tasks) == 1:
+    # Results do not depend on the split, so the pool needs no more threads
+    # than there are CPUs to run them.
+    threads = min(len(tasks), os.cpu_count() or 1)
+    if threads == 1:
         for start, count in tasks:
             _generate_columns(config, start, count, cols)
     else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(_generate_columns, config, start, count, cols) for start, count in tasks]
             for f in futures:
                 f.result()
@@ -293,11 +288,13 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> EventLog:
             f"too late to tag at {TIME_TAG_DECIMALS} decimals"
         )
 
-    t1 = _quantize_times(emission + cols["delay1"])
-    t2 = _quantize_times(emission + cols["delay2"])
+    # Tag = emission + delay, quantized, computed in place in the delay columns.
+    for t in (cols["delay1"], cols["delay2"]):
+        np.add(emission, t, out=t)
+        np.round(t, TIME_TAG_DECIMALS, out=t)
 
     return EventLog(
-        station1=StationStream(1, t1, cols["idx1"], cols["x1"], pid),
-        station2=StationStream(2, t2, cols["idx2"], cols["x2"], pid),
+        station1=StationStream(1, cols["delay1"], cols["idx1"], cols["x1"], pid),
+        station2=StationStream(2, cols["delay2"], cols["idx2"], cols["x2"], pid),
         config=config,
     )

@@ -124,6 +124,22 @@ def test_mc_and_sweep_manifests_record_rng_provenance(tmp_path):
                        "draws_per_pair": DRAWS_PER_PAIR, "numpy": np.__version__}
 
 
+def test_manifests_record_stage_wall_times(tmp_path):
+    out = str(tmp_path)
+    runs = [
+        ("mc", ["--pairs", "2000"], {"generate", "analyze"}),
+        ("mc", ["--pairs", "2000", "--tags-out", "tags"], {"generate", "write_tags", "analyze"}),
+        ("sweep", ["--pairs", "2000", "--windows", "10:1000:log3"], {"generate", "analyze"}),
+        ("reanalyze", ["--tags-in", "tags"], {"read_tags", "analyze"}),
+        ("reanalyze", ["--tags-in", "tags", "--windows", "10:1000:log3"], {"read_tags", "analyze"}),
+    ]
+    for mode, argv, stages in runs:
+        assert main(["--mode", mode, *argv, "--out", out]) == 0
+        stage_s = RunManifest.read(tmp_path / f"{mode}.manifest.json").results["diagnostics"]["stage_s"]
+        assert set(stage_s) == stages
+        assert all(isinstance(v, float) and np.isfinite(v) and v >= 0 for v in stage_s.values())
+
+
 @pytest.fixture
 def side_manifest(tmp_path):
     """Tags and their side manifest from a small mc run; returns the manifest's path."""

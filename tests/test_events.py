@@ -1,5 +1,8 @@
 """Event-generation tests: determinism, stream structure, statistics."""
 
+import hashlib
+import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +19,8 @@ from eprsim import (
     run_experiment,
     write_tags,
 )
-from eprsim.events import CHUNK_PAIRS, DRAWS_PER_PAIR, TIME_TAG_DECIMALS, _generate_columns, _uniform_block
+import eprsim.events
+from eprsim.events import CHUNK_PAIRS, TIME_TAG_DECIMALS, _chunk_uniforms, _generate_columns
 from eprsim.model import hidden_from_uniform
 
 
@@ -45,9 +49,18 @@ def pair_columns(cfg, pid):
 
 def hidden_angle(seed, pid):
     """The hidden angle s1 that pair ``pid`` draws."""
-    u = np.empty((1, DRAWS_PER_PAIR))
-    _uniform_block(seed, pid, 1, u)
-    return float(hidden_from_uniform(u[0, 0]))
+    u = _chunk_uniforms(seed, pid // CHUNK_PAIRS, pid % CHUNK_PAIRS + 1)[-1]
+    return float(hidden_from_uniform(u[0]))
+
+
+def log_digest(log):
+    """sha256 of both stations' time tags, setting indices, outcomes and pair ids."""
+    h = hashlib.sha256()
+    for s in (log.station1, log.station2):
+        for col, dtype in ((s.time_tag, "<f8"), (s.setting_index, "<i2"), (s.outcome, "i1"), (s.pair_id, "<i8")):
+            assert col.dtype == np.dtype(dtype)
+            h.update(col.tobytes())
+    return h.hexdigest()
 
 
 class TestConfigValidation:
@@ -144,6 +157,49 @@ class TestRunExperiment:
     def test_worker_count_invariance(self, workers):
         cfg = small_config(n_pairs=3 * CHUNK_PAIRS + 17)
         assert run_experiment(cfg, n_workers=1) == run_experiment(cfg, n_workers=workers)
+
+    # Event logs pinned by sha256: any change to the variates, the kernels,
+    # the worker split or the tag arithmetic moves a digest.
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_regular_log_pinned(self, workers):
+        log = run_experiment(small_config(n_pairs=3 * CHUNK_PAIRS + 17), n_workers=workers)
+        assert log_digest(log) == "d64337026287992ca0bb3afce7518519244b1c5dd934d6993b88c8fbdaa2acfd"
+
+    def test_poisson_log_pinned(self):
+        log = run_experiment(small_config(n_pairs=50_000, emission=EmissionSpec.poisson(0.005)), n_workers=2)
+        assert log_digest(log) == "b00745a177a251573bc38d91540806424f54a6d0509f307f4b7c7f4fe62d84bb"
+
+    def test_single_pair_log_pinned(self):
+        log = run_experiment(small_config(n_pairs=1))
+        assert log_digest(log) == "c6e190404d1a346ea1ff7081aa6343086931c9860ba06fea39912e3a6f095e46"
+
+    def test_peak_memory_per_pair(self):
+        # One chunk of variates per worker, not an n_pairs x 8 matrix.  The
+        # log's own columns are 30 bytes per pair.
+        cfg = small_config(n_pairs=200_000)
+        run_experiment(small_config(n_pairs=10))  # first-call allocations are not per pair
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, n_workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / cfg.n_pairs < 80
+
+    @pytest.mark.parametrize("cpus, threads", [(4, 4), (None, 1), (64, 10)])
+    def test_pool_sized_by_cpus_not_workers(self, monkeypatch, cpus, threads):
+        sizes = []
+
+        class Recorder(eprsim.events.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(eprsim.events, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = small_config(n_pairs=10 * CHUNK_PAIRS)
+        assert run_experiment(cfg, n_workers=64) == run_experiment(cfg)
+        assert sizes == ([threads] if threads > 1 else [])
 
     def test_any_pair_rebuilds_in_isolation(self):
         # Pair pid generated alone equals row pid of the whole run, setting

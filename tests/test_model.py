@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from eprsim import ExperimentConfig, ModelParams, ValidationError
-from eprsim.events import DRAWS_PER_PAIR, _generate_columns, _uniform_block
+from eprsim.events import CHUNK_PAIRS, _chunk_uniforms, _generate_columns
 from eprsim.model import (
     delay_from_uniform,
     delay_timescale,
@@ -147,10 +147,9 @@ class TestHiddenPair:
         # puts both at zero misalignment, so both give +1 with zero delay.
         p = ModelParams(d=4.0, t0=1.0, window=0.1)
         n = 500
-        u = np.empty((1, DRAWS_PER_PAIR))
         for pid in range(n):
-            _uniform_block(7, pid, 1, u)
-            s1 = float(hidden_from_uniform(u[0, 0]))
+            u = _chunk_uniforms(7, pid // CHUNK_PAIRS, pid % CHUNK_PAIRS + 1)[-1]
+            s1 = float(hidden_from_uniform(u[0]))
             cfg = ExperimentConfig(params=p, settings1=(s1,), settings2=(s1 + 0.5 * np.pi,), n_pairs=n, seed=7)
             cols = {name: np.zeros(n) for name in ("idx1", "idx2", "x1", "x2", "delay1", "delay2", "gap")}
             _generate_columns(cfg, pid, 1, cols)
