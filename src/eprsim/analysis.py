@@ -1,7 +1,7 @@
 """Correlation estimates, CHSH statistics, and window sweeps.
 
 Counting statistics over post-selected coincidences: for every pair of
-setting indices the four outcome combinations are tallied, the
+settings the four outcome combinations are tallied, the
 correlation is E = (N++ + N-- - N+- - N-+) / N, and its standard error is
 the binomial plug-in sqrt((1 - E**2) / N).
 """
@@ -15,7 +15,7 @@ import numpy as np
 
 from .coincidence import Coincidences, MatchPolicy, match_events, pair_window_index
 from .errors import ValidationError
-from .events import EventLog, ExperimentConfig, run_experiment
+from .events import EventLog, ExperimentConfig, run_experiment  # noqa: F401  perfbench/spans.py hooks it here
 from .model import normalize_angle
 
 __all__ = [
@@ -45,13 +45,13 @@ class CorrelationTable:
 
     ``counts[i, j, p, q]`` counts coincidences with station settings
     (i, j) and outcomes (x1, x2), where axis index 0 encodes +1 and
-    1 encodes -1.  Setting angle lists are optional; they are unknown for
-    tag files read without a manifest.
+    1 encodes -1.  ``settings1[i]`` and ``settings2[j]`` are the angles
+    that label the axes; ``chsh`` finds its quadruple among them.
     """
 
     counts: np.ndarray
-    settings1: tuple[float, ...] | None = None
-    settings2: tuple[float, ...] | None = None
+    settings1: tuple[float, ...]
+    settings2: tuple[float, ...]
 
     @property
     def n_total(self) -> np.ndarray:
@@ -85,40 +85,33 @@ _OUT_OF_RANGE = "setting index out of range for the supplied config"
 
 
 def _outside(index: np.ndarray, n: int) -> np.ndarray:
-    """Which setting indices fall outside a list of ``n`` settings."""
+    """Which setting index values fall outside a list of ``n`` settings."""
     return (index < 0) | (index >= n)
 
 
 def _cell_codes(log: EventLog, rows1, rows2, i1: np.ndarray, i2: np.ndarray, n2: int) -> np.ndarray:
-    """Flat (n1, n2, 2, 2) table cell of each coincidence, given its setting indices."""
+    """Flat (n1, n2, 2, 2) table cell of each coincidence, given its two setting index arrays."""
     o1 = (log.station1.outcome[rows1] < 0).astype(np.int64)  # +1 -> 0, -1 -> 1
     o2 = (log.station2.outcome[rows2] < 0).astype(np.int64)
     return ((i1 * n2 + i2) * 2 + o1) * 2 + o2
 
 
-def tabulate(coincidences: Coincidences, config: ExperimentConfig | None = None) -> CorrelationTable:
-    """Tally coincidences into a correlation table.
+def tabulate(coincidences: Coincidences, config: ExperimentConfig) -> CorrelationTable:
+    """Tally coincidences into a table sized and labelled by ``config``'s settings.
 
     Settings and outcomes are read from the log through the selection's
-    rows.  Setting-list sizes and angles come from ``config`` when given;
-    otherwise sizes are inferred from the largest index present and the
-    angles are left unknown.
+    rows.  A setting index outside ``config``'s lists is an error.
     """
     if len(coincidences) == 0:
         raise ValidationError(_EMPTY)
     log, r1, r2 = coincidences.log, coincidences.rows1, coincidences.rows2
     i1 = log.station1.setting_index[r1].astype(np.int64)
     i2 = log.station2.setting_index[r2].astype(np.int64)
-    if config is not None:
-        n1, n2 = len(config.settings1), len(config.settings2)
-        settings1, settings2 = config.settings1, config.settings2
-        if _outside(i1, n1).any() or _outside(i2, n2).any():
-            raise ValidationError(_OUT_OF_RANGE)
-    else:
-        n1, n2 = int(i1.max()) + 1, int(i2.max()) + 1
-        settings1 = settings2 = None
+    n1, n2 = len(config.settings1), len(config.settings2)
+    if _outside(i1, n1).any() or _outside(i2, n2).any():
+        raise ValidationError(_OUT_OF_RANGE)
     counts = np.bincount(_cell_codes(log, r1, r2, i1, i2, n2), minlength=n1 * n2 * 4).reshape(n1, n2, 2, 2)
-    return CorrelationTable(counts=counts, settings1=settings1, settings2=settings2)
+    return CorrelationTable(counts=counts, settings1=config.settings1, settings2=config.settings2)
 
 
 @dataclass(frozen=True)
@@ -141,32 +134,20 @@ def _find_setting(angle: float, settings: tuple[float, ...], station: int) -> in
     raise ValidationError(f"missing combination: angle {angle!r} not among station-{station} settings {settings}")
 
 
-def chsh(
-    table: CorrelationTable,
-    quadruple: tuple[float, float, float, float] = DEFAULT_QUADRUPLE,
-    indices: tuple[int, int, int, int] | None = None,
-) -> ChshResult:
+def chsh(table: CorrelationTable, quadruple: tuple[float, float, float, float] = DEFAULT_QUADRUPLE) -> ChshResult:
     """CHSH statistic from a correlation table.
 
-    ``quadruple`` is the angle set (a, a', b, b'); the four correlations
-    E(a,b), E(a,b'), E(a',b), E(a',b') must all be present in the table.
-    Pass ``indices`` (ia, iap, ib, ibp) instead when the table has no
-    angle labels.
+    ``quadruple`` is the angle set (a, a', b, b'), found (mod pi) among
+    the table's setting angles; the four correlations E(a,b), E(a,b'),
+    E(a',b), E(a',b') must all have coincidences.
     """
-    if indices is None:
-        if table.settings1 is None or table.settings2 is None:
-            raise ValidationError("table has no setting angles; pass explicit indices")
-        a, ap, b, bp = quadruple
-        ia, iap = _find_setting(a, table.settings1, 1), _find_setting(ap, table.settings1, 1)
-        ib, ibp = _find_setting(b, table.settings2, 2), _find_setting(bp, table.settings2, 2)
-    else:
-        ia, iap, ib, ibp = indices
+    a, ap, b, bp = quadruple
+    ia, iap = _find_setting(a, table.settings1, 1), _find_setting(ap, table.settings1, 1)
+    ib, ibp = _find_setting(b, table.settings2, 2), _find_setting(bp, table.settings2, 2)
     e = table.correlation
     se = table.stderr
     cells = [(ia, ib), (ia, ibp), (iap, ib), (iap, ibp)]
     for i, j in cells:
-        if not (0 <= i < e.shape[0] and 0 <= j < e.shape[1]):
-            raise ValidationError(f"missing combination: setting pair ({i},{j}) outside table")
         if table.n_total[i, j] == 0:
             raise ValidationError(f"missing combination: no coincidences for setting pair ({i},{j})")
     vals = [float(e[i, j]) for i, j in cells]
@@ -234,15 +215,14 @@ def window_sweep(
     windows,
     quadruple: tuple[float, float, float, float] = DEFAULT_QUADRUPLE,
     policy: MatchPolicy = "paired",
-    n_workers: int = 1,
-    log: EventLog | None = None,
+    *,
+    log: EventLog,
 ) -> SweepResult:
-    """S(W) over a window grid.
+    """S(W) of one event log over a window grid.
 
-    One event log is generated (delays do not depend on the window) and
-    every window is analyzed on it, which gives a smooth
-    correlated-sample curve; for independent error bars, run one sweep per
-    seed.  An existing ``log`` can be supplied to re-analyze stored data.
+    Every window is analyzed on the same ``log``, generated or read from
+    tags, which gives a smooth correlated-sample curve; for independent
+    error bars, sweep one log per seed.
     Policy ``"paired"`` reads every window's table from one histogram
     pass over the log; ``"stream"`` matches the streams once per window.
     Either way the tables, and any error, are those of
@@ -253,8 +233,6 @@ def window_sweep(
         raise ValidationError("windows must be a non-empty 1-D sequence")
     if not np.all(windows[1:] > windows[:-1]):  # "not >" so that a NaN or a repeated inf fails too
         raise ValidationError("window values must be strictly increasing")
-    if log is None:
-        log = run_experiment(config, n_workers=n_workers)
     if policy == "paired":
         tables = _paired_tables(log, windows, config)
     else:

@@ -2,12 +2,16 @@
 
 Four batch modes:
 
-* ``mc``         run the event simulation, select coincidences at one
-                 window, write a correlation table and CHSH estimate
+* ``mc``         run the event simulation and analyze its coincidences
 * ``oracle``     write exact model curves E(delta) next to the singlet
                  and mixed quantum references
-* ``sweep``      Monte Carlo S(W) over a window grid
-* ``reanalyze``  redo coincidence analysis from stored time-tag files
+* ``sweep``      ``mc`` over a window grid, by default 1:1000:log20
+* ``reanalyze``  redo the analysis from stored time-tag files
+
+``mc``, ``sweep`` and ``reanalyze`` share one analysis.  It runs on the
+``--windows`` grid if given, else on the default grid for ``sweep``, else
+at the single ``--window``.  One window writes ``correlations.csv`` and
+records S; a grid writes ``sweep.csv`` and records S at its ends.
 
 Angles must carry an explicit unit suffix (``22.5deg`` or ``0.3927rad``);
 window grids are ``min:max:logN`` or ``min:max:linN`` in the same time
@@ -29,7 +33,7 @@ import numpy as np
 from .analysis import DEFAULT_QUADRUPLE, chsh, tabulate, window_sweep
 from .coincidence import match_events
 from .errors import EprSimError, TagFormatError, ValidationError
-from .events import EmissionSpec, ExperimentConfig, rng_provenance, run_experiment
+from .events import EmissionSpec, EventLog, ExperimentConfig, rng_provenance, run_experiment
 from .model import ModelParams
 from .oracle import DEFAULT_QUAD, QuadratureSpec, chsh_exact, correlation_curve, mixed_correlation, singlet_correlation
 from .tagio import (
@@ -129,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float, default=4.0, help="delay-timescale exponent (default 4)")
     p.add_argument("--t0", type=float, default=1000.0, help="maximum delay timescale in ns (default 1000)")
     p.add_argument("--window", type=float, default=10.0, help="coincidence window in ns (default 10)")
-    p.add_argument("--windows", type=str, default=None, help="window grid min:max:logN|linN (sweep/reanalyze)")
+    p.add_argument("--windows", type=str, default=None,
+                   help="window grid min:max:logN|linN (default: --window, or 1:1000:log20 for sweep)")
     p.add_argument("--pairs", type=int, default=10**6, help="number of emitted pairs (default 1e6)")
     p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
     p.add_argument("--angles1", type=str, default=None, help="station-1 settings, e.g. '0deg,45deg'")
@@ -145,22 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _resolve_outdir(args) -> Path:
-    out = args.out or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _resolve_policy(args) -> str:
-    return args.matcher or ("stream" if args.mode == "reanalyze" else "paired")
+def _parse_quadruple(args) -> tuple[float, float, float, float]:
+    return parse_angle_list(args.quadruple, expect=4) if args.quadruple else DEFAULT_QUADRUPLE
 
 
 def _build_config(args) -> tuple[ExperimentConfig, tuple[float, float, float, float]]:
     if args.pairs < 1:
         raise ValidationError(f"--pairs must be >= 1, got {args.pairs}")
     params = ModelParams(d=args.d, t0=args.t0, window=args.window)
-    quadruple = parse_angle_list(args.quadruple, expect=4) if args.quadruple else DEFAULT_QUADRUPLE
+    quadruple = _parse_quadruple(args)
     a, ap, b, bp = quadruple
     settings1 = parse_angle_list(args.angles1) if args.angles1 else (a, ap)
     settings2 = parse_angle_list(args.angles2) if args.angles2 else (b, bp)
@@ -176,14 +174,6 @@ def _build_config(args) -> tuple[ExperimentConfig, tuple[float, float, float, fl
     return config, quadruple
 
 
-def _tags_prefix(args, outdir: Path, attr: str) -> Path | None:
-    raw = getattr(args, attr)
-    if raw is None:
-        return None
-    prefix = Path(raw)
-    return prefix if prefix.is_absolute() else outdir / prefix
-
-
 @contextmanager
 def _stage(stage_s: dict, name: str):
     """Record the wall time of the enclosed block as ``stage_s[name]``, in seconds."""
@@ -192,59 +182,101 @@ def _stage(stage_s: dict, name: str):
     stage_s[name] = time.perf_counter() - start
 
 
-def _event_accounting(matched, events1: int, events2: int) -> dict:
-    """Matched events and each station's unmatched ones, for one window or a list of windows."""
-    matched = np.asarray(matched)
-    return {"matched": matched.tolist(), "unmatched1": (events1 - matched).tolist(),
-            "unmatched2": (events2 - matched).tolist()}
-
-
-def _analyze_window(log, config, window, policy, quadruple, outdir: Path, manifest: RunManifest) -> None:
-    """Match at one window, write the correlation table, record S and event counts in ``manifest``."""
-    coinc = match_events(log, window, policy)
-    table = tabulate(coinc, config)
-    result = chsh(table, quadruple)
-    manifest.outputs.append(str(write_correlation_csv(outdir / "correlations.csv", table)))
-    matched = len(coinc)
-    rate = matched / log.n_pairs
-    manifest.results = {
-        "policy": policy,
-        "window": window,
-        "coincidence_rate": rate,
-        **_event_accounting(matched, len(log.station1), len(log.station2)),
-        "s": result.s,
-        "s_stderr": result.stderr,
-        "correlations": {
-            "e_ab": result.e_ab,
-            "e_abp": result.e_abp,
-            "e_apb": result.e_apb,
-            "e_apbp": result.e_apbp,
-        },
-    }
-    print(f"{manifest.mode}: n_pairs={log.n_pairs} window={window} rate={rate:.6f}")
-    print(f"{manifest.mode}: S = {result.s:.6f} +- {result.stderr:.6f}")
-
-
-def _run_mc(args, outdir: Path) -> RunManifest:
-    config, quadruple = _build_config(args)
-    policy = _resolve_policy(args)
-    stage_s = {}
+def _generate(args, config: ExperimentConfig, outdir: Path, stage_s: dict) -> tuple[EventLog, list[str]]:
+    """Generate the log; with ``--tags-out`` also write its tags and their side manifest."""
     with _stage(stage_s, "generate"):
         log = run_experiment(config, n_workers=args.workers)
-    manifest = RunManifest(mode="mc", seed=config.seed, config=config_to_dict(config))
+    if args.tags_out is None:
+        return log, []
+    tags_prefix = outdir / args.tags_out  # an absolute prefix replaces outdir
+    with _stage(stage_s, "write_tags"):
+        p1, p2 = write_tags(log, tags_prefix)
+    side = RunManifest(mode="tags", seed=config.seed, config=config_to_dict(config),
+                       outputs=[p1.name, p2.name], results={"rng": rng_provenance()})
+    side_path = side.write(Path(f"{tags_prefix}.manifest.json"))
+    return log, [str(p1), str(p2), str(side_path)]
 
-    tags_prefix = _tags_prefix(args, outdir, "tags_out")
-    if tags_prefix is not None:
-        with _stage(stage_s, "write_tags"):
-            p1, p2 = write_tags(log, tags_prefix)
-        side = RunManifest(mode="tags", seed=config.seed, config=config_to_dict(config),
-                           outputs=[p1.name, p2.name])
-        side_path = side.write(Path(f"{tags_prefix}.manifest.json"))
-        manifest.outputs += [str(p1), str(p2), str(side_path)]
 
-    with _stage(stage_s, "analyze"):
-        _analyze_window(log, config, config.params.window, policy, quadruple, outdir, manifest)
-    manifest.results["diagnostics"] = {"rng": rng_provenance(), "stage_s": stage_s}
+def _read_source(args, outdir: Path, stage_s: dict) -> tuple[EventLog, ExperimentConfig, dict | None]:
+    """The log read from ``--tags-in``, with the config and RNG provenance (or None) of its side manifest."""
+    if not args.tags_in:
+        raise ValidationError("reanalyze mode requires --tags-in <prefix>")
+    prefix = outdir / args.tags_in
+    side_path = Path(f"{prefix}.manifest.json")
+    if not side_path.exists():
+        raise ValidationError(
+            f"no manifest {side_path} next to the tag files; cannot resolve setting angles for reanalysis"
+        )
+    try:
+        side = RunManifest.read(side_path)
+        config = config_from_dict(side.config)
+        rng = side.results.get("rng")
+    except ValidationError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSONDecodeError is a ValueError
+        problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise TagFormatError(f"{side_path}: malformed manifest: {problem}") from None
+    with _stage(stage_s, "read_tags"):
+        log = read_tags(prefix, config)
+    return log, config, rng
+
+
+def _analyze(log, config, windows, policy, quadruple, outdir: Path, manifest: RunManifest, diagnostics: dict) -> None:
+    """Select coincidences at ``windows``, write the result CSV and build ``manifest.results``.
+
+    One window (a float) writes ``correlations.csv`` and records S with its
+    four correlations; a grid writes ``sweep.csv`` and records S at its ends
+    and where it crosses 2.  Both record matched and unmatched events, and
+    ``diagnostics`` with the ``analyze`` stage added.
+    """
+    with _stage(diagnostics["stage_s"], "analyze"):
+        if np.ndim(windows) == 0:
+            coinc = match_events(log, windows, policy)
+            table = tabulate(coinc, config)
+            result = chsh(table, quadruple)
+            csv_path = write_correlation_csv(outdir / "correlations.csv", table)
+            matched = len(coinc)
+            rate = matched / log.n_pairs
+            summary = {"window": windows, "coincidence_rate": rate, "s": result.s, "s_stderr": result.stderr,
+                       "correlations": {"e_ab": result.e_ab, "e_abp": result.e_abp,
+                                        "e_apb": result.e_apb, "e_apbp": result.e_apbp}}
+            print(f"{manifest.mode}: n_pairs={log.n_pairs} window={windows} rate={rate:.6f}")
+            print(f"{manifest.mode}: S = {result.s:.6f} +- {result.stderr:.6f}")
+        else:
+            sweep = window_sweep(config, windows, quadruple=quadruple, policy=policy, log=log)
+            csv_path = write_sweep_csv(outdir / "sweep.csv", sweep)
+            matched = sweep.matched
+            crossings = sweep.crossings(2.0)
+            summary = {"crossings_at_2": crossings, "s_first": float(sweep.s[0]), "s_last": float(sweep.s[-1])}
+            print(f"{manifest.mode}: {len(windows)} windows {windows[0]:g}..{windows[-1]:g}, "
+                  f"S {sweep.s[0]:.4f} -> {sweep.s[-1]:.4f}, crossings at 2: {crossings}")
+    manifest.outputs.append(str(csv_path))
+    matched = np.asarray(matched)
+    manifest.results = {
+        "policy": policy,
+        **summary,
+        "matched": matched.tolist(),
+        "unmatched1": (len(log.station1) - matched).tolist(),
+        "unmatched2": (len(log.station2) - matched).tolist(),
+        "diagnostics": diagnostics,
+    }
+
+
+def _run_analysis(args, outdir: Path) -> RunManifest:
+    """``mc``, ``sweep`` and ``reanalyze``: generate or read the log, then ``_analyze`` it."""
+    grid = args.windows or ("1:1000:log20" if args.mode == "sweep" else None)
+    windows = parse_windows(grid) if grid else args.window
+    stage_s = {}
+    if args.mode == "reanalyze":
+        log, config, rng = _read_source(args, outdir, stage_s)
+        quadruple, outputs = _parse_quadruple(args), []
+    else:
+        config, quadruple = _build_config(args)
+        log, outputs = _generate(args, config, outdir, stage_s)
+        rng = rng_provenance()
+    manifest = RunManifest(mode=args.mode, seed=config.seed, config=config_to_dict(config), outputs=outputs)
+    policy = args.matcher or ("stream" if args.mode == "reanalyze" else "paired")
+    _analyze(log, config, windows, policy, quadruple, outdir, manifest, {"rng": rng, "stage_s": stage_s})
     return manifest
 
 
@@ -268,77 +300,13 @@ def _run_oracle(args, outdir: Path) -> RunManifest:
     return manifest
 
 
-def _run_sweep(args, outdir: Path) -> RunManifest:
-    config, quadruple = _build_config(args)
-    windows = parse_windows(args.windows or "1:1000:log20")
-    policy = _resolve_policy(args)
-    stage_s = {}
-    with _stage(stage_s, "generate"):
-        log = run_experiment(config, n_workers=args.workers)
-    with _stage(stage_s, "analyze"):
-        sweep = window_sweep(config, windows, quadruple=quadruple, policy=policy, log=log)
-        csv_path = write_sweep_csv(outdir / "sweep.csv", sweep)
-    manifest = RunManifest(mode="sweep", seed=config.seed, config=config_to_dict(config))
-    manifest.outputs.append(str(csv_path))
-    manifest.results = {
-        "policy": policy,
-        "crossings_at_2": sweep.crossings(2.0),
-        "s_first": float(sweep.s[0]),
-        "s_last": float(sweep.s[-1]),
-        # Every emitted pair leaves one event at each station.
-        **_event_accounting(sweep.matched, config.n_pairs, config.n_pairs),
-        "diagnostics": {"rng": rng_provenance(), "stage_s": stage_s},
-    }
-    print(f"sweep: {len(windows)} windows {windows[0]:g}..{windows[-1]:g}, "
-          f"S {sweep.s[0]:.4f} -> {sweep.s[-1]:.4f}, crossings at 2: {sweep.crossings(2.0)}")
-    return manifest
-
-
-def _run_reanalyze(args, outdir: Path) -> RunManifest:
-    if not args.tags_in:
-        raise ValidationError("reanalyze mode requires --tags-in <prefix>")
-    prefix = _tags_prefix(args, outdir, "tags_in")
-    side_path = Path(f"{prefix}.manifest.json")
-    if not side_path.exists():
-        raise ValidationError(
-            f"no manifest {side_path} next to the tag files; cannot resolve setting angles for reanalysis"
-        )
-    try:
-        config = config_from_dict(RunManifest.read(side_path).config)
-    except ValidationError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise TagFormatError(f"{side_path}: malformed manifest: {problem}") from None
-    stage_s = {}
-    with _stage(stage_s, "read_tags"):
-        log = read_tags(prefix, config)
-    policy = _resolve_policy(args)
-    quadruple = parse_angle_list(args.quadruple, expect=4) if args.quadruple else DEFAULT_QUADRUPLE
-    manifest = RunManifest(mode="reanalyze", seed=config.seed, config=config_to_dict(config))
-    if args.windows:
-        windows = parse_windows(args.windows)
-        with _stage(stage_s, "analyze"):
-            sweep = window_sweep(config, windows, quadruple=quadruple, policy=policy, log=log)
-            csv_path = write_sweep_csv(outdir / "sweep.csv", sweep)
-        manifest.outputs.append(str(csv_path))
-        manifest.results = {"policy": policy, "crossings_at_2": sweep.crossings(2.0),
-                            **_event_accounting(sweep.matched, len(log.station1), len(log.station2))}
-        print(f"reanalyze: sweep over {len(windows)} windows, crossings at 2: {sweep.crossings(2.0)}")
-    else:
-        with _stage(stage_s, "analyze"):
-            _analyze_window(log, config, args.window, policy, quadruple, outdir, manifest)
-    manifest.results["diagnostics"] = {"stage_s": stage_s}
-    return manifest
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        outdir = _resolve_outdir(args)
-        runner = {"mc": _run_mc, "oracle": _run_oracle, "sweep": _run_sweep, "reanalyze": _run_reanalyze}[args.mode]
-        manifest = runner(args, outdir)
+        outdir = Path(args.out or os.environ.get(OUTDIR_ENV) or ".")
+        outdir.mkdir(parents=True, exist_ok=True)
+        manifest = (_run_oracle if args.mode == "oracle" else _run_analysis)(args, outdir)
         manifest_path = manifest.write(outdir / f"{args.mode}.manifest.json")
         print(f"manifest: {manifest_path}")
         return 0

@@ -378,8 +378,8 @@ def write_correlation_csv(path: str | Path, table) -> Path:
     n1, n2 = table.n_total.shape
     i1, i2 = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
     i1, i2 = i1.ravel(), i2.ravel()
-    ang1 = np.array([table.settings1[i] if table.settings1 else np.nan for i in i1])
-    ang2 = np.array([table.settings2[j] if table.settings2 else np.nan for j in i2])
+    ang1 = np.asarray(table.settings1, dtype=float)[i1]
+    ang2 = np.asarray(table.settings2, dtype=float)[i2]
     counts = table.counts.reshape(n1 * n2, 4)
     return write_csv_columns(
         path,

@@ -49,29 +49,42 @@ def coincidences_from_counts(cells):
     return Coincidences(EventLog(stream(1, s1, x1), stream(2, s2, x2)), rows, rows)
 
 
+def config_sized(n1, n2):
+    """A config with ``n1`` and ``n2`` distinct setting angles."""
+    return ExperimentConfig(settings1=tuple(0.1 * np.arange(n1)), settings2=tuple(0.1 * np.arange(n2) + 0.05),
+                            n_pairs=10, seed=0)
+
+
+def tabulate_counts(cells):
+    """``tabulate`` of ``coincidences_from_counts(cells)`` with a config sized to the cells' indices."""
+    n1 = max((i for i, _ in cells), default=0) + 1
+    n2 = max((j for _, j in cells), default=0) + 1
+    return tabulate(coincidences_from_counts(cells), config_sized(n1, n2))
+
+
 class TestTabulate:
     def test_perfect_correlation(self):
-        table = tabulate(coincidences_from_counts({(0, 0): (10, 0, 0, 10)}))
+        table = tabulate_counts({(0, 0): (10, 0, 0, 10)})
         assert table.correlation[0, 0] == 1.0
         assert table.stderr[0, 0] == 0.0
 
     def test_perfect_anticorrelation(self):
-        table = tabulate(coincidences_from_counts({(0, 0): (0, 10, 10, 0)}))
+        table = tabulate_counts({(0, 0): (0, 10, 10, 0)})
         assert table.correlation[0, 0] == -1.0
 
     def test_null_correlation_stderr(self):
-        table = tabulate(coincidences_from_counts({(0, 0): (5, 5, 5, 5)}))
+        table = tabulate_counts({(0, 0): (5, 5, 5, 5)})
         assert table.correlation[0, 0] == 0.0
         assert table.stderr[0, 0] == pytest.approx(np.sqrt(1.0 / 20.0))
 
     def test_counts_axes(self):
-        table = tabulate(coincidences_from_counts({(0, 1): (1, 2, 3, 4)}))
+        table = tabulate_counts({(0, 1): (1, 2, 3, 4)})
         np.testing.assert_array_equal(table.counts[0, 1], [[1, 2], [3, 4]])
         assert table.n_total[0, 1] == 10
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError):
-            tabulate(coincidences_from_counts({}))
+            tabulate_counts({})
 
     def test_empty_cell_reported_distinctly(self):
         cfg = ExperimentConfig(settings1=(0.0, 1.0), settings2=(0.5,), n_pairs=10, seed=0)
@@ -88,7 +101,7 @@ class TestTabulate:
             StationStream(1, np.zeros(2), np.array([0, 1], dtype=np.int16), np.array([1, -1], dtype=np.int8)),
             StationStream(2, np.zeros(2), np.array([1, 0], dtype=np.int16), np.array([-1, 1], dtype=np.int8)),
         )
-        table = tabulate(Coincidences(log, np.array([0, 1]), np.array([1, 0])))
+        table = tabulate(Coincidences(log, np.array([0, 1]), np.array([1, 0])), config_sized(2, 2))
         np.testing.assert_array_equal(table.counts[0, 0], [[1, 0], [0, 0]])
         np.testing.assert_array_equal(table.counts[1, 1], [[0, 0], [0, 1]])
         assert table.n_total.sum() == 2
@@ -116,6 +129,10 @@ def table_from_correlation(quadruple, correlation, n=10**9):
     return CorrelationTable(counts=counts, settings1=(a, ap), settings2=(b, bp))
 
 
+# Settings (a, a') and (b, b') of the default quadruple at indices 0 and 1.
+QUADRUPLE_CONFIG = ExperimentConfig(settings1=DEFAULT_QUADRUPLE[:2], settings2=DEFAULT_QUADRUPLE[2:], n_pairs=10, seed=0)
+
+
 class TestChsh:
     def test_singlet_reaches_tsirelson(self):
         table = table_from_correlation(DEFAULT_QUADRUPLE, singlet_correlation)
@@ -132,8 +149,8 @@ class TestChsh:
 
     def test_error_propagates_in_quadrature(self):
         cells = {(i, j): (5, 5, 5, 5) for i in range(2) for j in range(2)}
-        table = tabulate(coincidences_from_counts(cells))
-        result = chsh(table, indices=(0, 1, 0, 1))
+        table = tabulate(coincidences_from_counts(cells), QUADRUPLE_CONFIG)
+        result = chsh(table, DEFAULT_QUADRUPLE)
         assert result.stderr == pytest.approx(np.sqrt(4 * (1.0 / 20.0)))
 
     def test_missing_angle_rejected(self):
@@ -143,9 +160,9 @@ class TestChsh:
 
     def test_empty_combination_rejected(self):
         cells = {(i, j): (5, 5, 5, 5) for i in range(2) for j in range(2) if (i, j) != (1, 1)}
-        table = tabulate(coincidences_from_counts(cells))
+        table = tabulate(coincidences_from_counts(cells), QUADRUPLE_CONFIG)
         with pytest.raises(ValidationError, match="missing combination"):
-            chsh(table, indices=(0, 1, 0, 1))
+            chsh(table, DEFAULT_QUADRUPLE)
 
     def test_angle_matching_mod_pi(self):
         table = table_from_correlation(DEFAULT_QUADRUPLE, singlet_correlation)
@@ -169,53 +186,51 @@ class TestSweepResult:
 
 
 class TestWindowSweep:
-    @pytest.fixture()
+    @pytest.fixture(scope="class")
     def config(self):
         return ExperimentConfig(params=ModelParams(d=4.0, t0=1.0, window=0), n_pairs=60_000, seed=13)
 
-    def test_rates_nondecreasing_when_refiltering(self, config):
-        sweep = window_sweep(config, np.geomspace(1e-3, 1.0, 8))
+    @pytest.fixture(scope="class")
+    def log(self, config):
+        return run_experiment(config)
+
+    def test_rates_nondecreasing_when_refiltering(self, config, log):
+        sweep = window_sweep(config, np.geomspace(1e-3, 1.0, 8), log=log)
         assert np.all(np.diff(sweep.rate) >= 0)
         assert sweep.rate[-1] == 1.0
 
-    def test_quantum_vs_bell_regimes(self, config):
-        sweep = window_sweep(config, np.array([1e-3, 1.0]))
+    def test_quantum_vs_bell_regimes(self, config, log):
+        sweep = window_sweep(config, np.array([1e-3, 1.0]), log=log)
         assert sweep.s[0] > 2.0  # narrow window: violation
         assert sweep.s[-1] < 2.0  # window covers all delays: no violation
 
-    def test_stream_policy_matches_paired_for_separated_emissions(self, config):
+    def test_stream_policy_matches_paired_for_separated_emissions(self, config, log):
         windows = np.geomspace(1e-3, 1.0, 5)
-        a = window_sweep(config, windows, policy="paired")
-        b = window_sweep(config, windows, policy="stream")
+        a = window_sweep(config, windows, policy="paired", log=log)
+        b = window_sweep(config, windows, policy="stream", log=log)
         np.testing.assert_array_equal(a.s, b.s)
         np.testing.assert_array_equal(a.rate, b.rate)
 
-    def test_independent_logs_differ_but_agree_statistically(self, config):
+    def test_independent_logs_differ_but_agree_statistically(self, config, log):
         windows = np.array([0.05])
-        first = window_sweep(config, windows)
-        second = window_sweep(replace(config, seed=config.seed + 1), windows)
+        other = replace(config, seed=config.seed + 1)
+        first = window_sweep(config, windows, log=log)
+        second = window_sweep(other, windows, log=run_experiment(other))
         assert first.s[0] != second.s[0]
         sigma = float(np.hypot(first.s_stderr[0], second.s_stderr[0]))
         assert abs(first.s[0] - second.s[0]) < 5.0 * sigma
 
-    def test_existing_log_reused(self, config):
-        log = run_experiment(config)
-        windows = np.array([0.01, 0.1])
-        a = window_sweep(config, windows, log=log)
-        b = window_sweep(config, windows)
-        np.testing.assert_array_equal(a.s, b.s)
-
-    def test_windows_must_increase(self, config):
+    def test_windows_must_increase(self, config, log):
         # inf - inf is NaN, so a repeated infinite window must fail too.
         for windows in ([1.0, 1.0], [1.0, np.inf, np.inf], [np.nan, 1.0]):
             with pytest.raises(ValidationError, match="strictly increasing"):
-                window_sweep(config, windows)
+                window_sweep(config, windows, log=log)
 
-    def test_bad_window_grid_rejected(self, config):
+    def test_bad_window_grid_rejected(self, config, log):
         with pytest.raises(ValidationError):
-            window_sweep(config, [])
+            window_sweep(config, [], log=log)
         with pytest.raises(ValidationError):
-            window_sweep(config, [0.2, 0.1])
+            window_sweep(config, [0.2, 0.1], log=log)
 
 
 def sweep_reference(config, windows, quadruple=DEFAULT_QUADRUPLE, policy="paired", log=None):

@@ -114,14 +114,74 @@ def test_parse_emission_rejects(text, message):
         parse_emission(text)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--mode", "sweep", "--windows", "1:1000"], "must look like min:max:logN"),
+        (["--mode", "sweep", "--windows", "1:big:log3"], "non-numeric bound"),
+        (["--mode", "sweep", "--windows", "1:1000:sqr3"], "must be logN or linN"),
+        (["--mode", "sweep", "--windows", "1:1000:logx"], "must be logN or linN"),
+        (["--mode", "sweep", "--windows", "1:1000:lin0"], "at least one point"),
+        (["--mode", "sweep", "--windows", "1000:1:log3"], "needs max > min"),
+        (["--mode", "sweep", "--windows", "0:1000:log3"], "needs min > 0"),
+        (["--mode", "mc", "--angles1", ","], "empty angle list"),
+        (["--mode", "mc", "--quadruple", "0deg,45deg,22.5deg"], "expected 4 angles, got 3"),
+        (["--mode", "reanalyze", "--tags-in", "tags"], "no manifest"),
+    ],
+    ids=["grid-parts", "grid-bound", "grid-kind", "grid-count", "grid-zero-points", "grid-max-le-min",
+         "log-grid-min-le-0", "empty-angle-list", "quadruple-count", "no-side-manifest"],
+)
+def test_parser_rejections_exit_1(tmp_path, capsys, argv, message):
+    assert main([*argv, "--pairs", "100", "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_mc_and_sweep_manifests_record_rng_provenance(tmp_path):
+    # reanalyze copies the provenance from the tags' side manifest, or
+    # records null for a side manifest that does not carry it.
     out = str(tmp_path)
-    assert main(["--mode", "mc", "--pairs", "100", "--out", out]) == 0
+    assert main(["--mode", "mc", "--pairs", "100", "--tags-out", "tags", "--out", out]) == 0
     assert main(["--mode", "sweep", "--pairs", "2000", "--windows", "10:1000:log3", "--out", out]) == 0
-    for mode in ("mc", "sweep"):
+    assert main(["--mode", "reanalyze", "--tags-in", "tags", "--out", out]) == 0
+    for mode in ("mc", "sweep", "reanalyze"):
         rng = RunManifest.read(tmp_path / f"{mode}.manifest.json").results["diagnostics"]["rng"]
         assert rng == {"bit_generator": "Philox", "key": ["seed", "chunk"], "chunk_pairs": CHUNK_PAIRS,
                        "draws_per_pair": DRAWS_PER_PAIR, "numpy": np.__version__}
+    side = tmp_path / "tags.manifest.json"
+    manifest = json.loads(side.read_text(encoding="utf-8"))
+    manifest["results"] = {}
+    side.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["--mode", "reanalyze", "--tags-in", "tags", "--out", out]) == 0
+    assert RunManifest.read(tmp_path / "reanalyze.manifest.json").results["diagnostics"]["rng"] is None
+
+
+GRID = ["--windows", "10:1000:log3"]
+
+
+@pytest.mark.parametrize(
+    "first, second, same",
+    [
+        (["--mode", "mc", "--tags-out", "tags"], ["--mode", "reanalyze"], "results"),
+        (["--mode", "sweep", "--tags-out", "tags", *GRID], ["--mode", "reanalyze", *GRID], "results"),
+        (["--mode", "sweep", *GRID], ["--mode", "mc", *GRID], "sweep.csv"),
+    ],
+    ids=["one-window", "grid", "mc-grid"],
+)
+def test_one_results_schema_per_shape(tmp_path, first, second, same):
+    # Each run writes to its own directory; reanalyze reads the first run's tags.
+    runs = [(first, tmp_path / "first"), (second, tmp_path / "second")]
+    for argv, out in runs:
+        source = ["--tags-in", str(tmp_path / "first" / "tags")] if "reanalyze" in argv else ["--pairs", "2000"]
+        assert main([*argv, *source, "--out", str(out)]) == 0
+    if same == "sweep.csv":
+        assert (tmp_path / "first" / "sweep.csv").read_bytes() == (tmp_path / "second" / "sweep.csv").read_bytes()
+    else:
+        results = [RunManifest.read(out / f"{argv[1]}.manifest.json").results for argv, out in runs]
+        assert set(results[0]) == set(results[1])
+        assert set(results[0]["diagnostics"]) == set(results[1]["diagnostics"]) == {"rng", "stage_s"}
+        shape_keys = {"s_first", "s_last", "crossings_at_2"} if "--windows" in first else {"s", "window"}
+        assert shape_keys <= set(results[1])
 
 
 def test_manifests_record_stage_wall_times(tmp_path):
