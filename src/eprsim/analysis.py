@@ -8,12 +8,15 @@ the binomial plug-in sqrt((1 - E**2) / N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .coincidence import Coincidences, MatchPolicy, match_events, pair_window_index
+from .coincidence import Coincidences, MatchPolicy, check_pair_filter, match_events, pair_window_index
 from .errors import ValidationError
 from .events import EventLog, ExperimentConfig, run_experiment  # noqa: F401  perfbench/spans.py hooks it here
 from .model import normalize_angle
@@ -47,11 +50,18 @@ class CorrelationTable:
     (i, j) and outcomes (x1, x2), where axis index 0 encodes +1 and
     1 encodes -1.  ``settings1[i]`` and ``settings2[j]`` are the angles
     that label the axes; ``chsh`` finds its quadruple among them.
+    ``counts`` must have shape (len(settings1), len(settings2), 2, 2).
     """
 
     counts: np.ndarray
     settings1: tuple[float, ...]
     settings2: tuple[float, ...]
+
+    def __post_init__(self):
+        expected = (len(self.settings1), len(self.settings2), 2, 2)
+        if np.shape(self.counts) != expected:
+            raise ValidationError(f"counts of shape {np.shape(self.counts)} do not fit the settings; "
+                                  f"expected {expected}")
 
     @property
     def n_total(self) -> np.ndarray:
@@ -89,11 +99,17 @@ def _outside(index: np.ndarray, n: int) -> np.ndarray:
     return (index < 0) | (index >= n)
 
 
-def _cell_codes(log: EventLog, rows1, rows2, i1: np.ndarray, i2: np.ndarray, n2: int) -> np.ndarray:
-    """Flat (n1, n2, 2, 2) table cell of each coincidence, given its two setting index arrays."""
-    o1 = (log.station1.outcome[rows1] < 0).astype(np.int64)  # +1 -> 0, -1 -> 1
-    o2 = (log.station2.outcome[rows2] < 0).astype(np.int64)
-    return ((i1 * n2 + i2) * 2 + o1) * 2 + o2
+def _cell_codes(code: np.ndarray, i1, i2, x1, x2, n1: int, n2: int) -> np.ndarray:
+    """Flat cell of each coincidence in a (rows, n1, n2, 2, 2) table, computed in place.
+
+    ``code`` holds each coincidence's index on the first axis (its window,
+    or 0 for a single table) on entry; ``i1``, ``i2`` are its setting
+    indices and ``x1``, ``x2`` its outcomes (+1 -> 0, -1 -> 1).
+    """
+    for size, digit in ((n1, i1), (n2, i2), (2, x1 < 0), (2, x2 < 0)):
+        code *= size
+        code += digit
+    return code
 
 
 def tabulate(coincidences: Coincidences, config: ExperimentConfig) -> CorrelationTable:
@@ -104,13 +120,13 @@ def tabulate(coincidences: Coincidences, config: ExperimentConfig) -> Correlatio
     """
     if len(coincidences) == 0:
         raise ValidationError(_EMPTY)
-    log, r1, r2 = coincidences.log, coincidences.rows1, coincidences.rows2
-    i1 = log.station1.setting_index[r1].astype(np.int64)
-    i2 = log.station2.setting_index[r2].astype(np.int64)
+    s1, s2, r1, r2 = coincidences.log.station1, coincidences.log.station2, coincidences.rows1, coincidences.rows2
+    i1, i2 = s1.setting_index[r1], s2.setting_index[r2]
     n1, n2 = len(config.settings1), len(config.settings2)
     if _outside(i1, n1).any() or _outside(i2, n2).any():
         raise ValidationError(_OUT_OF_RANGE)
-    counts = np.bincount(_cell_codes(log, r1, r2, i1, i2, n2), minlength=n1 * n2 * 4).reshape(n1, n2, 2, 2)
+    code = _cell_codes(np.zeros(len(r1), dtype=np.intp), i1, i2, s1.outcome[r1], s2.outcome[r2], n1, n2)
+    counts = np.bincount(code, minlength=n1 * n2 * 4).reshape(n1, n2, 2, 2)
     return CorrelationTable(counts=counts, settings1=config.settings1, settings2=config.settings2)
 
 
@@ -164,13 +180,18 @@ def chsh(table: CorrelationTable, quadruple: tuple[float, float, float, float] =
 
 @dataclass(eq=False)
 class SweepResult:
-    """CHSH statistic and coincidence count versus coincidence window."""
+    """CHSH statistic and coincidence count versus coincidence window.
+
+    ``empty_cells[k]`` lists the setting combinations with no
+    coincidences at ``windows[k]``, as ``CorrelationTable.empty_cells``.
+    """
 
     windows: np.ndarray
     s: np.ndarray
     s_stderr: np.ndarray
     rate: np.ndarray
     matched: np.ndarray
+    empty_cells: list[list[tuple[int, int]]] = field(default_factory=list)
 
     def crossings(self, level: float = 2.0) -> list[tuple[float, float]]:
         """Grid cells (w_lo, w_hi) where s crosses ``level``."""
@@ -182,28 +203,59 @@ class SweepResult:
         return out
 
 
+# Pairs per block of the paired sweep: a block's temporaries, about
+# 23 bytes a pair (1.5 MB), stay near a core's cache.
+_BLOCK_PAIRS = 1 << 16
+
+
 def _paired_tables(log: EventLog, windows: np.ndarray, config: ExperimentConfig):
     """Yield every window's ``tabulate(pair_filter(log, w), config)`` from one pass.
 
     Each pair is binned once, by the first window that keeps it and by
     its cell; the cumulative sum of that histogram over the window axis
-    is every window's count table.  Checks raise where the per-window calls
-    would: a pair with a setting index outside ``config`` is left out of
-    the histogram and raises at the first window that keeps it.
+    is every window's count table.  The log is split into contiguous row
+    ranges, one per thread and up to one thread per CPU; each thread
+    bins its range in blocks of ``_BLOCK_PAIRS`` pairs into a histogram
+    of its own, so no temporary grows with the log.  The integer
+    histograms are summed: the tables do not depend on the thread count.
+    Checks raise where the per-window calls would: a pair with a setting
+    index outside ``config`` is left out of the histogram and raises at
+    the first window that keeps it, the minimum over all blocks.
     """
-    first = pair_window_index(log, windows)
+    check_pair_filter(log, windows[0])
+    s1, s2 = log.station1, log.station2
     n1, n2 = len(config.settings1), len(config.settings2)
-    i1 = log.station1.setting_index.astype(np.int64)
-    i2 = log.station2.setting_index.astype(np.int64)
-    bad = _outside(i1, n1) | _outside(i2, n2)
-    stop = int(first[bad].min(initial=len(windows)))
-    rows = np.flatnonzero(~bad) if bad.any() else slice(None)
-    ncells = n1 * n2 * 4
-    flat = first[rows] * ncells + _cell_codes(log, rows, rows, i1[rows], i2[rows], n2)
-    hist = np.bincount(flat, minlength=(len(windows) + 1) * ncells).reshape(-1, n1, n2, 2, 2)
-    counts = np.cumsum(hist[:-1], axis=0)
+    shape = (len(windows) + 1, n1, n2, 2, 2)
+    size = math.prod(shape)
+
+    def histogram(start: int, stop: int) -> tuple[np.ndarray, int]:
+        """Histogram of rows [start, stop), and the first window an out-of-range pair among them raises at."""
+        hist = np.zeros(size, dtype=np.int64)
+        raise_at = len(windows)
+        for lo in range(start, stop, _BLOCK_PAIRS):
+            rows = slice(lo, min(lo + _BLOCK_PAIRS, stop))
+            i1, i2 = s1.setting_index[rows], s2.setting_index[rows]
+            code = pair_window_index(log, windows, rows)
+            bad = np.flatnonzero(_outside(i1, n1) | _outside(i2, n2))
+            raise_at = min(raise_at, int(code[bad].min(initial=raise_at)))
+            _cell_codes(code, i1, i2, s1.outcome[rows], s2.outcome[rows], n1, n2)
+            code[bad] = size - 1  # a cell of the last row, which no window reads
+            hist += np.bincount(code, minlength=size)
+        return hist, raise_at
+
+    n = log.n_pairs
+    n_blocks = -(-n // _BLOCK_PAIRS)
+    threads = max(1, min(os.cpu_count() or 1, n_blocks))
+    edges = [min(n, _BLOCK_PAIRS * (n_blocks * k // threads)) for k in range(threads + 1)]
+    if threads == 1:
+        parts = [histogram(0, n)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(histogram, edges[:-1], edges[1:]))
+    raise_at = min(raise_at for _, raise_at in parts)
+    counts = np.cumsum(sum(hist for hist, _ in parts).reshape(shape)[:-1], axis=0)
     for k in range(len(windows)):
-        if k == stop:
+        if k == raise_at:
             raise ValidationError(_OUT_OF_RANGE)
         if k == 0 and not counts[0].any():
             raise ValidationError(_EMPTY)
@@ -240,9 +292,12 @@ def window_sweep(
     s_vals = np.empty(len(windows))
     s_errs = np.empty(len(windows))
     matched = np.empty(len(windows), dtype=np.int64)
+    empty_cells = []
     for k, table in enumerate(tables):
         result = chsh(table, quadruple)
         s_vals[k] = result.s
         s_errs[k] = result.stderr
         matched[k] = table.counts.sum()
-    return SweepResult(windows=windows, s=s_vals, s_stderr=s_errs, rate=matched / log.n_pairs, matched=matched)
+        empty_cells.append(table.empty_cells)
+    return SweepResult(windows=windows, s=s_vals, s_stderr=s_errs, rate=matched / log.n_pairs, matched=matched,
+                       empty_cells=empty_cells)

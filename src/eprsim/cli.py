@@ -226,8 +226,9 @@ def _analyze(log, config, windows, policy, quadruple, outdir: Path, manifest: Ru
 
     One window (a float) writes ``correlations.csv`` and records S with its
     four correlations; a grid writes ``sweep.csv`` and records S at its ends
-    and where it crosses 2.  Both record matched and unmatched events, and
-    ``diagnostics`` with the ``analyze`` stage added.
+    and where it crosses 2.  Both record matched and unmatched events, the
+    setting cells with no coincidences (one list per window for a grid),
+    and ``diagnostics`` with the ``analyze`` stage added.
     """
     with _stage(diagnostics["stage_s"], "analyze"):
         if np.ndim(windows) == 0:
@@ -236,6 +237,7 @@ def _analyze(log, config, windows, policy, quadruple, outdir: Path, manifest: Ru
             result = chsh(table, quadruple)
             csv_path = write_correlation_csv(outdir / "correlations.csv", table)
             matched = len(coinc)
+            empty_cells = table.empty_cells
             rate = matched / log.n_pairs
             summary = {"window": windows, "coincidence_rate": rate, "s": result.s, "s_stderr": result.stderr,
                        "correlations": {"e_ab": result.e_ab, "e_abp": result.e_abp,
@@ -246,6 +248,7 @@ def _analyze(log, config, windows, policy, quadruple, outdir: Path, manifest: Ru
             sweep = window_sweep(config, windows, quadruple=quadruple, policy=policy, log=log)
             csv_path = write_sweep_csv(outdir / "sweep.csv", sweep)
             matched = sweep.matched
+            empty_cells = sweep.empty_cells
             crossings = sweep.crossings(2.0)
             summary = {"crossings_at_2": crossings, "s_first": float(sweep.s[0]), "s_last": float(sweep.s[-1])}
             print(f"{manifest.mode}: {len(windows)} windows {windows[0]:g}..{windows[-1]:g}, "
@@ -258,6 +261,7 @@ def _analyze(log, config, windows, policy, quadruple, outdir: Path, manifest: Ru
         "matched": matched.tolist(),
         "unmatched1": (len(log.station1) - matched).tolist(),
         "unmatched2": (len(log.station2) - matched).tolist(),
+        "empty_cells": empty_cells,
         "diagnostics": diagnostics,
     }
 

@@ -13,10 +13,12 @@ meaningful.  Events left unmatched are dropped from all statistics: the
 post-selected ensemble is the object under study.
 
 A paired window sweep does not call ``pair_filter`` per window, since
-neither |dt| nor the pair-id checks depend on it: ``pair_window_index``
-computes |dt| once and gives each pair the first window W of the grid
-with |dt| <= W (``searchsorted(..., "left")``, the same closed boundary),
-so ``pair_filter`` at window k keeps exactly the pairs with index <= k.
+neither |dt| nor the pair-id checks depend on it.  It runs the checks
+once with ``check_pair_filter``; then ``pair_window_index`` gives each
+pair of a row range the first window W of the grid with |dt| <= W
+(``searchsorted(..., "left")``, the same closed boundary), so
+``pair_filter`` at window k keeps exactly the pairs with index <= k.
+The row range lets the sweep bin the log block by block.
 
 A selection is two row-index arrays into the one stored log: coincidence
 k is row ``rows1[k]`` of station 1 and row ``rows2[k]`` of station 2; no
@@ -55,6 +57,7 @@ from .events import EventLog
 __all__ = [
     "Coincidences",
     "MatchPolicy",
+    "check_pair_filter",
     "pair_filter",
     "pair_window_index",
     "stream_match",
@@ -94,14 +97,19 @@ def _check_window(window: float) -> float:
     return float(window)
 
 
-def _pair_dt(log: EventLog) -> np.ndarray:
-    """|t2 - t1| of every emitted pair; raises without matching pair ids."""
+def check_pair_filter(log: EventLog, window: float) -> float:
+    """Raise what ``pair_filter(log, window)`` raises, in the same order; returns the window.
+
+    The window must be >= 0, both streams need pair ids, and the two
+    stations' ``pair_id`` columns must be equal.
+    """
+    window = _check_window(window)
     s1, s2 = log.station1, log.station2
     if s1.pair_id is None or s2.pair_id is None:
         raise ValidationError("per-pair filtering needs pair ids in both streams")
-    if not np.array_equal(s1.pair_id, s2.pair_id):
+    if s1.pair_id is not s2.pair_id and not np.array_equal(s1.pair_id, s2.pair_id):
         raise ValidationError("mismatched pair_id columns between stations")
-    return np.abs(s2.time_tag - s1.time_tag)
+    return window
 
 
 def pair_filter(log: EventLog, window: float) -> Coincidences:
@@ -111,20 +119,20 @@ def pair_filter(log: EventLog, window: float) -> Coincidences:
     for reproducibility.  Raises if either stream lacks pair ids or the
     two stations' ``pair_id`` columns differ.
     """
-    window = _check_window(window)
-    rows = np.flatnonzero(_pair_dt(log) <= window)
+    window = check_pair_filter(log, window)
+    rows = np.flatnonzero(np.abs(log.station2.time_tag - log.station1.time_tag) <= window)
     return Coincidences(log, rows, rows)
 
 
-def pair_window_index(log: EventLog, windows: np.ndarray) -> np.ndarray:
-    """Per emitted pair, the first window ``pair_filter`` keeps it at.
+def pair_window_index(log: EventLog, windows: np.ndarray, rows: slice) -> np.ndarray:
+    """Per emitted pair in the row range ``rows``, the first window ``pair_filter`` keeps it at.
 
-    ``windows`` must increase strictly; a pair no window keeps gets
-    ``len(windows)``.  Raises what ``pair_filter`` at ``windows[0]``
-    raises, checking in the same order.
+    ``windows`` must increase strictly; a pair no window keeps, a NaN
+    |dt| too, gets ``len(windows)``.  Runs none of ``pair_filter``'s
+    checks: call ``check_pair_filter(log, windows[0])`` once before.
     """
-    _check_window(float(windows[0]))
-    return np.searchsorted(windows, _pair_dt(log), side="left")
+    dt = log.station2.time_tag[rows] - log.station1.time_tag[rows]
+    return np.searchsorted(windows, np.abs(dt, out=dt), side="left")
 
 
 def _split(t1: np.ndarray, t2: np.ndarray, window: float):

@@ -1,11 +1,15 @@
 """Correlation table, CHSH, and window-sweep tests."""
 
+import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eprsim.analysis
+from eprsim.analysis import _BLOCK_PAIRS, _paired_tables
 from eprsim import (
     DEFAULT_QUADRUPLE,
     CorrelationTable,
@@ -105,6 +109,10 @@ class TestTabulate:
         np.testing.assert_array_equal(table.counts[0, 0], [[1, 0], [0, 0]])
         np.testing.assert_array_equal(table.counts[1, 1], [[0, 0], [0, 1]])
         assert table.n_total.sum() == 2
+
+    def test_counts_must_fit_the_settings(self):
+        with pytest.raises(ValidationError, match=r"counts of shape \(1, 1, 2, 2\) do not fit"):
+            CorrelationTable(counts=np.ones((1, 1, 2, 2)), settings1=(0, np.pi / 4), settings2=(np.pi / 8, 3 * np.pi / 8))
 
     def test_index_outside_config_rejected(self):
         cfg = ExperimentConfig(settings1=(0.0,), settings2=(0.5,), n_pairs=10, seed=0)
@@ -359,9 +367,105 @@ class TestOnePassSweep:
             sweep_reference(config, [5.0], policy="hardware", log=log)
         assert str(new.value) == str(ref.value)
 
+    def test_unused_setting_listed_as_empty_at_every_window(self):
+        config = ExperimentConfig(settings1=(0.0, np.pi / 4, np.pi / 2), n_pairs=10, seed=0)
+        sweep = window_sweep(config, [1.0, 5.0], log=self.log_with())
+        assert sweep.empty_cells == [[(2, 0), (2, 1)]] * 2
+
     def test_index_outside_config_that_no_window_keeps_is_never_binned(self):
         # Binned, index 2 or -1 would land outside the histogram or in
         # another cell; the per-window sweep never reads these pairs.
         config = ExperimentConfig(n_pairs=10, seed=0)
         log = self.log_with(extra=[(50, 2, 0), (60, 0, -1), (70, 300, 1)])
         assert_same_as_reference(config, [1.0, 2.0, 10.0], log)
+
+
+def reference_tables(log, windows, config):
+    """``tabulate(pair_filter(log, w), config)`` window by window."""
+    return (tabulate(match_events(log, float(w)), config) for w in windows)
+
+
+def tables_until_error(tables):
+    """The count tables a table generator yields, and the message it raises (or None)."""
+    counts = []
+    try:
+        for table in tables:
+            counts.append(table.counts)
+    except ValidationError as exc:
+        return counts, str(exc)
+    return counts, None
+
+
+class TestBlockedPass:
+    """The paired sweep's histogram, one per thread over blocks of ``_BLOCK_PAIRS`` pairs."""
+
+    N_PAIRS = 2 * _BLOCK_PAIRS + 1  # two full blocks and one of a single pair
+    WINDOWS = np.array([5.0, 50.0, 500.0, np.inf])
+
+    @pytest.fixture(params=[1, 2, 3])
+    def cpus(self, request, monkeypatch):
+        """Patch the CPU count; record the thread pool sizes the pass asks for."""
+        sizes = []
+
+        class Recorder(eprsim.analysis.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(eprsim.analysis, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: request.param)
+        yield request.param
+        assert set(sizes) == ({request.param} if request.param > 1 else set())
+
+    def config(self, emission=None):
+        return ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), settings1=(0.0, np.pi / 4, np.pi / 2),
+                                n_pairs=self.N_PAIRS, seed=8, emission=emission)
+
+    @pytest.mark.parametrize("emission", [None, EmissionSpec.poisson(0.002)], ids=["regular", "poisson"])
+    def test_tables_equal_the_reference(self, cpus, emission):
+        config = self.config(emission)
+        log = run_experiment(config)
+        new, new_error = tables_until_error(_paired_tables(log, self.WINDOWS, config))
+        ref, ref_error = tables_until_error(reference_tables(log, self.WINDOWS, config))
+        assert new_error is ref_error is None
+        assert len(new) == len(ref) == len(self.WINDOWS)
+        for a, b in zip(new, ref):
+            np.testing.assert_array_equal(a, b)
+        assert_same_as_reference(config, self.WINDOWS, log)
+
+    def test_out_of_range_index_in_the_last_block_raises_at_its_window(self, cpus):
+        # Index 2 in the last block's one pair (|dt| 100, kept from window 2)
+        # and in a first-block pair kept only from window 3: the pass raises
+        # at window 2, as the per-window reference does.
+        config = replace(self.config(), settings1=(0.0, np.pi / 4))
+        log = run_experiment(config)
+        s1, s2 = log.station1, log.station2
+        s2.time_tag[-1] = s1.time_tag[-1] + 100.0
+        dt = np.abs(s2.time_tag - s1.time_tag)
+        first_block_late = int(np.flatnonzero(dt[:_BLOCK_PAIRS] > 500.0)[0])
+        s1.setting_index[[first_block_late, -1]] = 2
+        new = tables_until_error(_paired_tables(log, self.WINDOWS, config))
+        ref = tables_until_error(reference_tables(log, self.WINDOWS, config))
+        assert len(new[0]) == len(ref[0]) == 2
+        assert new[1] == ref[1] == "setting index out of range for the supplied config"
+        for a, b in zip(new[0], ref[0]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_no_temporary_grows_with_the_log(self, monkeypatch):
+        # Two threads at both sizes, so that per-thread block buffers cancel.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        windows = np.geomspace(1.0, 1000.0, 20)
+
+        def peak_above_log(n_pairs):
+            config = replace(self.config(), n_pairs=n_pairs)
+            log = run_experiment(config)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                window_sweep(config, windows, log=log)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        small = peak_above_log(200_000)
+        assert peak_above_log(800_000) <= small + 4e6

@@ -11,10 +11,10 @@ import json
 import numpy as np
 import pytest
 
-from eprsim import ValidationError
+from eprsim import EventLog, ExperimentConfig, StationStream, ValidationError, write_tags
 from eprsim.cli import main, parse_emission
 from eprsim.events import CHUNK_PAIRS, DRAWS_PER_PAIR
-from eprsim.tagio import RunManifest
+from eprsim.tagio import RunManifest, config_to_dict
 
 SWEEP_SHA = "82c61d6f7aa64b329b4aa1399762d7c2f83efdcdc4d1e92ad4b2537416c5af64"
 STREAM_SHA = "a060207784af8f229534532d9a36d937da205600682d6a3b1c32fd212151e90e"
@@ -104,6 +104,14 @@ def test_non_finite_input_exits_1(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("emission", ["regular:1e303", "poisson:1e-305"])
+def test_emission_overflow_exits_1(tmp_path, capsys, emission):
+    assert main(["--mode", "sweep", "--emission", emission, "--pairs", "3", "--out", str(tmp_path)]) == 1
+    assert "emission times overflow" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "text, message",
     [("regular", "must look like"), ("poisson:fast", "non-numeric"), ("burst:1", "unknown emission mode")],
@@ -180,8 +188,35 @@ def test_one_results_schema_per_shape(tmp_path, first, second, same):
         results = [RunManifest.read(out / f"{argv[1]}.manifest.json").results for argv, out in runs]
         assert set(results[0]) == set(results[1])
         assert set(results[0]["diagnostics"]) == set(results[1]["diagnostics"]) == {"rng", "stage_s"}
-        shape_keys = {"s_first", "s_last", "crossings_at_2"} if "--windows" in first else {"s", "window"}
-        assert shape_keys <= set(results[1])
+        grid = "--windows" in first
+        shape_keys = {"s_first", "s_last", "crossings_at_2"} if grid else {"s", "window"}
+        assert shape_keys | {"empty_cells"} <= set(results[1])
+        # Every cell has coincidences; a grid records one list per window.
+        assert results[1]["empty_cells"] == ([[]] * 3 if grid else [])
+
+
+@pytest.mark.parametrize("windows, empty_cells", [
+    (["--window", "5"], [[2, 0], [2, 1]]),
+    (["--windows", "1:5:lin2"], [[[2, 0], [2, 1]]] * 2),
+], ids=["one-window", "grid"])
+def test_manifest_records_empty_cells(tmp_path, windows, empty_cells):
+    # A hand-built log: four pairs in each of the four cells of settings
+    # 0 and 1, two at |dt| 1 and two at 2; the config's third station-1
+    # setting is never used.
+    i1, i2 = np.repeat([0, 1], 8), np.tile(np.repeat([0, 1], 2), 4)
+    dt = np.tile([1, 2], 8)
+    x = np.where(np.arange(16) % 3 == 0, 1, -1).astype(np.int8)
+    pid = np.arange(16)
+    t1 = pid * 1e4
+    log = EventLog(StationStream(1, t1, i1.astype(np.int16), x, pid),
+                   StationStream(2, t1 + dt, i2.astype(np.int16), -x, pid))
+    config = ExperimentConfig(settings1=(0.0, np.pi / 4, np.pi / 2), n_pairs=16)
+    paths = write_tags(log, tmp_path / "tags")
+    RunManifest(mode="tags", seed=config.seed, config=config_to_dict(config),
+                outputs=[p.name for p in paths]).write(tmp_path / "tags.manifest.json")
+    argv = ["--mode", "reanalyze", "--tags-in", "tags", "--matcher", "paired", *windows, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert RunManifest.read(tmp_path / "reanalyze.manifest.json").results["empty_cells"] == empty_cells
 
 
 def test_manifests_record_stage_wall_times(tmp_path):

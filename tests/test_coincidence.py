@@ -16,7 +16,7 @@ from eprsim import (
     stream_match,
 )
 from eprsim.cli import parse_windows
-from eprsim.coincidence import _greedy_match, _split
+from eprsim.coincidence import _greedy_match, _split, pair_window_index
 
 
 def tiny_log(times1, times2, pair_ids=True):
@@ -176,6 +176,21 @@ class TestPairFilter:
         log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1.0, window=0), n_pairs=4000, seed=2))
         for w in (0.01, 0.1, 0.5):
             assert np.all(np.abs(dt(pair_filter(log, w))) <= w)
+
+    @pytest.mark.parametrize("n_windows", [1, 20])
+    def test_window_index_is_the_first_window_that_keeps_the_pair(self, n_windows):
+        # |dt| at, just below and just above every window, and 0, beyond
+        # the grid, inf and NaN; over all rows and over a row range.
+        windows = np.geomspace(1.0, 1000.0, n_windows)
+        gaps = np.concatenate([windows, np.nextafter(windows, 0.0), np.nextafter(windows, np.inf),
+                               [0.0, 2000.0, np.inf, np.nan]])
+        log = tiny_log(np.zeros(len(gaps)), gaps)
+        expected = np.full(len(gaps), n_windows)
+        for k in reversed(range(n_windows)):
+            expected[pair_filter(log, windows[k]).rows1] = k
+        np.testing.assert_array_equal(pair_window_index(log, windows, slice(None)), expected)
+        rows = slice(5, len(gaps) - 1)
+        np.testing.assert_array_equal(pair_window_index(log, windows, rows), expected[rows])
 
 
 class TestStreamMatch:

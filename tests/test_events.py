@@ -278,6 +278,13 @@ class TestRunExperiment:
         with pytest.raises(ValidationError):
             run_experiment(small_config(), n_workers=0)
 
+    @pytest.mark.parametrize("emission", [EmissionSpec.regular(1e303), EmissionSpec.poisson(1e-305)],
+                             ids=["regular", "poisson"])
+    def test_emission_overflow_rejected(self, emission):
+        # The third pair is emitted near 1e303 or later: finite, but not once scaled to 6 decimals.
+        with pytest.raises(ValidationError, match="emission times overflow"):
+            run_experiment(small_config(n_pairs=3, emission=emission))
+
 
 class TestEventLogPairing:
     def test_pair_filter_requires_ids(self):
