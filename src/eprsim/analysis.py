@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -18,7 +17,8 @@ import numpy as np
 
 from .coincidence import Coincidences, MatchPolicy, check_pair_filter, match_events, pair_window_index
 from .errors import ValidationError
-from .events import EventLog, ExperimentConfig, run_experiment  # noqa: F401  perfbench/spans.py hooks it here
+from .events import EventLog, ExperimentConfig, map_ranges
+from .events import run_experiment  # noqa: F401  perfbench/spans.py hooks it here
 from .model import normalize_angle
 
 __all__ = [
@@ -193,9 +193,9 @@ class SweepResult:
     matched: np.ndarray
     empty_cells: list[list[tuple[int, int]]] = field(default_factory=list)
 
-    def crossings(self, level: float = 2.0) -> list[tuple[float, float]]:
-        """Grid cells (w_lo, w_hi) where s crosses ``level``."""
-        sign = np.sign(self.s - level)
+    def crossings(self) -> list[tuple[float, float]]:
+        """Grid cells (w_lo, w_hi) where s crosses the local-realist bound 2."""
+        sign = np.sign(self.s - 2.0)
         out = []
         for k in range(len(self.windows) - 1):
             if sign[k] != sign[k + 1] and sign[k] != 0:
@@ -213,11 +213,11 @@ def _paired_tables(log: EventLog, windows: np.ndarray, config: ExperimentConfig)
 
     Each pair is binned once, by the first window that keeps it and by
     its cell; the cumulative sum of that histogram over the window axis
-    is every window's count table.  The log is split into contiguous row
-    ranges, one per thread and up to one thread per CPU; each thread
-    bins its range in blocks of ``_BLOCK_PAIRS`` pairs into a histogram
-    of its own, so no temporary grows with the log.  The integer
-    histograms are summed: the tables do not depend on the thread count.
+    is every window's count table.  :func:`map_ranges` splits the log
+    into one contiguous, block-aligned row range per CPU; each range is
+    binned in blocks of ``_BLOCK_PAIRS`` pairs into a histogram of its
+    own, so no temporary grows with the log.  The integer histograms are
+    summed: the tables do not depend on the split.
     Checks raise where the per-window calls would: a pair with a setting
     index outside ``config`` is left out of the histogram and raises at
     the first window that keeps it, the minimum over all blocks.
@@ -243,15 +243,7 @@ def _paired_tables(log: EventLog, windows: np.ndarray, config: ExperimentConfig)
             hist += np.bincount(code, minlength=size)
         return hist, raise_at
 
-    n = log.n_pairs
-    n_blocks = -(-n // _BLOCK_PAIRS)
-    threads = max(1, min(os.cpu_count() or 1, n_blocks))
-    edges = [min(n, _BLOCK_PAIRS * (n_blocks * k // threads)) for k in range(threads + 1)]
-    if threads == 1:
-        parts = [histogram(0, n)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(histogram, edges[:-1], edges[1:]))
+    parts = map_ranges(histogram, log.n_pairs, _BLOCK_PAIRS, os.cpu_count() or 1)
     raise_at = min(raise_at for _, raise_at in parts)
     counts = np.cumsum(sum(hist for hist, _ in parts).reshape(shape)[:-1], axis=0)
     for k in range(len(windows)):

@@ -35,7 +35,7 @@ from .coincidence import match_events
 from .errors import EprSimError, TagFormatError, ValidationError
 from .events import EmissionSpec, EventLog, ExperimentConfig, rng_provenance, run_experiment
 from .model import ModelParams
-from .oracle import DEFAULT_QUAD, QuadratureSpec, chsh_exact, correlation_curve, mixed_correlation, singlet_correlation
+from .oracle import DEFAULT_QUAD, chsh_exact, correlation_curve, mixed_correlation, singlet_correlation
 from .tagio import (
     RunManifest,
     config_from_dict,
@@ -249,7 +249,7 @@ def _analyze(log, config, windows, policy, quadruple, outdir: Path, manifest: Ru
             csv_path = write_sweep_csv(outdir / "sweep.csv", sweep)
             matched = sweep.matched
             empty_cells = sweep.empty_cells
-            crossings = sweep.crossings(2.0)
+            crossings = sweep.crossings()
             summary = {"crossings_at_2": crossings, "s_first": float(sweep.s[0]), "s_last": float(sweep.s[-1])}
             print(f"{manifest.mode}: {len(windows)} windows {windows[0]:g}..{windows[-1]:g}, "
                   f"S {sweep.s[0]:.4f} -> {sweep.s[-1]:.4f}, crossings at 2: {crossings}")

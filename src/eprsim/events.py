@@ -12,9 +12,14 @@ variates taken from a counter-based generator keyed by ``(seed,
 chunk_index)``, where pairs are grouped in fixed-size chunks.  The variates
 a pair sees therefore depend only on ``(seed, pair_id)``, never on
 generation order, so runs are reproducible bit-for-bit for any worker count.
-Each worker holds one chunk of variates at a time and turns it into that
-chunk's slice of the output columns, so the variates in memory do not grow
-with ``n_pairs``.
+Each range of pairs holds one chunk of variates at a time and turns it into
+that chunk's slice of the output columns, so the variates in memory do not
+grow with ``n_pairs``.
+
+Parallel passes over pairs go through :func:`map_ranges`: it cuts rows
+[0, n) into contiguous ranges with block-aligned inner edges and runs them
+on at most one thread per CPU.  Generation uses it with chunk-sized blocks,
+the paired window sweep of :mod:`eprsim.analysis` with its own blocks.
 
 A run is stored in pair order: row k of both station streams is pair k,
 and the two streams share one ``pair_id`` array.  Consumers that need
@@ -34,6 +39,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -203,13 +209,28 @@ class EventLog:
         return self.station1 == other.station1 and self.station2 == other.station2
 
 
-def _generate_columns(config: ExperimentConfig, start: int, count: int, cols: dict) -> None:
-    """Compute raw per-pair columns for pairs [start, start + count), one chunk at a time."""
+def map_ranges(fn, n: int, block: int, parts: int) -> list:
+    """``fn(start, stop)`` over contiguous ranges of rows [0, n), results in range order.
+
+    The rows are cut into at most ``parts`` ranges of nearly equal block
+    counts, with inner edges at multiples of ``block``; ``n == 0`` is one
+    empty range.  The ranges run on one thread each, up to one thread per
+    CPU.
+    """
+    n_blocks = -(-n // block)
+    k = max(1, min(parts, n_blocks))
+    edges = [min(n, block * (n_blocks * i // k)) for i in range(k + 1)]
+    with ThreadPoolExecutor(max_workers=min(k, os.cpu_count() or 1)) as pool:
+        return list(pool.map(fn, edges[:-1], edges[1:]))
+
+
+def _generate_columns(config: ExperimentConfig, cols: dict, start: int, stop: int) -> None:
+    """Compute raw per-pair columns for pairs [start, stop), one chunk at a time."""
     params = config.params
     a1 = np.asarray(config.settings1)
     a2 = np.asarray(config.settings2)
     k1, k2 = len(a1), len(a2)
-    pid, stop = start, start + count
+    pid = start
     while pid < stop:
         chunk, row = divmod(pid, CHUNK_PAIRS)
         take = min(CHUNK_PAIRS - row, stop - pid)
@@ -234,8 +255,9 @@ def _generate_columns(config: ExperimentConfig, start: int, count: int, cols: di
 def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> EventLog:
     """Run the full two-station experiment described by ``config``.
 
-    The result is identical for any ``n_workers``: workers only split the
-    pair range, and each pair's variates are fixed by ``(seed, pair_id)``.
+    ``n_workers`` is how many ranges the pairs are split into (see
+    :func:`map_ranges`).  The result is identical for any ``n_workers``:
+    each pair's variates are fixed by ``(seed, pair_id)``.
     Both stations come back in pair order and share one ``pair_id`` array.
     """
     if n_workers < 1:
@@ -251,25 +273,8 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> EventLog:
         "gap": np.empty(n),
     }
 
-    # Split on chunk boundaries so every task regenerates whole chunks.
-    n_chunks = -(-n // CHUNK_PAIRS)
-    tasks = []
-    chunks_per_task = -(-n_chunks // n_workers)
-    for c0 in range(0, n_chunks, chunks_per_task):
-        start = c0 * CHUNK_PAIRS
-        stop = min(n, (c0 + chunks_per_task) * CHUNK_PAIRS)
-        tasks.append((start, stop - start))
-    # Results do not depend on the split, so the pool needs no more threads
-    # than there are CPUs to run them.
-    threads = min(len(tasks), os.cpu_count() or 1)
-    if threads == 1:
-        for start, count in tasks:
-            _generate_columns(config, start, count, cols)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_generate_columns, config, start, count, cols) for start, count in tasks]
-            for f in futures:
-                f.result()
+    # Ranges split on chunk boundaries, so each regenerates whole chunks.
+    map_ranges(partial(_generate_columns, config, cols), n, CHUNK_PAIRS, n_workers)
 
     emission_spec = config.resolved_emission()
     pid = np.arange(n, dtype=np.int64)

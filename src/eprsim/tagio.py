@@ -257,9 +257,7 @@ def _parse_station_file(path: Path, expected_station: int) -> StationStream:
 
     col = {name: data[:, i] for i, name in enumerate(header)}
     outcome = col["outcome"]
-    bad = np.nonzero((outcome != 1) & (outcome != -1))[0]
-    if bad.size:
-        raise TagFormatError(f"{path}:{bad[0] + 3}: outcome must be 1 or -1, found {outcome[bad[0]]!r}")
+    _check_rows(path, (outcome != 1) & (outcome != -1), "outcome must be 1 or -1")
     idx = col["setting_index"]
     _check_rows(path, ~_is_index(idx, 2.0**15), "setting_index must be an integer in [0, 2**15)")
     t = col["time_ns"]
@@ -296,15 +294,8 @@ def read_tags(prefix: str | Path, config: ExperimentConfig | None = None) -> Eve
 # Run manifest.
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    emission = config.emission
-    return {
-        "params": {"d": config.params.d, "t0": config.params.t0, "window": config.params.window},
-        "settings1": list(config.settings1),
-        "settings2": list(config.settings2),
-        "n_pairs": config.n_pairs,
-        "seed": config.seed,
-        "emission": None if emission is None else asdict(emission),
-    }
+    """The manifest form of ``config``; ``config_from_dict`` inverts it."""
+    return asdict(config)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:

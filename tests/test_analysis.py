@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import eprsim.analysis
+import eprsim.events
 from eprsim.analysis import _BLOCK_PAIRS, _paired_tables
 from eprsim import (
     DEFAULT_QUADRUPLE,
@@ -190,7 +190,7 @@ class TestSweepResult:
             rate=np.array([0.1, 0.2, 0.4, 0.8]),
             matched=np.array([1, 2, 4, 8]),
         )
-        assert sweep.crossings(2.0) == [(2.0, 4.0)]
+        assert sweep.crossings() == [(2.0, 4.0)]
 
 
 class TestWindowSweep:
@@ -404,18 +404,22 @@ class TestBlockedPass:
 
     @pytest.fixture(params=[1, 2, 3])
     def cpus(self, request, monkeypatch):
-        """Patch the CPU count; record the thread pool sizes the pass asks for."""
+        """Patch the CPU count; ``cpus()`` starts recording the thread pool sizes the passes ask for.
+
+        Tests call it once their log is generated, so that generation's
+        pool does not count.  The log has three blocks, so the pass asks
+        for one thread per CPU.
+        """
         sizes = []
 
-        class Recorder(eprsim.analysis.ThreadPoolExecutor):
+        class Recorder(eprsim.events.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(eprsim.analysis, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(os, "cpu_count", lambda: request.param)
-        yield request.param
-        assert set(sizes) == ({request.param} if request.param > 1 else set())
+        yield lambda: monkeypatch.setattr(eprsim.events, "ThreadPoolExecutor", Recorder)
+        assert set(sizes) == {request.param}
 
     def config(self, emission=None):
         return ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), settings1=(0.0, np.pi / 4, np.pi / 2),
@@ -425,6 +429,7 @@ class TestBlockedPass:
     def test_tables_equal_the_reference(self, cpus, emission):
         config = self.config(emission)
         log = run_experiment(config)
+        cpus()
         new, new_error = tables_until_error(_paired_tables(log, self.WINDOWS, config))
         ref, ref_error = tables_until_error(reference_tables(log, self.WINDOWS, config))
         assert new_error is ref_error is None
@@ -444,6 +449,7 @@ class TestBlockedPass:
         dt = np.abs(s2.time_tag - s1.time_tag)
         first_block_late = int(np.flatnonzero(dt[:_BLOCK_PAIRS] > 500.0)[0])
         s1.setting_index[[first_block_late, -1]] = 2
+        cpus()
         new = tables_until_error(_paired_tables(log, self.WINDOWS, config))
         ref = tables_until_error(reference_tables(log, self.WINDOWS, config))
         assert len(new[0]) == len(ref[0]) == 2

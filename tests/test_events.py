@@ -20,7 +20,7 @@ from eprsim import (
     write_tags,
 )
 import eprsim.events
-from eprsim.events import CHUNK_PAIRS, TIME_TAG_DECIMALS, _chunk_uniforms, _generate_columns
+from eprsim.events import CHUNK_PAIRS, TIME_TAG_DECIMALS, _chunk_uniforms, _generate_columns, map_ranges
 from eprsim.model import hidden_from_uniform
 
 
@@ -43,7 +43,7 @@ COLUMNS = ("idx1", "idx2", "x1", "x2", "delay1", "delay2", "gap")
 def pair_columns(cfg, pid):
     """The raw columns of pair ``pid`` alone, as ``run_experiment`` computes them."""
     cols = {name: np.zeros(cfg.n_pairs) for name in COLUMNS}
-    _generate_columns(cfg, pid, 1, cols)
+    _generate_columns(cfg, cols, pid, pid + 1)
     return {name: col[pid] for name, col in cols.items()}
 
 
@@ -51,6 +51,19 @@ def hidden_angle(seed, pid):
     """The hidden angle s1 that pair ``pid`` draws."""
     u = _chunk_uniforms(seed, pid // CHUNK_PAIRS, pid % CHUNK_PAIRS + 1)[-1]
     return float(hidden_from_uniform(u[0]))
+
+
+def record_pool_sizes(monkeypatch):
+    """Record the thread count of every pool the range runner opens from now on."""
+    sizes = []
+
+    class Recorder(eprsim.events.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(eprsim.events, "ThreadPoolExecutor", Recorder)
+    return sizes
 
 
 def log_digest(log):
@@ -188,18 +201,12 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("cpus, threads", [(4, 4), (None, 1), (64, 10)])
     def test_pool_sized_by_cpus_not_workers(self, monkeypatch, cpus, threads):
-        sizes = []
-
-        class Recorder(eprsim.events.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(eprsim.events, "ThreadPoolExecutor", Recorder)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         cfg = small_config(n_pairs=10 * CHUNK_PAIRS)
-        assert run_experiment(cfg, n_workers=64) == run_experiment(cfg)
-        assert sizes == ([threads] if threads > 1 else [])
+        one_range = run_experiment(cfg)
+        sizes = record_pool_sizes(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run_experiment(cfg, n_workers=64) == one_range
+        assert sizes == [threads]
 
     def test_any_pair_rebuilds_in_isolation(self):
         # Pair pid generated alone equals row pid of the whole run, setting
@@ -208,7 +215,7 @@ class TestRunExperiment:
         cfg = small_config(n_pairs=CHUNK_PAIRS + 40)
         log = run_experiment(cfg)
         whole = {name: np.zeros(cfg.n_pairs) for name in COLUMNS}
-        _generate_columns(cfg, 0, cfg.n_pairs, whole)
+        _generate_columns(cfg, whole, 0, cfg.n_pairs)
         dt = cfg.resolved_emission().interval
         for pid in [0, 1, 57, CHUNK_PAIRS - 1, CHUNK_PAIRS, CHUNK_PAIRS + 39]:
             row = pair_columns(cfg, pid)
@@ -284,6 +291,24 @@ class TestRunExperiment:
         # The third pair is emitted near 1e303 or later: finite, but not once scaled to 6 decimals.
         with pytest.raises(ValidationError, match="emission times overflow"):
             run_experiment(small_config(n_pairs=3, emission=emission))
+
+
+class TestMapRanges:
+    BLOCK = 8
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 64])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 3])
+    def test_block_aligned_ranges_cover_the_rows_in_order(self, monkeypatch, n, parts):
+        sizes = record_pool_sizes(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        ranges = map_ranges(lambda start, stop: (start, stop), n, self.BLOCK, parts)
+        # Results in range order: each range starts where the previous one stops.
+        edges = [start for start, _ in ranges] + [ranges[-1][1]]
+        assert edges[0] == 0 and edges[-1] == n
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        assert all(edge % self.BLOCK == 0 for edge in edges[1:-1])
+        assert len(ranges) <= min(parts, -(-n // self.BLOCK))
+        assert sizes == [min(len(ranges), 2)]
 
 
 class TestEventLogPairing:

@@ -152,7 +152,7 @@ class TestHiddenPair:
             s1 = float(hidden_from_uniform(u[0]))
             cfg = ExperimentConfig(params=p, settings1=(s1,), settings2=(s1 + 0.5 * np.pi,), n_pairs=n, seed=7)
             cols = {name: np.zeros(n) for name in ("idx1", "idx2", "x1", "x2", "delay1", "delay2", "gap")}
-            _generate_columns(cfg, pid, 1, cols)
+            _generate_columns(cfg, cols, pid, pid + 1)
             assert (cols["x1"][pid], cols["x2"][pid]) == (1, 1)
             assert cols["delay1"][pid] == cols["delay2"][pid] == 0.0
 

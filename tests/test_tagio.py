@@ -218,6 +218,14 @@ def test_setting_index_outside_int16_rejected(tag_prefix):
         read_tags(prefix)
 
 
+def test_bad_outcome_rejected_naming_the_line(tag_prefix):
+    prefix, _ = tag_prefix
+    _replace_line(prefix, 3, "1,10000.000000,0,2")
+    with pytest.raises(TagFormatError, match=r"station1\.csv:4: outcome must be 1 or -1") as exc:
+        read_tags(prefix)
+    assert "np." not in str(exc.value)
+
+
 def test_cli_fractional_pair_id_exits_2(cli_run, tmp_path, capsys):
     _set_pair_ids(tmp_path / "tags", ("0.5", "0"))
     assert main(["--mode", "reanalyze", "--matcher", "paired", "--tags-in", "tags", "--out", cli_run]) == 2
