@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coincidence import Coincidences, MatchPolicy, check_pair_filter, match_events, pair_window_index
+from .coincidence import Coincidences, MatchPolicy, check_pair_filter, pair_window_index, stream_window_index
 from .errors import ValidationError
 from .events import EventLog, ExperimentConfig, map_ranges
 from .events import run_experiment  # noqa: F401  perfbench/spans.py hooks it here
@@ -99,17 +99,34 @@ def _outside(index: np.ndarray, n: int) -> np.ndarray:
     return (index < 0) | (index >= n)
 
 
-def _cell_codes(code: np.ndarray, i1, i2, x1, x2, n1: int, n2: int) -> np.ndarray:
-    """Flat cell of each coincidence in a (rows, n1, n2, 2, 2) table, computed in place.
+def _histogram(code: np.ndarray, log: EventLog, rows1, rows2, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """Coincidences counted by first window and cell, and the first window that keeps one outside the config.
 
-    ``code`` holds each coincidence's index on the first axis (its window,
-    or 0 for a single table) on entry; ``i1``, ``i2`` are its setting
-    indices and ``x1``, ``x2`` its outcomes (+1 -> 0, -1 -> 1).
+    Coincidence k pairs row ``rows1[k]`` of station 1 with row ``rows2[k]``
+    of station 2 and is kept from window ``code[k]`` on (``code`` is
+    overwritten).  ``shape`` is (windows + 1, n1, n2, 2, 2).  The last row,
+    which no window reads, holds what no window keeps and every
+    coincidence with a setting index outside the n1 x n2 settings, which
+    would otherwise land in another cell.  The window returned for those
+    is ``shape[0] - 1`` if there are none.
     """
-    for size, digit in ((n1, i1), (n2, i2), (2, x1 < 0), (2, x2 < 0)):
+    s1, s2 = log.station1, log.station2
+    i1, i2 = s1.setting_index[rows1], s2.setting_index[rows2]
+    n1, n2 = shape[1:3]
+    bad = np.flatnonzero(_outside(i1, n1) | _outside(i2, n2))
+    raise_at = int(code[bad].min(initial=shape[0] - 1))
+    for size, digit in ((n1, i1), (n2, i2), (2, s1.outcome[rows1] < 0), (2, s2.outcome[rows2] < 0)):
         code *= size
         code += digit
-    return code
+    size = math.prod(shape)
+    code[bad] = size - 1
+    return np.bincount(code, minlength=size).reshape(shape), raise_at
+
+
+def _table_counts(log: EventLog, rows1, rows2, n1: int, n2: int) -> tuple[np.ndarray, bool]:
+    """One table's counts of the coincidences (``rows1``, ``rows2``), and whether one lies outside the config."""
+    hist, raise_at = _histogram(np.zeros(len(rows1), dtype=np.intp), log, rows1, rows2, (2, n1, n2, 2, 2))
+    return hist[0], raise_at == 0
 
 
 def tabulate(coincidences: Coincidences, config: ExperimentConfig) -> CorrelationTable:
@@ -120,13 +137,10 @@ def tabulate(coincidences: Coincidences, config: ExperimentConfig) -> Correlatio
     """
     if len(coincidences) == 0:
         raise ValidationError(_EMPTY)
-    s1, s2, r1, r2 = coincidences.log.station1, coincidences.log.station2, coincidences.rows1, coincidences.rows2
-    i1, i2 = s1.setting_index[r1], s2.setting_index[r2]
-    n1, n2 = len(config.settings1), len(config.settings2)
-    if _outside(i1, n1).any() or _outside(i2, n2).any():
+    counts, outside = _table_counts(coincidences.log, coincidences.rows1, coincidences.rows2,
+                                    len(config.settings1), len(config.settings2))
+    if outside:
         raise ValidationError(_OUT_OF_RANGE)
-    code = _cell_codes(np.zeros(len(r1), dtype=np.intp), i1, i2, s1.outcome[r1], s2.outcome[r2], n1, n2)
-    counts = np.bincount(code, minlength=n1 * n2 * 4).reshape(n1, n2, 2, 2)
     return CorrelationTable(counts=counts, settings1=config.settings1, settings2=config.settings2)
 
 
@@ -145,7 +159,7 @@ class ChshResult:
 def _find_setting(angle: float, settings: tuple[float, ...], station: int) -> int:
     target = normalize_angle(angle)
     for k, a in enumerate(settings):
-        if np.isclose(normalize_angle(a), target, rtol=0.0, atol=1e-9):
+        if abs(normalize_angle(a) - target) <= 1e-9:
             return k
     raise ValidationError(f"missing combination: angle {angle!r} not among station-{station} settings {settings}")
 
@@ -223,35 +237,53 @@ def _paired_tables(log: EventLog, windows: np.ndarray, config: ExperimentConfig)
     the first window that keeps it, the minimum over all blocks.
     """
     check_pair_filter(log, windows[0])
-    s1, s2 = log.station1, log.station2
-    n1, n2 = len(config.settings1), len(config.settings2)
-    shape = (len(windows) + 1, n1, n2, 2, 2)
-    size = math.prod(shape)
+    shape = (len(windows) + 1, len(config.settings1), len(config.settings2), 2, 2)
 
     def histogram(start: int, stop: int) -> tuple[np.ndarray, int]:
         """Histogram of rows [start, stop), and the first window an out-of-range pair among them raises at."""
-        hist = np.zeros(size, dtype=np.int64)
+        hist = np.zeros(shape, dtype=np.int64)
         raise_at = len(windows)
         for lo in range(start, stop, _BLOCK_PAIRS):
             rows = slice(lo, min(lo + _BLOCK_PAIRS, stop))
-            i1, i2 = s1.setting_index[rows], s2.setting_index[rows]
-            code = pair_window_index(log, windows, rows)
-            bad = np.flatnonzero(_outside(i1, n1) | _outside(i2, n2))
-            raise_at = min(raise_at, int(code[bad].min(initial=raise_at)))
-            _cell_codes(code, i1, i2, s1.outcome[rows], s2.outcome[rows], n1, n2)
-            code[bad] = size - 1  # a cell of the last row, which no window reads
-            hist += np.bincount(code, minlength=size)
+            block, block_raise_at = _histogram(pair_window_index(log, windows, rows), log, rows, rows, shape)
+            hist += block
+            raise_at = min(raise_at, block_raise_at)
         return hist, raise_at
 
     parts = map_ranges(histogram, log.n_pairs, _BLOCK_PAIRS, os.cpu_count() or 1)
     raise_at = min(raise_at for _, raise_at in parts)
-    counts = np.cumsum(sum(hist for hist, _ in parts).reshape(shape)[:-1], axis=0)
+    counts = np.cumsum(sum(hist for hist, _ in parts)[:-1], axis=0)
     for k in range(len(windows)):
         if k == raise_at:
             raise ValidationError(_OUT_OF_RANGE)
         if k == 0 and not counts[0].any():
             raise ValidationError(_EMPTY)
         yield CorrelationTable(counts=counts[k], settings1=config.settings1, settings2=config.settings2)
+
+
+def _stream_tables(log: EventLog, windows: np.ndarray, config: ExperimentConfig):
+    """Yield every window's ``tabulate(stream_match(log, w), config)`` from one split.
+
+    The events uncontested at the largest window are binned once, at
+    the first window that keeps them, and the cumulative sum over the
+    window axis counts them at every window, as in ``_paired_tables``.
+    The contested events are matched again at each window and added to
+    that window's table.  Greedy matching is not monotone in the window,
+    so each window checks, in ``tabulate``'s order, for no coincidences
+    and then for a setting index outside ``config``.
+    """
+    rows1, rows2, first, rescan = stream_window_index(log, windows)
+    n1, n2 = len(config.settings1), len(config.settings2)
+    hist, raise_at = _histogram(first, log, rows1, rows2, (len(windows) + 1, n1, n2, 2, 2))
+    counts = np.cumsum(hist[:-1], axis=0)
+    for k, w in enumerate(windows):
+        r1, r2 = rescan(float(w))
+        if len(r1) == 0 and not counts[k].any():
+            raise ValidationError(_EMPTY)
+        more, outside = _table_counts(log, r1, r2, n1, n2)
+        if k >= raise_at or outside:
+            raise ValidationError(_OUT_OF_RANGE)
+        yield CorrelationTable(counts=counts[k] + more, settings1=config.settings1, settings2=config.settings2)
 
 
 def window_sweep(
@@ -268,7 +300,10 @@ def window_sweep(
     tags, which gives a smooth correlated-sample curve; for independent
     error bars, sweep one log per seed.
     Policy ``"paired"`` reads every window's table from one histogram
-    pass over the log; ``"stream"`` matches the streams once per window.
+    pass over the log.  Policy ``"stream"`` sorts each station once,
+    splits the streams once at the largest window, bins the uncontested
+    events in one pass and matches only the contested ones at each
+    window (see the ``coincidence`` module).
     Either way the tables, and any error, are those of
     ``tabulate(match_events(log, w, policy), config)`` window by window.
     """
@@ -279,8 +314,10 @@ def window_sweep(
         raise ValidationError("window values must be strictly increasing")
     if policy == "paired":
         tables = _paired_tables(log, windows, config)
+    elif policy == "stream":
+        tables = _stream_tables(log, windows, config)
     else:
-        tables = (tabulate(match_events(log, float(w), policy), config) for w in windows)
+        raise ValidationError(f"unknown match policy {policy!r}")
     s_vals = np.empty(len(windows))
     s_errs = np.empty(len(windows))
     matched = np.empty(len(windows), dtype=np.int64)

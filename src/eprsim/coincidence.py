@@ -20,6 +20,19 @@ pair of a row range the first window W of the grid with |dt| <= W
 ``pair_filter`` at window k keeps exactly the pairs with index <= k.
 The row range lets the sweep bin the log block by block.
 
+A stream sweep does not call ``stream_match`` per window either.
+``stream_window_index`` sorts each station once and runs stage 1 (see
+below) once, at the largest window.  An event uncontested there stays
+uncontested, or has no candidate, at every smaller window, with the
+same one candidate: ``fl(t1 - W)`` and ``fl(t1 + W)`` are monotone in
+W, so its range only shrinks, and no other event's range ever holds its
+tag.  Each such event gets the first window whose range holds its tag,
+the stream counterpart of ``pair_window_index``.  Only the events
+contested at the largest window are matched again, window by window,
+by the unchanged two-stage matcher: no tag of an uncontested event lies
+in their ranges, so matching them alone gives what matching every event
+gives them.  Regular emission leaves nothing to match again.
+
 A selection is two row-index arrays into the one stored log: coincidence
 k is row ``rows1[k]`` of station 1 and row ``rows2[k]`` of station 2; no
 column is copied.  ``pair_filter`` keeps rows in pair order (rows1 ==
@@ -61,6 +74,7 @@ __all__ = [
     "pair_filter",
     "pair_window_index",
     "stream_match",
+    "stream_window_index",
     "match_events",
 ]
 
@@ -219,6 +233,42 @@ def stream_match(log: EventLog, window: float) -> Coincidences:
     o1, o2 = s1.time_order(), s2.time_order()
     m1, m2 = _greedy_match(s1.time_tag[o1], s2.time_tag[o2], window)
     return Coincidences(log, o1[m1], o2[m2])
+
+
+def stream_window_index(log: EventLog, windows: np.ndarray):
+    """``stream_match`` at every window of a grid, from one sort per station and one split.
+
+    ``windows`` must increase strictly.  Returns ``(rows1, rows2, first,
+    rescan)``.  The events uncontested at the largest window form
+    coincidences (``rows1[k]``, ``rows2[k]``); coincidence k belongs to
+    ``stream_match(log, windows[j])`` exactly for j >= ``first[k]``.
+    ``rescan(w)`` returns the rows ``(rows1, rows2)`` of the other
+    coincidences of ``stream_match(log, w)``, for any w of the grid.
+    Raises what ``stream_match(log, windows[0])`` raises.
+    """
+    _check_window(windows[0])
+    s1, s2 = log.station1, log.station2
+    o1, o2 = s1.time_order(), s2.time_order()
+    t1, t2 = s1.time_tag[o1], s2.time_tag[o2]
+    partner, contested, lo, hi = _split(t1, t2, float(windows[-1]))
+    alone = np.flatnonzero(partner >= 0)
+    partner = partner[alone]
+    ta, tb = t1[alone], t2[partner]
+    # The first window is the number of windows whose range misses the tag:
+    # the scan's own bounds, fl(t1 - w) <= t2 <= fl(t1 + w), hold from it on.
+    first = np.full(len(alone), len(windows), dtype=np.intp)
+    for w in windows:
+        first -= (ta - w <= tb) & (tb <= ta + w)
+    rest = np.flatnonzero(contested)
+    # Every contested range, at every window of the grid, lies in t2[base:top].
+    base, top = int(lo[rest].min(initial=len(t2))), int(hi[rest].max(initial=0))
+    t1_rest, t2_rest = t1[rest], t2[base:top]
+
+    def rescan(window: float) -> tuple[np.ndarray, np.ndarray]:
+        m1, m2 = _greedy_match(t1_rest, t2_rest, window)
+        return o1[rest[m1]], o2[base + m2]
+
+    return o1[alone], o2[partner], first, rescan
 
 
 def match_events(log: EventLog, window: float, policy: MatchPolicy = "paired") -> Coincidences:

@@ -24,10 +24,12 @@ from eprsim import (
     chsh,
     chsh_combination,
     match_events,
+    read_tags,
     run_experiment,
     singlet_correlation,
     tabulate,
     window_sweep,
+    write_tags,
 )
 
 
@@ -245,7 +247,7 @@ def sweep_reference(config, windows, quadruple=DEFAULT_QUADRUPLE, policy="paired
     """The per-window sweep: match, tabulate and CHSH once per window.
 
     Kept verbatim (but for returning the three arrays) as the reference
-    the one-pass paired sweep must reproduce exactly.
+    that both one-pass sweeps, paired and stream, must reproduce exactly.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 1 or len(windows) == 0:
@@ -298,12 +300,46 @@ def sweep_inputs(draw):
 
 
 class TestOnePassSweep:
-    """The paired sweep's single histogram pass against the per-window reference."""
+    """The one-pass sweeps, paired and stream, against the per-window reference."""
 
     @settings(max_examples=40, deadline=None)
     @given(sweep_inputs())
     def test_equals_per_window_reference(self, inputs):
         assert_same_as_reference(*inputs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_inputs())
+    def test_stream_equals_per_window_reference(self, inputs):
+        assert_same_as_reference(*inputs, policy="stream")
+
+    def test_stream_dense_poisson(self):
+        # Clusters of many events: nearly every event is contested at the largest window.
+        config = ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=3000, seed=5,
+                                  emission=EmissionSpec.poisson(5e-3))
+        assert_same_as_reference(config, [5.0, 50.0, 500.0, 1000.0], run_experiment(config), "stream")
+
+    def test_stream_on_tags_without_pair_ids(self, tmp_path):
+        config = ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=3000, seed=6,
+                                  emission=EmissionSpec.poisson(2e-3))
+        log = run_experiment(config)
+        write_tags(EventLog(replace(log.station1, pair_id=None), replace(log.station2, pair_id=None)), tmp_path / "t")
+        back = read_tags(tmp_path / "t", config)
+        assert back.station1.pair_id is None
+        assert_same_as_reference(config, [5.0, 50.0, 500.0, np.inf], back, "stream")
+
+    def test_stream_sorts_each_station_once(self, monkeypatch):
+        config = ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=3000, seed=21)
+        log = run_experiment(config)
+        sorted_stations = []
+        time_order = StationStream.time_order
+
+        def counted(stream):
+            sorted_stations.append(stream.station)
+            return time_order(stream)
+
+        monkeypatch.setattr(StationStream, "time_order", counted)
+        window_sweep(config, [5.0, 50.0, 500.0, np.inf], policy="stream", log=log)
+        assert sorted(sorted_stations) == [1, 2]
 
     @pytest.mark.parametrize("windows", [[1e3], [np.inf], [5.0, 50.0, 500.0, np.inf]])
     @pytest.mark.parametrize("policy", ["paired", "stream"])
@@ -358,14 +394,55 @@ class TestOnePassSweep:
             sweep_reference(config, windows, log=log)
         assert str(new.value) == str(ref.value)
 
+    def contested_log(self, i1):
+        """``log_with`` plus station-1 events at t and t + 1 and station-2 tags at t + 4 and t + 5.
+
+        Both events compete for both tags from window 4 on; the scan gives
+        the second event (station-1 setting ``i1``) the tag at t + 5.
+        """
+        log = self.log_with(extra=[(4, 0, 0), (4, i1, 0)])
+        t = log.station1.time_tag[-2]
+        log.station1.time_tag[-1] = t + 1
+        log.station2.time_tag[-1] = t + 5
+        return log
+
+    @pytest.mark.parametrize(
+        "windows, log, message",
+        [
+            ([-1.0, 5.0], "plain", "window must be >= 0, got -1.0"),
+            ([np.nan], "plain", "window must be >= 0, got nan"),
+            ([0.5, 5.0], "plain", "cannot tabulate an empty coincidence list"),
+            # An out-of-range index first kept at the second window, on an
+            # event uncontested at the largest window and on a contested one.
+            ([2.0, 5.0], "uncontested", "setting index out of range"),
+            ([2.0, 5.0], "contested", "setting index out of range"),
+            ([2.0, 5.0, 8.0], "contested", "setting index out of range"),
+        ],
+    )
+    def test_stream_rejects_what_the_reference_rejects(self, windows, log, message):
+        config = ExperimentConfig(n_pairs=10, seed=0)
+        log = {"plain": self.log_with, "uncontested": lambda: self.log_with(extra=[(3, 2, 0)]),
+               "contested": lambda: self.contested_log(2)}[log]()
+        with pytest.raises(ValidationError, match=message) as new:
+            window_sweep(config, windows, policy="stream", log=log)
+        with pytest.raises(ValidationError) as ref:
+            sweep_reference(config, windows, policy="stream", log=log)
+        assert str(new.value) == str(ref.value)
+
+    def test_contested_events_counted_at_every_window(self):
+        config = ExperimentConfig(n_pairs=10, seed=0)
+        assert_same_as_reference(config, [2.0, 4.5, 5.0, 8.0], self.contested_log(1), "stream")
+
     def test_unknown_policy_rejected_like_the_reference(self):
+        # The policy is rejected before the first window is checked.
         config = ExperimentConfig(n_pairs=10, seed=0)
         log = self.log_with()
-        with pytest.raises(ValidationError, match="unknown match policy") as new:
-            window_sweep(config, [5.0], policy="hardware", log=log)
-        with pytest.raises(ValidationError) as ref:
-            sweep_reference(config, [5.0], policy="hardware", log=log)
-        assert str(new.value) == str(ref.value)
+        for windows in ([5.0], [-1.0]):
+            with pytest.raises(ValidationError, match="unknown match policy") as new:
+                window_sweep(config, windows, policy="hardware", log=log)
+            with pytest.raises(ValidationError) as ref:
+                sweep_reference(config, windows, policy="hardware", log=log)
+            assert str(new.value) == str(ref.value)
 
     def test_unused_setting_listed_as_empty_at_every_window(self):
         config = ExperimentConfig(settings1=(0.0, np.pi / 4, np.pi / 2), n_pairs=10, seed=0)
