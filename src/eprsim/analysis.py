@@ -8,7 +8,6 @@ the binomial plug-in sqrt((1 - E**2) / N).
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -90,43 +89,58 @@ class CorrelationTable:
         return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.n_total == 0))]
 
 
-_EMPTY = "cannot tabulate an empty coincidence list"
-_OUT_OF_RANGE = "setting index out of range for the supplied config"
-
-
 def _outside(index: np.ndarray, n: int) -> np.ndarray:
     """Which setting index values fall outside a list of ``n`` settings."""
     return (index < 0) | (index >= n)
 
 
-def _histogram(code: np.ndarray, log: EventLog, rows1, rows2, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """Coincidences counted by first window and cell, and the first window that keeps one outside the config.
+def _bin(log: EventLog, groups, n_windows: int, config: ExperimentConfig) -> tuple[np.ndarray, int]:
+    """Coincidence groups counted by window and cell, and the first window that keeps one outside the config.
 
-    Coincidence k pairs row ``rows1[k]`` of station 1 with row ``rows2[k]``
-    of station 2 and is kept from window ``code[k]`` on (``code`` is
-    overwritten).  ``shape`` is (windows + 1, n1, n2, 2, 2).  The last row,
-    which no window reads, holds what no window keeps and every
-    coincidence with a setting index outside the n1 x n2 settings, which
-    would otherwise land in another cell.  The window returned for those
-    is ``shape[0] - 1`` if there are none.
+    Each group is ``(rows1, rows2, start, stop)``: coincidence k pairs
+    row ``rows1[k]`` of station 1 with row ``rows2[k]`` of station 2 and
+    is kept at windows ``start[k] <= j < stop`` (``start`` is
+    overwritten; a start of ``n_windows`` is kept at no window).  Each
+    group is counted at ``start`` and its total subtracted at ``stop``,
+    so the cumulative sum of the histogram over its first axis is every
+    window's count table.  The histogram has shape (n_windows + 1, n1,
+    n2, 2, 2); its last row, which no window reads, holds what no window
+    keeps and every coincidence with a setting index outside the n1 x n2
+    settings, which would otherwise land in another cell.  The window
+    returned for those is ``n_windows`` if there are none.
     """
     s1, s2 = log.station1, log.station2
-    i1, i2 = s1.setting_index[rows1], s2.setting_index[rows2]
-    n1, n2 = shape[1:3]
-    bad = np.flatnonzero(_outside(i1, n1) | _outside(i2, n2))
-    raise_at = int(code[bad].min(initial=shape[0] - 1))
-    for size, digit in ((n1, i1), (n2, i2), (2, s1.outcome[rows1] < 0), (2, s2.outcome[rows2] < 0)):
-        code *= size
-        code += digit
-    size = math.prod(shape)
-    code[bad] = size - 1
-    return np.bincount(code, minlength=size).reshape(shape), raise_at
+    n1, n2 = len(config.settings1), len(config.settings2)
+    shape = (n_windows + 1, n1, n2, 2, 2)
+    hist = np.zeros(shape, dtype=np.int64)
+    raise_at = n_windows
+    for rows1, rows2, code, stop in groups:
+        i1, i2 = s1.setting_index[rows1], s2.setting_index[rows2]
+        bad = np.flatnonzero(_outside(i1, n1) | _outside(i2, n2))
+        raise_at = min(raise_at, int(code[bad].min(initial=n_windows)))
+        for size, digit in ((n1, i1), (n2, i2), (2, s1.outcome[rows1] < 0), (2, s2.outcome[rows2] < 0)):
+            code *= size
+            code += digit
+        code[bad] = hist.size - 1
+        group = np.bincount(code, minlength=hist.size).reshape(shape)
+        hist += group
+        hist[stop] -= group[:stop].sum(axis=0)
+    return hist, raise_at
 
 
-def _table_counts(log: EventLog, rows1, rows2, n1: int, n2: int) -> tuple[np.ndarray, bool]:
-    """One table's counts of the coincidences (``rows1``, ``rows2``), and whether one lies outside the config."""
-    hist, raise_at = _histogram(np.zeros(len(rows1), dtype=np.intp), log, rows1, rows2, (2, n1, n2, 2, 2))
-    return hist[0], raise_at == 0
+def _tables(hist: np.ndarray, raise_at: int, config: ExperimentConfig):
+    """Yield every window's count table from ``_bin``'s histogram.
+
+    Raises at the first window that keeps a coincidence outside the
+    config or keeps none, the checks and order of ``tabulate``.
+    """
+    counts = np.cumsum(hist[:-1], axis=0)
+    for k in range(len(counts)):
+        if k == raise_at:
+            raise ValidationError("setting index out of range for the supplied config")
+        if not counts[k].any():
+            raise ValidationError("cannot tabulate an empty coincidence list")
+        yield CorrelationTable(counts=counts[k], settings1=config.settings1, settings2=config.settings2)
 
 
 def tabulate(coincidences: Coincidences, config: ExperimentConfig) -> CorrelationTable:
@@ -135,13 +149,8 @@ def tabulate(coincidences: Coincidences, config: ExperimentConfig) -> Correlatio
     Settings and outcomes are read from the log through the selection's
     rows.  A setting index outside ``config``'s lists is an error.
     """
-    if len(coincidences) == 0:
-        raise ValidationError(_EMPTY)
-    counts, outside = _table_counts(coincidences.log, coincidences.rows1, coincidences.rows2,
-                                    len(config.settings1), len(config.settings2))
-    if outside:
-        raise ValidationError(_OUT_OF_RANGE)
-    return CorrelationTable(counts=counts, settings1=config.settings1, settings2=config.settings2)
+    group = (coincidences.rows1, coincidences.rows2, np.zeros(len(coincidences), dtype=np.intp), 1)
+    return next(_tables(*_bin(coincidences.log, [group], 1, config), config))
 
 
 @dataclass(frozen=True)
@@ -222,68 +231,32 @@ class SweepResult:
 _BLOCK_PAIRS = 1 << 16
 
 
-def _paired_tables(log: EventLog, windows: np.ndarray, config: ExperimentConfig):
-    """Yield every window's ``tabulate(pair_filter(log, w), config)`` from one pass.
+def _sweep_tables(log: EventLog, windows: np.ndarray, config: ExperimentConfig, policy: MatchPolicy):
+    """Every window's ``tabulate(match_events(log, w, policy), config)``, from one ``_bin`` histogram.
 
-    Each pair is binned once, by the first window that keeps it and by
-    its cell; the cumulative sum of that histogram over the window axis
-    is every window's count table.  :func:`map_ranges` splits the log
-    into one contiguous, block-aligned row range per CPU; each range is
-    binned in blocks of ``_BLOCK_PAIRS`` pairs into a histogram of its
-    own, so no temporary grows with the log.  The integer histograms are
-    summed: the tables do not depend on the split.
-    Checks raise where the per-window calls would: a pair with a setting
-    index outside ``config`` is left out of the histogram and raises at
-    the first window that keeps it, the minimum over all blocks.
+    Policy ``"paired"`` bins each pair once, at the first window that
+    keeps it: :func:`map_ranges` splits the log into one contiguous,
+    block-aligned row range per CPU, and each range is binned in groups
+    of ``_BLOCK_PAIRS`` pairs into a histogram of its own, so no
+    temporary grows with the log.  The integer histograms are summed:
+    the tables do not depend on the split.  Policy ``"stream"`` bins the
+    groups of ``stream_window_index``.
     """
-    check_pair_filter(log, windows[0])
-    shape = (len(windows) + 1, len(config.settings1), len(config.settings2), 2, 2)
+    if policy == "paired":
+        check_pair_filter(log, windows[0])
 
-    def histogram(start: int, stop: int) -> tuple[np.ndarray, int]:
-        """Histogram of rows [start, stop), and the first window an out-of-range pair among them raises at."""
-        hist = np.zeros(shape, dtype=np.int64)
-        raise_at = len(windows)
-        for lo in range(start, stop, _BLOCK_PAIRS):
-            rows = slice(lo, min(lo + _BLOCK_PAIRS, stop))
-            block, block_raise_at = _histogram(pair_window_index(log, windows, rows), log, rows, rows, shape)
-            hist += block
-            raise_at = min(raise_at, block_raise_at)
-        return hist, raise_at
+        def histogram(start: int, stop: int) -> tuple[np.ndarray, int]:
+            blocks = (slice(lo, min(lo + _BLOCK_PAIRS, stop)) for lo in range(start, stop, _BLOCK_PAIRS))
+            groups = ((rows, rows, pair_window_index(log, windows, rows), len(windows)) for rows in blocks)
+            return _bin(log, groups, len(windows), config)
 
-    parts = map_ranges(histogram, log.n_pairs, _BLOCK_PAIRS, os.cpu_count() or 1)
-    raise_at = min(raise_at for _, raise_at in parts)
-    counts = np.cumsum(sum(hist for hist, _ in parts)[:-1], axis=0)
-    for k in range(len(windows)):
-        if k == raise_at:
-            raise ValidationError(_OUT_OF_RANGE)
-        if k == 0 and not counts[0].any():
-            raise ValidationError(_EMPTY)
-        yield CorrelationTable(counts=counts[k], settings1=config.settings1, settings2=config.settings2)
-
-
-def _stream_tables(log: EventLog, windows: np.ndarray, config: ExperimentConfig):
-    """Yield every window's ``tabulate(stream_match(log, w), config)`` from one split.
-
-    The events uncontested at the largest window are binned once, at
-    the first window that keeps them, and the cumulative sum over the
-    window axis counts them at every window, as in ``_paired_tables``.
-    The contested events are matched again at each window and added to
-    that window's table.  Greedy matching is not monotone in the window,
-    so each window checks, in ``tabulate``'s order, for no coincidences
-    and then for a setting index outside ``config``.
-    """
-    rows1, rows2, first, rescan = stream_window_index(log, windows)
-    n1, n2 = len(config.settings1), len(config.settings2)
-    hist, raise_at = _histogram(first, log, rows1, rows2, (len(windows) + 1, n1, n2, 2, 2))
-    counts = np.cumsum(hist[:-1], axis=0)
-    for k, w in enumerate(windows):
-        r1, r2 = rescan(float(w))
-        if len(r1) == 0 and not counts[k].any():
-            raise ValidationError(_EMPTY)
-        more, outside = _table_counts(log, r1, r2, n1, n2)
-        if k >= raise_at or outside:
-            raise ValidationError(_OUT_OF_RANGE)
-        yield CorrelationTable(counts=counts[k] + more, settings1=config.settings1, settings2=config.settings2)
+        parts = map_ranges(histogram, log.n_pairs, _BLOCK_PAIRS, os.cpu_count() or 1)
+        hist, raise_at = sum(hist for hist, _ in parts), min(raise_at for _, raise_at in parts)
+    elif policy == "stream":
+        hist, raise_at = _bin(log, stream_window_index(log, windows), len(windows), config)
+    else:
+        raise ValidationError(f"unknown match policy {policy!r}")
+    return _tables(hist, raise_at, config)
 
 
 def window_sweep(
@@ -299,11 +272,12 @@ def window_sweep(
     Every window is analyzed on the same ``log``, generated or read from
     tags, which gives a smooth correlated-sample curve; for independent
     error bars, sweep one log per seed.
-    Policy ``"paired"`` reads every window's table from one histogram
-    pass over the log.  Policy ``"stream"`` sorts each station once,
-    splits the streams once at the largest window, bins the uncontested
-    events in one pass and matches only the contested ones at each
-    window (see the ``coincidence`` module).
+    Either policy reads every window's table from one histogram.  Policy
+    ``"paired"`` bins the log in one pass.  Policy ``"stream"`` sorts each
+    station once and walks the grid from the largest window down: each
+    window splits only the events still contested at the window above,
+    bins the uncontested ones at the first window that keeps them, and
+    scans the rest (see the ``coincidence`` module).
     Either way the tables, and any error, are those of
     ``tabulate(match_events(log, w, policy), config)`` window by window.
     """
@@ -312,12 +286,7 @@ def window_sweep(
         raise ValidationError("windows must be a non-empty 1-D sequence")
     if not np.all(windows[1:] > windows[:-1]):  # "not >" so that a NaN or a repeated inf fails too
         raise ValidationError("window values must be strictly increasing")
-    if policy == "paired":
-        tables = _paired_tables(log, windows, config)
-    elif policy == "stream":
-        tables = _stream_tables(log, windows, config)
-    else:
-        raise ValidationError(f"unknown match policy {policy!r}")
+    tables = _sweep_tables(log, windows, config, policy)
     s_vals = np.empty(len(windows))
     s_errs = np.empty(len(windows))
     matched = np.empty(len(windows), dtype=np.int64)

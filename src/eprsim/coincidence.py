@@ -21,17 +21,19 @@ pair of a row range the first window W of the grid with |dt| <= W
 The row range lets the sweep bin the log block by block.
 
 A stream sweep does not call ``stream_match`` per window either.
-``stream_window_index`` sorts each station once and runs stage 1 (see
-below) once, at the largest window.  An event uncontested there stays
-uncontested, or has no candidate, at every smaller window, with the
-same one candidate: ``fl(t1 - W)`` and ``fl(t1 + W)`` are monotone in
-W, so its range only shrinks, and no other event's range ever holds its
-tag.  Each such event gets the first window whose range holds its tag,
-the stream counterpart of ``pair_window_index``.  Only the events
-contested at the largest window are matched again, window by window,
-by the unchanged two-stage matcher: no tag of an uncontested event lies
-in their ranges, so matching them alone gives what matching every event
-gives them.  Regular emission leaves nothing to match again.
+``stream_window_index`` sorts each station once and walks the grid from
+the largest window down, running stage 1 (see below) at each window
+only on the events still contested at every larger window.  An event
+uncontested among those at window k keeps its one tag, or has none, at
+every smaller window: ``fl(t1 - W)`` and ``fl(t1 + W)`` are monotone in
+W, so its range and those of the other contested events only shrink,
+and an event settled at a larger window had only its own tag in range.
+It is counted from the first window whose range holds its tag up to k,
+the stream counterpart of ``pair_window_index``.  The contested events
+are scanned at k and passed on to window k - 1: no tag of an event
+uncontested at k or above lies in their ranges, so matching them alone
+gives what matching every event gives them.  Regular emission leaves
+nothing contested at the largest window, and the walk ends there.
 
 A selection is two row-index arrays into the one stored log: coincidence
 k is row ``rows1[k]`` of station 1 and row ``rows2[k]`` of station 2; no
@@ -169,22 +171,20 @@ def _split(t1: np.ndarray, t2: np.ndarray, window: float):
     return np.where(alone, lo, -1), contested, lo, hi
 
 
-def _greedy_match(t1: np.ndarray, t2: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy earliest-first nearest-neighbor matching of sorted streams.
+def _scan(t1: np.ndarray, t2: np.ndarray, window: float, partner, contested, lo, hi) -> None:
+    """Stage 2 of the stream matcher: the greedy scan over the contested events of a split.
 
+    ``(partner, contested, lo, hi)`` is ``_split(t1, t2, window)``.
     Station-1 events are visited in time order; each takes the nearest
     unmatched station-2 tag within the window (ties go to the earlier
-    tag).  Returns matched index arrays (into t1 and into t2), in
-    station-1 order.  ``_split`` matches the uncontested events; the scan
-    visits only the contested ones.  Their ranges hold no tag ``_split``
-    matched, so ``next_free`` need not mark those tags.
+    tag), written to ``partner`` in place.  Only the contested events are
+    visited.  Their ranges hold no tag ``_split`` matched, so
+    ``next_free`` need not mark those tags.
     """
-    partner, contested, lo, hi = _split(t1, t2, window)
     top = int(hi[contested].max(initial=0))  # the scan reads no station-2 tag at or past this
     t1l = t1[contested].tolist()
     lo_list = lo[contested].tolist()
     t2l = t2[:top].tolist()
-    del t1, t2, lo, hi  # the scan reads only the lists; a caller's temporary copies can go
     # next_free[j] = smallest unmatched index >= j (path-compressed).
     next_free = list(range(top + 1))
 
@@ -215,6 +215,15 @@ def _greedy_match(t1: np.ndarray, t2: np.ndarray, window: float) -> tuple[np.nda
         if best >= 0:
             next_free[best] = best + 1
             out[i] = best
+
+
+def _greedy_match(t1: np.ndarray, t2: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy earliest-first nearest-neighbor matching of sorted streams: ``_split``, then ``_scan``.
+
+    Returns matched index arrays (into t1 and into t2), in station-1 order.
+    """
+    partner, contested, lo, hi = _split(t1, t2, window)
+    _scan(t1, t2, window, partner, contested, lo, hi)
     m1 = np.flatnonzero(partner >= 0)
     return m1, partner[m1]
 
@@ -236,39 +245,45 @@ def stream_match(log: EventLog, window: float) -> Coincidences:
 
 
 def stream_window_index(log: EventLog, windows: np.ndarray):
-    """``stream_match`` at every window of a grid, from one sort per station and one split.
+    """``stream_match`` at every window of a grid, from one sort per station, as coincidence groups.
 
-    ``windows`` must increase strictly.  Returns ``(rows1, rows2, first,
-    rescan)``.  The events uncontested at the largest window form
-    coincidences (``rows1[k]``, ``rows2[k]``); coincidence k belongs to
-    ``stream_match(log, windows[j])`` exactly for j >= ``first[k]``.
-    ``rescan(w)`` returns the rows ``(rows1, rows2)`` of the other
-    coincidences of ``stream_match(log, w)``, for any w of the grid.
-    Raises what ``stream_match(log, windows[0])`` raises.
+    ``windows`` must increase strictly.  Yields groups ``(rows1, rows2,
+    start, stop)``: coincidence k of a group pairs row ``rows1[k]`` of
+    station 1 with row ``rows2[k]`` of station 2 and belongs to
+    ``stream_match(log, windows[j])`` exactly for ``start[k] <= j < stop``.
+    The grid is walked from the largest window down, one group per
+    window.  At window k, the events still contested at every larger
+    window are split and the contested ones among them scanned; the
+    group holds both stages' matches, with ``stop = k + 1``, and only the
+    events still contested go on to window k - 1.  The walk ends when
+    none are.  Raises what ``stream_match(log, windows[0])`` raises.
     """
     _check_window(windows[0])
     s1, s2 = log.station1, log.station2
     o1, o2 = s1.time_order(), s2.time_order()
     t1, t2 = s1.time_tag[o1], s2.time_tag[o2]
-    partner, contested, lo, hi = _split(t1, t2, float(windows[-1]))
-    alone = np.flatnonzero(partner >= 0)
-    partner = partner[alone]
-    ta, tb = t1[alone], t2[partner]
-    # The first window is the number of windows whose range misses the tag:
-    # the scan's own bounds, fl(t1 - w) <= t2 <= fl(t1 + w), hold from it on.
-    first = np.full(len(alone), len(windows), dtype=np.intp)
-    for w in windows:
-        first -= (ta - w <= tb) & (tb <= ta + w)
-    rest = np.flatnonzero(contested)
-    # Every contested range, at every window of the grid, lies in t2[base:top].
-    base, top = int(lo[rest].min(initial=len(t2))), int(hi[rest].max(initial=0))
-    t1_rest, t2_rest = t1[rest], t2[base:top]
-
-    def rescan(window: float) -> tuple[np.ndarray, np.ndarray]:
-        m1, m2 = _greedy_match(t1_rest, t2_rest, window)
-        return o1[rest[m1]], o2[base + m2]
-
-    return o1[alone], o2[partner], first, rescan
+    events = np.arange(len(t1))  # into t1: the events contested at every larger window
+    base, top = 0, len(t2)  # their ranges, at every smaller window, lie in t2[base:top]
+    for k in range(len(windows) - 1, -1, -1):
+        w = float(windows[k])
+        t1k, t2k = t1[events], t2[base:top]
+        partner, contested, lo, hi = _split(t1k, t2k, w)
+        _scan(t1k, t2k, w, partner, contested, lo, hi)
+        m = np.flatnonzero(partner >= 0)
+        ta, tb = t1k[m], t2k[partner[m]]
+        # An uncontested event is kept from its first window, the number of windows
+        # up to k whose range misses its tag: the scan's own bounds,
+        # fl(t1 - w) <= t2 <= fl(t1 + w), hold from it on.  A scanned match is kept at k.
+        first = np.full(len(m), k + 1, dtype=np.intp)
+        for v in windows[:k + 1]:
+            first -= (ta - v <= tb) & (tb <= ta + v)
+        first[contested[m]] = k
+        yield o1[events[m]], o2[base + partner[m]], first, k + 1
+        rest = np.flatnonzero(contested)
+        if len(rest) == 0:
+            return
+        events = events[rest]
+        base, top = base + int(lo[rest].min()), base + int(hi[rest].max())
 
 
 def match_events(log: EventLog, window: float, policy: MatchPolicy = "paired") -> Coincidences:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eprsim.coincidence
 import eprsim.events
-from eprsim.analysis import _BLOCK_PAIRS, _paired_tables
+from eprsim.analysis import _BLOCK_PAIRS, _sweep_tables
 from eprsim import (
     DEFAULT_QUADRUPLE,
     CorrelationTable,
@@ -327,6 +328,27 @@ class TestOnePassSweep:
         assert back.station1.pair_id is None
         assert_same_as_reference(config, [5.0, 50.0, 500.0, np.inf], back, "stream")
 
+    def test_stream_splits_only_the_events_still_contested(self, monkeypatch):
+        # Each split after the first, at the largest window, receives exactly
+        # the events the split at the window above left contested.
+        config = ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=3000, seed=5,
+                                  emission=EmissionSpec.poisson(2e-4))
+        log = run_experiment(config)
+        calls = []
+        split = eprsim.coincidence._split
+
+        def recorded(t1, t2, window):
+            result = split(t1, t2, window)
+            calls.append((t1, result[1]))
+            return result
+
+        monkeypatch.setattr(eprsim.coincidence, "_split", recorded)
+        window_sweep(config, np.geomspace(1.0, 1000.0, 20), policy="stream", log=log)
+        assert len(calls) > 2
+        assert len(calls[0][0]) == len(log.station1)
+        for (t1, contested), (next_t1, _) in zip(calls, calls[1:]):
+            np.testing.assert_array_equal(next_t1, t1[contested])
+
     def test_stream_sorts_each_station_once(self, monkeypatch):
         config = ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=3000, seed=21)
         log = run_experiment(config)
@@ -417,12 +439,15 @@ class TestOnePassSweep:
             ([2.0, 5.0], "uncontested", "setting index out of range"),
             ([2.0, 5.0], "contested", "setting index out of range"),
             ([2.0, 5.0, 8.0], "contested", "setting index out of range"),
+            # Every coincidence of the first window has an out-of-range index.
+            ([0.5, 5.0], "only outside", "setting index out of range"),
         ],
     )
     def test_stream_rejects_what_the_reference_rejects(self, windows, log, message):
         config = ExperimentConfig(n_pairs=10, seed=0)
         log = {"plain": self.log_with, "uncontested": lambda: self.log_with(extra=[(3, 2, 0)]),
-               "contested": lambda: self.contested_log(2)}[log]()
+               "contested": lambda: self.contested_log(2),
+               "only outside": lambda: self.log_with(extra=[(0.25, 2, 0)])}[log]()
         with pytest.raises(ValidationError, match=message) as new:
             window_sweep(config, windows, policy="stream", log=log)
         with pytest.raises(ValidationError) as ref:
@@ -507,7 +532,7 @@ class TestBlockedPass:
         config = self.config(emission)
         log = run_experiment(config)
         cpus()
-        new, new_error = tables_until_error(_paired_tables(log, self.WINDOWS, config))
+        new, new_error = tables_until_error(_sweep_tables(log, self.WINDOWS, config, "paired"))
         ref, ref_error = tables_until_error(reference_tables(log, self.WINDOWS, config))
         assert new_error is ref_error is None
         assert len(new) == len(ref) == len(self.WINDOWS)
@@ -527,7 +552,7 @@ class TestBlockedPass:
         first_block_late = int(np.flatnonzero(dt[:_BLOCK_PAIRS] > 500.0)[0])
         s1.setting_index[[first_block_late, -1]] = 2
         cpus()
-        new = tables_until_error(_paired_tables(log, self.WINDOWS, config))
+        new = tables_until_error(_sweep_tables(log, self.WINDOWS, config, "paired"))
         ref = tables_until_error(reference_tables(log, self.WINDOWS, config))
         assert len(new[0]) == len(ref[0]) == 2
         assert new[1] == ref[1] == "setting index out of range for the supplied config"

@@ -1,4 +1,4 @@
-"""CLI outputs pinned by sha256: a paired sweep, the stream matcher, and a tag-file round trip.
+"""CLI outputs pinned by sha256: a paired sweep, the stream matcher, and two tag-file round trips.
 
 A change that moves any count, rate or S value changes the bytes.  The
 manifests are not pinned; their event accounting is read back below.
@@ -19,6 +19,7 @@ from eprsim.tagio import RunManifest, config_to_dict
 SWEEP_SHA = "82c61d6f7aa64b329b4aa1399762d7c2f83efdcdc4d1e92ad4b2537416c5af64"
 STREAM_SHA = "a060207784af8f229534532d9a36d937da205600682d6a3b1c32fd212151e90e"
 PAIRED_SHA = "7a71cf9a5d787d984a2f00c9606fda8d58fbccbe2caaf74fe4b378559a311a14"
+POISSON_SWEEP_SHA = "d11df893a050a96af80cdd5dfce23ccef11eaef8925adbd6f6bd9fa598b08372"
 
 
 def _sha(path) -> str:
@@ -43,6 +44,15 @@ def test_reanalyzed_tags_reproduce_the_paired_sweep(tmp_path):
     assert _sha(tmp_path / "correlations.csv") == PAIRED_SHA
     assert main(["--mode", "reanalyze", "--tags-in", "tags", "--windows", "1:1000:log20", "--out", out]) == 0
     assert _sha(tmp_path / "sweep.csv") == SWEEP_SHA
+
+
+def test_reanalyzed_poisson_tags_output_pinned(tmp_path):
+    # Overlapping emissions: the stream sweep splits and scans contested events window by window.
+    out = str(tmp_path)
+    argv = ["--mode", "mc", "--emission", "poisson:0.002", "--pairs", "20000", "--seed", "3", "--tags-out", "ptags"]
+    assert main([*argv, "--out", out]) == 0
+    assert main(["--mode", "reanalyze", "--tags-in", "ptags", "--windows", "1:1000:log20", "--out", out]) == 0
+    assert _sha(tmp_path / "sweep.csv") == POISSON_SWEEP_SHA
 
 
 def test_manifest_accounts_for_every_event(tmp_path):
