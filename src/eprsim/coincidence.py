@@ -20,17 +20,18 @@ pair of a row range the first window W of the grid with |dt| <= W
 ``pair_filter`` at window k keeps exactly the pairs with index <= k.
 The row range lets the sweep bin the log block by block.
 
-A stream sweep does not call ``stream_match`` per window either.
-``stream_window_index`` sorts each station once and walks the grid from
-the largest window down, running stage 1 (see below) at each window
-only on the events still contested at every larger window.  An event
-uncontested among those at window k keeps its one tag, or has none, at
-every smaller window: ``fl(t1 - W)`` and ``fl(t1 + W)`` are monotone in
-W, so its range and those of the other contested events only shrink,
-and an event settled at a larger window had only its own tag in range.
-It is counted from the first window whose range holds its tag up to k,
-the stream counterpart of ``pair_window_index``.  The contested events
-are scanned at k and passed on to window k - 1: no tag of an event
+There is one stream matcher, ``stream_window_index``, and one window is
+its walk at a grid of one: ``stream_match(log, w)`` is the single group of
+``stream_window_index(log, [w])``.  The walk sorts each station once and
+goes through the grid from the largest window down, running stage 1 (see
+below) at each window only on the events still contested at every larger
+window.  An event uncontested among those at window k keeps its one tag,
+or has none, at every smaller window: ``fl(t1 - W)`` and ``fl(t1 + W)``
+are monotone in W, so its range and those of the other contested events
+only shrink, and an event settled at a larger window had only its own tag
+in range.  It is counted from the first window whose range holds its tag
+up to k, the stream counterpart of ``pair_window_index``.  The contested
+events are scanned at k and passed on to window k - 1: no tag of an event
 uncontested at k or above lies in their ranges, so matching them alone
 gives what matching every event gives them.  Regular emission leaves
 nothing contested at the largest window, and the walk ends there.
@@ -42,24 +43,25 @@ rows2); ``stream_match`` scans each station in
 :meth:`StationStream.time_order` and reports its matches in station-1
 time order.
 
-The stream matcher runs in two stages and returns exactly what one
-greedy scan over all events returns.  Station-1 event i can take the station-2 tags in one index range
-[lo_i, hi_i), from two ``searchsorted`` calls.  Stage 1 (``_split``,
-vectorised) matches i to its tag when the range holds exactly one tag
-and no other event's range holds it: the scan would give i that tag,
-since no earlier event can take it, and i's choice changes no other
-event's options.  Events with an empty range are dropped.  Stage 2, the
-sequential scan, visits only the remaining (contested) events.  None of
-their ranges holds a tag stage 1 matched, so the scan over them makes
-the choices it would make over all events.  Stage 1 uses the scan's own
-bounds, so float rounding and the closed boundary |dt| == window cannot
-make the stages disagree.  Under regular emission no event is contested
-and the scan does nothing; dense Poisson streams leave nearly every
-event to the scan.
+At each window the stream matcher runs in two stages and returns exactly
+what one greedy scan over all events returns.  Station-1 event i can
+take the station-2 tags in one index range [lo_i, hi_i), from two
+``searchsorted`` calls.  Stage 1 (``_split``, vectorised) matches i to
+its tag when the range holds exactly one tag and no other event's range
+holds it: the scan would give i that tag, since no earlier event can
+take it, and i's choice changes no other event's options.  Events with
+an empty range are dropped.  Stage 2, the sequential scan, visits only
+the remaining (contested) events.  None of their ranges holds a tag
+stage 1 matched, so the scan over them makes the choices it would make
+over all events.  Stage 1 uses the scan's own bounds, so float rounding
+and the closed boundary |dt| == window cannot make the stages disagree.
+Under regular emission no event is contested and the scan does nothing;
+dense Poisson streams leave nearly every event to the scan.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress, count
 from typing import Literal
@@ -217,34 +219,21 @@ def _scan(t1: np.ndarray, t2: np.ndarray, window: float, partner, contested, lo,
             out[i] = best
 
 
-def _greedy_match(t1: np.ndarray, t2: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy earliest-first nearest-neighbor matching of sorted streams: ``_split``, then ``_scan``.
-
-    Returns matched index arrays (into t1 and into t2), in station-1 order.
-    """
-    partner, contested, lo, hi = _split(t1, t2, window)
-    _scan(t1, t2, window, partner, contested, lo, hi)
-    m1 = np.flatnonzero(partner >= 0)
-    return m1, partner[m1]
-
-
 def stream_match(log: EventLog, window: float) -> Coincidences:
     """Match raw time-tag streams with the greedy nearest-neighbor scan.
 
     Works without pair ids; each event participates in at most one
-    coincidence.  Uncontested events are matched in vectorised code and
-    the sequential scan runs only where events compete for a tag (see
-    the module docstring); the result is that of the scan over all
-    events.
+    coincidence.  One window is the walk of ``stream_window_index`` at a
+    grid of one: its single group, in station-1 time order.  Uncontested
+    events are matched in vectorised code and the sequential scan runs
+    only where events compete for a tag (see the module docstring); the
+    result is that of the scan over all events.
     """
-    window = _check_window(window)
-    s1, s2 = log.station1, log.station2
-    o1, o2 = s1.time_order(), s2.time_order()
-    m1, m2 = _greedy_match(s1.time_tag[o1], s2.time_tag[o2], window)
-    return Coincidences(log, o1[m1], o2[m2])
+    rows1, rows2, _, _ = next(stream_window_index(log, [window]))
+    return Coincidences(log, rows1, rows2)
 
 
-def stream_window_index(log: EventLog, windows: np.ndarray):
+def stream_window_index(log: EventLog, windows: Sequence[float]):
     """``stream_match`` at every window of a grid, from one sort per station, as coincidence groups.
 
     ``windows`` must increase strictly.  Yields groups ``(rows1, rows2,
@@ -254,36 +243,40 @@ def stream_window_index(log: EventLog, windows: np.ndarray):
     The grid is walked from the largest window down, one group per
     window.  At window k, the events still contested at every larger
     window are split and the contested ones among them scanned; the
-    group holds both stages' matches, with ``stop = k + 1``, and only the
-    events still contested go on to window k - 1.  The walk ends when
-    none are.  Raises what ``stream_match(log, windows[0])`` raises.
+    group holds both stages' matches, in station-1 time order, with
+    ``stop = k + 1``, and only the events still contested go on to window
+    k - 1.  The walk ends when none are.  ``stream_match`` is this walk at
+    a grid of one, so its first group is the whole match.  Raises what
+    ``stream_match(log, windows[0])`` raises.
     """
     _check_window(windows[0])
     s1, s2 = log.station1, log.station2
     o1, o2 = s1.time_order(), s2.time_order()
+    # t1: the events contested at every larger window; their ranges, at every
+    # smaller window, lie in t2 (o1, o2 give the rows of both).
     t1, t2 = s1.time_tag[o1], s2.time_tag[o2]
-    events = np.arange(len(t1))  # into t1: the events contested at every larger window
-    base, top = 0, len(t2)  # their ranges, at every smaller window, lie in t2[base:top]
     for k in range(len(windows) - 1, -1, -1):
         w = float(windows[k])
-        t1k, t2k = t1[events], t2[base:top]
-        partner, contested, lo, hi = _split(t1k, t2k, w)
-        _scan(t1k, t2k, w, partner, contested, lo, hi)
+        partner, contested, lo, hi = _split(t1, t2, w)
+        _scan(t1, t2, w, partner, contested, lo, hi)
         m = np.flatnonzero(partner >= 0)
-        ta, tb = t1k[m], t2k[partner[m]]
-        # An uncontested event is kept from its first window, the number of windows
-        # up to k whose range misses its tag: the scan's own bounds,
-        # fl(t1 - w) <= t2 <= fl(t1 + w), hold from it on.  A scanned match is kept at k.
-        first = np.full(len(m), k + 1, dtype=np.intp)
-        for v in windows[:k + 1]:
-            first -= (ta - v <= tb) & (tb <= ta + v)
-        first[contested[m]] = k
-        yield o1[events[m]], o2[base + partner[m]], first, k + 1
+        # A match is kept at k: its own range holds its tag.  An uncontested one
+        # is kept from its first window, k less the number of smaller windows
+        # whose range, with the scan's own bounds fl(t1 - w) <= t2 <= fl(t1 + w),
+        # holds its tag; it holds it from that window on.
+        first = np.full(len(m), k, dtype=np.intp)
+        if k:
+            ta, tb = t1[m], t2[partner[m]]
+            for v in windows[:k]:
+                first -= (ta - v <= tb) & (tb <= ta + v)
+            first[contested[m]] = k
+        yield o1[m], o2[partner[m]], first, k + 1
         rest = np.flatnonzero(contested)
         if len(rest) == 0:
             return
-        events = events[rest]
-        base, top = base + int(lo[rest].min()), base + int(hi[rest].max())
+        t1, o1 = t1[rest], o1[rest]
+        base, top = int(lo[rest].min()), int(hi[rest].max())
+        t2, o2 = t2[base:top], o2[base:top]
 
 
 def match_events(log: EventLog, window: float, policy: MatchPolicy = "paired") -> Coincidences:

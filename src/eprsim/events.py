@@ -215,11 +215,13 @@ def map_ranges(fn, n: int, block: int, parts: int) -> list:
     The rows are cut into at most ``parts`` ranges of nearly equal block
     counts, with inner edges at multiples of ``block``; ``n == 0`` is one
     empty range.  The ranges run on one thread each, up to one thread per
-    CPU.
+    CPU; a single range runs inline, without a thread pool.
     """
     n_blocks = -(-n // block)
     k = max(1, min(parts, n_blocks))
     edges = [min(n, block * (n_blocks * i // k)) for i in range(k + 1)]
+    if k == 1:
+        return [fn(0, n)]
     with ThreadPoolExecutor(max_workers=min(k, os.cpu_count() or 1)) as pool:
         return list(pool.map(fn, edges[:-1], edges[1:]))
 

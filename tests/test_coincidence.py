@@ -16,7 +16,8 @@ from eprsim import (
     stream_match,
 )
 from eprsim.cli import parse_windows
-from eprsim.coincidence import _greedy_match, _split, pair_window_index
+from eprsim.coincidence import _split, pair_window_index, stream_window_index
+from references import scan_reference, stream_reference
 
 
 def tiny_log(times1, times2, pair_ids=True):
@@ -68,50 +69,6 @@ def greedy_reference(t1, t2, window):
     return matches
 
 
-def scan_reference(t1: np.ndarray, t2: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
-    """The single-stage matcher: the union-find scan over every station-1 event.
-
-    Kept verbatim as the reference the two-stage ``_greedy_match`` must
-    reproduce exactly.
-    """
-    n1, n2 = len(t1), len(t2)
-    lo_list = np.searchsorted(t2, t1 - window, side="left").tolist()
-    t1l = t1.tolist()
-    t2l = t2.tolist()
-    del t1, t2  # the scan reads only the lists; a caller's temporary copies can go
-    # next_free[j] = smallest unmatched index >= j (path-compressed).
-    next_free = list(range(n2 + 1))
-
-    def find(j: int) -> int:
-        root = j
-        while next_free[root] != root:
-            root = next_free[root]
-        while next_free[j] != root:
-            next_free[j], j = root, next_free[j]
-        return root
-
-    out1: list[int] = []
-    out2: list[int] = []
-    for i in range(n1):
-        ti = t1l[i]
-        hi = ti + window
-        j = find(lo_list[i])
-        best = -1
-        best_d = 0.0
-        while j < n2 and t2l[j] <= hi:
-            d = abs(t2l[j] - ti)
-            if best < 0 or d < best_d:
-                best, best_d = j, d
-            elif t2l[j] > ti:
-                break  # farther right can only be worse
-            j = find(j + 1)
-        if best >= 0:
-            next_free[best] = best + 1
-            out1.append(i)
-            out2.append(best)
-    return np.asarray(out1, dtype=np.int64), np.asarray(out2, dtype=np.int64)
-
-
 def sorted_tags(emission, n_pairs, seed):
     """Time-ordered station tags of a generated run (d=4, t0=1000)."""
     log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=n_pairs,
@@ -119,8 +76,14 @@ def sorted_tags(emission, n_pairs, seed):
     return tuple(s.time_tag[s.time_order()] for s in (log.station1, log.station2))
 
 
+def sorted_match(t1, t2, window):
+    """``stream_match`` on an unpaired log of the sorted tags ``t1`` and ``t2``: its rows index the tags."""
+    coinc = stream_match(tiny_log(t1, t2, pair_ids=False), window)
+    return coinc.rows1, coinc.rows2
+
+
 def assert_same_as_scan(t1, t2, window):
-    m1, m2 = _greedy_match(t1, t2, window)
+    m1, m2 = sorted_match(t1, t2, window)
     r1, r2 = scan_reference(t1, t2, window)
     assert m1.dtype == r1.dtype and m2.dtype == r2.dtype
     assert np.array_equal(m1, r1) and np.array_equal(m2, r2)
@@ -225,7 +188,7 @@ class TestStreamMatch:
         rng = np.random.default_rng(3)
         t1 = np.sort(rng.uniform(0, 50, 300))
         t2 = np.sort(rng.uniform(0, 50, 300))
-        k1, k2 = _greedy_match(t1, t2, 0.4)
+        k1, k2 = sorted_match(t1, t2, 0.4)
         assert len(np.unique(k1)) == len(k1)
         assert len(np.unique(k2)) == len(k2)
         assert np.all(np.abs(t2[k2] - t1[k1]) <= 0.4)
@@ -237,7 +200,7 @@ class TestStreamMatch:
         t1 = np.sort(rng.uniform(0, 6, n1))
         t2 = np.sort(rng.uniform(0, 6, n2))
         window = float(rng.uniform(0.05, 1.5))
-        k1, k2 = _greedy_match(t1, t2, window)
+        k1, k2 = sorted_match(t1, t2, window)
         got = list(zip(k1.tolist(), k2.tolist()))
         expected = greedy_reference(t1.tolist(), t2.tolist(), window)
         assert got == expected
@@ -301,6 +264,42 @@ class TestTwoStageMatch:
         # A range of one tag that another range also holds is contested.
         partner, contested, _, _ = _split(np.array([0.0, 1.5]), np.array([1.0, 2.0]), 1.0)
         assert partner.tolist() == [-1, -1] and contested.tolist() == [True, True]
+
+
+def rows_kept_at(groups, j):
+    """The (row1, row2) pairs that ``stream_window_index`` groups keep at window j, sorted."""
+    pairs = []
+    for rows1, rows2, start, stop in groups:
+        keep = (start <= j) & (j < stop)
+        pairs += zip(rows1[keep].tolist(), rows2[keep].tolist())
+    return sorted(pairs)
+
+
+class TestStreamWindowIndex:
+    """Every window of the walk keeps the rows the reference scan matches there, not only the same counts."""
+
+    WINDOWS = [0.0, 1.0, 10.0, 100.0, 300.0, 1000.0, 3000.0, np.inf]
+
+    def assert_rows_equal_reference(self, log, windows):
+        groups = list(stream_window_index(log, windows))
+        for j, w in enumerate(windows):
+            r1, r2 = stream_reference(log, w)
+            assert rows_kept_at(groups, j) == sorted(zip(r1.tolist(), r2.tolist())), w
+
+    @pytest.mark.parametrize("rate, seed", [(5e-3, 21), (2e-3, 22), (5e-4, 23)])
+    def test_overlapping_poisson(self, rate, seed):
+        log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=2000,
+                                              seed=seed, emission=EmissionSpec.poisson(rate)))
+        self.assert_rows_equal_reference(log, self.WINDOWS)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tied_tags(self, seed):
+        # Tags on an integer grid: equal tags within and across stations,
+        # equal distances and |dt| == W are common.
+        rng = np.random.default_rng(seed)
+        n1, n2 = rng.integers(100, 300, size=2)
+        log = tiny_log(np.round(rng.uniform(0, 200, n1)), np.round(rng.uniform(0, 200, n2)), pair_ids=False)
+        self.assert_rows_equal_reference(log, [0.0, 0.5, 1.0, 2.0, 3.0, np.inf])
 
 
 class TestCrossValidation:
