@@ -55,15 +55,17 @@ the remaining (contested) events.  None of their ranges holds a tag
 stage 1 matched, so the scan over them makes the choices it would make
 over all events.  Stage 1 uses the scan's own bounds, so float rounding
 and the closed boundary |dt| == window cannot make the stages disagree.
-Under regular emission no event is contested and the scan does nothing;
-dense Poisson streams leave nearly every event to the scan.
+Dense Poisson streams leave nearly every event to the scan.  It takes
+them in blocks of ``_SCAN_BLOCK``, whose ranges span one slice of t2 as
+``lo`` and ``hi`` never decrease; a tag an earlier block took (``taken``)
+enters a block's ``next_free`` as j + 1, a valid union-find state.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import count
 from typing import Literal
 
 import numpy as np
@@ -86,6 +88,7 @@ __all__ = [
 # time-tag streams, matching each station-1 event to the nearest
 # unmatched station-2 event within the window, earliest first.
 MatchPolicy = Literal["paired", "stream"]
+_SCAN_BLOCK = 2**15  # contested events per block of the stream matcher's scan
 
 
 @dataclass(eq=False)
@@ -163,12 +166,12 @@ def _split(t1: np.ndarray, t2: np.ndarray, window: float):
     every other event; ``contested`` marks the events with candidates
     that are left for the scan.
     """
-    n2 = len(t2)
     lo = np.searchsorted(t2, t1 - window, side="left")
     hi = np.searchsorted(t2, t1 + window, side="right")
-    # cover[j]: how many candidate ranges hold station-2 tag j.
-    cover = np.cumsum(np.bincount(lo, minlength=n2 + 1) - np.bincount(hi, minlength=n2 + 1))
-    alone = (hi - lo == 1) & (cover[lo] == 1)
+    # lo and hi never decrease: only events i - 1 and i + 1 can also hold tag lo[i].
+    alone = hi - lo == 1
+    alone[1:] &= hi[:-1] <= lo[1:]
+    alone[:-1] &= lo[1:] > lo[:-1]
     contested = (hi > lo) & ~alone
     return np.where(alone, lo, -1), contested, lo, hi
 
@@ -181,14 +184,11 @@ def _scan(t1: np.ndarray, t2: np.ndarray, window: float, partner, contested, lo,
     unmatched station-2 tag within the window (ties go to the earlier
     tag), written to ``partner`` in place.  Only the contested events are
     visited.  Their ranges hold no tag ``_split`` matched, so
-    ``next_free`` need not mark those tags.
+    ``next_free`` need not mark those tags.  Each block's lists cover only
+    ``t2[base:base + top]``, indexed from ``base``; ``taken`` holds earlier blocks' tags.
     """
-    top = int(hi[contested].max(initial=0))  # the scan reads no station-2 tag at or past this
-    t1l = t1[contested].tolist()
-    lo_list = lo[contested].tolist()
-    t2l = t2[:top].tolist()
-    # next_free[j] = smallest unmatched index >= j (path-compressed).
-    next_free = list(range(top + 1))
+    events = np.flatnonzero(contested)
+    taken = np.zeros(len(t2), dtype=bool)  # the tags earlier blocks matched
 
     def find(j: int) -> int:
         root = j
@@ -198,25 +198,37 @@ def _scan(t1: np.ndarray, t2: np.ndarray, window: float, partner, contested, lo,
             next_free[j], j = root, next_free[j]
         return root
 
-    out = memoryview(partner)
-    for i, ti, j in zip(compress(count(), contested.tobytes()), t1l, lo_list):
-        end = ti + window
-        if next_free[j] != j:
-            j = find(j)
-        best = -1
-        best_d = 0.0
-        while j < top and t2l[j] <= end:
-            d = abs(t2l[j] - ti)
-            if best < 0 or d < best_d:
-                best, best_d = j, d
-            elif t2l[j] > ti:
-                break  # farther right can only be worse
-            j += 1
+    for first in range(0, len(events), _SCAN_BLOCK):
+        block = events[first:first + _SCAN_BLOCK]
+        base = int(lo[block[0]])
+        top = int(hi[block[-1]]) - base  # the scan reads no station-2 tag at or past this
+        t1l = t1[block].tolist()
+        lo_list = (lo[block] - base).tolist()
+        t2l = t2[base:base + top].tolist()
+        # next_free[j] = smallest unmatched index >= j (path-compressed), top its sentinel.
+        next_free = np.r_[np.arange(top) + taken[base:base + top], top].tolist()
+        got = np.full(len(block), -1, dtype=np.intp)
+        out = memoryview(got)
+        for i, ti, j in zip(count(), t1l, lo_list):
+            end = ti + window
             if next_free[j] != j:
                 j = find(j)
-        if best >= 0:
-            next_free[best] = best + 1
-            out[i] = best
+            best = -1
+            best_d = 0.0
+            while j < top and t2l[j] <= end:
+                d = abs(t2l[j] - ti)
+                if best < 0 or d < best_d:
+                    best, best_d = j, d
+                elif t2l[j] > ti:
+                    break  # farther right can only be worse
+                j += 1
+                if next_free[j] != j:
+                    j = find(j)
+            if best >= 0:
+                next_free[best] = best + 1
+                out[i] = best
+        partner[block] = got = np.where(got >= 0, got + base, -1)
+        taken[got[got >= 0]] = True
 
 
 def stream_match(log: EventLog, window: float) -> Coincidences:

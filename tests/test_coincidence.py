@@ -1,5 +1,7 @@
 """Coincidence-selection tests for both the per-pair filter and the stream matcher."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from eprsim import (
     run_experiment,
     stream_match,
 )
+from eprsim import coincidence
 from eprsim.cli import parse_windows
 from eprsim.coincidence import _split, pair_window_index, stream_window_index
 from references import scan_reference, stream_reference
@@ -265,6 +268,27 @@ class TestTwoStageMatch:
         partner, contested, _, _ = _split(np.array([0.0, 1.5]), np.array([1.0, 2.0]), 1.0)
         assert partner.tolist() == [-1, -1] and contested.tolist() == [True, True]
 
+    @pytest.mark.parametrize("tags", ["tied", "poisson"])
+    def test_split_equals_a_coverage_count(self, tags):
+        # Event i is alone when its range is one tag that no other event's
+        # range holds: count the ranges that hold each tag, one by one.
+        if tags == "tied":
+            rng = np.random.default_rng(12)
+            t1, t2 = (np.sort(np.round(rng.uniform(0, 1000, 400))) for _ in range(2))
+            windows = [0.0, 0.5, 1.0, 2.0]
+        else:
+            t1, t2 = sorted_tags(EmissionSpec.poisson(5e-4), 3000, seed=12)
+            windows = [10.0, 300.0, 1000.0]
+        for window in windows:
+            partner, contested, lo, hi = _split(t1, t2, window)
+            cover = np.zeros(len(t2) + 1, dtype=int)
+            for a, b in zip(lo.tolist(), hi.tolist()):
+                cover[a:b] += 1
+            alone = (hi - lo == 1) & (cover[lo] == 1)
+            assert alone.any() and contested.any(), window
+            np.testing.assert_array_equal(partner, np.where(alone, lo, -1))
+            np.testing.assert_array_equal(contested, (hi > lo) & ~alone)
+
 
 def rows_kept_at(groups, j):
     """The (row1, row2) pairs that ``stream_window_index`` groups keep at window j, sorted."""
@@ -300,6 +324,60 @@ class TestStreamWindowIndex:
         n1, n2 = rng.integers(100, 300, size=2)
         log = tiny_log(np.round(rng.uniform(0, 200, n1)), np.round(rng.uniform(0, 200, n2)), pair_ids=False)
         self.assert_rows_equal_reference(log, [0.0, 0.5, 1.0, 2.0, 3.0, np.inf])
+
+
+@pytest.fixture(params=[1, 2, 5])
+def small_scan_blocks(request, monkeypatch):
+    """Scan the contested events in blocks of 1, 2 and 5, so that most cases take many blocks."""
+    monkeypatch.setattr(coincidence, "_SCAN_BLOCK", request.param)
+
+
+@pytest.mark.usefixtures("small_scan_blocks")
+class TestTwoStageMatchInSmallBlocks(TestTwoStageMatch):
+    """The two-stage cases again, with every block of the scan carrying tags into the next."""
+
+
+@pytest.mark.usefixtures("small_scan_blocks")
+class TestStreamWindowIndexInSmallBlocks(TestStreamWindowIndex):
+    """The window-walk cases again, with every block of the scan carrying tags into the next."""
+
+
+class TestScanBlocks:
+    """A block of the scan sees the tags earlier blocks took, and its lists cover one block."""
+
+    # Every range holds every tag, and each hi is len(t2), the sentinel.  Event 0
+    # takes 0.125; event 1 is as near 0.125 as 0.375, so it takes 0.375 only
+    # because 0.125 is taken; event 2 likewise takes 0.625.
+    ALL_IN_RANGE = ([0.0, 0.25, 0.5], [0.125, 0.375, 0.625], 1.0)
+    # Ranges (tag indices) [0, 1), [0, 2), [1, 3), [2, 4): event 0's one tag is
+    # also event 1's, so every event is contested.  The tag event 1 takes lies
+    # in event 2's range, whose block starts at tag 1; the last range ends at
+    # len(t2).
+    SLIDING = ([0.0, 2.0, 3.0, 5.0], [1.0, 2.5, 4.0, 6.0], 1.5)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("case", [ALL_IN_RANGE, SLIDING], ids=["all-in-range", "sliding"])
+    def test_a_tag_taken_in_an_earlier_block_stays_taken(self, monkeypatch, block, case):
+        monkeypatch.setattr(coincidence, "_SCAN_BLOCK", block)
+        t1, t2, window = np.array(case[0]), np.array(case[1]), case[2]
+        _, contested, _, hi = _split(t1, t2, window)
+        assert contested.all() and hi[-1] == len(t2)
+        m1, m2 = sorted_match(t1, t2, window)
+        assert m1.tolist() == m2.tolist() == list(range(len(t1)))
+        assert_same_as_scan(t1, t2, window)
+
+    def test_peak_memory_per_event(self):
+        # Nearly every event of this log is contested.  Python lists over all
+        # of them peak near 200 bytes per event; block-sized ones near 100.
+        log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=200_000,
+                                              seed=5, emission=EmissionSpec.poisson(0.005)))
+        tracemalloc.start()
+        try:
+            stream_match(log, 1000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / log.n_pairs < 150
 
 
 class TestCrossValidation:
