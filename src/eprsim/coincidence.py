@@ -272,23 +272,29 @@ def stream_window_index(log: EventLog, windows: Sequence[float]):
         partner, contested, lo, hi = _split(t1, t2, w)
         _scan(t1, t2, w, partner, contested, lo, hi)
         m = np.flatnonzero(partner >= 0)
+        pm = partner[m]
         # A match is kept at k: its own range holds its tag.  An uncontested one
         # is kept from its first window, k less the number of smaller windows
         # whose range, with the scan's own bounds fl(t1 - w) <= t2 <= fl(t1 + w),
         # holds its tag; it holds it from that window on.
         first = np.full(len(m), k, dtype=np.intp)
         if k:
-            ta, tb = t1[m], t2[partner[m]]
+            ta, tb = t1[m], t2[pm]
             for v in windows[:k]:
                 first -= (ta - v <= tb) & (tb <= ta + v)
             first[contested[m]] = k
-        yield o1[m], o2[partner[m]], first, k + 1
-        rest = np.flatnonzero(contested)
-        if len(rest) == 0:
+        # The next window's slices first, so that nothing else of this one is held at the yield.
+        rest = np.flatnonzero(contested) if k else ()  # window 0 is the last
+        if len(rest):
+            base, top = int(lo[rest].min()), int(hi[rest].max())
+            t1, t2 = t1[rest], t2[base:top]
+        else:
+            t1 = t2 = None  # the walk ends at this window
+        del partner, contested, lo, hi
+        yield o1[m], o2[pm], first, k + 1
+        if t1 is None:
             return
-        t1, o1 = t1[rest], o1[rest]
-        base, top = int(lo[rest].min()), int(hi[rest].max())
-        t2, o2 = t2[base:top], o2[base:top]
+        o1, o2 = o1[rest], o2[base:top]
 
 
 def match_events(log: EventLog, window: float, policy: MatchPolicy = "paired") -> Coincidences:

@@ -12,9 +12,10 @@ variates taken from a counter-based generator keyed by ``(seed,
 chunk_index)``, where pairs are grouped in fixed-size chunks.  The variates
 a pair sees therefore depend only on ``(seed, pair_id)``, never on
 generation order, so runs are reproducible bit-for-bit for any worker count.
-Each range of pairs holds one chunk of variates at a time and turns it into
-that chunk's slice of the output columns, so the variates in memory do not
-grow with ``n_pairs``.
+Each range of pairs holds one chunk of variates at a time, turns it into
+that chunk's slice of the output columns and writes its own rows' time
+tags, so generation's peak memory is the log itself, plus the ``gap``
+column of emission times under Poisson emission.
 
 Parallel passes over pairs go through :func:`map_ranges`: it cuts rows
 [0, n) into contiguous ranges with block-aligned inner edges and runs them
@@ -227,8 +228,9 @@ def map_ranges(fn, n: int, block: int, parts: int) -> list:
 
 
 def _generate_columns(config: ExperimentConfig, cols: dict, start: int, stop: int) -> None:
-    """Compute raw per-pair columns for pairs [start, stop), one chunk at a time."""
+    """Compute raw per-pair columns for pairs [start, stop), one chunk at a time; ``gap`` only if Poisson."""
     params = config.params
+    rate = config.resolved_emission().rate
     a1 = np.asarray(config.settings1)
     a2 = np.asarray(config.settings2)
     k1, k2 = len(a1), len(a2)
@@ -251,7 +253,9 @@ def _generate_columns(config: ExperimentConfig, cols: dict, start: int, stop: in
         cols["x2"][sl] = outcome_from_uniform(u[:, _COL_OUT2], zeta2)
         cols["delay1"][sl] = delay_from_uniform(u[:, _COL_DELAY1], zeta1, params)
         cols["delay2"][sl] = delay_from_uniform(u[:, _COL_DELAY2], zeta2, params)
-        cols["gap"][sl] = u[:, _COL_EMIT]
+        if rate is not None:
+            with np.errstate(over="ignore"):  # inverse-CDF exponential inter-arrival times
+                cols["gap"][sl] = -np.log1p(-u[:, _COL_EMIT]) / rate
 
 
 def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> EventLog:
@@ -272,34 +276,39 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> EventLog:
         "x2": np.empty(n, dtype=np.int8),
         "delay1": np.empty(n),
         "delay2": np.empty(n),
-        "gap": np.empty(n),
     }
-
     # Ranges split on chunk boundaries, so each regenerates whole chunks.
-    map_ranges(partial(_generate_columns, config, cols), n, CHUNK_PAIRS, n_workers)
-
-    emission_spec = config.resolved_emission()
-    pid = np.arange(n, dtype=np.int64)
-    with np.errstate(over="ignore"):
-        if emission_spec.mode == "regular":
-            emission = pid * emission_spec.interval
-        else:
-            # Inverse-CDF exponential inter-arrival times; cumulative sum is a
-            # fixed sequential pass, independent of the worker split above.
-            emission = np.cumsum(-np.log1p(-cols["gap"]) / emission_spec.rate)
+    each_range = partial(map_ranges, n=n, block=CHUNK_PAIRS, parts=n_workers)
+    interval = config.resolved_emission().interval
+    if interval is None:
+        # Poisson: the cumulative sum is one sequential pass, independent of the split.
+        cols["gap"] = gap = np.empty(n)
+        each_range(partial(_generate_columns, config, cols))
+        with np.errstate(over="ignore"):
+            last = float(np.cumsum(gap, out=gap)[-1])
+    else:
+        last = (n - 1) * interval
     # Emission times never decrease and delays are at most t0, so this bounds
     # every tag, scaled as quantizing scales it.
-    if not np.isfinite((float(emission[-1]) + config.params.t0) * 10.0**TIME_TAG_DECIMALS):
+    if not np.isfinite((last + config.params.t0) * 10.0**TIME_TAG_DECIMALS):
         raise ValidationError(
-            f"emission times overflow: the last of {n} pairs is emitted at {emission[-1]}, "
+            f"emission times overflow: the last of {n} pairs is emitted at {last}, "
             f"too late to tag at {TIME_TAG_DECIMALS} decimals"
         )
 
-    # Tag = emission + delay, quantized, computed in place in the delay columns.
-    for t in (cols["delay1"], cols["delay2"]):
-        np.add(emission, t, out=t)
-        np.round(t, TIME_TAG_DECIMALS, out=t)
+    def finish(start, stop):
+        """Pairs [start, stop): regular emission's columns, then tag = emission + delay, quantized, in place."""
+        if interval is not None:
+            _generate_columns(config, cols, start, stop)
+        for lo in range(start, stop, CHUNK_PAIRS):
+            hi = min(lo + CHUNK_PAIRS, stop)
+            emitted = gap[lo:hi] if interval is None else np.arange(lo, hi) * interval
+            for t in (cols["delay1"][lo:hi], cols["delay2"][lo:hi]):
+                np.add(emitted, t, out=t)
+                np.round(t, TIME_TAG_DECIMALS, out=t)
 
+    each_range(finish)
+    pid = np.arange(n, dtype=np.int64)
     return EventLog(
         station1=StationStream(1, cols["delay1"], cols["idx1"], cols["x1"], pid),
         station2=StationStream(2, cols["delay2"], cols["idx2"], cols["x2"], pid),

@@ -379,6 +379,23 @@ class TestScanBlocks:
             tracemalloc.stop()
         assert peak / log.n_pairs < 150
 
+    def test_walk_holds_little_at_its_yield(self):
+        # At a grid of one the walk ends at its first yield: it then holds the
+        # two sort orders and the matched positions, 32 bytes per event, and no
+        # longer the sorted tags, the ranges or the split (65 bytes per event).
+        log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=50_000,
+                                              seed=5, emission=EmissionSpec.poisson(0.005)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            walk = stream_window_index(log, [1000.0])
+            group = next(walk)
+            held = tracemalloc.get_traced_memory()[0] - before - sum(a.nbytes for a in group[:3])
+        finally:
+            tracemalloc.stop()
+        walk.close()
+        assert held / log.n_pairs < 40
+
 
 class TestCrossValidation:
     def test_stream_equals_pair_filter_when_separated(self):

@@ -199,6 +199,22 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert peak / cfg.n_pairs < 80
 
+    @pytest.mark.parametrize("emission, bound", [(None, 34), (EmissionSpec.poisson(0.005), 42)],
+                             ids=["regular", "poisson"])
+    def test_peak_memory_is_the_log(self, emission, bound):
+        # Each range writes its own rows' tags from chunk-sized emission blocks:
+        # no full-length emission array, and no gap column under regular
+        # emission.  The log is 30 bytes per pair, Poisson's gap column 8 more.
+        cfg = small_config(n_pairs=200_000, emission=emission)
+        run_experiment(small_config(n_pairs=10, emission=emission))  # first-call allocations are not per pair
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, n_workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / cfg.n_pairs < bound
+
     @pytest.mark.parametrize("cpus, threads", [(4, 4), (None, 1), (64, 10)])
     def test_pool_sized_by_cpus_not_workers(self, monkeypatch, cpus, threads):
         cfg = small_config(n_pairs=10 * CHUNK_PAIRS)
@@ -291,6 +307,16 @@ class TestRunExperiment:
         # The third pair is emitted near 1e303 or later: finite, but not once scaled to 6 decimals.
         with pytest.raises(ValidationError, match="emission times overflow"):
             run_experiment(small_config(n_pairs=3, emission=emission))
+
+    @pytest.mark.parametrize("emission", [EmissionSpec.regular(1e303), EmissionSpec.poisson(1e-305),
+                                          EmissionSpec.poisson(1e-310)],
+                             ids=["regular", "poisson", "poisson-infinite-gap"])
+    def test_emission_overflow_rejected_on_threads(self, emission):
+        # Emission times computed in worker threads overflow there too; under
+        # -W error an unguarded overflow would surface as a RuntimeWarning.  At
+        # a subnormal rate the inter-arrival times themselves overflow to inf.
+        with pytest.raises(ValidationError, match="emission times overflow"):
+            run_experiment(small_config(n_pairs=2 * CHUNK_PAIRS + 1, emission=emission), n_workers=2)
 
 
 class TestMapRanges:
