@@ -35,10 +35,9 @@ pairs: the 64 points of a curve, or the four correlations of CHSH.
 * Independence.  Which panels a point splits depends on its own panels
   only, and every sum runs over one panel or one point, so a point's
   result does not depend on the batch it is in.
-* Memory.  Panels are evaluated ``_PANEL_BLOCK`` at a time and the kink
-  scan runs ``_SCAN_POINTS`` points at a time.  A whole curve at once
-  would hold (64, 2, 4097) scan arrays and raise the peak memory of an
-  oracle run by almost half.
+* Memory.  Panels are evaluated ``_PANEL_BLOCK`` at a time, and the
+  scan holds one timescale row per station and recomputes it when that
+  station's setting changes.
 
 Closed-form quantum references for the two rotationally invariant states
 are provided for comparison curves.
@@ -187,10 +186,9 @@ _G_WEIGHTS = np.array([
 
 _EPS50 = 50.0 * np.finfo(float).eps
 
-# Panels per integrand call and points per kink scan: the bounds on the
-# arrays alive at once (see the module docstring).
+# Panels per integrand call: the bound on the arrays alive at once (see
+# the module docstring).
 _PANEL_BLOCK = 256
-_SCAN_POINTS = 1
 
 
 def _gk15(f, pt, a, b):
@@ -284,10 +282,12 @@ def _anchor_points(a1: np.ndarray, a2: np.ndarray, params: ModelParams):
     timescale also crosses W at offsets +-z0 from its zeros, with
     |sin 2 z0| = (W/t0)**(1/d).  The clipped-corner case of the weight
     switches where |T1 - T2| = W; those points are found by a sign scan
-    on a fixed grid, _SCAN_POINTS points at a time, and one bisection of
-    all of them.  Two crossings inside one grid cell are missed and left
-    to the adaptive refinement.  A seed within 1e-12 of the one before it
-    is dropped, except pi.
+    on a fixed grid and one bisection of all of them.  The scan walks the
+    batch in order, holds one timescale row per station and recomputes it
+    only when that station's setting differs from the point before, so a
+    batch ordered by setting shares its rows.  Two crossings inside one
+    grid cell are missed and left to the adaptive refinement.  A seed
+    within 1e-12 of the one before it is dropped, except pi.
 
     Returns (point index, seed) arrays sorted by point, then by seed.
     """
@@ -303,12 +303,13 @@ def _anchor_points(a1: np.ndarray, a2: np.ndarray, params: ModelParams):
     if params.d > 0 and params.window > 0:
         grid = np.linspace(0.0, _PI, _KINK_GRID + 1)
         target = np.array([[params.window], [-params.window]])
-        found = []
-        for lo in range(0, n, _SCAN_POINTS):
-            block = slice(lo, lo + _SCAN_POINTS)
-            sign = np.signbit(_timescale_gap(a1[block, None, None], a2[block, None, None], grid, target, params))
-            p, row, k = np.nonzero(np.diff(sign, axis=2))
-            found.append((p + lo, row, k))
+        found, rows = [], [None, None]
+        for p in range(n):
+            for station, a in enumerate((a1, a2)):
+                if p == 0 or a[p] != a[p - 1]:
+                    rows[station] = delay_timescale(misalignments(a1[p], a2[p], grid)[station], params)
+            row, k = np.nonzero(np.diff(np.signbit(rows[0] - rows[1] - target), axis=1))
+            found.append((np.full(len(k), p), row, k))
         p, row, k = (np.concatenate(c) for c in zip(*found))
         lo, hi, target = grid[k], grid[k + 1], target[row, 0]
         a1p, a2p = a1[p], a2[p]
@@ -334,7 +335,8 @@ def _integrals(a1, a2, params: ModelParams, quad: QuadratureSpec) -> np.ndarray:
     One batched pass; each point's four integrals are within tol * D / 4.
     Raises ValidationError for a non-finite setting, and QuadratureError
     for the first point whose D is zero or whose pass misses its budget;
-    ``achieved`` is then the tol that point met.
+    ``achieved`` is then the tol that point met, or inf for a zero D,
+    where E = C12 / D is 0 / 0.
     """
     a1, a2 = np.asarray(a1, dtype=float), np.asarray(a2, dtype=float)
     if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
@@ -353,7 +355,7 @@ def _integrals(a1, a2, params: ModelParams, quad: QuadratureSpec) -> np.ndarray:
     if failed.any():
         p = int(np.argmax(failed))
         if d_val[p] <= 0.0:
-            raise QuadratureError("coincidence normalization integral is zero", err[p])
+            raise QuadratureError("coincidence normalization integral is zero", math.inf)
         achieved = 4.0 * err[p] / d_val[p]
         raise QuadratureError(
             f"quadrature did not converge: achieved {achieved:.3e}, requested {quad.tol:.3e}",

@@ -1,12 +1,20 @@
-"""Slow reference matchers that share no code with ``eprsim.coincidence``.
+"""Slow references for the fast paths of ``eprsim``.
 
-``test_coincidence`` and ``test_analysis`` check the stream matcher and
-the stream sweep against them.
+* Matchers that share no code with ``eprsim.coincidence``:
+  ``test_coincidence`` and ``test_analysis`` check the stream matcher
+  and the stream sweep against them.
+* The oracle's kink seeds with every timescale row recomputed at every
+  point: ``test_oracle`` checks that ``oracle._anchor_points``, which
+  reuses a row while its station's setting holds, gives the same seeds.
 """
+
+import math
 
 import numpy as np
 
 from eprsim import ValidationError
+from eprsim.model import delay_timescale, misalignments
+from eprsim.oracle import _KINK_GRID, _KINK_STEPS
 
 
 def scan_reference(t1: np.ndarray, t2: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
@@ -67,3 +75,51 @@ def stream_reference(log, window: float) -> tuple[np.ndarray, np.ndarray]:
     o1, o2 = log.station1.time_order(), log.station2.time_order()
     m1, m2 = scan_reference(log.station1.time_tag[o1], log.station2.time_tag[o2], window)
     return o1[m1], o2[m2]
+
+
+def anchor_points_reference(a1: np.ndarray, a2: np.ndarray, params) -> tuple[np.ndarray, np.ndarray]:
+    """The kink seeds of ``oracle._anchor_points``, its sign scan one point at a time.
+
+    Every point computes both stations' timescale rows on the scan grid
+    afresh, the rows a faster scan may share between points with equal
+    settings.  The seeds, the bisection and the de-duplication are the
+    oracle's, step for step, so the two must agree bit for bit.  Returns
+    (point index, seed) arrays sorted by point, then by seed.
+    """
+
+    def gap(x1, x2, s, target):
+        z1, z2 = misalignments(x1, x2, s)
+        return delay_timescale(z1, params) - delay_timescale(z2, params) - target
+
+    n = len(a1)
+    offsets = [0.0]
+    if params.d > 0 and 0.0 < params.window < params.t0:
+        z0 = 0.5 * math.asin(min(1.0, (params.window / params.t0) ** (1.0 / params.d)))
+        offsets += [z0, -z0]
+    seeds = [np.zeros(n), np.full(n, math.pi)]
+    seeds += [(base + off + k * math.pi / 2.0) % math.pi for base in (a1, a2) for off in offsets for k in range(4)]
+    pt = [np.repeat(np.arange(n), len(seeds))]
+    seeds = [np.stack(seeds, axis=1).ravel()]
+    if params.d > 0 and params.window > 0:
+        grid = np.linspace(0.0, math.pi, _KINK_GRID + 1)
+        target = np.array([[params.window], [-params.window]])
+        found = []
+        for p in range(n):
+            row, k = np.nonzero(np.diff(np.signbit(gap(a1[p], a2[p], grid, target)), axis=1))
+            found.append((np.full(len(k), p), row, k))
+        p, row, k = (np.concatenate(c) for c in zip(*found))
+        lo, hi, target = grid[k], grid[k + 1], target[row, 0]
+        lo_sign = np.signbit(gap(a1[p], a2[p], lo, target))
+        for _ in range(_KINK_STEPS):
+            mid = 0.5 * (lo + hi)
+            left = np.signbit(gap(a1[p], a2[p], mid, target)) == lo_sign
+            lo = np.where(left, mid, lo)
+            hi = np.where(left, hi, mid)
+        pt.append(p)
+        seeds.append(0.5 * (lo + hi))
+    pt, seeds = np.concatenate(pt), np.concatenate(seeds)
+    order = np.lexsort((seeds, pt))
+    pt, seeds = pt[order], seeds[order]
+    new = np.r_[True, pt[1:] != pt[:-1]]
+    keep = new | np.r_[True, np.diff(seeds) > 1e-12] | np.r_[new[1:], True]
+    return pt[keep], seeds[keep]

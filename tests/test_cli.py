@@ -1,4 +1,4 @@
-"""CLI outputs pinned by sha256: a paired sweep, the stream matcher, and two tag-file round trips.
+"""CLI outputs pinned by sha256: a paired sweep, the stream matcher, two tag-file round trips and the oracle.
 
 A change that moves any count, rate or S value changes the bytes.  The
 manifests are not pinned; their event accounting is read back below.
@@ -20,6 +20,13 @@ SWEEP_SHA = "82c61d6f7aa64b329b4aa1399762d7c2f83efdcdc4d1e92ad4b2537416c5af64"
 STREAM_SHA = "a060207784af8f229534532d9a36d937da205600682d6a3b1c32fd212151e90e"
 PAIRED_SHA = "7a71cf9a5d787d984a2f00c9606fda8d58fbccbe2caaf74fe4b378559a311a14"
 POISSON_SWEEP_SHA = "d11df893a050a96af80cdd5dfce23ccef11eaef8925adbd6f6bd9fa598b08372"
+# reference_curves.csv and the exact S of two oracle runs: the |T1 - T2| = W
+# kinks at a narrow window and at a wide one.
+ORACLE_PINS = [
+    (["--window", "10"], "bdd273a23130a58759bf611034186b010ba02c67cbb40c58c919b19f817d89bd", 2.7153103548273547),
+    (["--d", "2", "--window", "300"], "2685775eea8efc66bf3acc7e7d20a39eb9cbe28b6fa2d0a14c547c060e526a3b",
+     1.6820822275552636),
+]
 
 
 def _sha(path) -> str:
@@ -53,6 +60,13 @@ def test_reanalyzed_poisson_tags_output_pinned(tmp_path):
     assert main([*argv, "--out", out]) == 0
     assert main(["--mode", "reanalyze", "--tags-in", "ptags", "--windows", "1:1000:log20", "--out", out]) == 0
     assert _sha(tmp_path / "sweep.csv") == POISSON_SWEEP_SHA
+
+
+@pytest.mark.parametrize("argv,sha,s_exact", ORACLE_PINS)
+def test_oracle_output_pinned(tmp_path, argv, sha, s_exact):
+    assert main(["--mode", "oracle", *argv, "--out", str(tmp_path)]) == 0
+    assert _sha(tmp_path / "reference_curves.csv") == sha
+    assert json.loads((tmp_path / "oracle.manifest.json").read_text())["results"]["s_exact"] == s_exact
 
 
 def test_manifest_accounts_for_every_event(tmp_path):

@@ -6,6 +6,8 @@ angle and by the counting-grid weight evaluator below.  The Monte Carlo
 is checked against the oracle at the end of this file.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -32,7 +34,8 @@ from eprsim import (
 from eprsim.analysis import DEFAULT_QUADRUPLE
 from eprsim.cli import main, parse_windows
 from eprsim.model import delay_timescale, misalignments
-from eprsim.oracle import DEFAULT_QUAD, _anchor_points, _gk15, _integrals, _integrate
+from eprsim.oracle import DEFAULT_QUAD, _KINK_GRID, _anchor_points, _gk15, _integrals, _integrate
+from references import anchor_points_reference
 
 times = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 
@@ -250,6 +253,48 @@ class TestQuadratureMachinery:
         assert correlation_curve([], ModelParams()).shape == (0,)
 
 
+# The batches of correlation_curve and chsh_exact, and one whose settings
+# alternate and repeat on both stations.
+ANCHOR_BATCHES = {
+    "curve": (np.linspace(0.0, np.pi, 64), np.zeros(64)),
+    "chsh": (np.take(DEFAULT_QUADRUPLE, [0, 0, 1, 1]), np.take(DEFAULT_QUADRUPLE, [2, 3, 2, 3])),
+    "alternating": (np.array([0.0, 0.0, 0.3, 0.3, 0.0]), np.array([0.1, 0.2, 0.1, 0.2, 0.1])),
+    "single": (np.array([0.3]), np.array([0.0])),
+}
+
+
+class TestAnchorPoints:
+    """The kink seeds against a scan that recomputes every timescale row."""
+
+    # (4, 1000, 1000) skips the z0 offsets and d = 0 or W = 0 the scan.
+    @pytest.mark.parametrize("d,t0,window", [(4.0, 1000.0, 10.0), (2.0, 1000.0, 300.0), (6.0, 50.0, 1.0),
+                                             (4.0, 1000.0, 1000.0), (0.0, 1000.0, 10.0), (4.0, 1000.0, 0.0)])
+    @pytest.mark.parametrize("batch", ANCHOR_BATCHES)
+    def test_equals_reference_scan(self, d, t0, window, batch):
+        params = ModelParams(d=d, t0=t0, window=window)
+        a1, a2 = ANCHOR_BATCHES[batch]
+        pt, seeds = _anchor_points(a1, a2, params)
+        pt_ref, seeds_ref = anchor_points_reference(a1, a2, params)
+        np.testing.assert_array_equal(pt, pt_ref)
+        np.testing.assert_array_equal(seeds, seeds_ref)
+
+    def test_one_timescale_row_per_setting_change(self, monkeypatch):
+        # The curve holds a2 = 0, so it needs 64 rows for station 1 and one
+        # for station 2; CHSH needs its two a1 and at most four a2 rows.
+        calls = []
+
+        def counting(zeta, params):
+            calls.append(np.size(zeta) == _KINK_GRID + 1)
+            return delay_timescale(zeta, params)
+
+        monkeypatch.setattr("eprsim.oracle.delay_timescale", counting)
+        correlation_curve(np.linspace(0.0, np.pi, 64), ModelParams())
+        assert sum(calls) == 65
+        calls.clear()
+        chsh_exact(ModelParams())
+        assert sum(calls) <= 6
+
+
 # The four CHSH setting pairs, at every fourth window of the S(W) sweep,
 # where the |T1 - T2| = W kinks matter, and a few other (d, W, delta).
 QUAD_VEC_CASES = [
@@ -421,9 +466,13 @@ class TestRateAndChsh:
 
     @pytest.mark.parametrize("d", [0.0, 2.0, 4.0])
     def test_zero_window_has_zero_normalization(self, d):
+        # E = C12 / D is 0 / 0, so no error bound holds: achieved is inf, never 0.
         p = ModelParams(d=d, t0=1000.0, window=0.0)
-        with pytest.raises(QuadratureError, match="coincidence normalization integral is zero"):
+        with pytest.raises(QuadratureError, match="coincidence normalization integral is zero") as alone:
             coincidence_rate_exact(0.0, np.pi / 8, p)
+        with pytest.raises(QuadratureError, match="coincidence normalization integral is zero") as batch:
+            correlation_curve(np.linspace(0.0, np.pi, 8), p)
+        assert alone.value.achieved == batch.value.achieved == math.inf
 
     def test_cli_zero_window_exits_2(self, tmp_path, capsys):
         assert main(["--mode", "oracle", "--window", "0", "--out", str(tmp_path)]) == 2
