@@ -18,7 +18,7 @@ from .coincidence import Coincidences, MatchPolicy, check_pair_filter, pair_wind
 from .errors import ValidationError
 from .events import EventLog, ExperimentConfig, map_ranges
 from .events import run_experiment  # noqa: F401  perfbench/spans.py hooks it here
-from .model import normalize_angle
+from .model import DEFAULT_QUADRUPLE, normalize_angle
 
 __all__ = [
     "DEFAULT_QUADRUPLE",
@@ -30,11 +30,6 @@ __all__ = [
     "chsh_combination",
     "window_sweep",
 ]
-
-# Maximal-violation geometry for the singlet correlation:
-# (a, a', b, b') = (0, pi/4, pi/8, 3 pi/8).
-DEFAULT_QUADRUPLE = (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
-
 
 def chsh_combination(e_ab: float, e_abp: float, e_apb: float, e_apbp: float) -> float:
     """S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')|."""

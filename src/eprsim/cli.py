@@ -22,7 +22,6 @@ configuration, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -49,7 +48,6 @@ from .tagio import (
 
 __all__ = ["main", "build_parser", "parse_angle", "parse_angle_list", "parse_windows", "parse_emission"]
 
-OUTDIR_ENV = "EPRSIM_OUTDIR"
 _CURVE_POINTS = 64
 
 
@@ -145,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coincidence selector (default: paired, or stream for reanalyze)")
     p.add_argument("--tags-out", type=str, default=None, help="prefix for written time-tag files")
     p.add_argument("--tags-in", type=str, default=None, help="prefix of time-tag files to reanalyze")
-    p.add_argument("--out", type=str, default=None, help=f"output directory (default ${OUTDIR_ENV} or '.')")
+    p.add_argument("--out", type=str, default=".", help="output directory (default '.')")
     p.add_argument("--workers", type=int, default=1, help="worker count for event generation (default 1)")
     return p
 
@@ -159,9 +157,8 @@ def _build_config(args) -> tuple[ExperimentConfig, tuple[float, float, float, fl
         raise ValidationError(f"--pairs must be >= 1, got {args.pairs}")
     params = ModelParams(d=args.d, t0=args.t0, window=args.window)
     quadruple = _parse_quadruple(args)
-    a, ap, b, bp = quadruple
-    settings1 = parse_angle_list(args.angles1) if args.angles1 else (a, ap)
-    settings2 = parse_angle_list(args.angles2) if args.angles2 else (b, bp)
+    settings1 = parse_angle_list(args.angles1) if args.angles1 else quadruple[:2]
+    settings2 = parse_angle_list(args.angles2) if args.angles2 else quadruple[2:]
     emission = parse_emission(args.emission) if args.emission else None
     config = ExperimentConfig(
         params=params,
@@ -308,7 +305,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        outdir = Path(args.out or os.environ.get(OUTDIR_ENV) or ".")
+        outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         manifest = (_run_oracle if args.mode == "oracle" else _run_analysis)(args, outdir)
         manifest_path = manifest.write(outdir / f"{args.mode}.manifest.json")

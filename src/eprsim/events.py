@@ -45,7 +45,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ValidationError
-from .model import ModelParams, Setting, delay_from_uniform, hidden_from_uniform, misalignments, outcome_from_uniform
+from .model import (DEFAULT_QUADRUPLE, ModelParams, Setting, check_settings, delay_from_uniform,
+                    hidden_from_uniform, misalignments, outcome_from_uniform)
 
 __all__ = [
     "EmissionSpec",
@@ -107,8 +108,8 @@ class ExperimentConfig:
     """Everything needed to reproduce one run."""
 
     params: ModelParams = field(default_factory=ModelParams)
-    settings1: tuple[Setting, ...] = (0.0, np.pi / 4)
-    settings2: tuple[Setting, ...] = (np.pi / 8, 3 * np.pi / 8)
+    settings1: tuple[Setting, ...] = DEFAULT_QUADRUPLE[:2]
+    settings2: tuple[Setting, ...] = DEFAULT_QUADRUPLE[2:]
     n_pairs: int = 10**6
     seed: int = 42
     emission: EmissionSpec | None = None
@@ -120,8 +121,7 @@ class ExperimentConfig:
             raise ValidationError(f"n_pairs must be >= 1, got {self.n_pairs}")
         if not self.settings1 or not self.settings2:
             raise ValidationError("both setting lists must be non-empty")
-        if not np.all(np.isfinite(self.settings1 + self.settings2)):
-            raise ValidationError(f"settings must be finite angles, got {self.settings1} and {self.settings2}")
+        check_settings(self.settings1 + self.settings2)
         if not isinstance(self.seed, (int, np.integer)) or not (0 <= int(self.seed) < _MAX_SEED):
             raise ValidationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 

@@ -43,6 +43,16 @@ __all__ = [
 # from it depends on the value mod pi only (polarization is axis-like).
 Setting = float
 
+# Maximal-violation geometry for the singlet correlation:
+# (a, a', b, b') = (0, pi/4, pi/8, 3 pi/8).
+DEFAULT_QUADRUPLE = (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
+
+
+def check_settings(angles) -> None:
+    """Raise ValidationError unless every angle, and twice it, is finite: the kernels take sin and cos of 2 zeta."""
+    if not np.all(np.abs(np.asarray(angles, dtype=float)) <= np.finfo(float).max / 2):
+        raise ValidationError(f"settings must be finite angles with a finite double, got {angles}")
+
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -50,9 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import DEFAULT_QUADRUPLE, chsh_combination
+from .analysis import chsh_combination
 from .errors import QuadratureError, ValidationError
-from .model import ModelParams, Setting, delay_timescale, misalignments
+from .model import DEFAULT_QUADRUPLE, ModelParams, Setting, check_settings, delay_timescale, misalignments
 
 __all__ = [
     "QuadratureSpec",
@@ -333,14 +333,13 @@ def _integrals(a1, a2, params: ModelParams, quad: QuadratureSpec) -> np.ndarray:
     """(D, C1, C2, C12) at each settings pair (a1[p], a2[p]), shape (n, 4).
 
     One batched pass; each point's four integrals are within tol * D / 4.
-    Raises ValidationError for a non-finite setting, and QuadratureError
-    for the first point whose D is zero or whose pass misses its budget;
-    ``achieved`` is then the tol that point met, or inf for a zero D,
-    where E = C12 / D is 0 / 0.
+    Raises ValidationError for a setting ``check_settings`` rejects, and
+    QuadratureError for the first point whose D is zero or whose pass
+    misses its budget; ``achieved`` is then the tol that point met, or inf
+    for a zero D, where E = C12 / D is 0 / 0.
     """
     a1, a2 = np.asarray(a1, dtype=float), np.asarray(a2, dtype=float)
-    if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
-        raise ValidationError("settings must be finite angles")
+    check_settings(np.concatenate((a1, a2)))
 
     def integrand(p, s):
         z1, z2 = misalignments(a1[p], a2[p], s)

@@ -11,10 +11,13 @@ coincidence analysis can be redone later from raw tags alone.  Format:
 Rows are written in time order.  Times are fixed-point with six
 decimals, matching the generator's tag resolution, so a write/read cycle
 reproduces the in-memory log exactly and re-writing a read file is
-byte-identical.  The pair_id column is optional on read; stream matching
-does not need it.  Files with pair ids are read back into pair order,
-the order :func:`eprsim.events.run_experiment` returns; files without
-keep their row order.
+byte-identical.  The reader accepts exactly what the writer writes:
+these two header lines for the station asked for, with or without the
+pair_id column (stream matching does not need it), then rows and empty
+lines.  ``np.loadtxt`` parses the rows from disk; after a failure, a
+second pass over the lines names the bad one.  Files with pair ids are
+read back into pair order, the order :func:`eprsim.events.run_experiment`
+returns; files without keep their row order.
 
 The writer builds each row's digits with integer arithmetic on whole
 blocks of tags, and its bytes equal ``f"{t:.6f}"`` for every double t.
@@ -33,9 +36,7 @@ is what ``{:.6f}`` does with the exact binary value:
 
 (``rint(t * 10**6)`` is not exact: above 2**53 / 10**6, about 9.007e9,
 the product rounds before the digits are taken.)  The sign comes from
-the sign bit, so -0.0 writes as ``-0.000000``.  The reader hands
-everything after the two header lines to ``np.loadtxt`` in one piece.
-It splits lines in Python only on a failure, to name the bad line.
+the sign bit, so -0.0 writes as ``-0.000000``.
 
 Result tables (correlations, sweeps, reference curves) are plain CSV with
 floats serialized via repr, which round-trips exactly.  A JSON manifest
@@ -45,10 +46,11 @@ file of a run.
 
 from __future__ import annotations
 
-import io
 import json
+import warnings
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -197,89 +199,86 @@ def _is_index(x: np.ndarray, limit: float) -> np.ndarray:
     return (x >= 0) & (x < limit) & (x == np.round(x))
 
 
+def _data_lines(path: Path):
+    """Line number and text of each row ``np.loadtxt`` reads: the non-empty lines after the header."""
+    with path.open(encoding="utf-8") as fh:
+        for k, line in enumerate(fh, start=1):
+            if k > 2 and line != "\n":
+                yield k, line
+
+
 def _check_rows(path: Path, bad: np.ndarray, message: str) -> None:
-    """Raise naming the first data line where ``bad`` holds (line 3 is row 0)."""
+    """Raise naming the line of the first row where ``bad`` holds."""
     if bad.any():
-        raise TagFormatError(f"{path}:{int(np.argmax(bad)) + 3}: {message}")
+        k, _ = next(islice(_data_lines(path), int(np.argmax(bad)), None))
+        raise TagFormatError(f"{path}:{k}: {message}")
 
 
 def _parse_station_file(path: Path, expected_station: int) -> StationStream:
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        with path.open(encoding="utf-8") as fh:
+            first, second = fh.readline(), fh.readline()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt's empty-body warning; see "no events"
+            data = np.loadtxt(path, delimiter=",", skiprows=2, comments=None, ndmin=2, encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise TagFormatError(f"{path}: cannot read tag file: {exc}") from exc
-    # Only the two header lines become strings; the body goes to loadtxt whole.
-    parts = text.split("\n", 2)
-    if len(parts) < 2 or parts[1:] == [""]:
+    except ValueError:
+        data = None
+    if not second:
         raise TagFormatError(f"{path}: truncated tag file (need version and header lines)")
-    head = parts[0].split()
-    if len(head) < 3 or head[0] != "#" or head[1] != _MAGIC:
+    head = first.split()
+    if len(head) < 3 or head[:2] != ["#", _MAGIC]:
         raise TagFormatError(f"{path}:1: not a {_MAGIC} file")
     if head[2] != FORMAT_VERSION:
         raise TagFormatError(f"{path}:1: version mismatch: file has {head[2]!r}, reader supports {FORMAT_VERSION!r}")
-    station = expected_station
-    for tok in head[3:]:
-        if tok.startswith("station="):
-            try:
-                station = int(tok.split("=", 1)[1])
-            except ValueError:
-                raise TagFormatError(f"{path}:1: bad station token {tok!r}") from None
-    if station != expected_station:
+    token = " ".join(head[3:])
+    station = token.removeprefix("station=")
+    if station == token or not (station.isascii() and station.isdigit()):
+        raise TagFormatError(f"{path}:1: bad station token {token!r}")
+    if int(station) != expected_station:
         raise TagFormatError(f"{path}:1: station {station} file given for station {expected_station}")
-    header = tuple(parts[1].strip().split(","))
-    if header == _COLUMNS:
-        has_pid = True
-    elif header == _COLUMNS[1:]:
-        has_pid = False
-    else:
+    header = tuple(second.rstrip("\n").split(","))
+    if header not in (_COLUMNS, _COLUMNS[1:]):
         raise TagFormatError(f"{path}:2: unexpected columns {header!r}")
-    ncols = len(header)
 
-    body = parts[2].rstrip() if len(parts) == 3 else ""
-    if not body:
+    if data is not None and len(data) == 0:
         raise TagFormatError(f"{path}: no events")
-    try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
-    except ValueError:
-        data = None
-    if data is None or data.shape[1] != ncols:
-        # Slow pass purely to produce a line-accurate diagnostic.
-        for k, line in enumerate(body.splitlines(), start=3):
+    if data is None or data.shape[1] != len(header):
+        for k, line in _data_lines(path):
             fields = line.split(",")
-            if len(fields) != ncols:
-                raise TagFormatError(f"{path}:{k}: expected {ncols} columns, found {len(fields)}")
+            if len(fields) != len(header):
+                raise TagFormatError(f"{path}:{k}: expected {len(header)} columns, found {len(fields)}")
             for name, tok in zip(header, fields):
                 try:
                     float(tok)
                 except ValueError:
                     raise TagFormatError(f"{path}:{k}: non-numeric {name} value {tok.strip()!r}") from None
+                # float() also reads digit separators and non-ASCII digits; loadtxt does not.
+                if "_" in tok or not tok.isascii():
+                    raise TagFormatError(f"{path}:{k}: malformed tag data: {name} value {tok.strip()!r}")
         raise TagFormatError(f"{path}: malformed tag data")
 
-    col = {name: data[:, i] for i, name in enumerate(header)}
-    outcome = col["outcome"]
+    t, idx, outcome = data[:, -3:].T
     _check_rows(path, (outcome != 1) & (outcome != -1), "outcome must be 1 or -1")
-    idx = col["setting_index"]
     _check_rows(path, ~_is_index(idx, 2.0**15), "setting_index must be an integer in [0, 2**15)")
-    t = col["time_ns"]
     _check_rows(path, ~np.isfinite(t), "non-finite time tag")
 
-    # Pair order, the form run_experiment returns; without pair ids, file order.
-    if has_pid:
+    order, pid = np.arange(len(t)), None
+    if header == _COLUMNS:
         # 2**53: above it a float no longer holds every integer exactly.
-        _check_rows(path, ~_is_index(col["pair_id"], 2.0**53), "pair_id must be an integer in [0, 2**53)")
-        pid = col["pair_id"].astype(np.int64)
-        order = np.argsort(pid, kind="stable")
+        _check_rows(path, ~_is_index(data[:, 0], 2.0**53), "pair_id must be an integer in [0, 2**53)")
+        order = np.argsort(data[:, 0], kind="stable")
+        pid = data[order, 0].astype(np.int64)
         repeats = np.zeros(len(pid), dtype=bool)
-        repeats[order[1:]] = np.diff(pid[order]) == 0
+        repeats[order[1:]] = np.diff(pid) == 0
         _check_rows(path, repeats, "repeated pair_id")
-    else:
-        order = np.arange(len(t))
     return StationStream(
         station=expected_station,
         time_tag=t[order],
         setting_index=idx[order].astype(np.int16),
         outcome=outcome[order].astype(np.int8),
-        pair_id=pid[order] if has_pid else None,
+        pair_id=pid,
     )
 
 

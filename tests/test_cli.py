@@ -120,6 +120,8 @@ def test_sweep_manifests_account_for_every_window(tmp_path):
         ["--mode", "mc", "--emission", "regular:1e306", "--tags-out", "tags"],
         ["--mode", "mc", "--emission", "poisson:1e-320"],
         ["--mode", "mc", "--emission", "poisson:inf"],
+        ["--mode", "mc", "--angles1", "1e308rad,0rad"],
+        ["--mode", "oracle", "--quadruple", "1e308rad,0rad,0rad,0rad"],
     ],
 )
 def test_non_finite_input_exits_1(tmp_path, capsys, argv):

@@ -93,6 +93,7 @@ class TestConfigValidation:
             dict(seed=1.5),
             dict(settings1=(np.nan, 1.0)),
             dict(settings2=(0.5, np.inf)),
+            dict(settings1=(1e308, 0.0)),  # finite, but 2 * zeta overflows
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -485,7 +485,8 @@ class TestRateAndChsh:
 
 
 class TestNonFiniteSettings:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    # 1e308 is finite, but twice it overflows.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308, -1e308])
     def test_every_entry_point_rejects(self, bad):
         p = ModelParams()
         calls = [

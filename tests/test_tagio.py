@@ -1,6 +1,7 @@
 """Tag file tests: byte-identical round trip, line-accurate errors, CLI exit codes."""
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -181,15 +182,84 @@ def test_header_only_files_rejected(tag_prefix):
 
 
 @pytest.mark.parametrize(
-    "header",
-    ["# eprsim-tags v1 station=x", "# eprsim-tags v2 station=1"],
-    ids=["bad-station-token", "version-mismatch"],
+    "header, message",
+    [
+        ("# eprsim-tags v1 station=x", "bad station token 'station=x'"),
+        ("# eprsim-tags v2 station=1", "version mismatch: file has 'v2'"),
+        ("# other-tags v1 station=1", "not a eprsim-tags file"),
+        ("# eprsim-tags v1 station=2", "station 2 file given for station 1"),
+        ("# eprsim-tags v1", "bad station token ''"),
+        ("# eprsim-tags v1 station=1 station=1", "bad station token 'station=1 station=1'"),
+        ("# eprsim-tags v1 1", "bad station token '1'"),
+    ],
+    ids=["bad-station-token", "version-mismatch", "not-a-tag-file", "other-station", "no-station-token",
+         "extra-token", "no-station-key"],
 )
-def test_header_errors_name_line_one(tag_prefix, header):
+def test_header_errors_name_line_one(tag_prefix, header, message):
     prefix, _ = tag_prefix
     _replace_line(prefix, 0, header)
-    with pytest.raises(TagFormatError, match=r"station1\.csv:1: "):
+    with pytest.raises(TagFormatError, match=r"station1\.csv:1: " + message):
         read_tags(prefix)
+
+
+@pytest.mark.parametrize("keep", [0, 1], ids=["empty", "one-line"])
+def test_truncated_file_rejected(tag_prefix, keep):
+    prefix, _ = tag_prefix
+    path = station_path(prefix, 1)
+    path.write_text("".join(path.read_text(encoding="utf-8").splitlines(keepends=True)[:keep]), encoding="utf-8")
+    with pytest.raises(TagFormatError, match=r"station1\.csv: truncated tag file"):
+        read_tags(prefix)
+
+
+# Line k + 1 of the station-1 file (k is 0-based) is replaced by ``text``;
+# a newline in ``text`` inserts lines.
+@pytest.mark.parametrize(
+    "k, text, message",
+    [
+        (1, "pair_id,time,setting_index,outcome", r":2: unexpected columns"),
+        (3, "1,10000.000000,0", r":4: expected 4 columns, found 3"),
+        (3, "1,1e999,0,1", r":4: non-finite time tag"),
+        (3, "1_000,10000.000000,0,1", r":4: malformed tag data"),
+        (3, "\n1,10000.000000,0,2", r":5: outcome must be 1 or -1"),
+        (3, "# comment\n1,10000.000000,0,1", r":4: expected 4 columns, found 1"),
+    ],
+    ids=["columns", "short-row", "non-finite-time", "digit-separator", "blank-then-bad-row", "comment-in-body"],
+)
+def test_row_errors_name_the_line(tag_prefix, k, text, message):
+    prefix, _ = tag_prefix
+    _replace_line(prefix, k, text)
+    with pytest.raises(TagFormatError, match=r"station1\.csv" + message):
+        read_tags(prefix)
+
+
+def test_blank_lines_are_skipped(tag_prefix):
+    prefix, log = tag_prefix
+    path = station_path(prefix, 1)
+    path.write_text(path.read_text(encoding="utf-8").replace("\n", "\n\n").replace("\n\n", "\n", 1),
+                    encoding="utf-8")
+    assert read_tags(prefix, log.config) == log
+
+
+def test_undecodable_bytes_rejected(tag_prefix):
+    prefix, _ = tag_prefix
+    path = station_path(prefix, 1)
+    path.write_bytes(path.read_bytes() + b"\xff,1.0,0,1\n")
+    with pytest.raises(TagFormatError, match=r"station1\.csv: cannot read tag file"):
+        read_tags(prefix)
+
+
+def test_read_peak_memory_per_pair(tmp_path):
+    # Whole-file text and a StringIO copy of it peaked near 250 bytes per
+    # pair; loadtxt reading from disk needs the parsed rows and the result.
+    config = ExperimentConfig(n_pairs=50_000, seed=3)
+    write_tags(run_experiment(config), tmp_path / "run")
+    tracemalloc.start()
+    try:
+        log = read_tags(tmp_path / "run", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / log.n_pairs < 150
 
 
 @pytest.mark.parametrize(
