@@ -1,0 +1,94 @@
+"""The invariants of the README command examples, run in-process.
+
+Each test runs argv lists of the CI README step through ``cli.main``,
+from a temporary directory as the working directory, and asserts what
+that step asserts with ``cmp``, ``test`` and ``grep``: file bytes,
+manifest values, exit codes and the stderr line.  The CI step stays as
+the smoke test of the installed CLI under ``-W error``.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import pytest
+
+from eprsim.cli import main
+
+SWEEP = ["--mode", "sweep", "--pairs", "100000", "--windows", "1:1000:log20"]
+DENSE = ["--mode", "mc", "--matcher", "stream", "--emission", "poisson:0.005", "--pairs", "100000",
+         "--window", "1000"]
+
+
+@pytest.fixture
+def run(tmp_path, monkeypatch):
+    """``run(*argv)`` is ``main(argv)`` from ``tmp_path``; it asserts exit status 0."""
+    monkeypatch.chdir(tmp_path)
+
+    def run(*argv):
+        assert main(list(argv)) == 0, argv
+
+    return run
+
+
+def results(outdir, mode):
+    return json.loads((outdir / f"{mode}.manifest.json").read_text(encoding="utf-8"))["results"]
+
+
+def test_sweep_does_not_depend_on_workers(run, tmp_path):
+    run(*SWEEP, "--out", "run")
+    run(*SWEEP, "--workers", "3", "--out", "run_w3")
+    assert (tmp_path / "run" / "sweep.csv").read_bytes() == (tmp_path / "run_w3" / "sweep.csv").read_bytes()
+
+
+def test_dense_tags_do_not_depend_on_workers(run, tmp_path):
+    run(*DENSE, "--tags-out", "dtags", "--out", "run_dense")
+    run(*DENSE, "--workers", "3", "--tags-out", "dtags", "--out", "run_dense_w3")
+    for name in ("dtags.station1.csv", "dtags.station2.csv"):
+        assert (tmp_path / "run_dense" / name).read_bytes() == (tmp_path / "run_dense_w3" / name).read_bytes()
+
+
+def test_stream_and_paired_sweeps_of_regular_tags_are_equal(run, tmp_path):
+    run("--mode", "mc", "--pairs", "100000", "--window", "10", "--tags-out", "tags", "--out", "run")
+    tags = str(tmp_path / "run" / "tags")
+    run("--mode", "reanalyze", "--tags-in", tags, "--windows", "1:1000:log20", "--out", "run_stream")
+    run("--mode", "reanalyze", "--tags-in", tags, "--matcher", "paired", "--windows", "1:1000:log20",
+        "--out", "run_paired")
+    assert (tmp_path / "run_stream" / "sweep.csv").read_bytes() == (tmp_path / "run_paired" / "sweep.csv").read_bytes()
+
+
+def test_dense_tag_round_trip_reproduces_correlations(run, tmp_path):
+    run(*DENSE, "--tags-out", "dtags", "--out", "run_dense")
+    run("--mode", "reanalyze", "--tags-in", str(tmp_path / "run_dense" / "dtags"), "--window", "1000",
+        "--out", "run_dense_re")
+    written = (tmp_path / "run_dense" / "correlations.csv").read_bytes()
+    assert written == (tmp_path / "run_dense_re" / "correlations.csv").read_bytes()
+
+
+def test_poisson_grid_ends_equal_the_single_window_runs(run, tmp_path):
+    run("--mode", "mc", "--pairs", "100000", "--window", "10", "--emission", "poisson:0.002", "--tags-out", "ptags",
+        "--out", "run")
+    run("--mode", "reanalyze", "--tags-in", "ptags", "--windows", "1:1000:log20", "--out", "run")
+    tags = str(tmp_path / "run" / "ptags")
+    run("--mode", "reanalyze", "--tags-in", tags, "--window", "1", "--out", "run_w1")
+    run("--mode", "reanalyze", "--tags-in", tags, "--window", "1000", "--out", "run_w1000")
+    grid, w1, w1000 = (results(tmp_path / d, "reanalyze") for d in ("run", "run_w1", "run_w1000"))
+    assert (grid["s_first"], grid["matched"][0]) == (w1["s"], w1["matched"])
+    assert (grid["s_last"], grid["matched"][-1]) == (w1000["s"], w1000["matched"])
+
+
+@pytest.mark.parametrize("argv", [["--d", "0", "--window", "10"], ["--window", "1000"]], ids=["d0", "w-t0"])
+def test_oracle_gives_root_two(run, tmp_path, argv):
+    run("--mode", "oracle", *argv, "--out", "run_oracle")
+    assert abs(results(tmp_path / "run_oracle", "oracle")["s_exact"] - math.sqrt(2)) <= 4e-8
+
+
+def test_overflowing_quadruple_exits_1_with_one_stderr_line(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(["--mode", "oracle", "--quadruple", "1e308rad,0rad,0rad,0rad", "--out", "run_overflow"])
+    assert status == 1
+    lines = err.getvalue().splitlines(keepends=True)
+    assert len(lines) == 1 and lines[0].startswith("eprsim: invalid configuration: ")
