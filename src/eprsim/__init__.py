@@ -21,13 +21,7 @@ from .events import (
     StationStream,
     run_experiment,
 )
-from .coincidence import (
-    Coincidences,
-    MatchPolicy,
-    match_events,
-    pair_filter,
-    stream_match,
-)
+from .coincidence import MatchPolicy
 from .analysis import (
     DEFAULT_QUADRUPLE,
     ChshResult,
@@ -35,7 +29,6 @@ from .analysis import (
     SweepResult,
     chsh,
     chsh_combination,
-    tabulate,
     window_sweep,
 )
 from .oracle import (
@@ -56,10 +49,9 @@ __all__ = [
     "EprSimError", "QuadratureError", "TagFormatError", "ValidationError",
     "ModelParams", "Setting", "normalize_angle", "outcome_prob", "delay_timescale",
     "EmissionSpec", "ExperimentConfig", "StationStream", "EventLog", "run_experiment",
-    "Coincidences", "MatchPolicy",
-    "pair_filter", "stream_match", "match_events",
+    "MatchPolicy",
     "DEFAULT_QUADRUPLE", "CorrelationTable", "ChshResult", "SweepResult",
-    "tabulate", "chsh", "chsh_combination", "window_sweep",
+    "chsh", "chsh_combination", "window_sweep",
     "QuadratureSpec", "weight_exact",
     "joint_prob", "correlation_exact", "correlation_curve", "coincidence_rate_exact",
     "chsh_exact", "singlet_correlation", "mixed_correlation",

@@ -4,17 +4,24 @@ Counting statistics over post-selected coincidences: for every pair of
 settings the four outcome combinations are tallied, the
 correlation is E = (N++ + N-- - N+- - N-+) / N, and its standard error is
 the binomial plug-in sqrt((1 - E**2) / N).
+
+Every selection is a window sweep, and one window is a grid of one.
+Either policy of the ``coincidence`` module gives each coincidence the
+first window of the grid that keeps it; ``_bin`` counts it there, so the
+cumulative sum over the windows is every window's count table.
+``window_sweep`` keeps those tables in ``SweepResult.counts`` and
+computes S at each window from them.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .coincidence import Coincidences, MatchPolicy, check_pair_filter, pair_window_index, stream_window_index
+from .coincidence import MatchPolicy, check_pair_filter, pair_window_index, stream_window_index
 from .errors import ValidationError
 from .events import EventLog, ExperimentConfig, map_ranges
 from .events import run_experiment  # noqa: F401  perfbench/spans.py hooks it here
@@ -25,7 +32,6 @@ __all__ = [
     "CorrelationTable",
     "ChshResult",
     "SweepResult",
-    "tabulate",
     "chsh",
     "chsh_combination",
     "window_sweep",
@@ -81,7 +87,12 @@ class CorrelationTable:
     @property
     def empty_cells(self) -> list[tuple[int, int]]:
         """Setting combinations with zero coincidences, reported distinctly."""
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.n_total == 0))]
+        return _empty_cells(self.n_total)
+
+
+def _empty_cells(n_total: np.ndarray) -> list[tuple[int, int]]:
+    """The (i, j) cells of an (n1, n2) count array that hold no coincidence."""
+    return [(int(i), int(j)) for i, j in zip(*np.nonzero(n_total == 0))]
 
 
 def _outside(index: np.ndarray, n: int) -> np.ndarray:
@@ -123,31 +134,6 @@ def _bin(log: EventLog, groups, n_windows: int, config: ExperimentConfig) -> tup
     return hist, raise_at
 
 
-def _tables(hist: np.ndarray, raise_at: int, config: ExperimentConfig):
-    """Yield every window's count table from ``_bin``'s histogram.
-
-    Raises at the first window that keeps a coincidence outside the
-    config or keeps none, the checks and order of ``tabulate``.
-    """
-    counts = np.cumsum(hist[:-1], axis=0)
-    for k in range(len(counts)):
-        if k == raise_at:
-            raise ValidationError("setting index out of range for the supplied config")
-        if not counts[k].any():
-            raise ValidationError("cannot tabulate an empty coincidence list")
-        yield CorrelationTable(counts=counts[k], settings1=config.settings1, settings2=config.settings2)
-
-
-def tabulate(coincidences: Coincidences, config: ExperimentConfig) -> CorrelationTable:
-    """Tally coincidences into a table sized and labelled by ``config``'s settings.
-
-    Settings and outcomes are read from the log through the selection's
-    rows.  A setting index outside ``config``'s lists is an error.
-    """
-    group = (coincidences.rows1, coincidences.rows2, np.zeros(len(coincidences), dtype=np.intp), 1)
-    return next(_tables(*_bin(coincidences.log, [group], 1, config), config))
-
-
 @dataclass(frozen=True)
 class ChshResult:
     """CHSH statistic with its propagated standard error."""
@@ -163,7 +149,8 @@ class ChshResult:
 def _find_setting(angle: float, settings: tuple[float, ...], station: int) -> int:
     target = normalize_angle(angle)
     for k, a in enumerate(settings):
-        if abs(normalize_angle(a) - target) <= 1e-9:
+        d = abs(normalize_angle(a) - target)
+        if min(d, np.pi - d) <= 1e-9:  # circular: angles just below pi are near 0
             return k
     raise ValidationError(f"missing combination: angle {angle!r} not among station-{station} settings {settings}")
 
@@ -198,18 +185,33 @@ def chsh(table: CorrelationTable, quadruple: tuple[float, float, float, float] =
 
 @dataclass(eq=False)
 class SweepResult:
-    """CHSH statistic and coincidence count versus coincidence window.
+    """CHSH statistic and coincidence counts versus coincidence window.
 
-    ``empty_cells[k]`` lists the setting combinations with no
-    coincidences at ``windows[k]``, as ``CorrelationTable.empty_cells``.
+    ``counts[k]`` is the count table at ``windows[k]``, laid out as
+    ``CorrelationTable.counts``; the ``n_pairs`` emitted pairs are the
+    denominator of the coincidence rate.
     """
 
     windows: np.ndarray
+    counts: np.ndarray
+    n_pairs: int
     s: np.ndarray
     s_stderr: np.ndarray
-    rate: np.ndarray
-    matched: np.ndarray
-    empty_cells: list[list[tuple[int, int]]] = field(default_factory=list)
+
+    @property
+    def matched(self) -> np.ndarray:
+        """Coincidences at each window."""
+        return self.counts.sum(axis=(1, 2, 3, 4))
+
+    @property
+    def rate(self) -> np.ndarray:
+        """Coincidences per emitted pair at each window."""
+        return self.matched / self.n_pairs
+
+    @property
+    def empty_cells(self) -> list[list[tuple[int, int]]]:
+        """Per window, the setting combinations with no coincidences, as ``CorrelationTable.empty_cells``."""
+        return [_empty_cells(n_total) for n_total in self.counts.sum(axis=(3, 4))]
 
     def crossings(self) -> list[tuple[float, float]]:
         """Grid cells (w_lo, w_hi) where s crosses the local-realist bound 2."""
@@ -226,16 +228,19 @@ class SweepResult:
 _BLOCK_PAIRS = 1 << 16
 
 
-def _sweep_tables(log: EventLog, windows: np.ndarray, config: ExperimentConfig, policy: MatchPolicy):
-    """Every window's ``tabulate(match_events(log, w, policy), config)``, from one ``_bin`` histogram.
+def _sweep_counts(log: EventLog, windows: np.ndarray, config: ExperimentConfig,
+                  policy: MatchPolicy) -> tuple[np.ndarray, int]:
+    """Every window's count table, from one ``_bin`` histogram, and ``_bin``'s first bad window.
 
-    Policy ``"paired"`` bins each pair once, at the first window that
-    keeps it: :func:`map_ranges` splits the log into one contiguous,
-    block-aligned row range per CPU, and each range is binned in groups
-    of ``_BLOCK_PAIRS`` pairs into a histogram of its own, so no
-    temporary grows with the log.  The integer histograms are summed:
-    the tables do not depend on the split.  Policy ``"stream"`` bins the
-    groups of ``stream_window_index``.
+    The tables have shape (len(windows), n1, n2, 2, 2).  Policy
+    ``"paired"`` runs ``check_pair_filter`` once, then bins each pair
+    once, at the first window that keeps it: :func:`map_ranges` splits
+    the log into one contiguous, block-aligned row range per CPU, and
+    each range is binned in groups of ``_BLOCK_PAIRS`` pairs into a
+    histogram of its own, so no temporary grows with the log.  The
+    integer histograms are summed: the tables do not depend on the
+    split.  Policy ``"stream"`` bins the groups of
+    ``stream_window_index``.
     """
     if policy == "paired":
         check_pair_filter(log, windows[0])
@@ -251,7 +256,21 @@ def _sweep_tables(log: EventLog, windows: np.ndarray, config: ExperimentConfig, 
         hist, raise_at = _bin(log, stream_window_index(log, windows), len(windows), config)
     else:
         raise ValidationError(f"unknown match policy {policy!r}")
-    return _tables(hist, raise_at, config)
+    return np.cumsum(hist[:-1], axis=0), raise_at
+
+
+def _tables(counts: np.ndarray, raise_at: int, config: ExperimentConfig):
+    """Yield every window's ``CorrelationTable`` from ``_sweep_counts``'s result.
+
+    Raises at the first window that keeps a coincidence outside the
+    config (window ``raise_at``) or keeps none.
+    """
+    for k, window_counts in enumerate(counts):
+        if k == raise_at:
+            raise ValidationError("setting index out of range for the supplied config")
+        if not window_counts.any():
+            raise ValidationError("cannot tabulate an empty coincidence list")
+        yield CorrelationTable(counts=window_counts, settings1=config.settings1, settings2=config.settings2)
 
 
 def window_sweep(
@@ -262,7 +281,7 @@ def window_sweep(
     *,
     log: EventLog,
 ) -> SweepResult:
-    """S(W) of one event log over a window grid.
+    """S(W) of one event log over a window grid; one window is a grid of one.
 
     Every window is analyzed on the same ``log``, generated or read from
     tags, which gives a smooth correlated-sample curve; for independent
@@ -273,24 +292,15 @@ def window_sweep(
     window splits only the events still contested at the window above,
     bins the uncontested ones at the first window that keeps them, and
     scans the rest (see the ``coincidence`` module).
-    Either way the tables, and any error, are those of
-    ``tabulate(match_events(log, w, policy), config)`` window by window.
+    The windows are checked in order: each raises as ``_tables`` does,
+    then as ``chsh`` does for ``quadruple``.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 1 or len(windows) == 0:
         raise ValidationError("windows must be a non-empty 1-D sequence")
     if not np.all(windows[1:] > windows[:-1]):  # "not >" so that a NaN or a repeated inf fails too
         raise ValidationError("window values must be strictly increasing")
-    tables = _sweep_tables(log, windows, config, policy)
-    s_vals = np.empty(len(windows))
-    s_errs = np.empty(len(windows))
-    matched = np.empty(len(windows), dtype=np.int64)
-    empty_cells = []
-    for k, table in enumerate(tables):
-        result = chsh(table, quadruple)
-        s_vals[k] = result.s
-        s_errs[k] = result.stderr
-        matched[k] = table.counts.sum()
-        empty_cells.append(table.empty_cells)
-    return SweepResult(windows=windows, s=s_vals, s_stderr=s_errs, rate=matched / log.n_pairs, matched=matched,
-                       empty_cells=empty_cells)
+    counts, raise_at = _sweep_counts(log, windows, config, policy)
+    results = [chsh(table, quadruple) for table in _tables(counts, raise_at, config)]
+    return SweepResult(windows=windows, counts=counts, n_pairs=log.n_pairs, s=np.array([r.s for r in results]),
+                       s_stderr=np.array([r.stderr for r in results]))

@@ -29,8 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import DEFAULT_QUADRUPLE, chsh, tabulate, window_sweep
-from .coincidence import match_events
+from .analysis import DEFAULT_QUADRUPLE, CorrelationTable, chsh, window_sweep
 from .errors import EprSimError, TagFormatError, ValidationError
 from .events import EmissionSpec, EventLog, ExperimentConfig, rng_provenance, run_experiment
 from .model import ModelParams
@@ -221,28 +220,28 @@ def _read_source(args, outdir: Path, stage_s: dict) -> tuple[EventLog, Experimen
 def _analyze(log, config, windows, policy, quadruple, outdir: Path, manifest: RunManifest, diagnostics: dict) -> None:
     """Select coincidences at ``windows``, write the result CSV and build ``manifest.results``.
 
-    One window (a float) writes ``correlations.csv`` and records S with its
+    The selection is one ``window_sweep``, and one window (a float) is a
+    grid of one.  It writes ``correlations.csv`` and records S with its
     four correlations; a grid writes ``sweep.csv`` and records S at its ends
     and where it crosses 2.  Both record matched and unmatched events, the
     setting cells with no coincidences (one list per window for a grid),
     and ``diagnostics`` with the ``analyze`` stage added.
     """
     with _stage(diagnostics["stage_s"], "analyze"):
+        sweep = window_sweep(config, np.atleast_1d(windows), quadruple, policy, log=log)
         if np.ndim(windows) == 0:
-            coinc = match_events(log, windows, policy)
-            table = tabulate(coinc, config)
+            table = CorrelationTable(sweep.counts[0], config.settings1, config.settings2)
             result = chsh(table, quadruple)
             csv_path = write_correlation_csv(outdir / "correlations.csv", table)
-            matched = len(coinc)
-            empty_cells = table.empty_cells
-            rate = matched / log.n_pairs
+            matched = sweep.matched[0]
+            empty_cells = sweep.empty_cells[0]
+            rate = float(sweep.rate[0])
             summary = {"window": windows, "coincidence_rate": rate, "s": result.s, "s_stderr": result.stderr,
                        "correlations": {"e_ab": result.e_ab, "e_abp": result.e_abp,
                                         "e_apb": result.e_apb, "e_apbp": result.e_apbp}}
             print(f"{manifest.mode}: n_pairs={log.n_pairs} window={windows} rate={rate:.6f}")
             print(f"{manifest.mode}: S = {result.s:.6f} +- {result.stderr:.6f}")
         else:
-            sweep = window_sweep(config, windows, quadruple=quadruple, policy=policy, log=log)
             csv_path = write_sweep_csv(outdir / "sweep.csv", sweep)
             matched = sweep.matched
             empty_cells = sweep.empty_cells
@@ -251,7 +250,6 @@ def _analyze(log, config, windows, policy, quadruple, outdir: Path, manifest: Ru
             print(f"{manifest.mode}: {len(windows)} windows {windows[0]:g}..{windows[-1]:g}, "
                   f"S {sweep.s[0]:.4f} -> {sweep.s[-1]:.4f}, crossings at 2: {crossings}")
     manifest.outputs.append(str(csv_path))
-    matched = np.asarray(matched)
     manifest.results = {
         "policy": policy,
         **summary,

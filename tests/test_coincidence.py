@@ -1,4 +1,9 @@
-"""Coincidence-selection tests for both the per-pair filter and the stream matcher."""
+"""Coincidence-selection tests for both policies, the per-pair rule and the stream matcher.
+
+A window is a grid of one: the tests select at one window through the
+window sweep's own functions, ``pair_window_index`` and the walk of
+``stream_window_index``.
+"""
 
 import tracemalloc
 
@@ -12,15 +17,13 @@ from eprsim import (
     ModelParams,
     StationStream,
     ValidationError,
-    match_events,
-    pair_filter,
     run_experiment,
-    stream_match,
 )
 from eprsim import coincidence
+from eprsim.analysis import _sweep_counts
 from eprsim.cli import parse_windows
-from eprsim.coincidence import _split, pair_window_index, stream_window_index
-from references import scan_reference, stream_reference
+from eprsim.coincidence import _split, check_pair_filter, pair_window_index, stream_window_index
+from references import paired_reference, scan_reference, stream_reference
 
 
 def tiny_log(times1, times2, pair_ids=True):
@@ -39,15 +42,27 @@ def tiny_log(times1, times2, pair_ids=True):
     return EventLog(station1=stream(1, times1), station2=stream(2, times2))
 
 
-def column(coinc, station, name):
-    """Column ``name`` of one station, read through the selection's rows."""
-    stream, rows = (coinc.log.station1, coinc.rows1) if station == 1 else (coinc.log.station2, coinc.rows2)
-    return getattr(stream, name)[rows]
+def paired(log, window):
+    """The rows the paired policy keeps at ``window``: the pairs whose first window on a grid of one is 0."""
+    check_pair_filter(log, window)
+    rows = np.flatnonzero(pair_window_index(log, np.array([window]), slice(None)) == 0)
+    return rows, rows
 
 
-def dt(coinc):
+def stream(log, window):
+    """The rows the stream policy matches at ``window``: the one group of the walk on a grid of one."""
+    rows1, rows2, _, _ = next(stream_window_index(log, [window]))
+    return rows1, rows2
+
+
+def column(log, rows, station, name):
+    """Column ``name`` of one station, read through a selection's rows ``(rows1, rows2)``."""
+    return getattr(log.station1 if station == 1 else log.station2, name)[rows[station - 1]]
+
+
+def dt(log, rows):
     """Station-2 minus station-1 time tag of each coincidence."""
-    return column(coinc, 2, "time_tag") - column(coinc, 1, "time_tag")
+    return column(log, rows, 2, "time_tag") - column(log, rows, 1, "time_tag")
 
 
 def greedy_reference(t1, t2, window):
@@ -80,9 +95,8 @@ def sorted_tags(emission, n_pairs, seed):
 
 
 def sorted_match(t1, t2, window):
-    """``stream_match`` on an unpaired log of the sorted tags ``t1`` and ``t2``: its rows index the tags."""
-    coinc = stream_match(tiny_log(t1, t2, pair_ids=False), window)
-    return coinc.rows1, coinc.rows2
+    """The stream policy on an unpaired log of the sorted tags ``t1`` and ``t2``: its rows index the tags."""
+    return stream(tiny_log(t1, t2, pair_ids=False), window)
 
 
 def assert_same_as_scan(t1, t2, window):
@@ -111,37 +125,35 @@ def all_legal_matchings(t1, t2, window):
 
 class TestPairFilter:
     def test_kept_inside_window(self):
-        coinc = pair_filter(tiny_log([0.0], [0.3]), window=0.5)
-        assert len(coinc) == 1
-        assert dt(coinc)[0] == pytest.approx(0.3)
+        log = tiny_log([0.0], [0.3])
+        rows = paired(log, window=0.5)
+        assert len(rows[0]) == 1
+        assert dt(log, rows)[0] == pytest.approx(0.3)
 
     def test_dropped_outside_window(self):
-        assert len(pair_filter(tiny_log([0.0], [0.6]), window=0.5)) == 0
+        assert len(paired(tiny_log([0.0], [0.6]), window=0.5)[0]) == 0
 
     def test_boundary_is_closed(self):
-        assert len(pair_filter(tiny_log([0.0], [0.5]), window=0.5)) == 1
+        assert len(paired(tiny_log([0.0], [0.5]), window=0.5)[0]) == 1
 
     def test_monotone_in_window(self):
         log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1.0, window=0), n_pairs=4000, seed=1))
-        kept_narrow = set(column(pair_filter(log, 0.05), 1, "pair_id").tolist())
-        kept_wide = set(column(pair_filter(log, 0.2), 1, "pair_id").tolist())
+        kept_narrow = set(column(log, paired(log, 0.05), 1, "pair_id").tolist())
+        kept_wide = set(column(log, paired(log, 0.2), 1, "pair_id").tolist())
         assert kept_narrow <= kept_wide
 
     def test_selection_is_rows_of_the_log(self):
-        log = tiny_log([0.0, 1.0, 2.0], [0.1, 1.9, 2.2])
-        coinc = pair_filter(log, window=0.5)
-        assert coinc.log is log
-        assert coinc.rows1.tolist() == coinc.rows2.tolist() == [0, 2]
-        assert coinc.n_source_pairs == 3
+        rows1, rows2 = paired(tiny_log([0.0, 1.0, 2.0], [0.1, 1.9, 2.2]), window=0.5)
+        assert rows1.tolist() == rows2.tolist() == [0, 2]
 
     def test_negative_window_rejected(self):
         with pytest.raises(ValidationError):
-            pair_filter(tiny_log([0.0], [0.0]), window=-1.0)
+            paired(tiny_log([0.0], [0.0]), window=-1.0)
 
     def test_dt_within_window_always(self):
         log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1.0, window=0), n_pairs=4000, seed=2))
         for w in (0.01, 0.1, 0.5):
-            assert np.all(np.abs(dt(pair_filter(log, w))) <= w)
+            assert np.all(np.abs(dt(log, paired(log, w))) <= w)
 
     @pytest.mark.parametrize("n_windows", [1, 20])
     def test_window_index_is_the_first_window_that_keeps_the_pair(self, n_windows):
@@ -153,7 +165,7 @@ class TestPairFilter:
         log = tiny_log(np.zeros(len(gaps)), gaps)
         expected = np.full(len(gaps), n_windows)
         for k in reversed(range(n_windows)):
-            expected[pair_filter(log, windows[k]).rows1] = k
+            expected[paired_reference(log, windows[k])[0]] = k
         np.testing.assert_array_equal(pair_window_index(log, windows, slice(None)), expected)
         rows = slice(5, len(gaps) - 1)
         np.testing.assert_array_equal(pair_window_index(log, windows, rows), expected[rows])
@@ -161,31 +173,34 @@ class TestPairFilter:
 
 class TestStreamMatch:
     def test_single_match(self):
-        coinc = stream_match(tiny_log([0.0], [0.2]), window=0.5)
-        assert len(coinc) == 1
-        assert dt(coinc)[0] == pytest.approx(0.2)
+        log = tiny_log([0.0], [0.2])
+        rows = stream(log, window=0.5)
+        assert len(rows[0]) == 1
+        assert dt(log, rows)[0] == pytest.approx(0.2)
 
     def test_no_match(self):
-        assert len(stream_match(tiny_log([0.0], [0.6]), window=0.5)) == 0
+        assert len(stream(tiny_log([0.0], [0.6]), window=0.5)[0]) == 0
 
     def test_earliest_takes_shared_candidate(self):
         # Both station-1 events can reach 0.4; the earlier one (0.0) wins
         # and 1.0 is left unmatched.  Verified against brute-force
         # enumeration of every legal matching below.
-        coinc = stream_match(tiny_log([0.0, 1.0], [0.4]), window=0.5)
-        assert len(coinc) == 1
-        assert column(coinc, 1, "time_tag")[0] == 0.0 and column(coinc, 2, "time_tag")[0] == 0.4
+        log = tiny_log([0.0, 1.0], [0.4])
+        rows = stream(log, window=0.5)
+        assert len(rows[0]) == 1
+        assert column(log, rows, 1, "time_tag")[0] == 0.0 and column(log, rows, 2, "time_tag")[0] == 0.4
         legal = all_legal_matchings([0.0, 1.0], [0.4], 0.5)
         assert frozenset({(0, 0)}) in legal  # the greedy choice is a legal matching
 
     def test_nearest_wins(self):
-        coinc = stream_match(tiny_log([1.0], [0.7, 1.1, 1.8]), window=0.5)
-        assert len(coinc) == 1
-        assert column(coinc, 2, "time_tag")[0] == 1.1
+        log = tiny_log([1.0], [0.7, 1.1, 1.8])
+        rows = stream(log, window=0.5)
+        assert len(rows[0]) == 1
+        assert column(log, rows, 2, "time_tag")[0] == 1.1
 
     def test_tie_goes_to_earlier_tag(self):
-        coinc = stream_match(tiny_log([1.0], [0.8, 1.2]), window=0.5)
-        assert column(coinc, 2, "time_tag")[0] == 0.8
+        log = tiny_log([1.0], [0.8, 1.2])
+        assert column(log, stream(log, window=0.5), 2, "time_tag")[0] == 0.8
 
     def test_one_event_one_match(self):
         rng = np.random.default_rng(3)
@@ -213,15 +228,15 @@ class TestStreamMatch:
     def test_rows_out_of_time_order(self):
         # Pair order is not time order: pair 0 is emitted after pair 1.
         # Matches are found in time order and reported against the rows.
-        coinc = stream_match(tiny_log([5.0, 0.0], [5.1, 0.2]), window=0.5)
-        assert column(coinc, 1, "time_tag").tolist() == [0.0, 5.0]
-        assert column(coinc, 2, "time_tag").tolist() == [0.2, 5.1]
-        assert column(coinc, 1, "pair_id").tolist() == column(coinc, 2, "pair_id").tolist() == [1, 0]
+        log = tiny_log([5.0, 0.0], [5.1, 0.2])
+        rows = stream(log, window=0.5)
+        assert column(log, rows, 1, "time_tag").tolist() == [0.0, 5.0]
+        assert column(log, rows, 2, "time_tag").tolist() == [0.2, 5.1]
+        assert column(log, rows, 1, "pair_id").tolist() == column(log, rows, 2, "pair_id").tolist() == [1, 0]
 
     def test_works_without_pair_ids(self):
-        log = tiny_log([0.0, 1.0], [0.1, 1.05], pair_ids=False)
-        coinc = stream_match(log, window=0.2)
-        assert coinc.rows1.tolist() == coinc.rows2.tolist() == [0, 1]
+        rows1, rows2 = stream(tiny_log([0.0, 1.0], [0.1, 1.05], pair_ids=False), window=0.2)
+        assert rows1.tolist() == rows2.tolist() == [0, 1]
 
 
 class TestTwoStageMatch:
@@ -373,7 +388,7 @@ class TestScanBlocks:
                                               seed=5, emission=EmissionSpec.poisson(0.005)))
         tracemalloc.start()
         try:
-            stream_match(log, 1000.0)
+            stream(log, 1000.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -409,13 +424,13 @@ class TestCrossValidation:
         )
         log = run_experiment(cfg)
         for w in (0.01, 0.1, 0.45, 1.0):
-            via_pairs = pair_filter(log, w)
-            via_stream = stream_match(log, w)
-            order_p = np.argsort(column(via_pairs, 1, "pair_id"))
-            order_s = np.argsort(column(via_stream, 1, "pair_id"))
+            via_pairs = paired(log, w)
+            via_stream = stream(log, w)
+            order_p = np.argsort(column(log, via_pairs, 1, "pair_id"))
+            order_s = np.argsort(column(log, via_stream, 1, "pair_id"))
             for station, name in ((1, "pair_id"), (2, "pair_id"), (1, "time_tag"), (2, "time_tag")):
-                assert np.array_equal(column(via_pairs, station, name)[order_p],
-                                      column(via_stream, station, name)[order_s])
+                assert np.array_equal(column(log, via_pairs, station, name)[order_p],
+                                      column(log, via_stream, station, name)[order_s])
 
     def test_poisson_streams_interleave_but_match_legally(self):
         cfg = ExperimentConfig(
@@ -425,26 +440,28 @@ class TestCrossValidation:
             emission=EmissionSpec.poisson(2.0),
         )
         log = run_experiment(cfg)
-        coinc = stream_match(log, 0.3)
-        assert np.all(np.abs(dt(coinc)) <= 0.3)
-        assert len(np.unique(column(coinc, 2, "pair_id"))) == len(coinc)
+        rows = stream(log, 0.3)
+        assert np.all(np.abs(dt(log, rows)) <= 0.3)
+        assert len(np.unique(column(log, rows, 2, "pair_id"))) == len(rows[0])
 
 
 class TestCoincidenceRate:
     def test_rate_one_when_window_covers_t0(self):
         cfg = ExperimentConfig(params=ModelParams(d=4, t0=1.0, window=0), n_pairs=2000, seed=6)
         log = run_experiment(cfg)
-        assert len(match_events(log, 1.0)) / log.n_pairs == 1.0
-        assert len(match_events(log, 2.0)) / log.n_pairs == 1.0
+        assert len(paired(log, 1.0)[0]) / log.n_pairs == 1.0
+        assert len(paired(log, 2.0)[0]) / log.n_pairs == 1.0
 
     def test_rate_tiny_at_zero_window(self):
         cfg = ExperimentConfig(params=ModelParams(d=4, t0=1.0, window=0), n_pairs=20_000, seed=7)
         log = run_experiment(cfg)
-        assert len(match_events(log, 0.0)) / log.n_pairs < 0.01
+        assert len(paired(log, 0.0)[0]) / log.n_pairs < 0.01
 
     def test_policy_dispatch(self):
         log = tiny_log([0.0], [0.1])
-        assert len(match_events(log, 0.5, "paired")) / log.n_pairs == 1.0
-        assert len(match_events(log, 0.5, "stream")) / log.n_pairs == 1.0
-        with pytest.raises(ValidationError):
-            match_events(log, 0.5, "hardware")
+        cfg = ExperimentConfig(settings1=(0.0,), settings2=(0.5,), n_pairs=1, seed=0)
+        for policy in ("paired", "stream"):
+            counts, _ = _sweep_counts(log, np.array([0.5]), cfg, policy)
+            assert counts.sum() / log.n_pairs == 1.0
+        with pytest.raises(ValidationError, match="unknown match policy"):
+            _sweep_counts(log, np.array([0.5]), cfg, "hardware")

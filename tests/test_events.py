@@ -14,12 +14,12 @@ from eprsim import (
     ExperimentConfig,
     ModelParams,
     ValidationError,
-    pair_filter,
     read_tags,
     run_experiment,
     write_tags,
 )
 import eprsim.events
+from eprsim.coincidence import check_pair_filter
 from eprsim.events import CHUNK_PAIRS, TIME_TAG_DECIMALS, _chunk_uniforms, _generate_columns, map_ranges
 from eprsim.model import hidden_from_uniform
 
@@ -283,7 +283,7 @@ class TestRunExperiment:
         # A common rotation of all settings leaves every coincidence
         # statistic invariant; compare outcome correlations at 5 sigma
         # with independent seeds.
-        from eprsim import pair_filter, tabulate
+        from references import paired_reference, table_reference
 
         n = 10**5
         delta = 0.6
@@ -292,7 +292,8 @@ class TestRunExperiment:
         e = {}
         se = {}
         for key, cfg in (("a", cfg_a), ("b", cfg_b)):
-            table = tabulate(pair_filter(run_experiment(cfg), 0.05), cfg)
+            log = run_experiment(cfg)
+            table = table_reference(log, *paired_reference(log, 0.05), cfg)
             e[key] = table.correlation[0, 0]
             se[key] = table.stderr[0, 0]
         sigma = np.hypot(se["a"], se["b"])
@@ -344,13 +345,13 @@ class TestEventLogPairing:
         log = run_experiment(small_config(n_pairs=50))
         stripped = EventLog(station1=replace(log.station1, pair_id=None), station2=log.station2)
         with pytest.raises(ValidationError, match="needs pair ids"):
-            pair_filter(stripped, 0.1)
+            check_pair_filter(stripped, 0.1)
 
     def test_mismatched_pair_ids_rejected(self):
         log = run_experiment(small_config(n_pairs=50))
         bad = EventLog(station1=log.station1, station2=replace(log.station2, pair_id=log.station2.pair_id + 1))
         with pytest.raises(ValidationError, match="mismatched pair_id"):
-            pair_filter(bad, 0.1)
+            check_pair_filter(bad, 0.1)
 
     def test_equality_distinguishes_missing_pair_ids(self):
         stream = run_experiment(small_config(n_pairs=50)).station1

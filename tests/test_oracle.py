@@ -18,18 +18,16 @@ from eprsim import (
     QuadratureError,
     QuadratureSpec,
     ValidationError,
-    chsh,
     chsh_exact,
     coincidence_rate_exact,
     correlation_curve,
     correlation_exact,
     joint_prob,
     mixed_correlation,
-    pair_filter,
     run_experiment,
     singlet_correlation,
-    tabulate,
     weight_exact,
+    window_sweep,
 )
 from eprsim.analysis import DEFAULT_QUADRUPLE
 from eprsim.cli import main, parse_windows
@@ -503,7 +501,7 @@ class TestNonFiniteSettings:
 
 
 class TestMonteCarloAgreement:
-    """The event generator and paired filter against the oracle, at 4 sigma.
+    """The event generator and the paired window sweep against the oracle, at 4 sigma.
 
     Station 2 adds setting 0 to the CHSH pair, so the cells include
     delta = 0 and delta = pi/4, the two ends of the coincidence rate's
@@ -517,16 +515,15 @@ class TestMonteCarloAgreement:
         a, ap, b, bp = DEFAULT_QUADRUPLE
         cfg = ExperimentConfig(params=params, settings1=(a, ap), settings2=(b, bp, 0.0), n_pairs=400_000, seed=11)
         log = run_experiment(cfg)
-        table = tabulate(pair_filter(log, window), cfg)
+        sweep = window_sweep(cfg, [window], DEFAULT_QUADRUPLE, log=log)
+        assert abs(sweep.s[0] - chsh_exact(params)) < 4.0 * sweep.s_stderr[0]
 
-        result = chsh(table, DEFAULT_QUADRUPLE)
-        assert abs(result.s - chsh_exact(params)) < 4.0 * result.stderr
-
+        n_total = sweep.counts[0].sum(axis=(2, 3))
         n2 = len(cfg.settings2)
         cell = log.station1.setting_index.astype(np.int64) * n2 + log.station2.setting_index
-        emitted = np.bincount(cell, minlength=table.n_total.size).reshape(table.n_total.shape)
+        emitted = np.bincount(cell, minlength=n_total.size).reshape(n_total.shape)
         for (i, j), n in np.ndenumerate(emitted):
-            kept = table.n_total[i, j]
+            kept = n_total[i, j]
             if window >= params.t0:
                 assert kept == n
                 continue
