@@ -55,10 +55,14 @@ the remaining (contested) events.  None of their ranges holds a tag
 stage 1 matched, so the scan over them makes the choices it would make
 over all events.  Stage 1 uses the scan's own bounds, so float rounding
 and the closed boundary |dt| == window cannot make the stages disagree.
-Dense Poisson streams leave nearly every event to the scan.  It takes
-them in blocks of ``_SCAN_BLOCK``, whose ranges span one slice of t2 as
-``lo`` and ``hi`` never decrease; a tag an earlier block took (``taken``)
-enters a block's ``next_free`` as j + 1, a valid union-find state.
+Dense Poisson streams leave nearly every event to the scan.  An event
+walks its free tags (path halving in ``next_free``) from ``lo``, or from
+the first free tag the event before it found if later.  Up to its own
+tag their distances never grow, so the first tag at the least distance
+wins; only the next free tag can be nearer, and wins if strictly so.
+The scan takes the events in blocks of ``_SCAN_BLOCK``, whose ranges
+span one slice of t2 as ``lo`` and ``hi`` never decrease; a tag an
+earlier block took (``taken``) enters a block's ``next_free`` as j + 1.
 """
 
 from __future__ import annotations
@@ -129,6 +133,8 @@ def _split(t1: np.ndarray, t2: np.ndarray, window: float):
     """
     lo = np.searchsorted(t2, t1 - window, side="left")
     hi = np.searchsorted(t2, t1 + window, side="right")
+    # A NaN tag is within no window of any tag.  NaNs sort last, so hi = lo keeps both non-decreasing.
+    np.copyto(hi, lo, where=np.isnan(t1))
     # lo and hi never decrease: only events i - 1 and i + 1 can also hold tag lo[i].
     alone = hi - lo == 1
     alone[1:] &= hi[:-1] <= lo[1:]
@@ -145,20 +151,12 @@ def _scan(t1: np.ndarray, t2: np.ndarray, window: float, partner, contested, lo,
     unmatched station-2 tag within the window (ties go to the earlier
     tag), written to ``partner`` in place.  Only the contested events are
     visited.  Their ranges hold no tag ``_split`` matched, so
-    ``next_free`` need not mark those tags.  Each block's lists cover only
-    ``t2[base:base + top]``, indexed from ``base``; ``taken`` holds earlier blocks' tags.
+    ``next_free`` need not mark those tags.  An event walks its free tags
+    up to its own (the left run), then weighs one right candidate.  Each
+    block's lists cover ``t2[base:base + top]``, indexed from ``base``.
     """
     events = np.flatnonzero(contested)
     taken = np.zeros(len(t2), dtype=bool)  # the tags earlier blocks matched
-
-    def find(j: int) -> int:
-        root = j
-        while next_free[root] != root:
-            root = next_free[root]
-        while next_free[j] != root:
-            next_free[j], j = root, next_free[j]
-        return root
-
     for first in range(0, len(events), _SCAN_BLOCK):
         block = events[first:first + _SCAN_BLOCK]
         base = int(lo[block[0]])
@@ -166,25 +164,27 @@ def _scan(t1: np.ndarray, t2: np.ndarray, window: float, partner, contested, lo,
         t1l = t1[block].tolist()
         lo_list = (lo[block] - base).tolist()
         t2l = t2[base:base + top].tolist()
-        # next_free[j] = smallest unmatched index >= j (path-compressed), top its sentinel.
+        # next_free[j] = smallest unmatched index >= j (path-halved), top its sentinel.
         next_free = np.r_[np.arange(top) + taken[base:base + top], top].tolist()
         got = np.full(len(block), -1, dtype=np.intp)
         out = memoryview(got)
+        f = 0  # the first free tag the previous event found: lo never decreases, so no tag in [lo, f) is free
         for i, ti, j in zip(count(), t1l, lo_list):
-            end = ti + window
-            if next_free[j] != j:
-                j = find(j)
+            if j < f:
+                j = f
+            while next_free[j] != j:  # path halving: j's link skips to its grandparent, then j moves there
+                next_free[j] = j = next_free[next_free[j]]
+            f = j
             best = -1
             best_d = 0.0
-            while j < top and t2l[j] <= end:
-                d = abs(t2l[j] - ti)
-                if best < 0 or d < best_d:
-                    best, best_d = j, d
-                elif t2l[j] > ti:
-                    break  # farther right can only be worse
+            while j < top and (t := t2l[j]) <= ti:  # the left run: the first of its nearest tags wins
+                if best < 0 or ti - t < best_d:
+                    best, best_d = j, ti - t
                 j += 1
-                if next_free[j] != j:
-                    j = find(j)
+                while next_free[j] != j:
+                    next_free[j] = j = next_free[next_free[j]]
+            if j < top and (t := t2l[j]) <= ti + window and (best < 0 or t - ti < best_d):
+                best = j  # the first free tag after ti; any later one is farther
             if best >= 0:
                 next_free[best] = best + 1
                 out[i] = best

@@ -5,10 +5,12 @@ window sweep's own functions, ``pair_window_index`` and the walk of
 ``stream_window_index``.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eprsim import (
     EmissionSpec,
@@ -283,6 +285,19 @@ class TestTwoStageMatch:
         partner, contested, _, _ = _split(np.array([0.0, 1.5]), np.array([1.0, 2.0]), 1.0)
         assert partner.tolist() == [-1, -1] and contested.tolist() == [True, True]
 
+    def test_a_nan_tag_matches_nothing(self):
+        # A NaN |dt| is within no window.  Sorted, the NaNs come last, and the
+        # NaN event's range is empty instead of the one NaN tag of station 2.
+        t1, t2 = np.array([0.0, 3.0, np.nan]), np.array([0.2, 3.1, np.nan])
+        partner, contested, lo, hi = _split(t1, t2, 1.0)
+        assert partner.tolist() == [0, 1, -1] and not contested.any()
+        assert lo.tolist() == [0, 1, 2] and hi.tolist() == [1, 2, 2]
+        assert_same_as_scan(t1, t2, 1.0)
+        log = tiny_log([0.0, np.nan, 3.0], [0.2, np.nan, 3.1])
+        for select in (stream, paired, stream_reference, paired_reference):
+            rows1, rows2 = select(log, 1.0)
+            assert rows1.tolist() == rows2.tolist() == [0, 2], select
+
     @pytest.mark.parametrize("tags", ["tied", "poisson"])
     def test_split_equals_a_coverage_count(self, tags):
         # Event i is alone when its range is one tag that no other event's
@@ -410,6 +425,56 @@ class TestScanBlocks:
             tracemalloc.stop()
         walk.close()
         assert held / log.n_pairs < 40
+
+
+END = 0.1 + 0.2  # fl(0.1 + 0.2) = 0.30000000000000004, the bound of an event at 0.1 with W = 0.2
+
+
+class TestScanWalk:
+    """The left run and the one right candidate of the scan make the reference scan's choices."""
+
+    CASES = {
+        # (t1, t2, window, the tag each station-1 event takes or -1)
+        # Event 0 takes the first 4.0; events 1 and 2 walk the free tags left of 5.0 and take the first free 4.0.
+        "equal-left-run": ([4.0, 5.0, 5.0], [3.0, 4.0, 4.0, 4.0, 7.0], 3.0, [1, 2, 3]),
+        # Left and right at equal distance: the left one wins; once it is taken, the right one.
+        "equal-distances": ([5.0, 5.0, 5.0], [4.0, 6.0], 1.0, [0, 1, -1]),
+        # Event 1's right candidate lies exactly at fl(0.1 + 0.2) (kept although
+        # fl(END - 0.1) > 0.2), and one ulp past it (dropped; event 2 takes it).
+        "right-at-bound": ([0.1, 0.1, 0.35], [0.0, END, 0.4], 0.2, [0, 1, 2]),
+        "right-past-bound": ([0.1, 0.1, 0.35], [0.0, math.nextafter(END, 1.0), 0.4], 0.2, [0, -1, 1]),
+        "zero-window": ([1.0, 1.0, 1.0, 2.0, 2.0], [1.0, 1.0, 1.5, 2.0], 0.0, [0, 1, -1, 3, -1]),
+        "infinite-window": ([0.0, 10.0, 20.0, 30.0], [5.0, 15.0, 25.0], np.inf, [0, 1, 2, -1]),
+        # Two tags one ulp apart round to one distance from 1e6, so the earlier one is
+        # the nearest: the left run compares distances, not tags.
+        "distinct-tags-one-distance": ([1e6, 1e6], [0.1, math.nextafter(0.1, 1.0)], 1e7, [0, 1]),
+        # Distances overflow to inf; the first tag in range is still taken.
+        "overflowing-distance": ([1e308, 1e308], [-1e308, -1e308, 1e308], np.inf, [2, 0]),
+        # Seven events on a run of six equal tags: blocks of 1, 2 and 5 cut the run.
+        "equal-run-across-blocks": ([4.0] * 6 + [4.5], [3.5] + [4.0] * 6, 1.0, [1, 2, 3, 4, 5, 6, 0]),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_case(self, case):
+        t1, t2, window, takes = np.array(case[0]), np.array(case[1]), case[2], case[3]
+        _, contested, _, _ = _split(t1, t2, window)
+        assert contested.sum() >= 2  # the scan runs
+        m1, m2 = sorted_match(t1, t2, window)
+        expected = [(i, j) for i, j in enumerate(takes) if j >= 0]
+        assert list(zip(m1.tolist(), m2.tolist())) == expected
+        assert_same_as_scan(t1, t2, window)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.integers(0, 12), max_size=14), st.lists(st.integers(0, 12), max_size=14),
+           st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, np.inf]))
+    def test_integer_grid(self, tags1, tags2, window):
+        # Equal tags, equal distances and |dt| == W are common on the grid.
+        assert_same_as_scan(np.sort(np.array(tags1, dtype=float)), np.sort(np.array(tags2, dtype=float)), window)
+
+
+@pytest.mark.usefixtures("small_scan_blocks")
+class TestScanWalkInSmallBlocks(TestScanWalk):
+    """The walk cases again, with every block of the scan carrying tags into the next."""
 
 
 class TestCrossValidation:

@@ -66,6 +66,12 @@ def test_dense_tag_round_trip_reproduces_correlations(run, tmp_path):
     assert written == (tmp_path / "run_dense_re" / "correlations.csv").read_bytes()
 
 
+def assert_grid_ends_equal_single_windows(grid_dir, first_dir, last_dir):
+    grid, first, last = (results(d, "reanalyze") for d in (grid_dir, first_dir, last_dir))
+    assert (grid["s_first"], grid["matched"][0]) == (first["s"], first["matched"])
+    assert (grid["s_last"], grid["matched"][-1]) == (last["s"], last["matched"])
+
+
 def test_poisson_grid_ends_equal_the_single_window_runs(run, tmp_path):
     run("--mode", "mc", "--pairs", "100000", "--window", "10", "--emission", "poisson:0.002", "--tags-out", "ptags",
         "--out", "run")
@@ -73,9 +79,18 @@ def test_poisson_grid_ends_equal_the_single_window_runs(run, tmp_path):
     tags = str(tmp_path / "run" / "ptags")
     run("--mode", "reanalyze", "--tags-in", tags, "--window", "1", "--out", "run_w1")
     run("--mode", "reanalyze", "--tags-in", tags, "--window", "1000", "--out", "run_w1000")
-    grid, w1, w1000 = (results(tmp_path / d, "reanalyze") for d in ("run", "run_w1", "run_w1000"))
-    assert (grid["s_first"], grid["matched"][0]) == (w1["s"], w1["matched"])
-    assert (grid["s_last"], grid["matched"][-1]) == (w1000["s"], w1000["matched"])
+    assert_grid_ends_equal_single_windows(tmp_path / "run", tmp_path / "run_w1", tmp_path / "run_w1000")
+
+
+def test_dense_grid_ends_equal_the_single_window_runs(run, tmp_path):
+    # Clusters of thousands of events: the scan runs at every window of the walk.
+    run(*DENSE, "--tags-out", "dtags", "--out", "run_dense")
+    tags = str(tmp_path / "run_dense" / "dtags")
+    run("--mode", "reanalyze", "--tags-in", tags, "--windows", "10:1000:log3", "--out", "run_dense_grid")
+    run("--mode", "reanalyze", "--tags-in", tags, "--window", "10", "--out", "run_dense_w10")
+    run("--mode", "reanalyze", "--tags-in", tags, "--window", "1000", "--out", "run_dense_w1000")
+    assert_grid_ends_equal_single_windows(tmp_path / "run_dense_grid", tmp_path / "run_dense_w10",
+                                          tmp_path / "run_dense_w1000")
 
 
 @pytest.mark.parametrize("argv", [["--d", "0", "--window", "10"], ["--window", "1000"]], ids=["d0", "w-t0"])
