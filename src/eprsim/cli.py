@@ -86,7 +86,7 @@ def parse_windows(text: str) -> np.ndarray:
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValidationError(f"window grid {text!r} needs finite bounds")
     kind, num = parts[2][:3], parts[2][3:]
-    if kind not in ("log", "lin") or not num.isdigit():
+    if kind not in ("log", "lin") or not (num.isascii() and num.isdigit()):  # int() also reads '２０'
         raise ValidationError(f"grid spec {parts[2]!r} must be logN or linN")
     n = int(num)
     if n < 1:

@@ -55,18 +55,25 @@ the remaining (contested) events.  None of their ranges holds a tag
 stage 1 matched, so the scan over them makes the choices it would make
 over all events.  Stage 1 uses the scan's own bounds, so float rounding
 and the closed boundary |dt| == window cannot make the stages disagree.
-Dense Poisson streams leave nearly every event to the scan.  An event
-walks its free tags (path halving in ``next_free``) from ``lo``, or from
-the first free tag the event before it found if later.  Up to its own
-tag their distances never grow, so the first tag at the least distance
-wins; only the next free tag can be nearer, and wins if strictly so.
-The scan takes the events in blocks of ``_SCAN_BLOCK``, whose ranges
-span one slice of t2 as ``lo`` and ``hi`` never decrease; a tag an
-earlier block took (``taken``) enters a block's ``next_free`` as j + 1.
+Dense Poisson streams leave nearly every event to the scan.  It keeps
+a frontier ``p``, past which no event has looked, and a stack of the
+free tags before it in ascending order.  Every tag at or past ``p`` is
+free: a tag after an event's own time is taken only at ``p``, which
+then moves on.  An event pushes the tags up to its own time, so the top
+of the stack is its nearest free tag at or before it and ``p`` its
+nearest after it (distances grow away from the event on both sides).
+The tag at ``p`` wins only if strictly nearer; else the event takes the
+first free tag at the top's distance, walking down the stack only
+through ties.  An event whose ``lo`` lies past the top drops the stack,
+and past ``p`` moves ``p`` there: ``lo`` never decreases, so no later
+event reaches what is skipped.  The scan takes the events in blocks of
+``_SCAN_BLOCK``, whose ranges span one slice of t2 as ``lo`` and ``hi``
+never decrease; the stack and ``p`` are rebased onto each slice.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from itertools import count
 from typing import Literal
@@ -150,46 +157,60 @@ def _scan(t1: np.ndarray, t2: np.ndarray, window: float, partner, contested, lo,
     Station-1 events are visited in time order; each takes the nearest
     unmatched station-2 tag within the window (ties go to the earlier
     tag), written to ``partner`` in place.  Only the contested events are
-    visited.  Their ranges hold no tag ``_split`` matched, so
-    ``next_free`` need not mark those tags.  An event walks its free tags
-    up to its own (the left run), then weighs one right candidate.  Each
-    block's lists cover ``t2[base:base + top]``, indexed from ``base``.
+    visited.  Their ranges hold no tag ``_split`` matched, so the scan
+    need not know those tags.  Two invariants carry every choice:
+
+    - every tag at or past the frontier ``p`` is free, since a tag after
+      an event's own time is taken only at ``p``, which then moves on;
+    - ``stack`` holds free tags before ``p`` in ascending order, among
+      them every free one at or past the event's ``lo``, since tags are
+      pushed in order and leave only when taken or below every later
+      ``lo``.
+
+    So the top is the event's nearest left tag and ``p`` its one right
+    candidate.  Each block's lists cover ``t2[base:base + top]``,
+    indexed from ``base``, and the state is rebased at every block.
     """
     events = np.flatnonzero(contested)
-    taken = np.zeros(len(t2), dtype=bool)  # the tags earlier blocks matched
+    stack: list[int] = []  # the free tags before p, ascending: the top is the nearest left tag
+    p = 0  # the frontier: no tag at or past it is taken
+    base = 0
     for first in range(0, len(events), _SCAN_BLOCK):
         block = events[first:first + _SCAN_BLOCK]
-        base = int(lo[block[0]])
+        shift = int(lo[block[0]]) - base  # no event of this block reaches a tag below its first lo
+        base += shift
+        stack = [s - shift for s in stack if s >= shift]
+        p = max(p - shift, 0)
         top = int(hi[block[-1]]) - base  # the scan reads no station-2 tag at or past this
         t1l = t1[block].tolist()
         lo_list = (lo[block] - base).tolist()
         t2l = t2[base:base + top].tolist()
-        # next_free[j] = smallest unmatched index >= j (path-halved), top its sentinel.
-        next_free = np.r_[np.arange(top) + taken[base:base + top], top].tolist()
+        t2l.append(math.nan)  # at top: no comparison holds, so no walk passes it
         got = np.full(len(block), -1, dtype=np.intp)
         out = memoryview(got)
-        f = 0  # the first free tag the previous event found: lo never decreases, so no tag in [lo, f) is free
         for i, ti, j in zip(count(), t1l, lo_list):
-            if j < f:
-                j = f
-            while next_free[j] != j:  # path halving: j's link skips to its grandparent, then j moves there
-                next_free[j] = j = next_free[next_free[j]]
-            f = j
-            best = -1
-            best_d = 0.0
-            while j < top and (t := t2l[j]) <= ti:  # the left run: the first of its nearest tags wins
-                if best < 0 or ti - t < best_d:
-                    best, best_d = j, ti - t
-                j += 1
-                while next_free[j] != j:
-                    next_free[j] = j = next_free[next_free[j]]
-            if j < top and (t := t2l[j]) <= ti + window and (best < 0 or t - ti < best_d):
-                best = j  # the first free tag after ti; any later one is farther
-            if best >= 0:
-                next_free[best] = best + 1
-                out[i] = best
-        partner[block] = got = np.where(got >= 0, got + base, -1)
-        taken[got[got >= 0]] = True
+            if stack and stack[-1] < j:
+                stack = []  # every free tag passed lies below lo, for this event and every later one
+            if p < j:
+                p = j
+            while t2l[p] <= ti:
+                stack.append(p)
+                p += 1
+            if stack:
+                b = len(stack) - 1
+                d = ti - t2l[stack[b]]
+                if (t := t2l[p]) <= ti + window and t - ti < d:  # the right tag wins only if strictly nearer
+                    out[i] = p
+                    p += 1
+                    continue
+                # The left tag wins: the first free tag at its distance, walking down only through ties.
+                while b and (k := stack[b - 1]) >= j and not ti - t2l[k] > d:
+                    b -= 1
+                out[i] = stack.pop(b)
+            elif t2l[p] <= ti + window:
+                out[i] = p
+                p += 1
+        partner[block] = np.where(got >= 0, got + base, -1)
 
 
 def stream_window_index(log: EventLog, windows: Sequence[float]):

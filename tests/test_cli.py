@@ -171,6 +171,15 @@ def test_parser_rejections_exit_1(tmp_path, capsys, argv, message):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("count", ["log\u00b2", "log\uff12\uff10", "lin\u0663"], ids=["superscript", "fullwidth", "arabic-indic"])
+def test_grid_count_takes_ascii_digits_only(tmp_path, capsys, count):
+    # str.isdigit() holds for these, and int() reads the last two as 20 and 3.
+    assert main(["--mode", "sweep", "--windows", f"1:1000:{count}", "--pairs", "100", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"eprsim: invalid configuration: grid spec {count!r} must be logN or linN"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_mc_and_sweep_manifests_record_rng_provenance(tmp_path):
     # reanalyze copies the provenance from the tags' side manifest, or
     # records null for a side manifest that does not carry it.

@@ -268,9 +268,11 @@ class TestTwoStageMatch:
         assert contested.any() and (partner >= 0).any()
         assert_same_as_scan(t1, t2, 1000.0)
 
-    def test_dense_poisson(self):
+    @pytest.mark.parametrize("window", [100.0, 1000.0, 3000.0])
+    def test_dense_poisson(self, window):
+        # Pops, right takes and dropped stacks all occur at each window.
         t1, t2 = sorted_tags(EmissionSpec.poisson(5e-3), 20_000, seed=10)
-        assert_same_as_scan(t1, t2, 1000.0)
+        assert_same_as_scan(t1, t2, window)
 
     def test_split(self):
         # Station 1 at 0, 10, 11, 30; station 2 at 0.5, 10.5, 20, 40; W = 1.
@@ -431,11 +433,11 @@ END = 0.1 + 0.2  # fl(0.1 + 0.2) = 0.30000000000000004, the bound of an event at
 
 
 class TestScanWalk:
-    """The left run and the one right candidate of the scan make the reference scan's choices."""
+    """The stack, the frontier and the tie walk of the scan make the reference scan's choices."""
 
     CASES = {
         # (t1, t2, window, the tag each station-1 event takes or -1)
-        # Event 0 takes the first 4.0; events 1 and 2 walk the free tags left of 5.0 and take the first free 4.0.
+        # Event 0 takes the first 4.0; events 1 and 2 walk down the stack's free 4.0s and take the first.
         "equal-left-run": ([4.0, 5.0, 5.0], [3.0, 4.0, 4.0, 4.0, 7.0], 3.0, [1, 2, 3]),
         # Left and right at equal distance: the left one wins; once it is taken, the right one.
         "equal-distances": ([5.0, 5.0, 5.0], [4.0, 6.0], 1.0, [0, 1, -1]),
@@ -446,12 +448,23 @@ class TestScanWalk:
         "zero-window": ([1.0, 1.0, 1.0, 2.0, 2.0], [1.0, 1.0, 1.5, 2.0], 0.0, [0, 1, -1, 3, -1]),
         "infinite-window": ([0.0, 10.0, 20.0, 30.0], [5.0, 15.0, 25.0], np.inf, [0, 1, 2, -1]),
         # Two tags one ulp apart round to one distance from 1e6, so the earlier one is
-        # the nearest: the left run compares distances, not tags.
+        # the nearest: the tie walk compares distances, not tags.
         "distinct-tags-one-distance": ([1e6, 1e6], [0.1, math.nextafter(0.1, 1.0)], 1e7, [0, 1]),
         # Distances overflow to inf; the first tag in range is still taken.
         "overflowing-distance": ([1e308, 1e308], [-1e308, -1e308, 1e308], np.inf, [2, 0]),
         # Seven events on a run of six equal tags: blocks of 1, 2 and 5 cut the run.
         "equal-run-across-blocks": ([4.0] * 6 + [4.5], [3.5] + [4.0] * 6, 1.0, [1, 2, 3, 4, 5, 6, 0]),
+        # Event 0 passes 0.2 and 0.8 and takes 1.1; event 1, in the next block when blocks hold one
+        # event, takes 0.8, which is then the first tag of its block's lists.
+        "left-tag-across-blocks": ([1.0, 1.5], [0.2, 0.8, 1.1, 2.4], 1.0, [2, 1]),
+        # Two left tags at one distance and a strictly nearer right tag: the right tag wins;
+        # the next event takes the first of the left tags, the one after it the second.
+        "tied-left-nearer-right": ([5.0, 5.0, 5.0], [4.0, 4.0, 5.5], 1.0, [2, 0, 1]),
+        # Event 0 leaves -0.5 free; event 1's range starts past it and past 3.0, which no
+        # event reaches: neither may be taken later, so event 2 takes nothing.
+        "lo-past-every-passed-tag": ([0.0, 5.0, 5.0], [-0.5, 0.2, 3.0, 5.5], 1.0, [1, 3, -1]),
+        # Events 0 and 1 take the right tags 0.1 and 0.2 in turn; event 2 skips both and takes 0.3.
+        "run-of-right-takes": ([0.0, 0.0, 0.25], [-0.9, 0.1, 0.2, 0.3], 1.0, [1, 2, 3]),
     }
 
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
