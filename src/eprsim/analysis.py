@@ -105,8 +105,10 @@ def _bin(log: EventLog, groups, n_windows: int, config: ExperimentConfig) -> tup
 
     Each group is ``(rows1, rows2, start, stop)``: coincidence k pairs
     row ``rows1[k]`` of station 1 with row ``rows2[k]`` of station 2 and
-    is kept at windows ``start[k] <= j < stop`` (``start`` is
-    overwritten; a start of ``n_windows`` is kept at no window).  Each
+    is kept at windows ``start[k] <= j < stop`` (``start``
+    may be of any integer type; it is widened to ``np.intp``, in place if
+    it is one already, and overwritten; a start of ``n_windows`` is kept
+    at no window).  Each
     group is counted at ``start`` and its total subtracted at ``stop``,
     so the cumulative sum of the histogram over its first axis is every
     window's count table.  The histogram has shape (n_windows + 1, n1,
@@ -120,7 +122,8 @@ def _bin(log: EventLog, groups, n_windows: int, config: ExperimentConfig) -> tup
     shape = (n_windows + 1, n1, n2, 2, 2)
     hist = np.zeros(shape, dtype=np.int64)
     raise_at = n_windows
-    for rows1, rows2, code, stop in groups:
+    for rows1, rows2, start, stop in groups:
+        code = start.astype(np.intp, copy=False)  # wide enough for a cell code
         i1, i2 = s1.setting_index[rows1], s2.setting_index[rows2]
         bad = np.flatnonzero(_outside(i1, n1) | _outside(i2, n2))
         raise_at = min(raise_at, int(code[bad].min(initial=n_windows)))

@@ -9,8 +9,14 @@ Policy ``"paired"`` is the idealized per-pair rule: the two events of an
 emitted pair are kept iff their time tags differ by at most W, a closed
 boundary.  ``check_pair_filter`` runs its checks once; then
 ``pair_window_index`` gives each pair of a row range the first window
-with |dt| <= W (``searchsorted(..., "left")``), so the pair is kept at
-that window and every larger one.  The row range lets the sweep bin the
+with |dt| <= W, so the pair is kept at that window and every larger one.
+Since the grid increases, that index is the number of windows that do
+not keep the pair: ``len(windows)`` less one for each window W_k with
+|dt| <= W_k, a NaN |dt| matching none.  The count takes one pass over
+the range per window, in the smallest unsigned type that holds
+``len(windows)``; at the 20 windows of the usual grid that is several
+times faster than bisecting the grid per pair, and it stays faster up
+to between 255 and 300 windows.  The row range lets the sweep bin the
 log block by block.
 
 Policy ``"stream"`` ignores pair identity and works the way tagged
@@ -120,12 +126,21 @@ def pair_window_index(log: EventLog, windows: np.ndarray, rows: slice) -> np.nda
     """Per emitted pair in the row range ``rows``, the first window W with |dt| <= W.
 
     The boundary is closed, a measure-zero choice fixed for
-    reproducibility.  ``windows`` must increase strictly; a pair no
-    window keeps, a NaN |dt| too, gets ``len(windows)``.  Runs no check:
+    reproducibility.  ``windows`` must increase strictly, so the first
+    window that keeps a pair is the number of windows that do not: the
+    index counts down from ``len(windows)``, one for each window with
+    |dt| <= W.  A pair no window keeps, a NaN |dt| too, gets
+    ``len(windows)``.  The index has the smallest unsigned type that
+    holds ``len(windows)`` (uint8 up to 255 windows).  Runs no check:
     call ``check_pair_filter(log, windows[0])`` once before.
     """
     dt = log.station2.time_tag[rows] - log.station1.time_tag[rows]
-    return np.searchsorted(windows, np.abs(dt, out=dt), side="left")
+    np.abs(dt, out=dt)
+    index = np.full(len(dt), len(windows), dtype=np.min_scalar_type(len(windows)))
+    kept = np.empty(len(dt), dtype=bool)
+    for w in windows:
+        index -= np.less_equal(dt, w, out=kept)
+    return index
 
 
 def _split(t1: np.ndarray, t2: np.ndarray, window: float):
@@ -227,10 +242,16 @@ def stream_window_index(log: EventLog, windows: Sequence[float]):
     group holds both stages' matches, in station-1 time order, with
     ``stop = k + 1``, and only the events still contested go on to window
     k - 1.  The walk ends when none are, so at a grid of one the first
-    group is the whole match.  Raises if ``windows[0]`` is not >= 0.
+    group is the whole match.  Raises if ``windows[0]`` is not >= 0, then
+    if a station has a time tag of +-inf: at W = inf its range bound
+    fl(t -+ W) would be NaN, and a range must shrink as W falls.  A NaN
+    tag is within no window of any tag and matches nothing.
     """
     _check_window(windows[0])
     s1, s2 = log.station1, log.station2
+    for s in (s1, s2):
+        if np.isinf(s.time_tag).any():
+            raise ValidationError(f"station {s.station} has an infinite time tag")
     o1, o2 = s1.time_order(), s2.time_order()
     # t1: the events contested at every larger window; their ranges, at every
     # smaller window, lie in t2 (o1, o2 give the rows of both).

@@ -17,6 +17,15 @@ same unit as ``t0`` (nanoseconds by convention).
 Randomness enters only through the ``*_from_uniform`` maps, each a
 deterministic function of a uniform variate in [0, 1).  The event
 generator applies them to pre-allocated variate blocks.
+
+The kernels that the generator calls per block (``outcome_prob``,
+``outcome_from_uniform``, ``delay_timescale``, ``delay_from_uniform``)
+build one float array, 2 zeta, and update it in place, one elementary
+operation at a time in the order of the formulas above, so their bits
+are those of the one-line expressions; ``outcome_from_uniform`` turns
+its comparison into int8 outcomes in place too.  For a scalar zeta that
+array is 0-d, and ``delay_timescale`` makes it a scalar before the
+power, which numpy computes differently for scalars and arrays.
 """
 
 from __future__ import annotations
@@ -85,6 +94,11 @@ def normalize_angle(angle):
     return np.mod(angle, np.pi)
 
 
+def _twice(zeta) -> np.ndarray:
+    """2 zeta as a new float array, 0-d for a scalar: the one array a kernel allocates."""
+    return np.asarray(2.0 * np.asarray(zeta, dtype=float))
+
+
 def outcome_prob(x: int, zeta):
     """Malus-law probability of outcome ``x`` at misalignment ``zeta``.
 
@@ -93,12 +107,20 @@ def outcome_prob(x: int, zeta):
     """
     if x not in (-1, 1):
         raise ValidationError(f"outcome must be -1 or +1, got {x!r}")
-    return (1.0 + x * np.cos(2.0 * np.asarray(zeta, dtype=float))) * 0.5
+    p = _twice(zeta)
+    np.cos(p, out=p)
+    p *= x
+    p += 1.0
+    p *= 0.5
+    return p[()]
 
 
 def outcome_from_uniform(u, zeta):
     """Map a uniform variate to an outcome: +1 iff u < p(+1 | zeta)."""
-    return np.where(u < outcome_prob(+1, zeta), 1, -1).astype(np.int8)
+    x = np.asarray(u < outcome_prob(+1, zeta)).view(np.int8)  # 1 for +1, 0 for -1
+    x *= 2
+    x -= 1
+    return x
 
 
 def misalignments(a1, a2, s1):
@@ -118,8 +140,13 @@ def delay_timescale(zeta, params: ModelParams):
     the points where sin 2 zeta = 0 or is NaN, since pow(x, 0) = 1 for
     every x in IEEE arithmetic.
     """
-    zeta = np.asarray(zeta, dtype=float)
-    return params.t0 * np.abs(np.sin(2.0 * zeta)) ** params.d
+    t = _twice(zeta)
+    np.sin(t, out=t)
+    np.abs(t, out=t)
+    t = t[()]  # numpy's scalar power differs from its array power in the last bit
+    t **= params.d
+    t *= params.t0
+    return t
 
 
 def delay_from_uniform(u, zeta, params: ModelParams):
@@ -128,7 +155,9 @@ def delay_from_uniform(u, zeta, params: ModelParams):
     Where T(zeta) = 0 the density degenerates to a point mass and the
     delay is exactly 0 for every u.
     """
-    return np.asarray(u, dtype=float) * delay_timescale(zeta, params)
+    t = delay_timescale(zeta, params)
+    t *= np.asarray(u, dtype=float)
+    return t
 
 
 def hidden_from_uniform(u):

@@ -22,7 +22,7 @@ from eprsim import (
     run_experiment,
 )
 from eprsim import coincidence
-from eprsim.analysis import _sweep_counts
+from eprsim.analysis import _sweep_counts, window_sweep
 from eprsim.cli import parse_windows
 from eprsim.coincidence import _split, check_pair_filter, pair_window_index, stream_window_index
 from references import paired_reference, scan_reference, stream_reference
@@ -157,10 +157,11 @@ class TestPairFilter:
         for w in (0.01, 0.1, 0.5):
             assert np.all(np.abs(dt(log, paired(log, w))) <= w)
 
-    @pytest.mark.parametrize("n_windows", [1, 20])
+    @pytest.mark.parametrize("n_windows", [1, 20, 255, 256, 1000])
     def test_window_index_is_the_first_window_that_keeps_the_pair(self, n_windows):
         # |dt| at, just below and just above every window, and 0, beyond
-        # the grid, inf and NaN; over all rows and over a row range.
+        # the grid, inf and NaN; over all rows and over a row range.  The
+        # index counts in uint8 up to 255 windows and in uint16 from 256.
         windows = np.geomspace(1.0, 1000.0, n_windows)
         gaps = np.concatenate([windows, np.nextafter(windows, 0.0), np.nextafter(windows, np.inf),
                                [0.0, 2000.0, np.inf, np.nan]])
@@ -168,7 +169,9 @@ class TestPairFilter:
         expected = np.full(len(gaps), n_windows)
         for k in reversed(range(n_windows)):
             expected[paired_reference(log, windows[k])[0]] = k
-        np.testing.assert_array_equal(pair_window_index(log, windows, slice(None)), expected)
+        index = pair_window_index(log, windows, slice(None))
+        assert index.dtype == (np.uint8 if n_windows < 256 else np.uint16)
+        np.testing.assert_array_equal(index, expected)
         rows = slice(5, len(gaps) - 1)
         np.testing.assert_array_equal(pair_window_index(log, windows, rows), expected[rows])
 
@@ -356,6 +359,18 @@ class TestStreamWindowIndex:
         n1, n2 = rng.integers(100, 300, size=2)
         log = tiny_log(np.round(rng.uniform(0, 200, n1)), np.round(rng.uniform(0, 200, n2)), pair_ids=False)
         self.assert_rows_equal_reference(log, [0.0, 0.5, 1.0, 2.0, 3.0, np.inf])
+
+
+@pytest.mark.parametrize("t1, t2, windows, station", [
+    ([-np.inf], [-np.inf], [np.inf], 1),
+    ([np.inf], [np.inf], [1.0, np.inf], 1),
+    ([0.0], [-np.inf], [np.inf], 2),
+], ids=["minus-inf-at-inf", "inf-on-a-grid", "station-2"])
+def test_the_stream_sweep_rejects_an_infinite_tag(t1, t2, windows, station):
+    # At W = inf an infinite tag's bound fl(t - W) or fl(t + W) is NaN, so its
+    # range would not shrink as W falls; the walk needs that it does.
+    with pytest.raises(ValidationError, match=f"station {station} has an infinite time tag"):
+        window_sweep(ExperimentConfig(), windows, policy="stream", log=tiny_log(t1, t2))
 
 
 @pytest.fixture(params=[1, 2, 5])

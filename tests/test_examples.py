@@ -49,12 +49,13 @@ def test_dense_tags_do_not_depend_on_workers(run, tmp_path):
         assert (tmp_path / "run_dense" / name).read_bytes() == (tmp_path / "run_dense_w3" / name).read_bytes()
 
 
-def test_stream_and_paired_sweeps_of_regular_tags_are_equal(run, tmp_path):
+@pytest.mark.parametrize("grid", ["1:1000:log20", "1:1000:log300"])
+def test_stream_and_paired_sweeps_of_regular_tags_are_equal(run, tmp_path, grid):
+    # 300 windows: the paired sweep's window index counts in uint16.
     run("--mode", "mc", "--pairs", "100000", "--window", "10", "--tags-out", "tags", "--out", "run")
     tags = str(tmp_path / "run" / "tags")
-    run("--mode", "reanalyze", "--tags-in", tags, "--windows", "1:1000:log20", "--out", "run_stream")
-    run("--mode", "reanalyze", "--tags-in", tags, "--matcher", "paired", "--windows", "1:1000:log20",
-        "--out", "run_paired")
+    run("--mode", "reanalyze", "--tags-in", tags, "--windows", grid, "--out", "run_stream")
+    run("--mode", "reanalyze", "--tags-in", tags, "--matcher", "paired", "--windows", grid, "--out", "run_paired")
     assert (tmp_path / "run_stream" / "sweep.csv").read_bytes() == (tmp_path / "run_paired" / "sweep.csv").read_bytes()
 
 

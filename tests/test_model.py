@@ -191,6 +191,46 @@ class TestUniformMaps:
             np.testing.assert_allclose((0.4 + delta) - (s + delta), 0.4 - s, atol=1e-12)
 
 
+# The kernels' one-line forms: the in-place kernels must give their bits.
+def outcome_prob_ref(x, zeta):
+    return (1.0 + x * np.cos(2.0 * np.asarray(zeta, dtype=float))) * 0.5
+
+
+def outcome_from_uniform_ref(u, zeta):
+    return np.where(u < outcome_prob_ref(+1, zeta), 1, -1).astype(np.int8)
+
+
+def delay_timescale_ref(zeta, params):
+    return params.t0 * np.abs(np.sin(2.0 * np.asarray(zeta, dtype=float))) ** params.d
+
+
+def delay_from_uniform_ref(u, zeta, params):
+    return np.asarray(u, dtype=float) * delay_timescale_ref(zeta, params)
+
+
+# An int and a float d: numpy special-cases some exponents of each type.
+@pytest.mark.parametrize("d", [0, 0.0, 0.5, 1, 1.0, 2, 2.0, 4, 4.0])
+def test_kernels_have_the_bits_of_their_one_line_forms(d):
+    params = ModelParams(d=d, t0=1000.0)
+    rng = np.random.default_rng(11)
+    zeros = np.arange(-8, 9) * (np.pi / 2)  # sin 2 zeta is 0, or rounds to nearly 0
+    zeta = np.concatenate([rng.uniform(-7.0, 7.0, 4096), zeros, zeros + np.pi / 4, [0.0, -0.0, np.nan]])
+    u = rng.random(len(zeta))
+    # Arrays, then Python floats and numpy scalars; a scalar's power is numpy's scalar power.
+    cases = [(u, zeta)] + [(float(a), float(z)) for a, z in zip(u[::11], zeta[::11])]
+    cases += [(a, z) for a, z in zip(u[-40:], zeta[-40:])]
+    for a, z in cases:
+        for got, want in [
+            (outcome_prob(+1, z), outcome_prob_ref(+1, z)),
+            (outcome_prob(-1, z), outcome_prob_ref(-1, z)),
+            (outcome_from_uniform(a, z), outcome_from_uniform_ref(a, z)),
+            (delay_timescale(z, params), delay_timescale_ref(z, params)),
+            (delay_from_uniform(a, z, params), delay_from_uniform_ref(a, z, params)),
+        ]:
+            assert type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (z, d)
+
+
 def test_normalize_angle():
     assert normalize_angle(np.pi + 0.5) == pytest.approx(0.5)
     assert normalize_angle(-0.25) == pytest.approx(np.pi - 0.25)
