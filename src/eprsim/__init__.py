@@ -32,12 +32,8 @@ from .analysis import (
     window_sweep,
 )
 from .oracle import (
-    QuadratureSpec,
     chsh_exact,
-    coincidence_rate_exact,
     correlation_curve,
-    correlation_exact,
-    joint_prob,
     mixed_correlation,
     singlet_correlation,
     weight_exact,
@@ -52,8 +48,6 @@ __all__ = [
     "MatchPolicy",
     "DEFAULT_QUADRUPLE", "CorrelationTable", "ChshResult", "SweepResult",
     "chsh", "chsh_combination", "window_sweep",
-    "QuadratureSpec", "weight_exact",
-    "joint_prob", "correlation_exact", "correlation_curve", "coincidence_rate_exact",
-    "chsh_exact", "singlet_correlation", "mixed_correlation",
+    "weight_exact", "correlation_curve", "chsh_exact", "singlet_correlation", "mixed_correlation",
     "RunManifest", "read_tags", "write_tags",
 ]

@@ -24,7 +24,6 @@ import numpy as np
 from .coincidence import MatchPolicy, check_pair_filter, pair_window_index, stream_window_index
 from .errors import ValidationError
 from .events import EventLog, ExperimentConfig, map_ranges
-from .events import run_experiment  # noqa: F401  perfbench/spans.py hooks it here
 from .model import DEFAULT_QUADRUPLE, normalize_angle
 
 __all__ = [
@@ -83,16 +82,6 @@ class CorrelationTable:
         e = self.correlation
         with np.errstate(invalid="ignore"):
             return np.where(n > 0, np.sqrt(np.clip(1.0 - e * e, 0.0, None) / np.where(n > 0, n, 1)), np.nan)
-
-    @property
-    def empty_cells(self) -> list[tuple[int, int]]:
-        """Setting combinations with zero coincidences, reported distinctly."""
-        return _empty_cells(self.n_total)
-
-
-def _empty_cells(n_total: np.ndarray) -> list[tuple[int, int]]:
-    """The (i, j) cells of an (n1, n2) count array that hold no coincidence."""
-    return [(int(i), int(j)) for i, j in zip(*np.nonzero(n_total == 0))]
 
 
 def _outside(index: np.ndarray, n: int) -> np.ndarray:
@@ -213,8 +202,9 @@ class SweepResult:
 
     @property
     def empty_cells(self) -> list[list[tuple[int, int]]]:
-        """Per window, the setting combinations with no coincidences, as ``CorrelationTable.empty_cells``."""
-        return [_empty_cells(n_total) for n_total in self.counts.sum(axis=(3, 4))]
+        """Per window, the (i, j) setting combinations with no coincidences."""
+        return [[(int(i), int(j)) for i, j in zip(*np.nonzero(n_total == 0))]
+                for n_total in self.counts.sum(axis=(3, 4))]
 
     def crossings(self) -> list[tuple[float, float]]:
         """Grid cells (w_lo, w_hi) where s crosses the local-realist bound 2."""

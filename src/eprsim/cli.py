@@ -33,7 +33,7 @@ from .analysis import DEFAULT_QUADRUPLE, CorrelationTable, chsh, window_sweep
 from .errors import EprSimError, TagFormatError, ValidationError
 from .events import EmissionSpec, EventLog, ExperimentConfig, rng_provenance, run_experiment
 from .model import ModelParams
-from .oracle import DEFAULT_QUAD, chsh_exact, correlation_curve, mixed_correlation, singlet_correlation
+from .oracle import chsh_exact, correlation_curve, mixed_correlation, singlet_correlation
 from .tagio import (
     RunManifest,
     config_from_dict,
@@ -85,6 +85,8 @@ def parse_windows(text: str) -> np.ndarray:
         raise ValidationError(f"non-numeric bound in window grid {text!r}") from None
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValidationError(f"window grid {text!r} needs finite bounds")
+    if lo < 0:
+        raise ValidationError("window grid needs min >= 0")
     kind, num = parts[2][:3], parts[2][3:]
     if kind not in ("log", "lin") or not (num.isascii() and num.isdigit()):  # int() also reads '２０'
         raise ValidationError(f"grid spec {parts[2]!r} must be logN or linN")
@@ -283,10 +285,10 @@ def _run_oracle(args, outdir: Path) -> RunManifest:
     config, quadruple = _build_config(args)
     params = config.params
     deltas = np.linspace(0.0, np.pi, _CURVE_POINTS)
-    model = correlation_curve(deltas, params, DEFAULT_QUAD)
+    model = correlation_curve(deltas, params)
     singlet = np.array([singlet_correlation(d, 0.0) for d in deltas])
     mixed = np.array([mixed_correlation(d, 0.0) for d in deltas])
-    s_exact = chsh_exact(params, quadruple, DEFAULT_QUAD)
+    s_exact = chsh_exact(params, quadruple)
     csv_path = write_curve_csv(outdir / "reference_curves.csv", deltas, model, singlet, mixed)
     manifest = RunManifest(mode="oracle", seed=config.seed, config=config_to_dict(config))
     manifest.outputs.append(str(csv_path))

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["EprSimError", "ValidationError", "QuadratureError", "TagFormatError"]
+
 
 class EprSimError(Exception):
     """Base class for errors raised by eprsim."""

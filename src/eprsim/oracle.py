@@ -24,9 +24,10 @@ pairs: the 64 points of a curve, or the four correlations of CHSH.
   |T1 - T2| = W.  The last are found by a sign scan and one bisection
   of every crossing of the batch.
 * Budget.  A panel's error is its largest component error.  A point is
-  done once its summed error is at most tol * D / 4, its own D, which
-  keeps every returned ratio within tol, or once it holds ``limit``
-  panels; the caller then gets a QuadratureError naming what it achieved.
+  done once its summed error is at most ``_TOL`` * D / 4, its own D,
+  which keeps every returned ratio within ``_TOL``, or once it holds
+  ``_LIMIT`` panels; the caller then gets a QuadratureError naming what
+  it achieved.
 * Rounds.  Each round, every point still over its budget splits its
   panels of largest error, as many as cover its error less an eighth of
   its budget (``quad_vec``'s rule), and all the new panels of the batch
@@ -46,7 +47,6 @@ are provided for comparison curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,12 +55,8 @@ from .errors import QuadratureError, ValidationError
 from .model import DEFAULT_QUADRUPLE, ModelParams, Setting, check_settings, delay_timescale, misalignments
 
 __all__ = [
-    "QuadratureSpec",
     "weight_exact",
-    "joint_prob",
-    "correlation_exact",
     "correlation_curve",
-    "coincidence_rate_exact",
     "chsh_exact",
     "singlet_correlation",
     "mixed_correlation",
@@ -69,26 +65,11 @@ __all__ = [
 _PI = math.pi
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Settings for the adaptive pass that computes D, C1, C2 and C12.
-
-    tol    absolute error target on returned probabilities and
-           correlations; each of the four integrals is held to tol * D / 4
-    limit  maximum number of subintervals on [0, pi)
-    """
-
-    tol: float = 1e-8
-    limit: int = 4000
-
-    def __post_init__(self):
-        if not (self.tol > 0):
-            raise ValidationError(f"tolerance must be > 0, got {self.tol}")
-        if self.limit < 1:
-            raise ValidationError("limit must be >= 1")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# Error target on every returned probability and correlation (each of
+# the four integrals is held to _TOL * D / 4), and the most panels a
+# point may hold on [0, pi].
+_TOL = 1e-8
+_LIMIT = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +310,10 @@ def _anchor_points(a1: np.ndarray, a2: np.ndarray, params: ModelParams):
     return pt[keep], seeds[keep]
 
 
-def _integrals(a1, a2, params: ModelParams, quad: QuadratureSpec) -> np.ndarray:
+def _integrals(a1, a2, params: ModelParams) -> np.ndarray:
     """(D, C1, C2, C12) at each settings pair (a1[p], a2[p]), shape (n, 4).
 
-    One batched pass; each point's four integrals are within tol * D / 4.
+    One batched pass; each point's four integrals are within _TOL * D / 4.
     Raises ValidationError for a setting ``check_settings`` rejects, and
     QuadratureError for the first point whose D is zero or whose pass
     misses its budget; ``achieved`` is then the tol that point met, or inf
@@ -348,77 +329,33 @@ def _integrals(a1, a2, params: ModelParams, quad: QuadratureSpec) -> np.ndarray:
         c2 = np.cos(2.0 * z2)
         return np.stack((w, c1w, c2 * w, c2 * c1w))
 
-    val, err, _ = _integrate(integrand, *_anchor_points(a1, a2, params), 0.25 * quad.tol, quad.limit)
+    val, err, _ = _integrate(integrand, *_anchor_points(a1, a2, params), 0.25 * _TOL, _LIMIT)
     d_val = val[:, 0]
-    failed = (d_val <= 0.0) | (err > 0.25 * quad.tol * d_val)
+    failed = (d_val <= 0.0) | (err > 0.25 * _TOL * d_val)
     if failed.any():
         p = int(np.argmax(failed))
         if d_val[p] <= 0.0:
             raise QuadratureError("coincidence normalization integral is zero", math.inf)
         achieved = 4.0 * err[p] / d_val[p]
         raise QuadratureError(
-            f"quadrature did not converge: achieved {achieved:.3e}, requested {quad.tol:.3e}",
+            f"quadrature did not converge: achieved {achieved:.3e}, requested {_TOL:.3e}",
             achieved,
         )
     return val
 
 
-def joint_prob(
-    x1: int,
-    x2: int,
-    a1: Setting,
-    a2: Setting,
-    params: ModelParams,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
-    """Exact coincidence-conditioned probability p(x1, x2 | a1, a2).
-
-    The four outcome probabilities at fixed settings sum to 1 within the
-    quadrature tolerance.
-    """
-    if x1 not in (-1, 1) or x2 not in (-1, 1):
-        raise ValidationError(f"outcomes must be -1 or +1, got {x1!r}, {x2!r}")
-    d, c1, c2, c12 = _integrals([a1], [a2], params, quad)[0]
-    return float((d + x1 * c1 + x2 * c2 + x1 * x2 * c12) / (4.0 * d))
-
-
-def correlation_exact(
-    a1: Setting,
-    a2: Setting,
-    params: ModelParams,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
-    """Exact correlation E(a1, a2) = sum_x1,x2 x1 x2 p(x1, x2 | a1, a2) = C12 / D.
-
-    Depends on a1 - a2 only.
-    """
-    d, _, _, c12 = _integrals([a1], [a2], params, quad)[0]
-    return float(c12 / d)
-
-
-def correlation_curve(deltas, params: ModelParams, quad: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
-    """E(delta) over an array of setting differences, all in one batch."""
+def correlation_curve(deltas, params: ModelParams) -> np.ndarray:
+    """E(delta) = C12 / D over an array of setting differences, all in one batch."""
     deltas = np.asarray(deltas, dtype=float)
     if len(deltas) == 0:
         return np.zeros(0)
-    val = _integrals(deltas, np.zeros(len(deltas)), params, quad)
+    val = _integrals(deltas, np.zeros(len(deltas)), params)
     return val[:, 3] / val[:, 0]
-
-
-def coincidence_rate_exact(
-    a1: Setting,
-    a2: Setting,
-    params: ModelParams,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
-    """Expected fraction of pairs surviving the window at these settings: D / pi."""
-    return float(_integrals([a1], [a2], params, quad)[0, 0] / _PI)
 
 
 def chsh_exact(
     params: ModelParams,
     quadruple: tuple[float, float, float, float] = DEFAULT_QUADRUPLE,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
     """Exact CHSH statistic of the model at the given angle quadruple.
 
@@ -426,5 +363,5 @@ def chsh_exact(
     one batch.
     """
     a, ap, b, bp = (float(v) for v in quadruple)
-    val = _integrals([a, a, ap, ap], [b, bp, b, bp], params, quad)
+    val = _integrals([a, a, ap, ap], [b, bp, b, bp], params)
     return chsh_combination(*(float(e) for e in val[:, 3] / val[:, 0]))

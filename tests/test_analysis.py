@@ -100,12 +100,17 @@ class TestTabulate:
             tabulate_counts({})
 
     def test_empty_cell_reported_distinctly(self):
-        cfg = ExperimentConfig(settings1=(0.0, 1.0), settings2=(0.5,), n_pairs=10, seed=0)
-        table = tabulate(log_from_counts({(0, 0): (2, 1, 1, 2)}), cfg)
-        assert table.counts.shape == (2, 1, 2, 2)
-        assert table.empty_cells == [(1, 0)]
-        assert np.isnan(table.correlation[1, 0])
-        assert not np.isnan(table.correlation[0, 0])
+        # The CHSH cells are full; the third station-1 setting meets only the second station-2 setting.
+        cfg = ExperimentConfig(settings1=(*DEFAULT_QUADRUPLE[:2], 1.0), settings2=DEFAULT_QUADRUPLE[2:],
+                               n_pairs=10, seed=0)
+        full = {(i, j): (2, 1, 1, 2) for i in range(2) for j in range(2)}
+        log = log_from_counts({**full, (2, 1): (1, 0, 0, 1)})
+        sweep = window_sweep(cfg, [0.0], log=log)
+        assert sweep.counts.shape == (1, 3, 2, 2, 2)
+        assert sweep.empty_cells == [[(2, 0)]]
+        table = tabulate(log, cfg)
+        assert np.isnan(table.correlation[2, 0])
+        assert not np.isnan(table.correlation[2, 1])
 
     def test_reads_columns_through_rows(self):
         # Station 2 lists the same two events in the other row order, so the

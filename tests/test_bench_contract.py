@@ -20,6 +20,8 @@ RETIRED_HOOKS = {
     "eprsim.analysis.tabulate",
     "eprsim.coincidence.pair_filter",
     "eprsim.coincidence.stream_match",
+    "eprsim.analysis.run_experiment",
+    "eprsim.oracle.correlation_exact",
 }
 
 
@@ -48,7 +50,7 @@ def test_traced_runs_select_every_window_through_window_sweep(tracer, tmp_path):
         assert main(["--mode", "mc", "--matcher", "stream", "--emission", "poisson:0.005", "--window", "1000",
                      "--pairs", "3000", "--out", out]) == 0
 
-    assert set(missing) <= RETIRED_HOOKS
+    assert set(missing) == RETIRED_HOOKS
     layers = spans.layer_times(tracer.spans)
     assert layers["analysis.window_sweep"]["calls"] == 3
     assert layers["events.run_experiment"]["calls"] == 3

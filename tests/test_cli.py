@@ -158,12 +158,13 @@ def test_parse_emission_rejects(text, message):
         (["--mode", "sweep", "--windows", "1:1000:lin0"], "at least one point"),
         (["--mode", "sweep", "--windows", "1000:1:log3"], "needs max > min"),
         (["--mode", "sweep", "--windows", "0:1000:log3"], "needs min > 0"),
+        (["--mode", "sweep", "--windows=-1e308:1e308:lin3"], "needs min >= 0"),
         (["--mode", "mc", "--angles1", ","], "empty angle list"),
         (["--mode", "mc", "--quadruple", "0deg,45deg,22.5deg"], "expected 4 angles, got 3"),
         (["--mode", "reanalyze", "--tags-in", "tags"], "no manifest"),
     ],
     ids=["grid-parts", "grid-bound", "grid-kind", "grid-count", "grid-zero-points", "grid-max-le-min",
-         "log-grid-min-le-0", "empty-angle-list", "quadruple-count", "no-side-manifest"],
+         "log-grid-min-le-0", "grid-min-below-0", "empty-angle-list", "quadruple-count", "no-side-manifest"],
 )
 def test_parser_rejections_exit_1(tmp_path, capsys, argv, message):
     assert main([*argv, "--pairs", "100", "--out", str(tmp_path)]) == 1

@@ -7,6 +7,7 @@ is checked against the oracle at the end of this file.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,13 +17,9 @@ from eprsim import (
     ExperimentConfig,
     ModelParams,
     QuadratureError,
-    QuadratureSpec,
     ValidationError,
     chsh_exact,
-    coincidence_rate_exact,
     correlation_curve,
-    correlation_exact,
-    joint_prob,
     mixed_correlation,
     run_experiment,
     singlet_correlation,
@@ -32,7 +29,7 @@ from eprsim import (
 from eprsim.analysis import DEFAULT_QUADRUPLE
 from eprsim.cli import main, parse_windows
 from eprsim.model import delay_timescale, misalignments
-from eprsim.oracle import DEFAULT_QUAD, _KINK_GRID, _anchor_points, _gk15, _integrals, _integrate
+from eprsim.oracle import _KINK_GRID, _TOL, _anchor_points, _gk15, _integrals, _integrate
 from references import anchor_points_reference
 
 times = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -62,6 +59,18 @@ def weight_exact_grid(t1: float, t2: float, window: float, n: int = GRID_POINTS)
     jhi = np.floor((mid1 + window) / h2 - 0.5)
     counts = np.clip(jhi, -1, n - 1) - np.clip(jlo, 0, n) + 1.0
     return float(np.sum(np.clip(counts, 0.0, None)) / (float(n) * float(n)))
+
+
+def exact(a1: float, a2: float, params: ModelParams) -> SimpleNamespace:
+    """The oracle at one settings pair, from the batched integrals (D, C1, C2, C12).
+
+    ``p[x1, x2]`` is the coincidence-conditioned outcome probability
+    (D + x1 C1 + x2 C2 + x1 x2 C12) / (4 D), ``e`` the correlation C12 / D
+    and ``rate`` the coincidence rate D / pi.
+    """
+    d, c1, c2, c12 = (float(v) for v in _integrals([a1], [a2], params)[0])
+    p = {(x1, x2): (d + x1 * c1 + x2 * c2 + x1 * x2 * c12) / (4.0 * d) for x1 in (-1, 1) for x2 in (-1, 1)}
+    return SimpleNamespace(p=p, e=c12 / d, rate=d / np.pi)
 
 
 def correlation_midpoint(a1: float, a2: float, params: ModelParams, n: int = 200_000) -> float:
@@ -213,30 +222,25 @@ class TestQuadratureMachinery:
         # Scaling a point's integrand leaves its panels as they were.
         assert n[0] == n[1] == n[2]
 
-    def test_spec_validation(self):
-        with pytest.raises(ValidationError):
-            QuadratureSpec(tol=0.0)
-        with pytest.raises(ValidationError):
-            QuadratureSpec(limit=0)
-
-    def test_nonconvergence_reports_achieved_error(self):
+    def test_nonconvergence_reports_achieved_error(self, monkeypatch):
         params = ModelParams(d=4.0, t0=1.0, window=1e-3)
-        starved = QuadratureSpec(tol=1e-12, limit=12)
+        monkeypatch.setattr("eprsim.oracle._TOL", 1e-12)
+        monkeypatch.setattr("eprsim.oracle._LIMIT", 12)
         with pytest.raises(QuadratureError) as info:
-            correlation_exact(0.3, 0.0, params, starved)
+            exact(0.3, 0.0, params)
         assert info.value.achieved is not None and info.value.achieved > 1e-12
 
-    def test_starved_point_in_batch_reports_its_own_achieved(self):
+    def test_starved_point_in_batch_reports_its_own_achieved(self, monkeypatch):
         # At delta = 0 the seeds give 6 panels and the pass needs 24; at
         # delta = 0.2 they give 20, and 30 panels are not enough.
         params = ModelParams(d=4.0, t0=1.0, window=1e-3)
-        quad = QuadratureSpec(limit=30)
-        assert np.isfinite(correlation_exact(0.0, 0.0, params, quad))
+        monkeypatch.setattr("eprsim.oracle._LIMIT", 30)
+        assert np.isfinite(exact(0.0, 0.0, params).e)
         with pytest.raises(QuadratureError) as alone:
-            correlation_exact(0.2, 0.0, params, quad)
+            exact(0.2, 0.0, params)
         with pytest.raises(QuadratureError, match="quadrature did not converge") as batch:
-            correlation_curve([0.0, 0.0, 0.2, 0.0], params, quad)
-        assert alone.value.achieved > quad.tol
+            correlation_curve([0.0, 0.0, 0.2, 0.0], params)
+        assert alone.value.achieved > _TOL
         assert batch.value.achieved == pytest.approx(alone.value.achieved, rel=1e-9)
 
     def test_curve_points_do_not_couple(self):
@@ -244,7 +248,7 @@ class TestQuadratureMachinery:
         params = ModelParams(d=4.0, t0=1000.0, window=10.0)
         deltas = np.linspace(0.0, np.pi, 64)
         curve = correlation_curve(deltas, params)
-        alone = np.array([correlation_exact(d, 0.0, params) for d in deltas])
+        alone = np.array([exact(d, 0.0, params).e for d in deltas])
         np.testing.assert_allclose(curve, alone, rtol=0, atol=1e-14)
 
     def test_empty_curve(self):
@@ -324,9 +328,9 @@ class TestQuadVecCrossCheck:
     def test_agrees_with_quad_vec(self, d, window, a1, a2):
         params = ModelParams(d=d, t0=1000.0, window=window)
         d_ref, c12_ref = self.reference(a1, a2, params)
-        d_val, _, _, c12 = _integrals([a1], [a2], params, DEFAULT_QUAD)[0]
-        assert abs(c12 / d_val - c12_ref / d_ref) <= DEFAULT_QUAD.tol
-        assert abs(d_val - d_ref) <= 0.25 * DEFAULT_QUAD.tol * d_val
+        d_val, _, _, c12 = _integrals([a1], [a2], params)[0]
+        assert abs(c12 / d_val - c12_ref / d_ref) <= _TOL
+        assert abs(d_val - d_ref) <= 0.25 * _TOL * d_val
 
 
 class TestReferenceCorrelations:
@@ -345,18 +349,13 @@ class TestReferenceCorrelations:
 
 
 class TestJointProb:
-    def test_outcomes_validated(self):
-        p = ModelParams(d=0, t0=1.0, window=0.5)
-        with pytest.raises(ValidationError):
-            joint_prob(0, 1, 0.0, 0.0, p)
-
     @pytest.mark.parametrize(
         "d,w,delta",
         [(4.0, 1e-3, np.pi / 8), (4.0, 0.1, 1.0), (2.0, 1e-2, 0.3), (0.0, 0.5, 2.0), (1.0, 1e-3, 0.0)],
     )
     def test_normalization(self, d, w, delta):
         p = ModelParams(d=d, t0=1.0, window=w)
-        total = sum(joint_prob(x1, x2, delta, 0.0, p) for x1 in (-1, 1) for x2 in (-1, 1))
+        total = sum(exact(delta, 0.0, p).p.values())
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_d_zero_factorizes_to_mixed(self):
@@ -364,7 +363,7 @@ class TestJointProb:
         # ensemble is the raw separable one at every window.
         for w in (0.01, 0.3, 2.0):
             p = ModelParams(d=0.0, t0=1.0, window=w)
-            e = sum(x1 * x2 * joint_prob(x1, x2, 0.4, 0.0, p) for x1 in (-1, 1) for x2 in (-1, 1))
+            e = sum(x1 * x2 * prob for (x1, x2), prob in exact(0.4, 0.0, p).p.items())
             assert e == pytest.approx(mixed_correlation(0.4, 0.0), abs=1e-8)
 
     def test_equal_settings_same_outcome_suppressed(self):
@@ -372,45 +371,46 @@ class TestJointProb:
         # anticorrelation.  Frozen value cross-checked by two independent
         # integrators; it equals (1 + E(0)) / 4 by outcome symmetry.
         p = ModelParams(d=4.0, t0=1.0, window=1e-3)
-        val = joint_prob(+1, +1, 0.0, 0.0, p)
+        val = exact(0.0, 0.0, p).p[+1, +1]
         assert val == pytest.approx(0.0106597799, abs=2e-7)
         # Deeper into the narrow-window regime the probability keeps
         # falling toward the quantum value 0.
         p5 = ModelParams(d=4.0, t0=1.0, window=1e-5)
-        val5 = joint_prob(+1, +1, 0.0, 0.0, p5)
+        val5 = exact(0.0, 0.0, p5).p[+1, +1]
         assert val5 == pytest.approx(0.0011026093, abs=2e-7)
         assert val5 < 0.005
 
     def test_consistent_with_correlation_exact(self):
         p = ModelParams(d=4.0, t0=1.0, window=0.05)
         delta = 0.7
-        e_sum = sum(x1 * x2 * joint_prob(x1, x2, delta, 0.0, p) for x1 in (-1, 1) for x2 in (-1, 1))
-        assert e_sum == pytest.approx(correlation_exact(delta, 0.0, p), abs=1e-7)
+        point = exact(delta, 0.0, p)
+        e_sum = sum(x1 * x2 * prob for (x1, x2), prob in point.p.items())
+        assert e_sum == pytest.approx(point.e, abs=1e-7)
 
 
 class TestCorrelationExact:
     def test_frozen_narrow_window_values(self):
         p = ModelParams(d=4.0, t0=1.0, window=1e-3)
-        assert correlation_exact(0.0, 0.0, p) == pytest.approx(-0.9573608804, abs=2e-7)
-        assert correlation_exact(np.pi / 8, 0.0, p) == pytest.approx(-0.7020660874, abs=2e-7)
+        assert exact(0.0, 0.0, p).e == pytest.approx(-0.9573608804, abs=2e-7)
+        assert exact(np.pi / 8, 0.0, p).e == pytest.approx(-0.7020660874, abs=2e-7)
 
     def test_depends_on_difference_only(self):
         p = ModelParams(d=4.0, t0=1.0, window=0.02)
-        assert correlation_exact(0.9, 0.5, p) == pytest.approx(correlation_exact(0.4, 0.0, p), abs=1e-7)
+        assert exact(0.9, 0.5, p).e == pytest.approx(exact(0.4, 0.0, p).e, abs=1e-7)
 
     def test_even_in_delta(self):
         p = ModelParams(d=4.0, t0=1.0, window=0.02)
-        assert correlation_exact(0.6, 0.0, p) == pytest.approx(correlation_exact(-0.6, 0.0, p), abs=1e-7)
+        assert exact(0.6, 0.0, p).e == pytest.approx(exact(-0.6, 0.0, p).e, abs=1e-7)
 
     def test_d_zero_is_mixed_state(self):
         p = ModelParams(d=0.0, t0=1.0, window=0.1)
         for delta in (0.0, 0.3, 1.0, 2.2):
-            assert correlation_exact(delta, 0.0, p) == pytest.approx(mixed_correlation(delta, 0.0), abs=1e-9)
+            assert exact(delta, 0.0, p).e == pytest.approx(mixed_correlation(delta, 0.0), abs=1e-9)
 
     def test_wide_window_is_mixed_state(self):
         p = ModelParams(d=4.0, t0=1.0, window=1.0)
         for delta in (0.0, 0.3, 1.0):
-            assert correlation_exact(delta, 0.0, p) == pytest.approx(mixed_correlation(delta, 0.0), abs=1e-9)
+            assert exact(delta, 0.0, p).e == pytest.approx(mixed_correlation(delta, 0.0), abs=1e-9)
 
     @pytest.mark.parametrize("window", parse_windows("1:1000:log20"))
     def test_meets_tolerance_across_sweep_windows(self, window):
@@ -420,7 +420,7 @@ class TestCorrelationExact:
         p = ModelParams(d=4.0, t0=1000.0, window=window)
         a, ap, b, bp = DEFAULT_QUADRUPLE
         for a1, a2 in [(a, b), (a, bp), (ap, b), (ap, bp)]:
-            assert abs(correlation_exact(a1, a2, p) - correlation_midpoint(a1, a2, p)) <= DEFAULT_QUAD.tol
+            assert abs(exact(a1, a2, p).e - correlation_midpoint(a1, a2, p)) <= _TOL
 
     def test_curve_shape(self):
         p = ModelParams(d=0.0, t0=1.0, window=0.5)
@@ -432,11 +432,11 @@ class TestCorrelationExact:
 class TestRateAndChsh:
     def test_rate_frozen_value(self):
         p = ModelParams(d=4.0, t0=1.0, window=1e-3)
-        assert coincidence_rate_exact(np.pi / 8, 0.0, p) == pytest.approx(0.0083886388, abs=1e-8)
+        assert exact(np.pi / 8, 0.0, p).rate == pytest.approx(0.0083886388, abs=1e-8)
 
     def test_rate_one_at_full_window(self):
         p = ModelParams(d=4.0, t0=1.0, window=1.0)
-        assert coincidence_rate_exact(0.7, 0.0, p) == pytest.approx(1.0, abs=1e-10)
+        assert exact(0.7, 0.0, p).rate == pytest.approx(1.0, abs=1e-10)
 
     def test_chsh_narrow_window_frozen(self):
         p = ModelParams(d=4.0, t0=1.0, window=1e-3)
@@ -457,7 +457,7 @@ class TestRateAndChsh:
         constraining = 0
         for window in (*np.geomspace(1.0, 1000.0, 5), 750.0):
             p = ModelParams(d=d, t0=1000.0, window=window)
-            gamma = min(coincidence_rate_exact(x, y, p) for x in (a, ap) for y in (b, bp))
+            gamma = min(exact(x, y, p).rate for x in (a, ap) for y in (b, bp))
             assert chsh_exact(p) <= 6.0 / gamma - 4.0
             constraining += gamma > 0.75
         assert constraining == 2
@@ -467,7 +467,7 @@ class TestRateAndChsh:
         # E = C12 / D is 0 / 0, so no error bound holds: achieved is inf, never 0.
         p = ModelParams(d=d, t0=1000.0, window=0.0)
         with pytest.raises(QuadratureError, match="coincidence normalization integral is zero") as alone:
-            coincidence_rate_exact(0.0, np.pi / 8, p)
+            exact(0.0, np.pi / 8, p)
         with pytest.raises(QuadratureError, match="coincidence normalization integral is zero") as batch:
             correlation_curve(np.linspace(0.0, np.pi, 8), p)
         assert alone.value.achieved == batch.value.achieved == math.inf
@@ -488,11 +488,9 @@ class TestNonFiniteSettings:
     def test_every_entry_point_rejects(self, bad):
         p = ModelParams()
         calls = [
-            lambda: joint_prob(1, 1, bad, 0.0, p),
-            lambda: correlation_exact(bad, 0.0, p),
-            lambda: correlation_exact(0.0, bad, p),
+            lambda: _integrals([bad], [0.0], p),
+            lambda: _integrals([0.0], [bad], p),
             lambda: correlation_curve([0.1, bad], p),
-            lambda: coincidence_rate_exact(0.3, bad, p),
             lambda: chsh_exact(p, (bad, 0.7, 0.3, 1.1)),
         ]
         for call in calls:
@@ -527,5 +525,5 @@ class TestMonteCarloAgreement:
             if window >= params.t0:
                 assert kept == n
                 continue
-            rate = coincidence_rate_exact(cfg.settings1[i], cfg.settings2[j], params)
+            rate = exact(cfg.settings1[i], cfg.settings2[j], params).rate
             assert abs(kept / n - rate) < 4.0 * np.sqrt(rate * (1.0 - rate) / n)
