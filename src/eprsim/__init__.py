@@ -24,10 +24,7 @@ from .events import (
 from .coincidence import MatchPolicy
 from .analysis import (
     DEFAULT_QUADRUPLE,
-    ChshResult,
-    CorrelationTable,
     SweepResult,
-    chsh,
     chsh_combination,
     window_sweep,
 )
@@ -46,8 +43,7 @@ __all__ = [
     "ModelParams", "Setting", "normalize_angle", "outcome_prob", "delay_timescale",
     "EmissionSpec", "ExperimentConfig", "StationStream", "EventLog", "run_experiment",
     "MatchPolicy",
-    "DEFAULT_QUADRUPLE", "CorrelationTable", "ChshResult", "SweepResult",
-    "chsh", "chsh_combination", "window_sweep",
+    "DEFAULT_QUADRUPLE", "SweepResult", "chsh_combination", "window_sweep",
     "weight_exact", "correlation_curve", "chsh_exact", "singlet_correlation", "mixed_correlation",
     "RunManifest", "read_tags", "write_tags",
 ]

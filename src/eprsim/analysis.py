@@ -9,8 +9,10 @@ Every selection is a window sweep, and one window is a grid of one.
 Either policy of the ``coincidence`` module gives each coincidence the
 first window of the grid that keeps it; ``_bin`` counts it there, so the
 cumulative sum over the windows is every window's count table.
-``window_sweep`` keeps those tables in ``SweepResult.counts`` and
-computes S at each window from them.
+``window_sweep`` keeps those tables in ``SweepResult.counts``, a cube
+of shape (n_windows, n1, n2, 2, 2), and ``SweepResult`` derives E, its
+stderr, S and S's stderr from the cube as arrays over every window at
+once; no per-window table exists.
 """
 
 from __future__ import annotations
@@ -28,60 +30,15 @@ from .model import DEFAULT_QUADRUPLE, normalize_angle
 
 __all__ = [
     "DEFAULT_QUADRUPLE",
-    "CorrelationTable",
-    "ChshResult",
     "SweepResult",
-    "chsh",
     "chsh_combination",
     "window_sweep",
 ]
 
+
 def chsh_combination(e_ab: float, e_abp: float, e_apb: float, e_apbp: float) -> float:
-    """S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')|."""
+    """S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')|, of floats or elementwise of arrays."""
     return abs(e_ab - e_abp + e_apb + e_apbp)
-
-
-@dataclass(eq=False)
-class CorrelationTable:
-    """Per setting-pair coincidence counts and correlation estimates.
-
-    ``counts[i, j, p, q]`` counts coincidences with station settings
-    (i, j) and outcomes (x1, x2), where axis index 0 encodes +1 and
-    1 encodes -1.  ``settings1[i]`` and ``settings2[j]`` are the angles
-    that label the axes; ``chsh`` finds its quadruple among them.
-    ``counts`` must have shape (len(settings1), len(settings2), 2, 2).
-    """
-
-    counts: np.ndarray
-    settings1: tuple[float, ...]
-    settings2: tuple[float, ...]
-
-    def __post_init__(self):
-        expected = (len(self.settings1), len(self.settings2), 2, 2)
-        if np.shape(self.counts) != expected:
-            raise ValidationError(f"counts of shape {np.shape(self.counts)} do not fit the settings; "
-                                  f"expected {expected}")
-
-    @property
-    def n_total(self) -> np.ndarray:
-        return self.counts.sum(axis=(2, 3))
-
-    @cached_property
-    def correlation(self) -> np.ndarray:
-        """E per setting pair; NaN where a cell has no coincidences."""
-        n = self.n_total
-        same = self.counts[:, :, 0, 0] + self.counts[:, :, 1, 1]
-        diff = self.counts[:, :, 0, 1] + self.counts[:, :, 1, 0]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            e = np.where(n > 0, (same - diff) / np.where(n > 0, n, 1), np.nan)
-        return e
-
-    @cached_property
-    def stderr(self) -> np.ndarray:
-        n = self.n_total
-        e = self.correlation
-        with np.errstate(invalid="ignore"):
-            return np.where(n > 0, np.sqrt(np.clip(1.0 - e * e, 0.0, None) / np.where(n > 0, n, 1)), np.nan)
 
 
 def _outside(index: np.ndarray, n: int) -> np.ndarray:
@@ -126,69 +83,43 @@ def _bin(log: EventLog, groups, n_windows: int, config: ExperimentConfig) -> tup
     return hist, raise_at
 
 
-@dataclass(frozen=True)
-class ChshResult:
-    """CHSH statistic with its propagated standard error."""
-
-    s: float
-    stderr: float
-    e_ab: float
-    e_abp: float
-    e_apb: float
-    e_apbp: float
-
-
 def _find_setting(angle: float, settings: tuple[float, ...], station: int) -> int:
     target = normalize_angle(angle)
+    found = []
     for k, a in enumerate(settings):
         d = abs(normalize_angle(a) - target)
         if min(d, np.pi - d) <= 1e-9:  # circular: angles just below pi are near 0
-            return k
-    raise ValidationError(f"missing combination: angle {angle!r} not among station-{station} settings {settings}")
-
-
-def chsh(table: CorrelationTable, quadruple: tuple[float, float, float, float] = DEFAULT_QUADRUPLE) -> ChshResult:
-    """CHSH statistic from a correlation table.
-
-    ``quadruple`` is the angle set (a, a', b, b'), found (mod pi) among
-    the table's setting angles; the four correlations E(a,b), E(a,b'),
-    E(a',b), E(a',b') must all have coincidences.
-    """
-    a, ap, b, bp = quadruple
-    ia, iap = _find_setting(a, table.settings1, 1), _find_setting(ap, table.settings1, 1)
-    ib, ibp = _find_setting(b, table.settings2, 2), _find_setting(bp, table.settings2, 2)
-    e = table.correlation
-    se = table.stderr
-    cells = [(ia, ib), (ia, ibp), (iap, ib), (iap, ibp)]
-    for i, j in cells:
-        if table.n_total[i, j] == 0:
-            raise ValidationError(f"missing combination: no coincidences for setting pair ({i},{j})")
-    vals = [float(e[i, j]) for i, j in cells]
-    errs = [float(se[i, j]) for i, j in cells]
-    return ChshResult(
-        s=chsh_combination(*vals),
-        stderr=float(np.sqrt(np.sum(np.square(errs)))),
-        e_ab=vals[0],
-        e_abp=vals[1],
-        e_apb=vals[2],
-        e_apbp=vals[3],
-    )
+            found.append(k)
+    if not found:
+        raise ValidationError(f"missing combination: angle {angle!r} not among station-{station} settings {settings}")
+    if len(found) > 1:
+        raise ValidationError(f"ambiguous combination: angle {angle!r} matches station-{station} settings "
+                              f"{' and '.join(map(str, found))} of {settings}")
+    return found[0]
 
 
 @dataclass(eq=False)
 class SweepResult:
-    """CHSH statistic and coincidence counts versus coincidence window.
+    """Coincidence counts, correlations and the CHSH statistic versus coincidence window.
 
-    ``counts[k]`` is the count table at ``windows[k]``, laid out as
-    ``CorrelationTable.counts``; the ``n_pairs`` emitted pairs are the
-    denominator of the coincidence rate.
+    ``counts[k, i, j, p, q]`` counts the coincidences kept at
+    ``windows[k]`` with station settings (i, j) and outcomes (x1, x2),
+    where axis index 0 encodes +1 and 1 encodes -1; the ``n_pairs``
+    emitted pairs are the denominator of the coincidence rate.  ``cells``
+    are the setting pairs (a, b), (a, b'), (a', b) and (a', b') of the
+    CHSH quadruple.  Everything else derives from ``counts``, every
+    window at once.
     """
 
     windows: np.ndarray
     counts: np.ndarray
     n_pairs: int
-    s: np.ndarray
-    s_stderr: np.ndarray
+    cells: tuple[tuple[int, int], ...]
+
+    @property
+    def n_total(self) -> np.ndarray:
+        """Coincidences per window and setting pair."""
+        return self.counts.sum(axis=(3, 4))
 
     @property
     def matched(self) -> np.ndarray:
@@ -203,17 +134,36 @@ class SweepResult:
     @property
     def empty_cells(self) -> list[list[tuple[int, int]]]:
         """Per window, the (i, j) setting combinations with no coincidences."""
-        return [[(int(i), int(j)) for i, j in zip(*np.nonzero(n_total == 0))]
-                for n_total in self.counts.sum(axis=(3, 4))]
+        return [[(int(i), int(j)) for i, j in zip(*np.nonzero(n_total == 0))] for n_total in self.n_total]
+
+    @cached_property
+    def correlation(self) -> np.ndarray:
+        """E per window and setting pair; NaN where a cell has no coincidences."""
+        c, n = self.counts, self.n_total
+        return np.where(n > 0, (c[..., 0, 0] + c[..., 1, 1] - c[..., 0, 1] - c[..., 1, 0]) / np.maximum(n, 1), np.nan)
+
+    @cached_property
+    def stderr(self) -> np.ndarray:
+        """The binomial standard error of ``correlation``; NaN where a cell has no coincidences."""
+        e = self.correlation
+        with np.errstate(invalid="ignore"):  # clip of a NaN
+            return np.sqrt(np.clip(1.0 - e * e, 0.0, None) / self.n_total)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """S at each window, from the correlations of the CHSH cells."""
+        return chsh_combination(*(self.correlation[:, i, j] for i, j in self.cells))
+
+    @cached_property
+    def s_stderr(self) -> np.ndarray:
+        """The CHSH cells' standard errors in quadrature, their squares summed left to right."""
+        return np.sqrt(sum(np.square(self.stderr[:, i, j]) for i, j in self.cells))
 
     def crossings(self) -> list[tuple[float, float]]:
         """Grid cells (w_lo, w_hi) where s crosses the local-realist bound 2."""
         sign = np.sign(self.s - 2.0)
-        out = []
-        for k in range(len(self.windows) - 1):
-            if sign[k] != sign[k + 1] and sign[k] != 0:
-                out.append((float(self.windows[k]), float(self.windows[k + 1])))
-        return out
+        k = np.flatnonzero((sign[:-1] != sign[1:]) & (sign[:-1] != 0))
+        return [(float(lo), float(hi)) for lo, hi in zip(self.windows[k], self.windows[k + 1])]
 
 
 # Pairs per block of the paired sweep: a block's temporaries, about
@@ -252,20 +202,6 @@ def _sweep_counts(log: EventLog, windows: np.ndarray, config: ExperimentConfig,
     return np.cumsum(hist[:-1], axis=0), raise_at
 
 
-def _tables(counts: np.ndarray, raise_at: int, config: ExperimentConfig):
-    """Yield every window's ``CorrelationTable`` from ``_sweep_counts``'s result.
-
-    Raises at the first window that keeps a coincidence outside the
-    config (window ``raise_at``) or keeps none.
-    """
-    for k, window_counts in enumerate(counts):
-        if k == raise_at:
-            raise ValidationError("setting index out of range for the supplied config")
-        if not window_counts.any():
-            raise ValidationError("cannot tabulate an empty coincidence list")
-        yield CorrelationTable(counts=window_counts, settings1=config.settings1, settings2=config.settings2)
-
-
 def window_sweep(
     config: ExperimentConfig,
     windows,
@@ -285,8 +221,11 @@ def window_sweep(
     window splits only the events still contested at the window above,
     bins the uncontested ones at the first window that keeps them, and
     scans the rest (see the ``coincidence`` module).
-    The windows are checked in order: each raises as ``_tables`` does,
-    then as ``chsh`` does for ``quadruple``.
+    The windows are checked in order.  Each raises if it keeps a
+    coincidence outside the config, then if it keeps none, then (the
+    angles are looked up once, at the first window that gets this far)
+    if an angle of ``quadruple`` matches no setting or more than one of
+    its station, mod pi, then if a CHSH cell is empty.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 1 or len(windows) == 0:
@@ -294,6 +233,18 @@ def window_sweep(
     if not np.all(windows[1:] > windows[:-1]):  # "not >" so that a NaN or a repeated inf fails too
         raise ValidationError("window values must be strictly increasing")
     counts, raise_at = _sweep_counts(log, windows, config, policy)
-    results = [chsh(table, quadruple) for table in _tables(counts, raise_at, config)]
-    return SweepResult(windows=windows, counts=counts, n_pairs=log.n_pairs, s=np.array([r.s for r in results]),
-                       s_stderr=np.array([r.stderr for r in results]))
+    cells = None
+    for k, n_total in enumerate(counts.sum(axis=(3, 4))):
+        if k == raise_at:
+            raise ValidationError("setting index out of range for the supplied config")
+        if not n_total.any():
+            raise ValidationError("cannot tabulate an empty coincidence list")
+        if cells is None:
+            a, ap, b, bp = quadruple
+            ia, iap = _find_setting(a, config.settings1, 1), _find_setting(ap, config.settings1, 1)
+            ib, ibp = _find_setting(b, config.settings2, 2), _find_setting(bp, config.settings2, 2)
+            cells = ((ia, ib), (ia, ibp), (iap, ib), (iap, ibp))
+        for i, j in cells:
+            if n_total[i, j] == 0:
+                raise ValidationError(f"missing combination: no coincidences for setting pair ({i},{j})")
+    return SweepResult(windows=windows, counts=counts, n_pairs=log.n_pairs, cells=cells)

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import DEFAULT_QUADRUPLE, CorrelationTable, chsh, window_sweep
+from .analysis import DEFAULT_QUADRUPLE, window_sweep
 from .errors import EprSimError, TagFormatError, ValidationError
 from .events import EmissionSpec, EventLog, ExperimentConfig, rng_provenance, run_experiment
 from .model import ModelParams
@@ -232,17 +232,15 @@ def _analyze(log, config, windows, policy, quadruple, outdir: Path, manifest: Ru
     with _stage(diagnostics["stage_s"], "analyze"):
         sweep = window_sweep(config, np.atleast_1d(windows), quadruple, policy, log=log)
         if np.ndim(windows) == 0:
-            table = CorrelationTable(sweep.counts[0], config.settings1, config.settings2)
-            result = chsh(table, quadruple)
-            csv_path = write_correlation_csv(outdir / "correlations.csv", table)
+            csv_path = write_correlation_csv(outdir / "correlations.csv", sweep, config)
             matched = sweep.matched[0]
             empty_cells = sweep.empty_cells[0]
-            rate = float(sweep.rate[0])
-            summary = {"window": windows, "coincidence_rate": rate, "s": result.s, "s_stderr": result.stderr,
-                       "correlations": {"e_ab": result.e_ab, "e_abp": result.e_abp,
-                                        "e_apb": result.e_apb, "e_apbp": result.e_apbp}}
+            rate, s, s_stderr = float(sweep.rate[0]), float(sweep.s[0]), float(sweep.s_stderr[0])
+            e = [float(sweep.correlation[0, i, j]) for i, j in sweep.cells]
+            summary = {"window": windows, "coincidence_rate": rate, "s": s, "s_stderr": s_stderr,
+                       "correlations": dict(zip(("e_ab", "e_abp", "e_apb", "e_apbp"), e))}
             print(f"{manifest.mode}: n_pairs={log.n_pairs} window={windows} rate={rate:.6f}")
-            print(f"{manifest.mode}: S = {result.s:.6f} +- {result.stderr:.6f}")
+            print(f"{manifest.mode}: S = {s:.6f} +- {s_stderr:.6f}")
         else:
             csv_path = write_sweep_csv(outdir / "sweep.csv", sweep)
             matched = sweep.matched

@@ -363,14 +363,15 @@ def write_csv_columns(path: str | Path, columns: list[tuple[str, np.ndarray]]) -
     return path
 
 
-def write_correlation_csv(path: str | Path, table) -> Path:
-    """One row per setting pair with counts, E, and standard error."""
-    n1, n2 = table.n_total.shape
+def write_correlation_csv(path: str | Path, sweep, config) -> Path:
+    """One row per setting pair of ``sweep``'s first window with counts, E, and standard error."""
+    n_total = sweep.n_total[0]
+    n1, n2 = n_total.shape
     i1, i2 = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
     i1, i2 = i1.ravel(), i2.ravel()
-    ang1 = np.asarray(table.settings1, dtype=float)[i1]
-    ang2 = np.asarray(table.settings2, dtype=float)[i2]
-    counts = table.counts.reshape(n1 * n2, 4)
+    ang1 = np.asarray(config.settings1, dtype=float)[i1]
+    ang2 = np.asarray(config.settings2, dtype=float)[i2]
+    counts = sweep.counts[0].reshape(n1 * n2, 4)
     return write_csv_columns(
         path,
         [
@@ -382,9 +383,9 @@ def write_correlation_csv(path: str | Path, table) -> Path:
             ("n_pm", counts[:, 1]),
             ("n_mp", counts[:, 2]),
             ("n_mm", counts[:, 3]),
-            ("n_total", table.n_total.ravel()),
-            ("correlation", table.correlation.ravel()),
-            ("stderr", table.stderr.ravel()),
+            ("n_total", n_total.ravel()),
+            ("correlation", sweep.correlation[0].ravel()),
+            ("stderr", sweep.stderr[0].ravel()),
         ],
     )
 

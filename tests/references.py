@@ -1,9 +1,10 @@
 """Slow references for the fast paths of ``eprsim``.
 
 * Selectors and a table count that share no code with
-  ``eprsim.coincidence`` or ``eprsim.analysis._bin``: ``test_coincidence``
-  and ``test_analysis`` check both policies of the window sweep, window
-  by window, against them.
+  ``eprsim.coincidence`` or ``eprsim.analysis._bin``, and a scalar CHSH
+  that shares none with ``SweepResult``: ``test_coincidence`` and
+  ``test_analysis`` check both policies of the window sweep, window by
+  window, against them.
 * The oracle's kink seeds with every timescale row recomputed at every
   point: ``test_oracle`` checks that ``oracle._anchor_points``, which
   reuses a row while its station's setting holds, gives the same seeds.
@@ -13,8 +14,8 @@ import math
 
 import numpy as np
 
-from eprsim import CorrelationTable, ValidationError
-from eprsim.model import delay_timescale, misalignments
+from eprsim import ValidationError
+from eprsim.model import delay_timescale, misalignments, normalize_angle
 from eprsim.oracle import _KINK_GRID, _KINK_STEPS
 
 
@@ -95,8 +96,10 @@ def paired_reference(log, window: float) -> tuple[np.ndarray, np.ndarray]:
     return rows, rows
 
 
-def table_reference(log, rows1: np.ndarray, rows2: np.ndarray, config) -> CorrelationTable:
-    """One window's table of the coincidences (row ``rows1[k]``, row ``rows2[k]``), counted one by one.
+def table_reference(log, rows1: np.ndarray, rows2: np.ndarray, config) -> np.ndarray:
+    """One window's (n1, n2, 2, 2) count table of the coincidences (row ``rows1[k]``, row ``rows2[k]``).
+
+    The coincidences are counted one by one.
 
     Raises, with a window's messages, if a coincidence has a setting
     index outside ``config``'s lists, then if there is none.
@@ -111,7 +114,47 @@ def table_reference(log, rows1: np.ndarray, rows2: np.ndarray, config) -> Correl
         raise ValidationError("cannot tabulate an empty coincidence list")
     counts = np.zeros((n1, n2, 2, 2), dtype=np.int64)
     np.add.at(counts, (i1, i2, (s1.outcome[rows1] == -1).astype(int), (s2.outcome[rows2] == -1).astype(int)), 1)
-    return CorrelationTable(counts, config.settings1, config.settings2)
+    return counts
+
+
+def chsh_reference(counts: np.ndarray, config, quadruple) -> tuple[float, float]:
+    """S and its standard error from one window's count table, cell by cell in Python floats.
+
+    The scalar CHSH that ``SweepResult.s`` and ``s_stderr`` must match
+    bit for bit.  Each quadruple angle is found (mod pi) among its
+    station's settings, then each of the four cells (a,b), (a,b'),
+    (a',b), (a',b') must have coincidences; raises what ``window_sweep``
+    raises, with its messages and in its order.
+    """
+
+    def find(angle, settings, station):
+        target = float(normalize_angle(angle))
+        found = []
+        for k, setting in enumerate(settings):
+            d = abs(float(normalize_angle(setting)) - target)
+            if min(d, math.pi - d) <= 1e-9:
+                found.append(k)
+        if not found:
+            raise ValidationError(f"missing combination: angle {angle!r} not among "
+                                  f"station-{station} settings {settings}")
+        if len(found) > 1:
+            raise ValidationError(f"ambiguous combination: angle {angle!r} matches station-{station} settings "
+                                  f"{' and '.join(map(str, found))} of {settings}")
+        return found[0]
+
+    a, ap, b, bp = quadruple
+    ia, iap = find(a, config.settings1, 1), find(ap, config.settings1, 1)
+    ib, ibp = find(b, config.settings2, 2), find(bp, config.settings2, 2)
+    e, squares = [], []
+    for i, j in ((ia, ib), (ia, ibp), (iap, ib), (iap, ibp)):
+        (npp, npm), (nmp, nmm) = counts[i, j].tolist()
+        n = npp + npm + nmp + nmm
+        if n == 0:
+            raise ValidationError(f"missing combination: no coincidences for setting pair ({i},{j})")
+        e.append((npp + nmm - npm - nmp) / n)
+        err = math.sqrt(max(1.0 - e[-1] * e[-1], 0.0) / n)
+        squares.append(err * err)
+    return abs(e[0] - e[1] + e[2] + e[3]), math.sqrt(squares[0] + squares[1] + squares[2] + squares[3])
 
 
 def anchor_points_reference(a1: np.ndarray, a2: np.ndarray, params) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Correlation table, CHSH, and window-sweep tests."""
+"""Count cube, CHSH, and window-sweep tests."""
 
 import os
 import tracemalloc
@@ -10,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import eprsim.coincidence
 import eprsim.events
-from eprsim.analysis import _BLOCK_PAIRS, _sweep_counts, _tables
+from eprsim.analysis import _BLOCK_PAIRS, _sweep_counts
 from eprsim import (
     DEFAULT_QUADRUPLE,
-    CorrelationTable,
     EmissionSpec,
     EventLog,
     ExperimentConfig,
@@ -21,7 +20,6 @@ from eprsim import (
     StationStream,
     SweepResult,
     ValidationError,
-    chsh,
     chsh_combination,
     read_tags,
     run_experiment,
@@ -29,15 +27,18 @@ from eprsim import (
     window_sweep,
     write_tags,
 )
-from references import paired_reference, stream_reference, table_reference
+from references import chsh_reference, paired_reference, stream_reference, table_reference
 
 
-def tabulate(log, config, policy="paired"):
-    """The table of every coincidence of ``log`` at window 0.
+def tabulate(log, config, policy="paired", cell=(0, 0)):
+    """The sweep of every coincidence of ``log`` at window 0, its four CHSH cells all at setting pair ``cell``.
 
-    The sweep's own selection, binning and checks, on a grid of one.
+    The sweep's own selection, binning and checks, on a grid of one; the
+    quadruple (a, a, b, b) of the cell's two angles needs only that cell
+    filled.
     """
-    return next(_tables(*_sweep_counts(log, np.zeros(1), config, policy), config))
+    a, b = config.settings1[cell[0]], config.settings2[cell[1]]
+    return window_sweep(config, [0.0], (a, a, b, b), policy, log=log)
 
 
 def log_from_counts(cells):
@@ -68,32 +69,32 @@ def config_sized(n1, n2):
                             n_pairs=10, seed=0)
 
 
-def tabulate_counts(cells):
+def tabulate_counts(cells, cell=(0, 0)):
     """``tabulate`` of ``log_from_counts(cells)`` with a config sized to the cells' indices."""
     n1 = max((i for i, _ in cells), default=0) + 1
     n2 = max((j for _, j in cells), default=0) + 1
-    return tabulate(log_from_counts(cells), config_sized(n1, n2))
+    return tabulate(log_from_counts(cells), config_sized(n1, n2), cell=cell)
 
 
 class TestTabulate:
     def test_perfect_correlation(self):
-        table = tabulate_counts({(0, 0): (10, 0, 0, 10)})
-        assert table.correlation[0, 0] == 1.0
-        assert table.stderr[0, 0] == 0.0
+        sweep = tabulate_counts({(0, 0): (10, 0, 0, 10)})
+        assert sweep.correlation[0, 0, 0] == 1.0
+        assert sweep.stderr[0, 0, 0] == 0.0
 
     def test_perfect_anticorrelation(self):
-        table = tabulate_counts({(0, 0): (0, 10, 10, 0)})
-        assert table.correlation[0, 0] == -1.0
+        sweep = tabulate_counts({(0, 0): (0, 10, 10, 0)})
+        assert sweep.correlation[0, 0, 0] == -1.0
 
     def test_null_correlation_stderr(self):
-        table = tabulate_counts({(0, 0): (5, 5, 5, 5)})
-        assert table.correlation[0, 0] == 0.0
-        assert table.stderr[0, 0] == pytest.approx(np.sqrt(1.0 / 20.0))
+        sweep = tabulate_counts({(0, 0): (5, 5, 5, 5)})
+        assert sweep.correlation[0, 0, 0] == 0.0
+        assert sweep.stderr[0, 0, 0] == pytest.approx(np.sqrt(1.0 / 20.0))
 
     def test_counts_axes(self):
-        table = tabulate_counts({(0, 1): (1, 2, 3, 4)})
-        np.testing.assert_array_equal(table.counts[0, 1], [[1, 2], [3, 4]])
-        assert table.n_total[0, 1] == 10
+        sweep = tabulate_counts({(0, 1): (1, 2, 3, 4)}, cell=(0, 1))
+        np.testing.assert_array_equal(sweep.counts[0, 0, 1], [[1, 2], [3, 4]])
+        assert sweep.n_total[0, 0, 1] == 10
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError):
@@ -108,9 +109,9 @@ class TestTabulate:
         sweep = window_sweep(cfg, [0.0], log=log)
         assert sweep.counts.shape == (1, 3, 2, 2, 2)
         assert sweep.empty_cells == [[(2, 0)]]
-        table = tabulate(log, cfg)
-        assert np.isnan(table.correlation[2, 0])
-        assert not np.isnan(table.correlation[2, 1])
+        assert np.isnan(sweep.correlation[0, 2, 0])
+        assert np.isnan(sweep.stderr[0, 2, 0])
+        assert not np.isnan(sweep.correlation[0, 2, 1])
 
     def test_reads_columns_through_rows(self):
         # Station 2 lists the same two events in the other row order, so the
@@ -120,14 +121,10 @@ class TestTabulate:
             StationStream(1, np.array([0.0, 10.0]), np.array([0, 1], dtype=np.int16), np.array([1, -1], dtype=np.int8)),
             StationStream(2, np.array([10.0, 0.0]), np.array([1, 0], dtype=np.int16), np.array([-1, 1], dtype=np.int8)),
         )
-        table = tabulate(log, config_sized(2, 2), "stream")
-        np.testing.assert_array_equal(table.counts[0, 0], [[1, 0], [0, 0]])
-        np.testing.assert_array_equal(table.counts[1, 1], [[0, 0], [0, 1]])
-        assert table.n_total.sum() == 2
-
-    def test_counts_must_fit_the_settings(self):
-        with pytest.raises(ValidationError, match=r"counts of shape \(1, 1, 2, 2\) do not fit"):
-            CorrelationTable(counts=np.ones((1, 1, 2, 2)), settings1=(0, np.pi / 4), settings2=(np.pi / 8, 3 * np.pi / 8))
+        sweep = tabulate(log, config_sized(2, 2), "stream")
+        np.testing.assert_array_equal(sweep.counts[0, 0, 0], [[1, 0], [0, 0]])
+        np.testing.assert_array_equal(sweep.counts[0, 1, 1], [[0, 0], [0, 1]])
+        assert sweep.n_total[0].sum() == 2
 
     def test_index_outside_config_rejected(self):
         cfg = ExperimentConfig(settings1=(0.0,), settings2=(0.5,), n_pairs=10, seed=0)
@@ -137,86 +134,135 @@ class TestTabulate:
 
 
 def table_from_correlation(quadruple, correlation, n=10**9):
-    """Exact-probability counts (scaled to large n) for a correlation function."""
+    """Exact-probability (2, 2, 2, 2) counts (scaled to large n) for a correlation function."""
     a, ap, b, bp = quadruple
-    cells = {}
+    counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
     for i, s1 in enumerate((a, ap)):
         for j, s2 in enumerate((b, bp)):
             e = correlation(s1, s2)
             same = int(round(n * (1 + e) / 4))
             diff = int(round(n * (1 - e) / 4))
-            cells[(i, j)] = (same, diff, diff, same)
-    counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
-    for (i, j), (npp, npm, nmp, nmm) in cells.items():
-        counts[i, j] = [[npp, npm], [nmp, nmm]]
-    return CorrelationTable(counts=counts, settings1=(a, ap), settings2=(b, bp))
+            counts[i, j] = [[same, diff], [diff, same]]
+    return counts
 
 
 # Settings (a, a') and (b, b') of the default quadruple at indices 0 and 1.
 QUADRUPLE_CONFIG = ExperimentConfig(settings1=DEFAULT_QUADRUPLE[:2], settings2=DEFAULT_QUADRUPLE[2:], n_pairs=10, seed=0)
 
 
+def chsh_of_table(counts, quadruple=DEFAULT_QUADRUPLE):
+    """The one-window sweep of a synthetic count table of ``QUADRUPLE_CONFIG`` at ``quadruple``.
+
+    ``window_sweep`` looks the quadruple's cells up on a log with one
+    coincidence in every cell; the result holds ``counts`` at those cells.
+    """
+    log = log_from_counts({(i, j): (1, 0, 0, 0) for i in range(2) for j in range(2)})
+    cells = window_sweep(QUADRUPLE_CONFIG, [0.0], quadruple, log=log).cells
+    return SweepResult(windows=np.zeros(1), counts=counts[None], n_pairs=int(counts.sum()), cells=cells)
+
+
 class TestChsh:
     def test_singlet_reaches_tsirelson(self):
-        table = table_from_correlation(DEFAULT_QUADRUPLE, singlet_correlation)
-        result = chsh(table, DEFAULT_QUADRUPLE)
-        assert result.s == pytest.approx(2.0 * np.sqrt(2.0), abs=5e-9)
+        sweep = chsh_of_table(table_from_correlation(DEFAULT_QUADRUPLE, singlet_correlation))
+        assert sweep.s[0] == pytest.approx(2.0 * np.sqrt(2.0), abs=5e-9)
 
     def test_null_table(self):
-        table = table_from_correlation(DEFAULT_QUADRUPLE, lambda a, b: 0.0)
-        assert chsh(table, DEFAULT_QUADRUPLE).s == 0.0
+        assert chsh_of_table(table_from_correlation(DEFAULT_QUADRUPLE, lambda a, b: 0.0)).s[0] == 0.0
 
     def test_half_singlet(self):
-        table = table_from_correlation(DEFAULT_QUADRUPLE, lambda a, b: 0.5 * singlet_correlation(a, b))
-        assert chsh(table, DEFAULT_QUADRUPLE).s == pytest.approx(np.sqrt(2.0), abs=2e-8)
+        sweep = chsh_of_table(table_from_correlation(DEFAULT_QUADRUPLE, lambda a, b: 0.5 * singlet_correlation(a, b)))
+        assert sweep.s[0] == pytest.approx(np.sqrt(2.0), abs=2e-8)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.0], ids=["singlet", "half-singlet", "null"])
+    def test_equals_the_scalar_reference(self, scale):
+        counts = table_from_correlation(DEFAULT_QUADRUPLE, lambda a, b: scale * singlet_correlation(a, b))
+        sweep = chsh_of_table(counts)
+        s, s_stderr = chsh_reference(counts, QUADRUPLE_CONFIG, DEFAULT_QUADRUPLE)
+        assert (sweep.s.tolist(), sweep.s_stderr.tolist()) == ([s], [s_stderr])
 
     def test_error_propagates_in_quadrature(self):
         cells = {(i, j): (5, 5, 5, 5) for i in range(2) for j in range(2)}
-        table = tabulate(log_from_counts(cells), QUADRUPLE_CONFIG)
-        result = chsh(table, DEFAULT_QUADRUPLE)
-        assert result.stderr == pytest.approx(np.sqrt(4 * (1.0 / 20.0)))
+        sweep = window_sweep(QUADRUPLE_CONFIG, [0.0], log=log_from_counts(cells))
+        assert sweep.s_stderr[0] == pytest.approx(np.sqrt(4 * (1.0 / 20.0)))
 
     def test_missing_angle_rejected(self):
-        table = table_from_correlation(DEFAULT_QUADRUPLE, singlet_correlation)
         with pytest.raises(ValidationError, match="missing combination"):
-            chsh(table, (0.0, np.pi / 4, np.pi / 8, 0.77))
+            chsh_of_table(table_from_correlation(DEFAULT_QUADRUPLE, singlet_correlation),
+                          (0.0, np.pi / 4, np.pi / 8, 0.77))
 
     def test_empty_combination_rejected(self):
         cells = {(i, j): (5, 5, 5, 5) for i in range(2) for j in range(2) if (i, j) != (1, 1)}
-        table = tabulate(log_from_counts(cells), QUADRUPLE_CONFIG)
         with pytest.raises(ValidationError, match="missing combination"):
-            chsh(table, DEFAULT_QUADRUPLE)
+            window_sweep(QUADRUPLE_CONFIG, [0.0], log=log_from_counts(cells))
+
+    def test_ambiguous_angle_rejected(self):
+        # 0 and 180 degrees are one setting mod pi: quadruple angle a would match both.
+        config = ExperimentConfig(settings1=(0.0, np.pi, np.pi / 4), settings2=DEFAULT_QUADRUPLE[2:],
+                                  n_pairs=10, seed=0)
+        log = log_from_counts({(i, j): (1, 0, 0, 0) for i in range(3) for j in range(2)})
+        with pytest.raises(ValidationError, match="ambiguous combination: angle 0.0 matches station-1 settings "
+                                                  "0 and 1 of") as new:
+            window_sweep(config, [0.0], log=log)
+        with pytest.raises(ValidationError) as ref:
+            chsh_reference(table_reference(log, *paired_reference(log, 0.0), config), config, DEFAULT_QUADRUPLE)
+        assert str(new.value) == str(ref.value)
 
     def test_angle_matching_mod_pi(self):
-        table = table_from_correlation(DEFAULT_QUADRUPLE, singlet_correlation)
         shifted = (np.pi, np.pi / 4 + np.pi, np.pi / 8 - np.pi, 3 * np.pi / 8)
-        assert chsh(table, shifted).s == pytest.approx(2.0 * np.sqrt(2.0), abs=5e-9)
+        sweep = chsh_of_table(table_from_correlation(DEFAULT_QUADRUPLE, singlet_correlation), shifted)
+        assert sweep.s[0] == pytest.approx(2.0 * np.sqrt(2.0), abs=5e-9)
 
     @pytest.mark.parametrize("a", [1e-12, -1e-12])
     def test_angle_matching_wraps_at_pi(self, a):
         # -1e-12 rad reduces to just below pi, which is 1e-12 from setting 0 on the circle.
         table = table_from_correlation(DEFAULT_QUADRUPLE, singlet_correlation)
-        assert chsh(table, (a, *DEFAULT_QUADRUPLE[1:])) == chsh(table, DEFAULT_QUADRUPLE)
+        wrapped, plain = chsh_of_table(table, (a, *DEFAULT_QUADRUPLE[1:])), chsh_of_table(table)
+        assert wrapped.cells == plain.cells == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert (wrapped.s, wrapped.s_stderr) == (plain.s, plain.s_stderr)
 
     def test_combination_formula(self):
         assert chsh_combination(-0.5, 0.5, -0.5, -0.5) == 2.0
 
 
+def chsh_cube(e, n):
+    """A count cube over ``len(e)`` windows and 2 x 2 settings, and its CHSH cells.
+
+    Window k holds ``n[k]`` coincidences in each cell, at E = e[k], but
+    E(a,b') = -e[k]; so S = 4 e[k].  Each n[k] (1 + e[k]) / 2 must be an
+    integer.
+    """
+    counts = np.zeros((len(e), 2, 2, 2, 2), dtype=np.int64)
+    for k, (ek, nk) in enumerate(zip(e, n)):
+        same, diff = round(nk * (1 + ek) / 2), round(nk * (1 - ek) / 2)
+        counts[k] = [[same, diff], [0, 0]]
+        counts[k, 0, 1] = [[diff, same], [0, 0]]
+    return counts, ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 class TestSweepResult:
     def test_crossings(self):
-        counts = np.zeros((4, 1, 1, 2, 2), dtype=np.int64)
-        counts[:, 0, 0, 0, 0] = [1, 2, 4, 8]
-        sweep = SweepResult(
-            windows=np.array([1.0, 2.0, 4.0, 8.0]),
-            counts=counts,
-            n_pairs=10,
-            s=np.array([2.5, 2.2, 1.8, 1.5]),
-            s_stderr=np.full(4, 0.01),
-        )
+        counts, cells = chsh_cube([0.6, 0.55, 0.45, 0.4], [20, 40, 80, 160])
+        sweep = SweepResult(windows=np.array([1.0, 2.0, 4.0, 8.0]), counts=counts, n_pairs=800, cells=cells)
+        np.testing.assert_allclose(sweep.s, [2.4, 2.2, 1.8, 1.6], rtol=1e-14)
         assert sweep.crossings() == [(2.0, 4.0)]
-        assert sweep.matched.tolist() == [1, 2, 4, 8]
+        assert sweep.matched.tolist() == [80, 160, 320, 640]
         assert sweep.rate.tolist() == [0.1, 0.2, 0.4, 0.8]
         assert sweep.empty_cells == [[]] * 4
+
+    def test_crossings_from_and_at_the_bound(self):
+        # S = 2 exactly at the second window: 2.4 -> 2 is a crossing, 2 -> 1.6 is not.
+        counts, cells = chsh_cube([0.6, 0.5, 0.4], [20, 20, 20])
+        sweep = SweepResult(windows=np.array([1.0, 2.0, 4.0]), counts=counts, n_pairs=80, cells=cells)
+        assert sweep.s[1] == 2.0
+        assert sweep.crossings() == [(1.0, 2.0)]
+
+    def test_empty_chsh_cell_gives_nan(self):
+        counts, cells = chsh_cube([0.6, 0.4], [20, 20])
+        counts[0, 1, 1] = 0
+        sweep = SweepResult(windows=np.array([1.0, 2.0]), counts=counts, n_pairs=80, cells=cells)
+        assert np.isnan(sweep.s[0]) and np.isnan(sweep.s_stderr[0])
+        assert sweep.s[1] == pytest.approx(1.6)
+        assert sweep.empty_cells == [[(1, 1)], []]
 
 
 class TestWindowSweep:
@@ -270,10 +316,11 @@ class TestWindowSweep:
 def sweep_reference(config, windows, quadruple=DEFAULT_QUADRUPLE, policy="paired", log=None):
     """The per-window sweep: match, tabulate and CHSH once per window.
 
-    Kept (but for returning the three arrays, and for selecting and
-    counting with the test-only references, which share no code with the
-    sweep's walk, ``pair_window_index`` or ``_bin``) as the reference that
-    both one-pass sweeps, paired and stream, must reproduce exactly.
+    Kept (but for returning the three arrays, and for selecting, counting
+    and computing S with the test-only references, which share no code
+    with the sweep's walk, ``pair_window_index``, ``_bin`` or
+    ``SweepResult``) as the reference that both one-pass sweeps, paired
+    and stream, must reproduce exactly.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 1 or len(windows) == 0:
@@ -291,9 +338,7 @@ def sweep_reference(config, windows, quadruple=DEFAULT_QUADRUPLE, policy="paired
     for k, w in enumerate(windows):
         rows1, rows2 = select(log, float(w))
         rates[k] = len(rows1) / log.n_pairs
-        result = chsh(table_reference(log, rows1, rows2, config), quadruple)
-        s_vals[k] = result.s
-        s_errs[k] = result.stderr
+        s_vals[k], s_errs[k] = chsh_reference(table_reference(log, rows1, rows2, config), config, quadruple)
     return s_vals, s_errs, rates
 
 
@@ -326,6 +371,10 @@ def sweep_inputs(draw):
     if draw(st.booleans()):
         windows = np.append(windows, np.inf)
     return config, windows, log
+
+
+# The default quadruple with b' = 0.77 rad, which no default station-2 setting matches.
+MISSING_B = (*DEFAULT_QUADRUPLE[:3], 0.77)
 
 
 class TestOnePassSweep:
@@ -416,32 +465,36 @@ class TestOnePassSweep:
                         StationStream(2, t1 + dts, i2.astype(np.int16), -x, pid if isinstance(pid2, str) else pid2))
 
     @pytest.mark.parametrize(
-        "windows, log_args, message",
+        "windows, log_args, message, quadruple",
         [
             # A bad first window is reported before the missing pair ids.
-            ([-1.0, 5.0], dict(pid2=None), "window must be >= 0, got -1.0"),
-            ([np.nan], dict(pid2=None), "window must be >= 0, got nan"),
-            ([5.0], dict(pid2=None), "per-pair filtering needs pair ids"),
-            ([5.0], dict(pid2=np.arange(8)[::-1].copy()), "mismatched pair_id columns"),
+            ([-1.0, 5.0], dict(pid2=None), "window must be >= 0, got -1.0", DEFAULT_QUADRUPLE),
+            ([np.nan], dict(pid2=None), "window must be >= 0, got nan", DEFAULT_QUADRUPLE),
+            ([5.0], dict(pid2=None), "per-pair filtering needs pair ids", DEFAULT_QUADRUPLE),
+            ([5.0], dict(pid2=np.arange(8)[::-1].copy()), "mismatched pair_id columns", DEFAULT_QUADRUPLE),
             # Nothing at the first window, an out-of-range index at the second.
-            ([0.5, 5.0], dict(extra=[(3, 2, 0)]), "cannot tabulate an empty coincidence list"),
-            ([2.0, 5.0], dict(extra=[(3, 2, 0)]), "setting index out of range"),
-            ([2.0, 5.0], dict(extra=[(3, 0, -1)]), "setting index out of range"),
-            ([2.0, 3.0, 5.0], dict(extra=[(5, 0, 7)]), "setting index out of range"),
+            ([0.5, 5.0], dict(extra=[(3, 2, 0)]), "cannot tabulate an empty coincidence list", DEFAULT_QUADRUPLE),
+            ([2.0, 5.0], dict(extra=[(3, 2, 0)]), "setting index out of range", DEFAULT_QUADRUPLE),
+            ([2.0, 5.0], dict(extra=[(3, 0, -1)]), "setting index out of range", DEFAULT_QUADRUPLE),
+            ([2.0, 3.0, 5.0], dict(extra=[(5, 0, 7)]), "setting index out of range", DEFAULT_QUADRUPLE),
             # A missing cell at the first window beats a bad index at the second ...
             ([2.0, 5.0], dict(extra=[(3, 2, 0)], drop_cell_11=True),
-             r"missing combination: no coincidences for setting pair \(1,1\)"),
+             r"missing combination: no coincidences for setting pair \(1,1\)", DEFAULT_QUADRUPLE),
             # ... but not a bad index at the same window.
-            ([2.0, 5.0], dict(extra=[(1, 2, 0)], drop_cell_11=True), "setting index out of range"),
+            ([2.0, 5.0], dict(extra=[(1, 2, 0)], drop_cell_11=True), "setting index out of range", DEFAULT_QUADRUPLE),
+            # An angle missing from the settings: an empty first window is reported first ...
+            ([0.5, 5.0], {}, "cannot tabulate an empty coincidence list", MISSING_B),
+            # ... then the angle, at the first window with coincidences.
+            ([2.0, 5.0], {}, "missing combination: angle 0.77 not among station-2 settings", MISSING_B),
         ],
     )
-    def test_rejects_what_the_reference_rejects(self, windows, log_args, message):
+    def test_rejects_what_the_reference_rejects(self, windows, log_args, message, quadruple):
         config = ExperimentConfig(n_pairs=10, seed=0)
         log = self.log_with(**log_args)
         with pytest.raises(ValidationError, match=message) as new:
-            window_sweep(config, windows, log=log)
+            window_sweep(config, windows, quadruple, log=log)
         with pytest.raises(ValidationError) as ref:
-            sweep_reference(config, windows, log=log)
+            sweep_reference(config, windows, quadruple, log=log)
         assert str(new.value) == str(ref.value)
 
     def contested_log(self, i1):
@@ -511,7 +564,7 @@ class TestOnePassSweep:
 
 
 def reference_tables(log, windows, config):
-    """The per-pair rule's table, window by window, from the references."""
+    """The per-pair rule's count table, window by window, from the references."""
     return (table_reference(log, *paired_reference(log, float(w)), config) for w in windows)
 
 
@@ -520,7 +573,7 @@ def tables_until_error(tables):
     counts = []
     try:
         for table in tables:
-            counts.append(table.counts)
+            counts.append(table)
     except ValidationError as exc:
         return counts, str(exc)
     return counts, None
@@ -561,9 +614,9 @@ class TestBlockedPass:
         config = self.config(emission)
         log = run_experiment(config)
         cpus()
-        new, new_error = tables_until_error(_tables(*_sweep_counts(log, self.WINDOWS, config, "paired"), config))
+        new = window_sweep(config, self.WINDOWS, log=log).counts
         ref, ref_error = tables_until_error(reference_tables(log, self.WINDOWS, config))
-        assert new_error is ref_error is None
+        assert ref_error is None
         assert len(new) == len(ref) == len(self.WINDOWS)
         for a, b in zip(new, ref):
             np.testing.assert_array_equal(a, b)
@@ -581,11 +634,13 @@ class TestBlockedPass:
         first_block_late = int(np.flatnonzero(dt[:_BLOCK_PAIRS] > 500.0)[0])
         s1.setting_index[[first_block_late, -1]] = 2
         cpus()
-        new = tables_until_error(_tables(*_sweep_counts(log, self.WINDOWS, config, "paired"), config))
-        ref = tables_until_error(reference_tables(log, self.WINDOWS, config))
-        assert len(new[0]) == len(ref[0]) == 2
-        assert new[1] == ref[1] == "setting index out of range for the supplied config"
-        for a, b in zip(new[0], ref[0]):
+        counts, raise_at = _sweep_counts(log, self.WINDOWS, config, "paired")
+        with pytest.raises(ValidationError) as new:
+            window_sweep(config, self.WINDOWS, log=log)
+        ref, ref_error = tables_until_error(reference_tables(log, self.WINDOWS, config))
+        assert raise_at == len(ref) == 2
+        assert str(new.value) == ref_error == "setting index out of range for the supplied config"
+        for a, b in zip(counts[:raise_at], ref):
             np.testing.assert_array_equal(a, b)
 
     def test_no_temporary_grows_with_the_log(self, monkeypatch):

@@ -22,6 +22,8 @@ RETIRED_HOOKS = {
     "eprsim.coincidence.stream_match",
     "eprsim.analysis.run_experiment",
     "eprsim.oracle.correlation_exact",
+    "eprsim.cli.chsh",
+    "eprsim.analysis.chsh",
 }
 
 

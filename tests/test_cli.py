@@ -181,6 +181,18 @@ def test_grid_count_takes_ascii_digits_only(tmp_path, capsys, count):
     assert not any(tmp_path.iterdir())
 
 
+def test_ambiguous_quadruple_angle_exits_1(tmp_path, capsys):
+    # 0 and 180 degrees are one setting mod pi, so angle a of the quadruple matches settings 0 and 1.
+    argv = ["--mode", "mc", "--pairs", "20000", "--angles1", "0deg,180deg,45deg", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    settings = (0.0, np.pi, np.pi / 4)
+    assert capsys.readouterr().err.splitlines() == [
+        "eprsim: invalid configuration: ambiguous combination: "
+        f"angle 0.0 matches station-1 settings 0 and 1 of {settings}"
+    ]
+    assert not any(tmp_path.iterdir())
+
+
 def test_mc_and_sweep_manifests_record_rng_provenance(tmp_path):
     # reanalyze copies the provenance from the tags' side manifest, or
     # records null for a side manifest that does not carry it.

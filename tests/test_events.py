@@ -13,6 +13,7 @@ from eprsim import (
     EventLog,
     ExperimentConfig,
     ModelParams,
+    SweepResult,
     ValidationError,
     read_tags,
     run_experiment,
@@ -293,9 +294,10 @@ class TestRunExperiment:
         se = {}
         for key, cfg in (("a", cfg_a), ("b", cfg_b)):
             log = run_experiment(cfg)
-            table = table_reference(log, *paired_reference(log, 0.05), cfg)
-            e[key] = table.correlation[0, 0]
-            se[key] = table.stderr[0, 0]
+            counts = table_reference(log, *paired_reference(log, 0.05), cfg)
+            sweep = SweepResult(windows=np.array([0.05]), counts=counts[None], n_pairs=n, cells=())
+            e[key] = sweep.correlation[0, 0, 0]
+            se[key] = sweep.stderr[0, 0, 0]
         sigma = np.hypot(se["a"], se["b"])
         assert abs(e["a"] - e["b"]) < 5.0 * sigma
 

@@ -8,6 +8,7 @@ the smoke test of the installed CLI under ``-W error``.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -65,6 +66,19 @@ def test_dense_tag_round_trip_reproduces_correlations(run, tmp_path):
         "--out", "run_dense_re")
     written = (tmp_path / "run_dense" / "correlations.csv").read_bytes()
     assert written == (tmp_path / "run_dense_re" / "correlations.csv").read_bytes()
+
+
+def test_one_window_manifest_records_the_chsh_cells_correlations(run, tmp_path):
+    # Station-1 settings 90, 45 and 0 deg put a = 0 and a' = 45 deg at indices 2 and 1,
+    # so the CHSH cells are (2,0), (2,1), (1,0) and (1,1), not (0,0) to (1,1).
+    run("--mode", "mc", "--pairs", "20000", "--window", "10", "--angles1", "90deg,45deg,0deg", "--out", "run_cells")
+    res = results(tmp_path / "run_cells", "mc")
+    with open(tmp_path / "run_cells" / "correlations.csv", encoding="utf-8") as fh:
+        e_csv = {(int(r["setting_index1"]), int(r["setting_index2"])): float(r["correlation"])
+                 for r in csv.DictReader(fh)}
+    e = res["correlations"]
+    assert [e["e_ab"], e["e_abp"], e["e_apb"], e["e_apbp"]] == [e_csv[c] for c in ((2, 0), (2, 1), (1, 0), (1, 1))]
+    assert abs(e["e_ab"] - e["e_abp"] + e["e_apb"] + e["e_apbp"]) == res["s"]
 
 
 def assert_grid_ends_equal_single_windows(grid_dir, first_dir, last_dir):
