@@ -13,6 +13,10 @@ cumulative sum over the windows is every window's count table.
 of shape (n_windows, n1, n2, 2, 2), and ``SweepResult`` derives E, its
 stderr, S and S's stderr from the cube as arrays over every window at
 once; no per-window table exists.
+
+``window_sweep`` checks the grid, the policy, the policy's checks of the
+log, every event's setting index and the CHSH angles (``chsh_cells``)
+before it counts; then that each window keeps coincidences in every CHSH cell.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coincidence import MatchPolicy, check_pair_filter, pair_window_index, stream_window_index
+from .coincidence import MatchPolicy, check_pair_filter, check_stream_match, pair_window_index, stream_window_index
 from .errors import ValidationError
 from .events import EventLog, ExperimentConfig, map_ranges
 from .model import DEFAULT_QUADRUPLE, normalize_angle
@@ -31,6 +35,7 @@ from .model import DEFAULT_QUADRUPLE, normalize_angle
 __all__ = [
     "DEFAULT_QUADRUPLE",
     "SweepResult",
+    "chsh_cells",
     "chsh_combination",
     "window_sweep",
 ]
@@ -41,46 +46,35 @@ def chsh_combination(e_ab: float, e_abp: float, e_apb: float, e_apbp: float) -> 
     return abs(e_ab - e_abp + e_apb + e_apbp)
 
 
-def _outside(index: np.ndarray, n: int) -> np.ndarray:
-    """Which setting index values fall outside a list of ``n`` settings."""
-    return (index < 0) | (index >= n)
-
-
-def _bin(log: EventLog, groups, n_windows: int, config: ExperimentConfig) -> tuple[np.ndarray, int]:
-    """Coincidence groups counted by window and cell, and the first window that keeps one outside the config.
+def _bin(log: EventLog, groups, n_windows: int, config: ExperimentConfig) -> np.ndarray:
+    """Coincidence groups counted by window and cell.
 
     Each group is ``(rows1, rows2, start, stop)``: coincidence k pairs
     row ``rows1[k]`` of station 1 with row ``rows2[k]`` of station 2 and
-    is kept at windows ``start[k] <= j < stop`` (``start``
-    may be of any integer type; it is widened to ``np.intp``, in place if
-    it is one already, and overwritten; a start of ``n_windows`` is kept
-    at no window).  Each
-    group is counted at ``start`` and its total subtracted at ``stop``,
-    so the cumulative sum of the histogram over its first axis is every
-    window's count table.  The histogram has shape (n_windows + 1, n1,
-    n2, 2, 2); its last row, which no window reads, holds what no window
-    keeps and every coincidence with a setting index outside the n1 x n2
-    settings, which would otherwise land in another cell.  The window
-    returned for those is ``n_windows`` if there are none.
+    is kept at windows ``start[k] <= j < stop`` (``start`` may be of any
+    integer type; it is widened to ``np.intp``, in place if it is one
+    already, and overwritten; a start of ``n_windows`` is kept at no
+    window).  Each group is counted at ``start`` and its total
+    subtracted at ``stop``, so the cumulative sum of the histogram over
+    its first axis is every window's count table.  The histogram has
+    shape (n_windows + 1, n1, n2, 2, 2); its last row, which no window
+    reads, holds what no window keeps.  Every setting index must lie in
+    ``config``'s lists, or it lands in another cell.
     """
     s1, s2 = log.station1, log.station2
     n1, n2 = len(config.settings1), len(config.settings2)
     shape = (n_windows + 1, n1, n2, 2, 2)
     hist = np.zeros(shape, dtype=np.int64)
-    raise_at = n_windows
     for rows1, rows2, start, stop in groups:
         code = start.astype(np.intp, copy=False)  # wide enough for a cell code
         i1, i2 = s1.setting_index[rows1], s2.setting_index[rows2]
-        bad = np.flatnonzero(_outside(i1, n1) | _outside(i2, n2))
-        raise_at = min(raise_at, int(code[bad].min(initial=n_windows)))
         for size, digit in ((n1, i1), (n2, i2), (2, s1.outcome[rows1] < 0), (2, s2.outcome[rows2] < 0)):
             code *= size
             code += digit
-        code[bad] = hist.size - 1
         group = np.bincount(code, minlength=hist.size).reshape(shape)
         hist += group
         hist[stop] -= group[:stop].sum(axis=0)
-    return hist, raise_at
+    return hist
 
 
 def _find_setting(angle: float, settings: tuple[float, ...], station: int) -> int:
@@ -98,6 +92,14 @@ def _find_setting(angle: float, settings: tuple[float, ...], station: int) -> in
     return found[0]
 
 
+def chsh_cells(config: ExperimentConfig, quadruple) -> tuple[tuple[int, int], ...]:
+    """The setting pairs (a, b), (a, b'), (a', b), (a', b') of a quadruple (a, a', b, b'), found mod pi."""
+    a, ap, b, bp = quadruple
+    ia, iap = _find_setting(a, config.settings1, 1), _find_setting(ap, config.settings1, 1)
+    ib, ibp = _find_setting(b, config.settings2, 2), _find_setting(bp, config.settings2, 2)
+    return (ia, ib), (ia, ibp), (iap, ib), (iap, ibp)
+
+
 @dataclass(eq=False)
 class SweepResult:
     """Coincidence counts, correlations and the CHSH statistic versus coincidence window.
@@ -106,9 +108,8 @@ class SweepResult:
     ``windows[k]`` with station settings (i, j) and outcomes (x1, x2),
     where axis index 0 encodes +1 and 1 encodes -1; the ``n_pairs``
     emitted pairs are the denominator of the coincidence rate.  ``cells``
-    are the setting pairs (a, b), (a, b'), (a', b) and (a', b') of the
-    CHSH quadruple.  Everything else derives from ``counts``, every
-    window at once.
+    are the quadruple's ``chsh_cells``.  Everything else derives from
+    ``counts``, every window at once.
     """
 
     windows: np.ndarray
@@ -171,35 +172,30 @@ class SweepResult:
 _BLOCK_PAIRS = 1 << 16
 
 
-def _sweep_counts(log: EventLog, windows: np.ndarray, config: ExperimentConfig,
-                  policy: MatchPolicy) -> tuple[np.ndarray, int]:
-    """Every window's count table, from one ``_bin`` histogram, and ``_bin``'s first bad window.
+def _sweep_counts(log: EventLog, windows: np.ndarray, config: ExperimentConfig, policy: MatchPolicy) -> np.ndarray:
+    """Every window's count table, from one ``_bin`` histogram.
 
-    The tables have shape (len(windows), n1, n2, 2, 2).  Policy
-    ``"paired"`` runs ``check_pair_filter`` once, then bins each pair
-    once, at the first window that keeps it: :func:`map_ranges` splits
-    the log into one contiguous, block-aligned row range per CPU, and
-    each range is binned in groups of ``_BLOCK_PAIRS`` pairs into a
-    histogram of its own, so no temporary grows with the log.  The
-    integer histograms are summed: the tables do not depend on the
-    split.  Policy ``"stream"`` bins the groups of
-    ``stream_window_index``.
+    The tables have shape (len(windows), n1, n2, 2, 2); the policy's
+    checks must have passed.  Policy ``"paired"`` bins each pair once, at
+    the first window that keeps it: :func:`map_ranges` splits the log
+    into one contiguous, block-aligned row range per CPU, and each range
+    is binned in groups of ``_BLOCK_PAIRS`` pairs into a histogram of its
+    own, so no temporary grows with the log.  The integer histograms are
+    summed: the tables do not depend on the split.  Policy ``"stream"``
+    bins the groups of ``stream_window_index``.
     """
     if policy == "paired":
-        check_pair_filter(log, windows[0])
-
-        def histogram(start: int, stop: int) -> tuple[np.ndarray, int]:
+        def histogram(start: int, stop: int) -> np.ndarray:
             blocks = (slice(lo, min(lo + _BLOCK_PAIRS, stop)) for lo in range(start, stop, _BLOCK_PAIRS))
             groups = ((rows, rows, pair_window_index(log, windows, rows), len(windows)) for rows in blocks)
             return _bin(log, groups, len(windows), config)
 
-        parts = map_ranges(histogram, log.n_pairs, _BLOCK_PAIRS, os.cpu_count() or 1)
-        hist, raise_at = sum(hist for hist, _ in parts), min(raise_at for _, raise_at in parts)
+        hist = sum(map_ranges(histogram, log.n_pairs, _BLOCK_PAIRS, os.cpu_count() or 1))
     elif policy == "stream":
-        hist, raise_at = _bin(log, stream_window_index(log, windows), len(windows), config)
+        hist = _bin(log, stream_window_index(log, windows), len(windows), config)
     else:
         raise ValidationError(f"unknown match policy {policy!r}")
-    return np.cumsum(hist[:-1], axis=0), raise_at
+    return np.cumsum(hist[:-1], axis=0)
 
 
 def window_sweep(
@@ -214,36 +210,32 @@ def window_sweep(
 
     Every window is analyzed on the same ``log``, generated or read from
     tags, which gives a smooth correlated-sample curve; for independent
-    error bars, sweep one log per seed.
-    Either policy reads every window's table from one histogram.  Policy
-    ``"paired"`` bins the log in one pass.  Policy ``"stream"`` sorts each
-    station once and walks the grid from the largest window down: each
-    window splits only the events still contested at the window above,
-    bins the uncontested ones at the first window that keeps them, and
-    scans the rest (see the ``coincidence`` module).
-    The windows are checked in order.  Each raises if it keeps a
-    coincidence outside the config, then if it keeps none, then (the
-    angles are looked up once, at the first window that gets this far)
-    if an angle of ``quadruple`` matches no setting or more than one of
-    its station, mod pi, then if a CHSH cell is empty.
+    error bars, sweep one log per seed.  Before counting (see
+    ``_sweep_counts``) it raises, in this order, for a grid that is not
+    1-D and strictly increasing, an unknown policy, the policy's checks
+    of the log at ``windows[0]``, an event with a setting index outside
+    ``config`` (kept at any window or none), and a ``quadruple`` angle
+    that matches no setting of its station or two, mod pi; then for the
+    first window with no coincidence or an empty CHSH cell.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 1 or len(windows) == 0:
         raise ValidationError("windows must be a non-empty 1-D sequence")
     if not np.all(windows[1:] > windows[:-1]):  # "not >" so that a NaN or a repeated inf fails too
         raise ValidationError("window values must be strictly increasing")
-    counts, raise_at = _sweep_counts(log, windows, config, policy)
-    cells = None
-    for k, n_total in enumerate(counts.sum(axis=(3, 4))):
-        if k == raise_at:
+    check = {"paired": check_pair_filter, "stream": check_stream_match}.get(policy)
+    if check is None:
+        raise ValidationError(f"unknown match policy {policy!r}")
+    check(log, windows[0])
+    for s, settings in ((log.station1, config.settings1), (log.station2, config.settings2)):
+        # min and max allocate nothing the size of the log; initial=0 lets an empty station pass
+        if s.setting_index.min(initial=0) < 0 or s.setting_index.max(initial=0) >= len(settings):
             raise ValidationError("setting index out of range for the supplied config")
+    cells = chsh_cells(config, quadruple)
+    counts = _sweep_counts(log, windows, config, policy)
+    for n_total in counts.sum(axis=(3, 4)):
         if not n_total.any():
             raise ValidationError("cannot tabulate an empty coincidence list")
-        if cells is None:
-            a, ap, b, bp = quadruple
-            ia, iap = _find_setting(a, config.settings1, 1), _find_setting(ap, config.settings1, 1)
-            ib, ibp = _find_setting(b, config.settings2, 2), _find_setting(bp, config.settings2, 2)
-            cells = ((ia, ib), (ia, ibp), (iap, ib), (iap, ibp))
         for i, j in cells:
             if n_total[i, j] == 0:
                 raise ValidationError(f"missing combination: no coincidences for setting pair ({i},{j})")

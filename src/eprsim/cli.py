@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import DEFAULT_QUADRUPLE, window_sweep
+from .analysis import DEFAULT_QUADRUPLE, chsh_cells, window_sweep
 from .errors import EprSimError, TagFormatError, ValidationError
 from .events import EmissionSpec, EventLog, ExperimentConfig, rng_provenance, run_experiment
 from .model import ModelParams
@@ -93,15 +93,13 @@ def parse_windows(text: str) -> np.ndarray:
     n = int(num)
     if n < 1:
         raise ValidationError("window grid needs at least one point")
-    if n == 1:
-        return np.array([lo])
     if hi <= lo:
         raise ValidationError(f"window grid needs max > min, got {lo}..{hi}")
-    if kind == "log":
-        if lo <= 0:
-            raise ValidationError("logarithmic window grid needs min > 0")
-        return np.geomspace(lo, hi, n)
-    return np.linspace(lo, hi, n)
+    if kind == "log" and lo <= 0:
+        raise ValidationError("logarithmic window grid needs min > 0")
+    if n == 1:
+        return np.array([lo])
+    return np.geomspace(lo, hi, n) if kind == "log" else np.linspace(lo, hi, n)
 
 
 def parse_emission(text: str) -> EmissionSpec:
@@ -154,8 +152,6 @@ def _parse_quadruple(args) -> tuple[float, float, float, float]:
 
 
 def _build_config(args) -> tuple[ExperimentConfig, tuple[float, float, float, float]]:
-    if args.pairs < 1:
-        raise ValidationError(f"--pairs must be >= 1, got {args.pairs}")
     params = ModelParams(d=args.d, t0=args.t0, window=args.window)
     quadruple = _parse_quadruple(args)
     settings1 = parse_angle_list(args.angles1) if args.angles1 else quadruple[:2]
@@ -195,7 +191,7 @@ def _generate(args, config: ExperimentConfig, outdir: Path, stage_s: dict) -> tu
     return log, [str(p1), str(p2), str(side_path)]
 
 
-def _read_source(args, outdir: Path, stage_s: dict) -> tuple[EventLog, ExperimentConfig, dict | None]:
+def _read_source(args, quadruple, outdir: Path, stage_s: dict) -> tuple[EventLog, ExperimentConfig, dict | None]:
     """The log read from ``--tags-in``, with the config and RNG provenance (or None) of its side manifest."""
     if not args.tags_in:
         raise ValidationError("reanalyze mode requires --tags-in <prefix>")
@@ -214,6 +210,7 @@ def _read_source(args, outdir: Path, stage_s: dict) -> tuple[EventLog, Experimen
     except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSONDecodeError is a ValueError
         problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise TagFormatError(f"{side_path}: malformed manifest: {problem}") from None
+    chsh_cells(config, quadruple)  # before any tag file is read
     with _stage(stage_s, "read_tags"):
         log = read_tags(prefix, config)
     return log, config, rng
@@ -267,10 +264,11 @@ def _run_analysis(args, outdir: Path) -> RunManifest:
     windows = parse_windows(grid) if grid else args.window
     stage_s = {}
     if args.mode == "reanalyze":
-        log, config, rng = _read_source(args, outdir, stage_s)
         quadruple, outputs = _parse_quadruple(args), []
+        log, config, rng = _read_source(args, quadruple, outdir, stage_s)
     else:
         config, quadruple = _build_config(args)
+        chsh_cells(config, quadruple)  # before any event is generated or tag written
         log, outputs = _generate(args, config, outdir, stage_s)
         rng = rng_provenance()
     manifest = RunManifest(mode=args.mode, seed=config.seed, config=config_to_dict(config), outputs=outputs)
@@ -312,8 +310,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"eprsim: invalid configuration: {exc}", file=sys.stderr)
         return 1
-    except EprSimError as exc:
-        print(f"eprsim: runtime error: {exc}", file=sys.stderr)
+    except (EprSimError, MemoryError) as exc:  # MemoryError: a run too large for this machine
+        print(f"eprsim: runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"eprsim: i/o error: {exc}", file=sys.stderr)

@@ -27,10 +27,11 @@ overlapping emissions (Poisson stress tests) only the stream policy is
 meaningful.  Events left unmatched are dropped from all statistics: the
 post-selected ensemble is the object under study.
 
-The stream policy is the walk of ``stream_window_index``.  It sorts each
-station once and goes through the grid from the largest window down,
-running stage 1 (see below) at each window only on the events still
-contested at every larger window.  An event uncontested among those at
+The stream policy is the walk of ``stream_window_index``, after
+``check_stream_match`` has run its checks once.  It sorts each station
+once and goes through the grid from the largest window down, running
+stage 1 (see below) at each window only on the events still contested
+at every larger window.  An event uncontested among those at
 window k keeps its one tag, or has none, at every smaller window:
 ``fl(t1 - W)`` and ``fl(t1 + W)`` are monotone in W, so its range and
 those of the other contested events only shrink, and an event settled at
@@ -92,6 +93,7 @@ from .events import EventLog
 __all__ = [
     "MatchPolicy",
     "check_pair_filter",
+    "check_stream_match",
     "pair_window_index",
     "stream_window_index",
 ]
@@ -120,6 +122,19 @@ def check_pair_filter(log: EventLog, window: float) -> None:
         raise ValidationError("per-pair filtering needs pair ids in both streams")
     if s1.pair_id is not s2.pair_id and not np.array_equal(s1.pair_id, s2.pair_id):
         raise ValidationError("mismatched pair_id columns between stations")
+
+
+def check_stream_match(log: EventLog, window: float) -> None:
+    """Check that the stream policy can select from ``log`` at ``window`` and above.
+
+    Raises unless the window is >= 0, then if a time tag is +-inf: at
+    W = inf its range bound fl(t -+ W) would be NaN, and the walk needs
+    ranges that shrink as W falls.  A NaN tag matches nothing.
+    """
+    _check_window(window)
+    for s in (log.station1, log.station2):
+        if np.isinf(s.time_tag).any():
+            raise ValidationError(f"station {s.station} has an infinite time tag")
 
 
 def pair_window_index(log: EventLog, windows: np.ndarray, rows: slice) -> np.ndarray:
@@ -242,16 +257,10 @@ def stream_window_index(log: EventLog, windows: Sequence[float]):
     group holds both stages' matches, in station-1 time order, with
     ``stop = k + 1``, and only the events still contested go on to window
     k - 1.  The walk ends when none are, so at a grid of one the first
-    group is the whole match.  Raises if ``windows[0]`` is not >= 0, then
-    if a station has a time tag of +-inf: at W = inf its range bound
-    fl(t -+ W) would be NaN, and a range must shrink as W falls.  A NaN
-    tag is within no window of any tag and matches nothing.
+    group is the whole match.  ``check_stream_match(log, windows[0])``
+    must have passed.
     """
-    _check_window(windows[0])
     s1, s2 = log.station1, log.station2
-    for s in (s1, s2):
-        if np.isinf(s.time_tag).any():
-            raise ValidationError(f"station {s.station} has an infinite time tag")
     o1, o2 = s1.time_order(), s2.time_order()
     # t1: the events contested at every larger window; their ranges, at every
     # smaller window, lie in t2 (o1, o2 give the rows of both).

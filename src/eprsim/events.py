@@ -117,8 +117,8 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "settings1", tuple(float(a) for a in self.settings1))
         object.__setattr__(self, "settings2", tuple(float(a) for a in self.settings2))
-        if self.n_pairs < 1:
-            raise ValidationError(f"n_pairs must be >= 1, got {self.n_pairs}")
+        if not 1 <= self.n_pairs <= 2**53:  # pair ids must fit the tag format's [0, 2**53)
+            raise ValidationError(f"n_pairs must be in [1, 2**53], got {self.n_pairs}")
         if not self.settings1 or not self.settings2:
             raise ValidationError("both setting lists must be non-empty")
         check_settings(self.settings1 + self.settings2)

@@ -1,10 +1,11 @@
 """Slow references for the fast paths of ``eprsim``.
 
 * Selectors and a table count that share no code with
-  ``eprsim.coincidence`` or ``eprsim.analysis._bin``, and a scalar CHSH
-  that shares none with ``SweepResult``: ``test_coincidence`` and
-  ``test_analysis`` check both policies of the window sweep, window by
-  window, against them.
+  ``eprsim.coincidence`` or ``eprsim.analysis._bin``, the input checks
+  and angle lookup of ``eprsim.analysis.window_sweep``, and a scalar
+  CHSH that shares no code with ``SweepResult``: ``test_coincidence``
+  and ``test_analysis`` check both policies of the window sweep, window
+  by window, against them.
 * The oracle's kink seeds with every timescale row recomputed at every
   point: ``test_oracle`` checks that ``oracle._anchor_points``, which
   reuses a row while its station's setting holds, gives the same seeds.
@@ -96,35 +97,23 @@ def paired_reference(log, window: float) -> tuple[np.ndarray, np.ndarray]:
     return rows, rows
 
 
-def table_reference(log, rows1: np.ndarray, rows2: np.ndarray, config) -> np.ndarray:
-    """One window's (n1, n2, 2, 2) count table of the coincidences (row ``rows1[k]``, row ``rows2[k]``).
+def indices_reference(log, config) -> None:
+    """Raise, with ``window_sweep``'s message, if any event's setting index lies outside ``config``'s lists.
 
-    The coincidences are counted one by one.
-
-    Raises, with a window's messages, if a coincidence has a setting
-    index outside ``config``'s lists, then if there is none.
+    Every event of both stations is checked, one by one, whether or not
+    a window keeps it.
     """
-    s1, s2 = log.station1, log.station2
-    n1, n2 = len(config.settings1), len(config.settings2)
-    i1 = s1.setting_index[rows1].astype(np.int64)
-    i2 = s2.setting_index[rows2].astype(np.int64)
-    if np.any((i1 < 0) | (i1 >= n1) | (i2 < 0) | (i2 >= n2)):
-        raise ValidationError("setting index out of range for the supplied config")
-    if len(rows1) == 0:
-        raise ValidationError("cannot tabulate an empty coincidence list")
-    counts = np.zeros((n1, n2, 2, 2), dtype=np.int64)
-    np.add.at(counts, (i1, i2, (s1.outcome[rows1] == -1).astype(int), (s2.outcome[rows2] == -1).astype(int)), 1)
-    return counts
+    for stream, settings in ((log.station1, config.settings1), (log.station2, config.settings2)):
+        if any(not 0 <= i < len(settings) for i in stream.setting_index.tolist()):
+            raise ValidationError("setting index out of range for the supplied config")
 
 
-def chsh_reference(counts: np.ndarray, config, quadruple) -> tuple[float, float]:
-    """S and its standard error from one window's count table, cell by cell in Python floats.
+def cells_reference(config, quadruple) -> tuple[tuple[int, int], ...]:
+    """The CHSH cells (a,b), (a,b'), (a',b), (a',b') of ``quadruple``, its angles found mod pi.
 
-    The scalar CHSH that ``SweepResult.s`` and ``s_stderr`` must match
-    bit for bit.  Each quadruple angle is found (mod pi) among its
-    station's settings, then each of the four cells (a,b), (a,b'),
-    (a',b), (a',b') must have coincidences; raises what ``window_sweep``
-    raises, with its messages and in its order.
+    Each angle is compared with its station's settings one by one.
+    Raises what ``chsh_cells`` raises, with its messages and in its
+    order, for an angle that matches no setting or more than one.
     """
 
     def find(angle, settings, station):
@@ -145,8 +134,37 @@ def chsh_reference(counts: np.ndarray, config, quadruple) -> tuple[float, float]
     a, ap, b, bp = quadruple
     ia, iap = find(a, config.settings1, 1), find(ap, config.settings1, 1)
     ib, ibp = find(b, config.settings2, 2), find(bp, config.settings2, 2)
+    return (ia, ib), (ia, ibp), (iap, ib), (iap, ibp)
+
+
+def table_reference(log, rows1: np.ndarray, rows2: np.ndarray, config) -> np.ndarray:
+    """One window's (n1, n2, 2, 2) count table of the coincidences (row ``rows1[k]``, row ``rows2[k]``).
+
+    The coincidences are counted one by one; their setting indices must
+    lie in ``config``'s lists (see ``indices_reference``).  Raises, with
+    a window's message, if there is none.
+    """
+    s1, s2 = log.station1, log.station2
+    n1, n2 = len(config.settings1), len(config.settings2)
+    i1 = s1.setting_index[rows1].astype(np.int64)
+    i2 = s2.setting_index[rows2].astype(np.int64)
+    if len(rows1) == 0:
+        raise ValidationError("cannot tabulate an empty coincidence list")
+    counts = np.zeros((n1, n2, 2, 2), dtype=np.int64)
+    np.add.at(counts, (i1, i2, (s1.outcome[rows1] == -1).astype(int), (s2.outcome[rows2] == -1).astype(int)), 1)
+    return counts
+
+
+def chsh_reference(counts: np.ndarray, cells) -> tuple[float, float]:
+    """S and its standard error from one window's count table, cell by cell in Python floats.
+
+    The scalar CHSH that ``SweepResult.s`` and ``s_stderr`` must match
+    bit for bit.  Each of the four ``cells`` (a,b), (a,b'), (a',b),
+    (a',b') must have coincidences; raises what ``window_sweep`` raises,
+    with its message, for the first that has none.
+    """
     e, squares = [], []
-    for i, j in ((ia, ib), (ia, ibp), (iap, ib), (iap, ibp)):
+    for i, j in cells:
         (npp, npm), (nmp, nmm) = counts[i, j].tolist()
         n = npp + npm + nmp + nmm
         if n == 0:

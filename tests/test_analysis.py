@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import eprsim.coincidence
 import eprsim.events
-from eprsim.analysis import _BLOCK_PAIRS, _sweep_counts
+from eprsim.analysis import _BLOCK_PAIRS
 from eprsim import (
     DEFAULT_QUADRUPLE,
     EmissionSpec,
@@ -27,7 +27,14 @@ from eprsim import (
     window_sweep,
     write_tags,
 )
-from references import chsh_reference, paired_reference, stream_reference, table_reference
+from references import (
+    cells_reference,
+    chsh_reference,
+    indices_reference,
+    paired_reference,
+    stream_reference,
+    table_reference,
+)
 
 
 def tabulate(log, config, policy="paired", cell=(0, 0)):
@@ -177,7 +184,7 @@ class TestChsh:
     def test_equals_the_scalar_reference(self, scale):
         counts = table_from_correlation(DEFAULT_QUADRUPLE, lambda a, b: scale * singlet_correlation(a, b))
         sweep = chsh_of_table(counts)
-        s, s_stderr = chsh_reference(counts, QUADRUPLE_CONFIG, DEFAULT_QUADRUPLE)
+        s, s_stderr = chsh_reference(counts, cells_reference(QUADRUPLE_CONFIG, DEFAULT_QUADRUPLE))
         assert (sweep.s.tolist(), sweep.s_stderr.tolist()) == ([s], [s_stderr])
 
     def test_error_propagates_in_quadrature(self):
@@ -204,7 +211,7 @@ class TestChsh:
                                                   "0 and 1 of") as new:
             window_sweep(config, [0.0], log=log)
         with pytest.raises(ValidationError) as ref:
-            chsh_reference(table_reference(log, *paired_reference(log, 0.0), config), config, DEFAULT_QUADRUPLE)
+            cells_reference(config, DEFAULT_QUADRUPLE)
         assert str(new.value) == str(ref.value)
 
     def test_angle_matching_mod_pi(self):
@@ -316,11 +323,12 @@ class TestWindowSweep:
 def sweep_reference(config, windows, quadruple=DEFAULT_QUADRUPLE, policy="paired", log=None):
     """The per-window sweep: match, tabulate and CHSH once per window.
 
-    Kept (but for returning the three arrays, and for selecting, counting
-    and computing S with the test-only references, which share no code
-    with the sweep's walk, ``pair_window_index``, ``_bin`` or
-    ``SweepResult``) as the reference that both one-pass sweeps, paired
-    and stream, must reproduce exactly.
+    Kept (but for returning the three arrays, for selecting, checking,
+    counting and computing S with the test-only references, which share
+    no code with the sweep's walk, ``pair_window_index``, ``_bin``,
+    ``chsh_cells`` or ``SweepResult``, and for checking every setting
+    index and the quadruple before the first window) as the reference
+    that both one-pass sweeps, paired and stream, must reproduce exactly.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 1 or len(windows) == 0:
@@ -332,13 +340,16 @@ def sweep_reference(config, windows, quadruple=DEFAULT_QUADRUPLE, policy="paired
     select = {"paired": paired_reference, "stream": stream_reference}.get(policy)
     if select is None:
         raise ValidationError(f"unknown match policy {policy!r}")
+    select(log, float(windows[0]))  # the policy's checks, which no larger window can fail
+    indices_reference(log, config)
+    cells = cells_reference(config, quadruple)
     s_vals = np.empty(len(windows))
     s_errs = np.empty(len(windows))
     rates = np.empty(len(windows))
     for k, w in enumerate(windows):
         rows1, rows2 = select(log, float(w))
         rates[k] = len(rows1) / log.n_pairs
-        s_vals[k], s_errs[k] = chsh_reference(table_reference(log, rows1, rows2, config), config, quadruple)
+        s_vals[k], s_errs[k] = chsh_reference(table_reference(log, rows1, rows2, config), cells)
     return s_vals, s_errs, rates
 
 
@@ -472,20 +483,22 @@ class TestOnePassSweep:
             ([np.nan], dict(pid2=None), "window must be >= 0, got nan", DEFAULT_QUADRUPLE),
             ([5.0], dict(pid2=None), "per-pair filtering needs pair ids", DEFAULT_QUADRUPLE),
             ([5.0], dict(pid2=np.arange(8)[::-1].copy()), "mismatched pair_id columns", DEFAULT_QUADRUPLE),
-            # Nothing at the first window, an out-of-range index at the second.
-            ([0.5, 5.0], dict(extra=[(3, 2, 0)]), "cannot tabulate an empty coincidence list", DEFAULT_QUADRUPLE),
+            # An out-of-range index is rejected before any window is counted:
+            # before an empty first window, whichever window first keeps it ...
+            ([0.5, 5.0], dict(extra=[(3, 2, 0)]), "setting index out of range", DEFAULT_QUADRUPLE),
             ([2.0, 5.0], dict(extra=[(3, 2, 0)]), "setting index out of range", DEFAULT_QUADRUPLE),
             ([2.0, 5.0], dict(extra=[(3, 0, -1)]), "setting index out of range", DEFAULT_QUADRUPLE),
             ([2.0, 3.0, 5.0], dict(extra=[(5, 0, 7)]), "setting index out of range", DEFAULT_QUADRUPLE),
-            # A missing cell at the first window beats a bad index at the second ...
-            ([2.0, 5.0], dict(extra=[(3, 2, 0)], drop_cell_11=True),
-             r"missing combination: no coincidences for setting pair \(1,1\)", DEFAULT_QUADRUPLE),
-            # ... but not a bad index at the same window.
+            # ... and before a missing cell at the first window, kept at the second window or at the first.
+            ([2.0, 5.0], dict(extra=[(3, 2, 0)], drop_cell_11=True), "setting index out of range", DEFAULT_QUADRUPLE),
             ([2.0, 5.0], dict(extra=[(1, 2, 0)], drop_cell_11=True), "setting index out of range", DEFAULT_QUADRUPLE),
-            # An angle missing from the settings: an empty first window is reported first ...
-            ([0.5, 5.0], {}, "cannot tabulate an empty coincidence list", MISSING_B),
-            # ... then the angle, at the first window with coincidences.
+            # An angle missing from the settings is rejected before an empty first window, and with a filled one.
+            ([0.5, 5.0], {}, "missing combination: angle 0.77 not among station-2 settings", MISSING_B),
             ([2.0, 5.0], {}, "missing combination: angle 0.77 not among station-2 settings", MISSING_B),
+            # The policy's checks come before the setting indices, and the indices before the angles.
+            ([-1.0, 5.0], dict(extra=[(3, 2, 0)]), "window must be >= 0, got -1.0", DEFAULT_QUADRUPLE),
+            ([5.0], dict(extra=[(3, 2, 0)], pid2=None), "per-pair filtering needs pair ids", DEFAULT_QUADRUPLE),
+            ([2.0, 5.0], dict(extra=[(3, 2, 0)]), "setting index out of range", MISSING_B),
         ],
     )
     def test_rejects_what_the_reference_rejects(self, windows, log_args, message, quadruple):
@@ -516,7 +529,8 @@ class TestOnePassSweep:
             ([np.nan], "plain", "window must be >= 0, got nan"),
             ([0.5, 5.0], "plain", "cannot tabulate an empty coincidence list"),
             # An out-of-range index first kept at the second window, on an
-            # event uncontested at the largest window and on a contested one.
+            # event uncontested at the largest window and on a contested one:
+            # rejected before any window is counted.
             ([2.0, 5.0], "uncontested", "setting index out of range"),
             ([2.0, 5.0], "contested", "setting index out of range"),
             ([2.0, 5.0, 8.0], "contested", "setting index out of range"),
@@ -557,26 +571,24 @@ class TestOnePassSweep:
 
     def test_index_outside_config_that_no_window_keeps_is_never_binned(self):
         # Binned, index 2 or -1 would land outside the histogram or in
-        # another cell; the per-window sweep never reads these pairs.
+        # another cell.  No window keeps these pairs, yet either policy
+        # rejects each of them before it counts, as the reference does.
         config = ExperimentConfig(n_pairs=10, seed=0)
-        log = self.log_with(extra=[(50, 2, 0), (60, 0, -1), (70, 300, 1)])
-        assert_same_as_reference(config, [1.0, 2.0, 10.0], log)
+        windows = [1.0, 2.0, 10.0]
+        for policy in ("paired", "stream"):
+            assert_same_as_reference(config, windows, self.log_with(), policy)
+            for extra in ([(50, 2, 0)], [(60, 0, -1)], [(70, 300, 1)]):
+                log = self.log_with(extra=extra)
+                with pytest.raises(ValidationError) as new:
+                    window_sweep(config, windows, policy=policy, log=log)
+                with pytest.raises(ValidationError) as ref:
+                    sweep_reference(config, windows, policy=policy, log=log)
+                assert str(new.value) == str(ref.value) == "setting index out of range for the supplied config"
 
 
 def reference_tables(log, windows, config):
     """The per-pair rule's count table, window by window, from the references."""
     return (table_reference(log, *paired_reference(log, float(w)), config) for w in windows)
-
-
-def tables_until_error(tables):
-    """The count tables a table generator yields, and the message it raises (or None)."""
-    counts = []
-    try:
-        for table in tables:
-            counts.append(table)
-    except ValidationError as exc:
-        return counts, str(exc)
-    return counts, None
 
 
 class TestBlockedPass:
@@ -587,23 +599,28 @@ class TestBlockedPass:
 
     @pytest.fixture(params=[1, 2, 3])
     def cpus(self, request, monkeypatch):
-        """Patch the CPU count; ``cpus()`` starts recording the thread pool sizes the passes ask for.
+        """Patch the CPU count; ``cpus(pool)`` starts recording the thread pool sizes the passes ask for.
 
         Tests call it once their log is generated, so that generation's
         pool does not count.  The log has three blocks, so the pass asks
         for one thread per CPU; on one CPU its one range runs inline, with
-        no pool.
+        no pool.  With ``pool=False`` the test expects no pass, and no pool.
         """
-        sizes = []
+        sizes, expected = [], set()
 
         class Recorder(eprsim.events.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
+        def record(pool=True):
+            if pool and request.param > 1:
+                expected.add(request.param)
+            monkeypatch.setattr(eprsim.events, "ThreadPoolExecutor", Recorder)
+
         monkeypatch.setattr(os, "cpu_count", lambda: request.param)
-        yield lambda: monkeypatch.setattr(eprsim.events, "ThreadPoolExecutor", Recorder)
-        assert set(sizes) == ({request.param} if request.param > 1 else set())
+        yield record
+        assert set(sizes) == expected
 
     def config(self, emission=None):
         return ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), settings1=(0.0, np.pi / 4, np.pi / 2),
@@ -615,8 +632,7 @@ class TestBlockedPass:
         log = run_experiment(config)
         cpus()
         new = window_sweep(config, self.WINDOWS, log=log).counts
-        ref, ref_error = tables_until_error(reference_tables(log, self.WINDOWS, config))
-        assert ref_error is None
+        ref = list(reference_tables(log, self.WINDOWS, config))
         assert len(new) == len(ref) == len(self.WINDOWS)
         for a, b in zip(new, ref):
             np.testing.assert_array_equal(a, b)
@@ -624,8 +640,9 @@ class TestBlockedPass:
 
     def test_out_of_range_index_in_the_last_block_raises_at_its_window(self, cpus):
         # Index 2 in the last block's one pair (|dt| 100, kept from window 2)
-        # and in a first-block pair kept only from window 3: the pass raises
-        # at window 2, as the per-window reference does.
+        # and in a first-block pair kept only from window 3: the sweep
+        # rejects the log before it counts, so no pass starts a thread pool,
+        # and the per-window reference rejects it before its first window.
         config = replace(self.config(), settings1=(0.0, np.pi / 4))
         log = run_experiment(config)
         s1, s2 = log.station1, log.station2
@@ -633,15 +650,12 @@ class TestBlockedPass:
         dt = np.abs(s2.time_tag - s1.time_tag)
         first_block_late = int(np.flatnonzero(dt[:_BLOCK_PAIRS] > 500.0)[0])
         s1.setting_index[[first_block_late, -1]] = 2
-        cpus()
-        counts, raise_at = _sweep_counts(log, self.WINDOWS, config, "paired")
+        cpus(pool=False)
         with pytest.raises(ValidationError) as new:
             window_sweep(config, self.WINDOWS, log=log)
-        ref, ref_error = tables_until_error(reference_tables(log, self.WINDOWS, config))
-        assert raise_at == len(ref) == 2
-        assert str(new.value) == ref_error == "setting index out of range for the supplied config"
-        for a, b in zip(counts[:raise_at], ref):
-            np.testing.assert_array_equal(a, b)
+        with pytest.raises(ValidationError) as ref:
+            sweep_reference(config, self.WINDOWS, log=log)
+        assert str(new.value) == str(ref.value) == "setting index out of range for the supplied config"
 
     def test_no_temporary_grows_with_the_log(self, monkeypatch):
         # Two threads at both sizes, so that per-thread block buffers cancel.

@@ -159,15 +159,20 @@ def test_parse_emission_rejects(text, message):
         (["--mode", "sweep", "--windows", "1000:1:log3"], "needs max > min"),
         (["--mode", "sweep", "--windows", "0:1000:log3"], "needs min > 0"),
         (["--mode", "sweep", "--windows=-1e308:1e308:lin3"], "needs min >= 0"),
+        (["--mode", "sweep", "--windows", "0:1000:log1"], "needs min > 0"),
+        (["--mode", "sweep", "--windows", "1000:1:lin1"], "needs max > min"),
+        (["--mode", "mc", "--pairs", str(2**53 + 1)], "n_pairs must be in [1, 2**53]"),
+        (["--mode", "mc", "--pairs", "10000000000000000000"], "n_pairs must be in [1, 2**53]"),
         (["--mode", "mc", "--angles1", ","], "empty angle list"),
         (["--mode", "mc", "--quadruple", "0deg,45deg,22.5deg"], "expected 4 angles, got 3"),
         (["--mode", "reanalyze", "--tags-in", "tags"], "no manifest"),
     ],
     ids=["grid-parts", "grid-bound", "grid-kind", "grid-count", "grid-zero-points", "grid-max-le-min",
-         "log-grid-min-le-0", "grid-min-below-0", "empty-angle-list", "quadruple-count", "no-side-manifest"],
+         "log-grid-min-le-0", "grid-min-below-0", "one-point-log-grid-min-le-0", "one-point-grid-max-le-min",
+         "pairs-above-2**53", "pairs-above-int64", "empty-angle-list", "quadruple-count", "no-side-manifest"],
 )
 def test_parser_rejections_exit_1(tmp_path, capsys, argv, message):
-    assert main([*argv, "--pairs", "100", "--out", str(tmp_path)]) == 1
+    assert main(["--pairs", "100", *argv, "--out", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
@@ -190,6 +195,37 @@ def test_ambiguous_quadruple_angle_exits_1(tmp_path, capsys):
         "eprsim: invalid configuration: ambiguous combination: "
         f"angle 0.0 matches station-1 settings 0 and 1 of {settings}"
     ]
+    assert not any(tmp_path.iterdir())
+
+
+def test_ambiguous_quadruple_angle_writes_no_tags(tmp_path, capsys):
+    # The quadruple is looked up before any event is generated, so no tag file or side manifest is left.
+    argv = ["--mode", "mc", "--pairs", "2000", "--angles1", "0deg,180deg,45deg", "--tags-out", "tags"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("eprsim: invalid configuration: ambiguous combination: angle 0.0")
+    assert not any(tmp_path.iterdir())
+
+
+def test_reanalyze_with_a_quadruple_angle_not_in_the_side_manifest_exits_1(side_manifest, tmp_path, capsys,
+                                                                          monkeypatch):
+    # The angle is looked up in the side manifest's settings before any tag file is read.
+    monkeypatch.setattr("eprsim.cli.read_tags", lambda *args: pytest.fail("tags read"))
+    argv = ["--mode", "reanalyze", "--tags-in", "tags", "--quadruple", "0deg,45deg,22.5deg,50deg"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("eprsim: invalid configuration: missing combination: angle ")
+    assert not (tmp_path / "reanalyze.manifest.json").exists()
+
+
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 1.00 PiB"), MemoryError()], ids=["text", "bare"])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, error):
+    def run_experiment(config, n_workers):
+        raise error
+
+    monkeypatch.setattr("eprsim.cli.run_experiment", run_experiment)
+    assert main(["--mode", "mc", "--pairs", "100", "--tags-out", "tags", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"eprsim: runtime error: {str(error) or 'MemoryError'}"]
     assert not any(tmp_path.iterdir())
 
 
@@ -265,6 +301,31 @@ def test_manifest_records_empty_cells(tmp_path, windows, empty_cells):
     argv = ["--mode", "reanalyze", "--tags-in", "tags", "--matcher", "paired", *windows, "--out", str(tmp_path)]
     assert main(argv) == 0
     assert RunManifest.read(tmp_path / "reanalyze.manifest.json").results["empty_cells"] == empty_cells
+
+
+def test_reanalyze_rejects_a_setting_index_outside_the_side_manifest(tmp_path, capsys):
+    # Four pairs in each cell of settings 0 and 1 at |dt| 1, and one pair
+    # with station-1 setting 2 at |dt| 5000, which no window up to 10 keeps.
+    i1, i2 = np.append(np.repeat([0, 1], 8), 2), np.append(np.tile(np.repeat([0, 1], 2), 4), 0)
+    dt = np.append(np.ones(16), 5000.0)
+    x = np.where(np.arange(17) % 3 == 0, 1, -1).astype(np.int8)
+    pid = np.arange(17)
+    t1 = pid * 1e4
+    log = EventLog(StationStream(1, t1, i1.astype(np.int16), x, pid),
+                   StationStream(2, t1 + dt, i2.astype(np.int16), -x, pid))
+    paths = write_tags(log, tmp_path / "tags")
+    argv = ["--mode", "reanalyze", "--tags-in", str(tmp_path / "tags"), "--window", "10"]
+    for settings1, status in (((0.0, np.pi / 4, np.pi / 2), 0), ((0.0, np.pi / 4), 1)):
+        config = ExperimentConfig(settings1=settings1, n_pairs=17)
+        RunManifest(mode="tags", seed=config.seed, config=config_to_dict(config),
+                    outputs=[p.name for p in paths]).write(tmp_path / "tags.manifest.json")
+        out = tmp_path / f"out{len(settings1)}"
+        assert main([*argv, "--out", str(out)]) == status
+    # With three station-1 settings the sweep runs and leaves the pair unmatched; with two it is rejected.
+    assert RunManifest.read(tmp_path / "out3" / "reanalyze.manifest.json").results["matched"] == 16
+    assert capsys.readouterr().err.splitlines() == [
+        "eprsim: invalid configuration: setting index out of range for the supplied config"]
+    assert not any((tmp_path / "out2").iterdir())
 
 
 def test_manifests_record_stage_wall_times(tmp_path):

@@ -554,7 +554,7 @@ class TestCoincidenceRate:
         log = tiny_log([0.0], [0.1])
         cfg = ExperimentConfig(settings1=(0.0,), settings2=(0.5,), n_pairs=1, seed=0)
         for policy in ("paired", "stream"):
-            counts, _ = _sweep_counts(log, np.array([0.5]), cfg, policy)
+            counts = _sweep_counts(log, np.array([0.5]), cfg, policy)
             assert counts.sum() / log.n_pairs == 1.0
         with pytest.raises(ValidationError, match="unknown match policy"):
             _sweep_counts(log, np.array([0.5]), cfg, "hardware")
