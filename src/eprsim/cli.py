@@ -93,6 +93,8 @@ def parse_windows(text: str) -> np.ndarray:
     n = int(num)
     if n < 1:
         raise ValidationError("window grid needs at least one point")
+    if n > 2**53:  # the --pairs limit; from about 2**60 points numpy raises ValueError, not MemoryError
+        raise ValidationError("window grid needs at most 2**53 points")
     if hi <= lo:
         raise ValidationError(f"window grid needs max > min, got {lo}..{hi}")
     if kind == "log" and lo <= 0:

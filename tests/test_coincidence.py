@@ -108,6 +108,11 @@ def assert_same_as_scan(t1, t2, window):
     assert np.array_equal(m1, r1) and np.array_equal(m2, r2)
 
 
+def range_ends(t1, t2, window, lo):
+    """hi, the end of each event's range t2[lo:hi], which ``_split`` does not compute; a NaN event's range is empty."""
+    return np.where(np.isnan(t1), lo, np.searchsorted(t2, t1 + window, "right"))
+
+
 def all_legal_matchings(t1, t2, window):
     """Every set of disjoint within-window pairings, by exhaustive recursion."""
     candidates = [(i, j) for i in range(len(t1)) for j in range(len(t2)) if abs(t2[j] - t1[i]) <= window]
@@ -261,13 +266,13 @@ class TestTwoStageMatch:
     def test_regular_emission_leaves_nothing_to_scan(self):
         t1, t2 = sorted_tags(EmissionSpec.regular(10_000.0), 5000, seed=8)
         for window in parse_windows("1:1000:log20"):
-            _, contested, _, _ = _split(t1, t2, window)
+            _, contested, _ = _split(t1, t2, window)
             assert not contested.any()
             assert_same_as_scan(t1, t2, window)
 
     def test_sparse_poisson_runs_both_stages(self):
         t1, t2 = sorted_tags(EmissionSpec.poisson(5e-4), 5000, seed=9)
-        partner, contested, _, _ = _split(t1, t2, 1000.0)
+        partner, contested, _ = _split(t1, t2, 1000.0)
         assert contested.any() and (partner >= 0).any()
         assert_same_as_scan(t1, t2, 1000.0)
 
@@ -282,19 +287,21 @@ class TestTwoStageMatch:
         # 0 -> 0.5 alone; 10 and 11 share 10.5; 30 has no candidate.
         t1 = np.array([0.0, 10.0, 11.0, 30.0])
         t2 = np.array([0.5, 10.5, 20.0, 40.0])
-        partner, contested, lo, hi = _split(t1, t2, 1.0)
+        partner, contested, lo = _split(t1, t2, 1.0)
+        hi = range_ends(t1, t2, 1.0, lo)
         assert partner.tolist() == [0, -1, -1, -1]
         assert contested.tolist() == [False, True, True, False]
         assert lo.tolist() == [0, 1, 1, 3] and hi.tolist() == [1, 2, 2, 3]
         # A range of one tag that another range also holds is contested.
-        partner, contested, _, _ = _split(np.array([0.0, 1.5]), np.array([1.0, 2.0]), 1.0)
+        partner, contested, _ = _split(np.array([0.0, 1.5]), np.array([1.0, 2.0]), 1.0)
         assert partner.tolist() == [-1, -1] and contested.tolist() == [True, True]
 
     def test_a_nan_tag_matches_nothing(self):
         # A NaN |dt| is within no window.  Sorted, the NaNs come last, and the
         # NaN event's range is empty instead of the one NaN tag of station 2.
         t1, t2 = np.array([0.0, 3.0, np.nan]), np.array([0.2, 3.1, np.nan])
-        partner, contested, lo, hi = _split(t1, t2, 1.0)
+        partner, contested, lo = _split(t1, t2, 1.0)
+        hi = range_ends(t1, t2, 1.0, lo)
         assert partner.tolist() == [0, 1, -1] and not contested.any()
         assert lo.tolist() == [0, 1, 2] and hi.tolist() == [1, 2, 2]
         assert_same_as_scan(t1, t2, 1.0)
@@ -315,7 +322,8 @@ class TestTwoStageMatch:
             t1, t2 = sorted_tags(EmissionSpec.poisson(5e-4), 3000, seed=12)
             windows = [10.0, 300.0, 1000.0]
         for window in windows:
-            partner, contested, lo, hi = _split(t1, t2, window)
+            partner, contested, lo = _split(t1, t2, window)
+            hi = range_ends(t1, t2, window, lo)
             cover = np.zeros(len(t2) + 1, dtype=int)
             for a, b in zip(lo.tolist(), hi.tolist()):
                 cover[a:b] += 1
@@ -407,7 +415,8 @@ class TestScanBlocks:
     def test_a_tag_taken_in_an_earlier_block_stays_taken(self, monkeypatch, block, case):
         monkeypatch.setattr(coincidence, "_SCAN_BLOCK", block)
         t1, t2, window = np.array(case[0]), np.array(case[1]), case[2]
-        _, contested, _, hi = _split(t1, t2, window)
+        _, contested, lo = _split(t1, t2, window)
+        hi = range_ends(t1, t2, window, lo)
         assert contested.all() and hi[-1] == len(t2)
         m1, m2 = sorted_match(t1, t2, window)
         assert m1.tolist() == m2.tolist() == list(range(len(t1)))
@@ -425,6 +434,20 @@ class TestScanBlocks:
         finally:
             tracemalloc.stop()
         assert peak / log.n_pairs < 150
+
+    def test_one_window_sweep_peak_per_event(self):
+        # The same dense log through the whole one-window sweep.  A second
+        # full-length search, full-length candidate tests and the split kept
+        # alive past the scan peaked near 91 bytes per event.
+        log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=200_000,
+                                              seed=5, emission=EmissionSpec.poisson(0.005)))
+        tracemalloc.start()
+        try:
+            window_sweep(log.config, [1000.0], policy="stream", log=log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / log.n_pairs < 75
 
     def test_walk_holds_little_at_its_yield(self):
         # At a grid of one the walk ends at its first yield: it then holds the
@@ -485,7 +508,7 @@ class TestScanWalk:
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_case(self, case):
         t1, t2, window, takes = np.array(case[0]), np.array(case[1]), case[2], case[3]
-        _, contested, _, _ = _split(t1, t2, window)
+        _, contested, _ = _split(t1, t2, window)
         assert contested.sum() >= 2  # the scan runs
         m1, m2 = sorted_match(t1, t2, window)
         expected = [(i, j) for i, j in enumerate(takes) if j >= 0]

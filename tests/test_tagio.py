@@ -262,6 +262,20 @@ def test_read_peak_memory_per_pair(tmp_path):
     assert peak / log.n_pairs < 150
 
 
+def test_write_peak_memory_per_pair(tmp_path):
+    # Blocks of 2**16 rows peaked near 210 bytes per pair at this size;
+    # the writer's temporaries are block-sized, so the peak is the sort
+    # order and a few blocks.
+    log = run_experiment(ExperimentConfig(n_pairs=50_000, seed=3))
+    tracemalloc.start()
+    try:
+        write_tags(log, tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / log.n_pairs < 80
+
+
 @pytest.mark.parametrize(
     "ids, message",
     [
