@@ -175,14 +175,15 @@ _BLOCK_PAIRS = 1 << 16
 def _sweep_counts(log: EventLog, windows: np.ndarray, config: ExperimentConfig, policy: MatchPolicy) -> np.ndarray:
     """Every window's count table, from one ``_bin`` histogram.
 
-    The tables have shape (len(windows), n1, n2, 2, 2); the policy's
-    checks must have passed.  Policy ``"paired"`` bins each pair once, at
-    the first window that keeps it: :func:`map_ranges` splits the log
-    into one contiguous, block-aligned row range per CPU, and each range
-    is binned in groups of ``_BLOCK_PAIRS`` pairs into a histogram of its
-    own, so no temporary grows with the log.  The integer histograms are
-    summed: the tables do not depend on the split.  Policy ``"stream"``
-    bins the groups of ``stream_window_index``.
+    The tables have shape (len(windows), n1, n2, 2, 2); ``window_sweep``
+    has checked the policy and run its checks.  Policy ``"paired"`` bins
+    each pair once, at the first window that keeps it: :func:`map_ranges`
+    splits the log into one contiguous, block-aligned row range per CPU,
+    and each range is binned in groups of ``_BLOCK_PAIRS`` pairs into a
+    histogram of its own, so no temporary grows with the log.  The
+    integer histograms are summed: the tables do not depend on the split.
+    Any other policy is ``"stream"``, which bins the groups of
+    ``stream_window_index``.
     """
     if policy == "paired":
         def histogram(start: int, stop: int) -> np.ndarray:
@@ -191,10 +192,8 @@ def _sweep_counts(log: EventLog, windows: np.ndarray, config: ExperimentConfig, 
             return _bin(log, groups, len(windows), config)
 
         hist = sum(map_ranges(histogram, log.n_pairs, _BLOCK_PAIRS, os.cpu_count() or 1))
-    elif policy == "stream":
-        hist = _bin(log, stream_window_index(log, windows), len(windows), config)
     else:
-        raise ValidationError(f"unknown match policy {policy!r}")
+        hist = _bin(log, stream_window_index(log, windows), len(windows), config)
     return np.cumsum(hist[:-1], axis=0)
 
 

@@ -101,7 +101,10 @@ def parse_windows(text: str) -> np.ndarray:
         raise ValidationError("logarithmic window grid needs min > 0")
     if n == 1:
         return np.array([lo])
-    return np.geomspace(lo, hi, n) if kind == "log" else np.linspace(lo, hi, n)
+    grid = np.geomspace(lo, hi, n) if kind == "log" else np.linspace(lo, hi, n)
+    if not np.all(grid[1:] > grid[:-1]):  # points closer than an ulp round to equal windows
+        raise ValidationError(f"window grid {text!r} is not strictly increasing: its points round to equal windows")
+    return grid
 
 
 def parse_emission(text: str) -> EmissionSpec:

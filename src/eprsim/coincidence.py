@@ -54,7 +54,7 @@ At each window the stream matcher runs in two stages and returns exactly
 what one greedy scan over all events returns.  Station-1 event i can
 take the station-2 tags in one index range [lo_i, hi_i): from lo_i,
 one ``searchsorted`` of fl(t_i - W), to the end of the tags <=
-fl(t_i + W).  Stage 1 (``_split``, vectorised) matches i to
+fl(t_i + W).  Stage 1 (``_settle``, vectorised) matches i to
 its tag when the range holds exactly one tag and no other event's range
 holds it: the scan would give i that tag, since no earlier event can
 take it, and i's choice changes no other event's options.  Events with
@@ -80,19 +80,19 @@ through ties.  An event whose ``lo`` lies past the top drops the stack,
 and past ``p`` moves ``p`` there: ``lo`` never decreases, so no later
 event reaches what is skipped.
 
-Both stages take the events in blocks of ``_SCAN_BLOCK`` (2**12).  As
-``lo`` and ``hi`` never decrease, the contested events of a block reach
-one slice of t2, from the first one's ``lo`` to the end of the last
-one's range, found by one scalar search.  The scan's Python lists
-cover one block and are freed before the next block's are built; the
-stack and ``p`` are rebased onto each slice.  A window holds the sorted
-tags and sort orders (32 bytes per event), ``lo``, the partners and the
-contested mask (17 bytes) and block-sized temporaries, and drops each
-of the last three once the matches no longer need it.  On 200,000
-dense Poisson pairs at W = 1000 (numpy 2.4) the one-window walk peaks
-near 57 traced bytes per event.  At its last window it also drops the
-sorted tags and sort orders, so that it holds only the group at the
-yield.
+A window is one pass over its events in blocks of ``_SCAN_BLOCK``
+(2**12): a block runs stage 1, scans its contested events, finds the
+first windows of its uncontested matches and is yielded as one group
+before the next block starts.  As ``lo`` and ``hi`` never decrease, a
+block's contested events reach one slice of t2, from the first one's
+``lo`` to the end of the last one's range (one scalar search); the
+scan's lists cover that slice and are freed before the next block's are
+built, and the stack and ``p`` are rebased onto it.  Beyond block-sized
+temporaries a window holds the sorted tags and sort orders (32 bytes
+per event) and the events it leaves contested (8 bytes each, none at
+the last window).  On 200,000 dense Poisson pairs (numpy 2.4) the
+stream sweep peaks near 36 traced bytes per event at W = 1000 and near
+58 over 20 windows from 1 to 1000.
 """
 
 from __future__ import annotations
@@ -175,177 +175,125 @@ def pair_window_index(log: EventLog, windows: np.ndarray, rows: slice) -> np.nda
     return index
 
 
-def _split(t1: np.ndarray, t2: np.ndarray, window: float):
-    """Stage 1 of the stream matcher: match every uncontested station-1 event.
+def _settle(t1: np.ndarray, t2: np.ndarray, window: float, a: int, b: int):
+    """Stage 1 of the stream matcher on station-1 events a to b: match every uncontested one.
 
     Event i's candidates are t2[lo[i]:hi[i]], the tags the scan walks,
     with lo[i] from one ``searchsorted`` of fl(t1[i] - W) and hi[i] the
     end of the tags <= fl(t1[i] + W).  It is uncontested when that range
     holds one tag and no other event's range holds that tag.  Returns
-    ``(partner, contested, lo)``: ``partner[i]`` is the tag matched to
-    uncontested event i and -1 for every other event; ``contested``
-    marks the events with candidates that are left for the scan.
+    ``(partner, contested, lo)`` over events a to b: ``partner[i]``
+    is the tag matched to uncontested event a + i and -1 for every other
+    event; ``contested`` marks the events with candidates that are left
+    for the scan.  ``t2`` must not be empty.
 
     ``hi`` is not computed.  As t2 is sorted, the range holds a tag iff
     t2[lo] <= fl(t1 + W), and exactly one iff t2[lo + 1] does not also;
     the range of event i - 1 holds tag lo[i] iff t2[lo[i]] <= its bound.
-    So one search and two gathers per event decide the split.  They run
-    in blocks of ``_SCAN_BLOCK`` events, each with the events next to it,
-    which are the only ones that can share its tags.
+    So one search and two gathers per event, over events a - 1 to b,
+    decide the split.
     """
     n, last = len(t1), len(t2) - 1
-    partner = np.full(n, -1, dtype=np.intp)
-    contested = np.zeros(n, dtype=bool)
-    lo = np.zeros(n, dtype=np.intp)
-    if last < 0:  # without tags no event has a candidate
-        return partner, contested, lo
-    for a in range(0, n, _SCAN_BLOCK):
-        b = min(a + _SCAN_BLOCK, n)
-        s, e = max(a - 1, 0), min(b + 1, n)  # the block and the events next to it
-        j = np.searchsorted(t2, t1[s:e] - window, side="left")
-        end = t1[s:e] + window  # fl(t1 + W); NaN for a NaN tag, whose range is so empty
-        tag = t2.take(j, mode="clip")  # t2[j] where j <= last
-        has = (j <= last) & (tag <= end)
-        alone = has & ~((j < last) & (t2.take(j + 1, mode="clip") <= end))
-        # lo and hi never decrease: only events i - 1 and i + 1 can also hold tag lo[i].
-        alone[1:] &= ~(tag[1:] <= end[:-1])
-        alone[:-1] &= j[1:] > j[:-1]
-        block = slice(a - s, b - s)
-        lo[a:b] = j[block]
-        np.copyto(partner[a:b], j[block], where=alone[block])
-        contested[a:b] = has[block] & ~alone[block]
-    return partner, contested, lo
-
-
-def _scan(t1: np.ndarray, t2: np.ndarray, window: float, partner, contested, lo) -> None:
-    """Stage 2 of the stream matcher: the greedy scan over the contested events of a split.
-
-    ``(partner, contested, lo)`` is ``_split(t1, t2, window)``.
-    Station-1 events are visited in time order; each takes the nearest
-    unmatched station-2 tag within the window (ties go to the earlier
-    tag), written to ``partner`` in place.  Only the contested events are
-    visited.  Their ranges hold no tag ``_split`` matched, so the scan
-    need not know those tags.  Two invariants carry every choice:
-
-    - every tag at or past the frontier ``p`` is free, since a tag after
-      an event's own time is taken only at ``p``, which then moves on;
-    - ``stack`` holds free tags before ``p`` in ascending order, among
-      them every free one at or past the event's ``lo``, since tags are
-      pushed in order and leave only when taken or below every later
-      ``lo``.
-
-    So the top is the event's nearest left tag and ``p`` its one right
-    candidate.  The events are taken in blocks of ``_SCAN_BLOCK``; the
-    contested ones of a block reach the tags ``t2[base:base + top]``,
-    from the first one's ``lo`` to the end of the last one's range (one
-    scalar search), and the block's lists cover those, indexed from
-    ``base``.  The state is rebased at every block.
-    """
-    stack: list[int] = []  # the free tags before p, ascending: the top is the nearest left tag
-    p = 0  # the frontier: no tag at or past it is taken
-    base = 0
-    for a in range(0, len(t1), _SCAN_BLOCK):
-        block = np.flatnonzero(contested[a:a + _SCAN_BLOCK])
-        if not len(block):
-            continue
-        block += a
-        shift = int(lo[block[0]]) - base  # no event of this block reaches a tag below its first lo
-        base += shift
-        stack = [s - shift for s in stack if s >= shift]
-        p = max(p - shift, 0)
-        # The scan reads no station-2 tag past the last event's range.
-        top = int(np.searchsorted(t2, t1[block[-1]] + window, side="right")) - base
-        t1l = t1[block].tolist()
-        lo_list = (lo[block] - base).tolist()
-        t2l = t2[base:base + top].tolist()
-        t2l.append(math.nan)  # at top: no comparison holds, so no walk passes it
-        got = np.full(len(block), -1, dtype=np.intp)
-        out = memoryview(got)
-        for i, ti, j in zip(count(), t1l, lo_list):
-            if stack and stack[-1] < j:
-                stack = []  # every free tag passed lies below lo, for this event and every later one
-            if p < j:
-                p = j
-            while t2l[p] <= ti:
-                stack.append(p)
-                p += 1
-            if stack:
-                b = len(stack) - 1
-                d = ti - t2l[stack[b]]
-                if (t := t2l[p]) <= ti + window and t - ti < d:  # the right tag wins only if strictly nearer
-                    out[i] = p
-                    p += 1
-                    continue
-                # The left tag wins: the first free tag at its distance, walking down only through ties.
-                while b and (k := stack[b - 1]) >= j and not ti - t2l[k] > d:
-                    b -= 1
-                out[i] = stack.pop(b)
-            elif t2l[p] <= ti + window:
-                out[i] = p
-                p += 1
-        del t1l, lo_list, t2l, out  # the next block's lists replace these, not join them
-        partner[block] = np.where(got >= 0, got + base, -1)
+    s, e = max(a - 1, 0), min(b + 1, n)  # the events and the ones next to them
+    j = np.searchsorted(t2, t1[s:e] - window, side="left")
+    end = t1[s:e] + window  # fl(t1 + W); NaN for a NaN tag, whose range is so empty
+    tag = t2.take(j, mode="clip")  # t2[j] where j <= last
+    has = (j <= last) & (tag <= end)
+    alone = has & ~((j < last) & (t2.take(j + 1, mode="clip") <= end))
+    # lo and hi never decrease: only events i - 1 and i + 1 can also hold tag lo[i].
+    alone[1:] &= ~(tag[1:] <= end[:-1])
+    alone[:-1] &= j[1:] > j[:-1]
+    block = slice(a - s, b - s)
+    lo, has, alone = j[block], has[block], alone[block]
+    return np.where(alone, lo, -1), has & ~alone, lo
 
 
 def stream_window_index(log: EventLog, windows: Sequence[float]):
     """The stream matches at every window of a grid, from one sort per station, as coincidence groups.
 
     Works without pair ids; each event takes part in at most one
-    coincidence per window.  ``windows`` must increase strictly.  Yields
+    coincidence per window.  ``windows`` must increase strictly, and
+    ``check_stream_match(log, windows[0])`` must have passed.  Yields
     groups ``(rows1, rows2, start, stop)``: coincidence k of a group pairs
     row ``rows1[k]`` of station 1 with row ``rows2[k]`` of station 2 and
     is a match at ``windows[j]`` exactly for ``start[k] <= j < stop``.
-    The grid is walked from the largest window down, one group per
-    window.  At window k, the events still contested at every larger
-    window are split and the contested ones among them scanned; the
-    group holds both stages' matches, in station-1 time order, with
-    ``stop = k + 1``, and only the events still contested go on to window
-    k - 1.  The walk ends when none are, so at a grid of one the first
-    group is the whole match.  ``check_stream_match(log, windows[0])``
-    must have passed.
+    The grid is walked from the largest window down, one group per block
+    of ``_SCAN_BLOCK`` events still contested at every larger window.  At
+    window k a block's group holds the matches of both stages, in
+    station-1 time order, with ``stop = k + 1``; the events still
+    contested go on to window k - 1, and the walk ends when none are.
     """
     s1, s2 = log.station1, log.station2
     o1, o2 = s1.time_order(), s2.time_order()
-    # t1: the events contested at every larger window; their ranges, at every
-    # smaller window, lie in t2 (o1, o2 give the rows of both).
+    # t1: the events contested at every larger window, whose ranges lie in t2; o1, o2 give the rows of both.
     t1, t2 = s1.time_tag[o1], s2.time_tag[o2]
+    if not len(t2):
+        return  # without tags no event has a candidate
     for k in range(len(windows) - 1, -1, -1):
         w = float(windows[k])
-        partner, contested, lo = _split(t1, t2, w)
-        _scan(t1, t2, w, partner, contested, lo)
-        # The next window's slices: lo and hi never decrease, so they span from the
-        # first contested event's lo to the end of the last one's range.
-        rest = np.flatnonzero(contested) if k else ()  # window 0 is the last
-        if len(rest):
-            base = int(lo[rest[0]])
-            top = int(np.searchsorted(t2, t1[rest[-1]] + w, side="right"))
-        del lo
-        m = np.flatnonzero(partner >= 0)
-        pm = partner[m]
-        del partner
-        # A match is kept at k: its own range holds its tag.  An uncontested one
-        # is kept from its first window, k less the number of smaller windows
-        # whose range, with the scan's own bounds fl(t1 - w) <= t2 <= fl(t1 + w),
-        # holds its tag; it holds it from that window on.
-        first = np.full(len(m), k, dtype=np.intp)
-        if k:
-            ta, tb = t1[m], t2[pm]
-            for v in windows[:k]:
-                first -= (ta - v <= tb) & (tb <= ta + v)
-            del ta, tb
-            first[contested[m]] = k
-        del contested
-        if len(rest):
-            # The next window's slices first, so that no more of this one is held at the yield.
-            t1, t2 = t1[rest], t2[base:top]
-            yield o1[m], o2[pm], first, k + 1
-            o1, o2 = o1[rest], o2[base:top]
-            continue
-        # The walk ends at this window: nothing but the group is held at the yield.
-        del t1, t2
-        rows1 = o1[m]
-        del o1, m
-        rows2 = o2[pm]
-        del o2, pm
-        yield rows1, rows2, first, k + 1
-        return
+        rest = []  # per block, the events left contested, which window k - 1 matches again
+        stack: list[int] = []  # the free tags before p, ascending: the top is the nearest left tag
+        p = 0  # the frontier: no tag at or past it is taken
+        base = 0  # the scan's lists hold the tags from t2[base]
+        for a in range(0, len(t1), _SCAN_BLOCK):
+            partner, contested, lo = _settle(t1, t2, w, a, min(a + _SCAN_BLOCK, len(t1)))
+            block = np.flatnonzero(contested)
+            if len(block):
+                shift = int(lo[block[0]]) - base  # no event of this block reaches a tag below its first lo
+                base += shift
+                stack = [s - shift for s in stack if s >= shift]
+                p = max(p - shift, 0)
+                # The scan reads no station-2 tag past the last event's range.
+                top = int(np.searchsorted(t2, t1[a + block[-1]] + w, side="right"))
+                t1l = t1[a + block].tolist()
+                lo_list = (lo[block] - base).tolist()
+                t2l = t2[base:top].tolist()
+                t2l.append(math.nan)  # at top: no comparison holds, so no walk passes it
+                got = np.full(len(block), -1, dtype=np.intp)
+                out = memoryview(got)
+                for i, ti, j in zip(count(), t1l, lo_list):
+                    if stack and stack[-1] < j:
+                        stack = []  # every free tag passed lies below lo, for this event and every later one
+                    if p < j:
+                        p = j
+                    while t2l[p] <= ti:
+                        stack.append(p)
+                        p += 1
+                    if stack:
+                        b = len(stack) - 1
+                        d = ti - t2l[stack[b]]
+                        if (t := t2l[p]) <= ti + w and t - ti < d:  # the right tag wins only if strictly nearer
+                            out[i] = p
+                            p += 1
+                            continue
+                        # The left tag wins: the first free tag at its distance, walking down only through ties.
+                        while b and (left := stack[b - 1]) >= j and not ti - t2l[left] > d:
+                            b -= 1
+                        out[i] = stack.pop(b)
+                    elif t2l[p] <= ti + w:
+                        out[i] = p
+                        p += 1
+                del t1l, lo_list, t2l, out  # the next block's lists replace these, not join them
+                partner[block] = np.where(got >= 0, got + base, -1)
+                if k:  # window 0 is the last
+                    rest.append(block + a)
+            m = np.flatnonzero(partner >= 0)
+            pm = partner[m]
+            # A match is kept at k: its own range holds its tag.  An uncontested one is kept from
+            # its first window, k less the number of smaller windows whose range, with the scan's
+            # own bounds fl(t1 - w) <= t2 <= fl(t1 + w), holds its tag; it holds it from then on.
+            first = np.full(len(m), k, dtype=np.intp)
+            if k:
+                ta, tb = t1[a + m], t2[pm]
+                for v in windows[:k]:
+                    first -= (ta - v <= tb) & (tb <= ta + v)
+                first[contested[m]] = k
+            yield o1[a + m], o2[pm], first, k + 1
+        if not rest:
+            return
+        # The next window's events and tags: lo and hi never decrease, so the tags
+        # span from the first event's lo to the end of the last one's range.
+        rest = np.concatenate(rest)
+        base = int(np.searchsorted(t2, t1[rest[0]] - w, side="left"))
+        top = int(np.searchsorted(t2, t1[rest[-1]] + w, side="right"))
+        t1, o1, t2, o2 = t1[rest], o1[rest], t2[base:top], o2[base:top]

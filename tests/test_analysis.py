@@ -417,21 +417,23 @@ class TestOnePassSweep:
         assert_same_as_reference(config, [5.0, 50.0, 500.0, np.inf], back, "stream")
 
     def test_stream_splits_only_the_events_still_contested(self, monkeypatch):
-        # Each split after the first, at the largest window, receives exactly
-        # the events the split at the window above left contested.
+        # Each window's splits after the first window's, at the largest,
+        # receive exactly the events the splits at the window above left
+        # contested.
         config = ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=3000, seed=5,
                                   emission=EmissionSpec.poisson(2e-4))
         log = run_experiment(config)
-        calls = []
-        split = eprsim.coincidence._split
+        calls = {}  # per window, from the largest down: the events split and the contested mask of each block
+        settle = eprsim.coincidence._settle
 
-        def recorded(t1, t2, window):
-            result = split(t1, t2, window)
-            calls.append((t1, result[1]))
+        def recorded(t1, t2, window, a, b):
+            result = settle(t1, t2, window, a, b)
+            calls.setdefault(window, (t1, []))[1].append(result[1])
             return result
 
-        monkeypatch.setattr(eprsim.coincidence, "_split", recorded)
+        monkeypatch.setattr(eprsim.coincidence, "_settle", recorded)
         window_sweep(config, np.geomspace(1.0, 1000.0, 20), policy="stream", log=log)
+        calls = [(t1, np.concatenate(contested)) for t1, contested in calls.values()]
         assert len(calls) > 2
         assert len(calls[0][0]) == len(log.station1)
         for (t1, contested), (next_t1, _) in zip(calls, calls[1:]):

@@ -162,6 +162,8 @@ def test_parse_emission_rejects(text, message):
         (["--mode", "sweep", "--windows", "0:1000:log1"], "needs min > 0"),
         (["--mode", "sweep", "--windows", "1000:1:lin1"], "needs max > min"),
         (["--mode", "sweep", "--windows", "1:1000:log99999999999999999999"], "at most 2**53 points"),
+        (["--mode", "sweep", "--pairs", "2000", "--windows", "1:1.0000000000000002:log3", "--tags-out", "tags"],
+         "is not strictly increasing"),
         (["--mode", "mc", "--pairs", str(2**53 + 1)], "n_pairs must be in [1, 2**53]"),
         (["--mode", "mc", "--pairs", "10000000000000000000"], "n_pairs must be in [1, 2**53]"),
         (["--mode", "mc", "--angles1", ","], "empty angle list"),
@@ -170,8 +172,8 @@ def test_parse_emission_rejects(text, message):
     ],
     ids=["grid-parts", "grid-bound", "grid-kind", "grid-count", "grid-zero-points", "grid-max-le-min",
          "log-grid-min-le-0", "grid-min-below-0", "one-point-log-grid-min-le-0", "one-point-grid-max-le-min",
-         "grid-count-above-2**53", "pairs-above-2**53", "pairs-above-int64", "empty-angle-list", "quadruple-count",
-         "no-side-manifest"],
+         "grid-count-above-2**53", "grid-points-collapse", "pairs-above-2**53", "pairs-above-int64",
+         "empty-angle-list", "quadruple-count", "no-side-manifest"],
 )
 def test_parser_rejections_exit_1(tmp_path, capsys, argv, message):
     assert main(["--pairs", "100", *argv, "--out", str(tmp_path)]) == 1

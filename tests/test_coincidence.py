@@ -24,7 +24,7 @@ from eprsim import (
 from eprsim import coincidence
 from eprsim.analysis import _sweep_counts, window_sweep
 from eprsim.cli import parse_windows
-from eprsim.coincidence import _split, check_pair_filter, pair_window_index, stream_window_index
+from eprsim.coincidence import _settle, check_pair_filter, pair_window_index, stream_window_index
 from references import paired_reference, scan_reference, stream_reference
 
 
@@ -52,9 +52,9 @@ def paired(log, window):
 
 
 def stream(log, window):
-    """The rows the stream policy matches at ``window``: the one group of the walk on a grid of one."""
-    rows1, rows2, _, _ = next(stream_window_index(log, [window]))
-    return rows1, rows2
+    """The rows the stream policy matches at ``window``: every group of the walk on a grid of one, concatenated."""
+    groups = list(stream_window_index(log, [window]))
+    return tuple(np.concatenate([np.empty(0, dtype=np.intp), *(g[s] for g in groups)]) for s in (0, 1))
 
 
 def column(log, rows, station, name):
@@ -109,7 +109,7 @@ def assert_same_as_scan(t1, t2, window):
 
 
 def range_ends(t1, t2, window, lo):
-    """hi, the end of each event's range t2[lo:hi], which ``_split`` does not compute; a NaN event's range is empty."""
+    """hi, the end of each event's range t2[lo:hi], which ``_settle`` does not compute; a NaN event's range is empty."""
     return np.where(np.isnan(t1), lo, np.searchsorted(t2, t1 + window, "right"))
 
 
@@ -266,13 +266,13 @@ class TestTwoStageMatch:
     def test_regular_emission_leaves_nothing_to_scan(self):
         t1, t2 = sorted_tags(EmissionSpec.regular(10_000.0), 5000, seed=8)
         for window in parse_windows("1:1000:log20"):
-            _, contested, _ = _split(t1, t2, window)
+            _, contested, _ = _settle(t1, t2, window, 0, len(t1))
             assert not contested.any()
             assert_same_as_scan(t1, t2, window)
 
     def test_sparse_poisson_runs_both_stages(self):
         t1, t2 = sorted_tags(EmissionSpec.poisson(5e-4), 5000, seed=9)
-        partner, contested, _ = _split(t1, t2, 1000.0)
+        partner, contested, _ = _settle(t1, t2, 1000.0, 0, len(t1))
         assert contested.any() and (partner >= 0).any()
         assert_same_as_scan(t1, t2, 1000.0)
 
@@ -287,20 +287,20 @@ class TestTwoStageMatch:
         # 0 -> 0.5 alone; 10 and 11 share 10.5; 30 has no candidate.
         t1 = np.array([0.0, 10.0, 11.0, 30.0])
         t2 = np.array([0.5, 10.5, 20.0, 40.0])
-        partner, contested, lo = _split(t1, t2, 1.0)
+        partner, contested, lo = _settle(t1, t2, 1.0, 0, len(t1))
         hi = range_ends(t1, t2, 1.0, lo)
         assert partner.tolist() == [0, -1, -1, -1]
         assert contested.tolist() == [False, True, True, False]
         assert lo.tolist() == [0, 1, 1, 3] and hi.tolist() == [1, 2, 2, 3]
         # A range of one tag that another range also holds is contested.
-        partner, contested, _ = _split(np.array([0.0, 1.5]), np.array([1.0, 2.0]), 1.0)
+        partner, contested, _ = _settle(np.array([0.0, 1.5]), np.array([1.0, 2.0]), 1.0, 0, 2)
         assert partner.tolist() == [-1, -1] and contested.tolist() == [True, True]
 
     def test_a_nan_tag_matches_nothing(self):
         # A NaN |dt| is within no window.  Sorted, the NaNs come last, and the
         # NaN event's range is empty instead of the one NaN tag of station 2.
         t1, t2 = np.array([0.0, 3.0, np.nan]), np.array([0.2, 3.1, np.nan])
-        partner, contested, lo = _split(t1, t2, 1.0)
+        partner, contested, lo = _settle(t1, t2, 1.0, 0, len(t1))
         hi = range_ends(t1, t2, 1.0, lo)
         assert partner.tolist() == [0, 1, -1] and not contested.any()
         assert lo.tolist() == [0, 1, 2] and hi.tolist() == [1, 2, 2]
@@ -322,7 +322,7 @@ class TestTwoStageMatch:
             t1, t2 = sorted_tags(EmissionSpec.poisson(5e-4), 3000, seed=12)
             windows = [10.0, 300.0, 1000.0]
         for window in windows:
-            partner, contested, lo = _split(t1, t2, window)
+            partner, contested, lo = _settle(t1, t2, window, 0, len(t1))
             hi = range_ends(t1, t2, window, lo)
             cover = np.zeros(len(t2) + 1, dtype=int)
             for a, b in zip(lo.tolist(), hi.tolist()):
@@ -415,7 +415,7 @@ class TestScanBlocks:
     def test_a_tag_taken_in_an_earlier_block_stays_taken(self, monkeypatch, block, case):
         monkeypatch.setattr(coincidence, "_SCAN_BLOCK", block)
         t1, t2, window = np.array(case[0]), np.array(case[1]), case[2]
-        _, contested, lo = _split(t1, t2, window)
+        _, contested, lo = _settle(t1, t2, window, 0, len(t1))
         hi = range_ends(t1, t2, window, lo)
         assert contested.all() and hi[-1] == len(t2)
         m1, m2 = sorted_match(t1, t2, window)
@@ -424,7 +424,8 @@ class TestScanBlocks:
 
     def test_peak_memory_per_event(self):
         # Nearly every event of this log is contested.  Python lists over all
-        # of them peak near 200 bytes per event; block-sized ones near 100.
+        # of them peak near 200 bytes per event; block-sized ones, with every
+        # group of the walk gathered here, near 58.
         log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=200_000,
                                               seed=5, emission=EmissionSpec.poisson(0.005)))
         tracemalloc.start()
@@ -449,10 +450,25 @@ class TestScanBlocks:
             tracemalloc.stop()
         assert peak / log.n_pairs < 75
 
+    def test_grid_sweep_peak_per_event(self):
+        # The same dense log swept over 20 windows.  Full-length first-window
+        # tests over every match of the largest window peaked near 118 bytes
+        # per event, twice the one-window sweep.
+        log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=200_000,
+                                              seed=5, emission=EmissionSpec.poisson(0.005)))
+        tracemalloc.start()
+        try:
+            window_sweep(log.config, np.geomspace(1.0, 1000.0, 20), policy="stream", log=log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / log.n_pairs < 80
+
     def test_walk_holds_little_at_its_yield(self):
-        # At a grid of one the walk ends at its first yield: it then holds the
-        # two sort orders and the matched positions, 32 bytes per event, and no
-        # longer the sorted tags, the ranges or the split (65 bytes per event).
+        # At a grid of one the walk yields one group per block.  At the first
+        # it holds the sorted tags and sort orders, 32 bytes per event, and one
+        # block's temporaries, 36 bytes per event in all, and no full-length
+        # ranges or split.
         log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=50_000,
                                               seed=5, emission=EmissionSpec.poisson(0.005)))
         tracemalloc.start()
@@ -508,7 +524,7 @@ class TestScanWalk:
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_case(self, case):
         t1, t2, window, takes = np.array(case[0]), np.array(case[1]), case[2], case[3]
-        _, contested, _ = _split(t1, t2, window)
+        _, contested, _ = _settle(t1, t2, window, 0, len(t1))
         assert contested.sum() >= 2  # the scan runs
         m1, m2 = sorted_match(t1, t2, window)
         expected = [(i, j) for i, j in enumerate(takes) if j >= 0]
@@ -579,5 +595,3 @@ class TestCoincidenceRate:
         for policy in ("paired", "stream"):
             counts = _sweep_counts(log, np.array([0.5]), cfg, policy)
             assert counts.sum() / log.n_pairs == 1.0
-        with pytest.raises(ValidationError, match="unknown match policy"):
-            _sweep_counts(log, np.array([0.5]), cfg, "hardware")
