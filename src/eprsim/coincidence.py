@@ -87,12 +87,18 @@ before the next block starts.  As ``lo`` and ``hi`` never decrease, a
 block's contested events reach one slice of t2, from the first one's
 ``lo`` to the end of the last one's range (one scalar search); the
 scan's lists cover that slice and are freed before the next block's are
-built, and the stack and ``p`` are rebased onto it.  Beyond block-sized
-temporaries a window holds the sorted tags and sort orders (32 bytes
-per event) and the events it leaves contested (8 bytes each, none at
-the last window).  On 200,000 dense Poisson pairs (numpy 2.4) the
-stream sweep peaks near 36 traced bytes per event at W = 1000 and near
-58 over 20 windows from 1 to 1000.
+built, and the stack and ``p`` are rebased onto it.  An uncontested
+match's first window is found by one search of the grid for |dt|,
+stepped down or up by the scan's own bounds.  Beyond block-sized
+temporaries a window holds the sorted station-2 tags (8 bytes per
+event) and the two stations' sort orders, each in the smallest
+unsigned type that holds its row count (4 bytes per event below 2**32
+rows), 16 bytes per event, and the events it leaves contested (8 bytes
+each, none at the last window).  Station 1's tags are gathered per
+block through its sort order, and station 2's sorted tags a block at a
+time, so no intp copy of a sort order is made.  On 200,000 dense
+Poisson pairs (numpy 2.4) the stream sweep peaks near 20 traced bytes
+per event at W = 1000 and near 46 over 20 windows from 1 to 1000.
 """
 
 from __future__ import annotations
@@ -208,6 +214,69 @@ def _settle(t1: np.ndarray, t2: np.ndarray, window: float, a: int, b: int):
     return np.where(alone, lo, -1), has & ~alone, lo
 
 
+def _scan(t1: np.ndarray, lo: np.ndarray, t2: np.ndarray, window: float, stack: list, p: int):
+    """Stage 2 of the stream matcher over one block's contested events: the scan of the module docstring.
+
+    Event i has tag ``t1[i]`` and the first tag of its range at
+    ``t2[lo[i]]``; ``t2`` holds the block's station-2 tags.  ``stack``
+    and the frontier ``p`` come from the block before, rebased onto
+    ``t2``.  Returns the tag each event takes, -1 for none, and the stack
+    and the frontier the next block starts from.  The lists are built
+    here, not in the walk: ``tracemalloc`` finds the line of every
+    allocation by scanning its function's line table from the start, so
+    under tracing each object made deep in the long walk costs several
+    times as much as one made here.
+    """
+    got = np.full(len(t1), -1, dtype=np.intp)
+    out = memoryview(got)
+    t1l, lo_list, t2l = t1.tolist(), lo.tolist(), t2.tolist()
+    t2l.append(math.nan)  # past the block's tags: no comparison holds, so no walk passes it
+    for i, ti, j in zip(count(), t1l, lo_list):
+        if stack and stack[-1] < j:
+            stack = []  # every free tag passed lies below lo, for this event and every later one
+        if p < j:
+            p = j
+        while t2l[p] <= ti:
+            stack.append(p)
+            p += 1
+        if stack:
+            b = len(stack) - 1
+            d = ti - t2l[stack[b]]
+            if (t := t2l[p]) <= ti + window and t - ti < d:  # the right tag wins only if strictly nearer
+                out[i] = p
+                p += 1
+                continue
+            # The left tag wins: the first free tag at its distance, walking down only through ties.
+            while b and (left := stack[b - 1]) >= j and not ti - t2l[left] > d:
+                b -= 1
+            out[i] = stack.pop(b)
+        elif t2l[p] <= ti + window:
+            out[i] = p
+            p += 1
+    return got, stack, p
+
+
+def _first_windows(ta: np.ndarray, tb: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Per match (ta, tb), the first window of ``lower`` whose range, by the scan's bounds, holds tb, or len(lower).
+
+    ``fl(ta - v) <= tb <= fl(ta + v)`` holds from some window on, as
+    both bounds are monotone in v, so that window lies next to the
+    number of windows below |tb - ta|: the search's guess steps down
+    while the window below holds tb, then up while its own does not.
+    """
+
+    def held(at: np.ndarray) -> np.ndarray:  # whether window ``at``, clipped to the grid, holds tb
+        v = lower.take(at, mode="clip")
+        return (ta - v <= tb) & (tb <= ta + v)
+
+    first = np.searchsorted(lower, np.abs(tb - ta))
+    while (down := (first > 0) & held(first - 1)).any():
+        first -= down
+    while (up := (first < len(lower)) & ~held(first)).any():
+        first += up
+    return first
+
+
 def stream_window_index(log: EventLog, windows: Sequence[float]):
     """The stream matches at every window of a grid, from one sort per station, as coincidence groups.
 
@@ -217,26 +286,35 @@ def stream_window_index(log: EventLog, windows: Sequence[float]):
     groups ``(rows1, rows2, start, stop)``: coincidence k of a group pairs
     row ``rows1[k]`` of station 1 with row ``rows2[k]`` of station 2 and
     is a match at ``windows[j]`` exactly for ``start[k] <= j < stop``.
-    The grid is walked from the largest window down, one group per block
-    of ``_SCAN_BLOCK`` events still contested at every larger window.  At
-    window k a block's group holds the matches of both stages, in
-    station-1 time order, with ``stop = k + 1``; the events still
-    contested go on to window k - 1, and the walk ends when none are.
+    Rows are unsigned, in the smallest type that holds their station's
+    row count.  The grid is walked from the largest window down, one
+    group per block of ``_SCAN_BLOCK`` events still contested at every
+    larger window.  At window k a block's group holds the matches of
+    both stages, in station-1 time order, with ``stop = k + 1``; the
+    events still contested go on to window k - 1, and the walk ends when
+    none are.
     """
     s1, s2 = log.station1, log.station2
-    o1, o2 = s1.time_order(), s2.time_order()
-    # t1: the events contested at every larger window, whose ranges lie in t2; o1, o2 give the rows of both.
-    t1, t2 = s1.time_tag[o1], s2.time_tag[o2]
-    if not len(t2):
+    if not len(s2):
         return  # without tags no event has a candidate
-    for k in range(len(windows) - 1, -1, -1):
-        w = float(windows[k])
+    # o1: the rows of the events contested at every larger window, in time order, whose ranges lie in t2.
+    o1 = s1.time_order().astype(np.min_scalar_type(len(s1)))
+    o2 = s2.time_order().astype(np.min_scalar_type(len(s2)))
+    t2 = np.empty(len(o2))
+    for a in range(0, len(o2), _SCAN_BLOCK):  # numpy widens a narrow index to intp: a block at a time
+        t2[a : a + _SCAN_BLOCK] = s2.time_tag[o2[a : a + _SCAN_BLOCK]]
+    grid = np.asarray(windows, dtype=float)
+    for k in range(len(grid) - 1, -1, -1):
+        w = float(grid[k])
         rest = []  # per block, the events left contested, which window k - 1 matches again
         stack: list[int] = []  # the free tags before p, ascending: the top is the nearest left tag
         p = 0  # the frontier: no tag at or past it is taken
-        base = 0  # the scan's lists hold the tags from t2[base]
-        for a in range(0, len(t1), _SCAN_BLOCK):
-            partner, contested, lo = _settle(t1, t2, w, a, min(a + _SCAN_BLOCK, len(t1)))
+        base = 0  # the tags the scan gets start at t2[base]
+        for a in range(0, len(o1), _SCAN_BLOCK):
+            # t1 holds the block's tags, from t1[j], and the two next to it, which _settle reads.
+            j = min(a, 1)
+            t1 = s1.time_tag[o1[a - j : a + _SCAN_BLOCK + 1]]
+            partner, contested, lo = _settle(t1, t2, w, j, min(j + _SCAN_BLOCK, len(t1)))
             block = np.flatnonzero(contested)
             if len(block):
                 shift = int(lo[block[0]]) - base  # no event of this block reaches a tag below its first lo
@@ -244,56 +322,25 @@ def stream_window_index(log: EventLog, windows: Sequence[float]):
                 stack = [s - shift for s in stack if s >= shift]
                 p = max(p - shift, 0)
                 # The scan reads no station-2 tag past the last event's range.
-                top = int(np.searchsorted(t2, t1[a + block[-1]] + w, side="right"))
-                t1l = t1[a + block].tolist()
-                lo_list = (lo[block] - base).tolist()
-                t2l = t2[base:top].tolist()
-                t2l.append(math.nan)  # at top: no comparison holds, so no walk passes it
-                got = np.full(len(block), -1, dtype=np.intp)
-                out = memoryview(got)
-                for i, ti, j in zip(count(), t1l, lo_list):
-                    if stack and stack[-1] < j:
-                        stack = []  # every free tag passed lies below lo, for this event and every later one
-                    if p < j:
-                        p = j
-                    while t2l[p] <= ti:
-                        stack.append(p)
-                        p += 1
-                    if stack:
-                        b = len(stack) - 1
-                        d = ti - t2l[stack[b]]
-                        if (t := t2l[p]) <= ti + w and t - ti < d:  # the right tag wins only if strictly nearer
-                            out[i] = p
-                            p += 1
-                            continue
-                        # The left tag wins: the first free tag at its distance, walking down only through ties.
-                        while b and (left := stack[b - 1]) >= j and not ti - t2l[left] > d:
-                            b -= 1
-                        out[i] = stack.pop(b)
-                    elif t2l[p] <= ti + w:
-                        out[i] = p
-                        p += 1
-                del t1l, lo_list, t2l, out  # the next block's lists replace these, not join them
+                top = int(np.searchsorted(t2, t1[j + block[-1]] + w, side="right"))
+                got, stack, p = _scan(t1[j + block], lo[block] - base, t2[base:top], w, stack, p)
                 partner[block] = np.where(got >= 0, got + base, -1)
                 if k:  # window 0 is the last
                     rest.append(block + a)
             m = np.flatnonzero(partner >= 0)
             pm = partner[m]
             # A match is kept at k: its own range holds its tag.  An uncontested one is kept from
-            # its first window, k less the number of smaller windows whose range, with the scan's
-            # own bounds fl(t1 - w) <= t2 <= fl(t1 + w), holds its tag; it holds it from then on.
+            # its first window on, where its range first holds its tag.
             first = np.full(len(m), k, dtype=np.intp)
             if k:
-                ta, tb = t1[a + m], t2[pm]
-                for v in windows[:k]:
-                    first -= (ta - v <= tb) & (tb <= ta + v)
-                first[contested[m]] = k
+                free = ~contested[m]
+                first[free] = _first_windows(t1[j + m[free]], t2[pm[free]], grid[:k])
             yield o1[a + m], o2[pm], first, k + 1
         if not rest:
             return
         # The next window's events and tags: lo and hi never decrease, so the tags
         # span from the first event's lo to the end of the last one's range.
         rest = np.concatenate(rest)
-        base = int(np.searchsorted(t2, t1[rest[0]] - w, side="left"))
-        top = int(np.searchsorted(t2, t1[rest[-1]] + w, side="right"))
-        t1, o1, t2, o2 = t1[rest], o1[rest], t2[base:top], o2[base:top]
+        base = int(np.searchsorted(t2, s1.time_tag[o1[rest[0]]] - w, side="left"))
+        top = int(np.searchsorted(t2, s1.time_tag[o1[rest[-1]]] + w, side="right"))
+        o1, t2, o2 = o1[rest], t2[base:top], o2[base:top]

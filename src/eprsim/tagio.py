@@ -11,13 +11,23 @@ coincidence analysis can be redone later from raw tags alone.  Format:
 Rows are written in time order.  Times are fixed-point with six
 decimals, matching the generator's tag resolution, so a write/read cycle
 reproduces the in-memory log exactly and re-writing a read file is
-byte-identical.  The reader accepts exactly what the writer writes:
-these two header lines for the station asked for, with or without the
-pair_id column (stream matching does not need it), then rows and empty
-lines.  ``np.loadtxt`` parses the rows from disk; after a failure, a
-second pass over the lines names the bad one.  Files with pair ids are
-read back into pair order, the order :func:`eprsim.events.run_experiment`
-returns; files without keep their row order.
+byte-identical.
+
+The reader accepts these two header lines for the station asked for,
+with or without the pair_id column (stream matching does not need it),
+then rows and empty lines.  A row has one field per column, in any row
+order; a field is an ASCII number as ``float()`` reads it, without
+digit separators, and may carry spaces around it.  pair_id must be an
+integer in [0, 2**53) that no other row repeats, time_ns finite,
+setting_index an integer in [0, 2**15) and outcome 1 or -1; integer
+columns may use float syntax (``1.0``, ``1e0``) and a ``+`` sign.
+``np.loadtxt`` parses the rows from disk, first with each column in its
+own type (int64, float64, int16, int8), which reads every file the
+writer writes; where that fails, again with every column as float64,
+and one set of checks then serves both.  If both fail, a pass over the
+lines names the bad one.  Files with pair ids are read back into pair
+order, the order :func:`eprsim.events.run_experiment` returns; files
+without keep their row order.
 
 The writer builds each row's digits with integer arithmetic on whole
 blocks of tags, and its bytes equal ``f"{t:.6f}"`` for every double t.
@@ -80,6 +90,8 @@ _MAGIC = "eprsim-tags"
 FORMAT_VERSION = "v1"
 _COLUMNS = ("pair_id", "time_ns", "setting_index", "outcome")
 _FORMAT_ROWS = 1 << 13
+# The type each column is read in; a file that does not parse so is read as floats.
+_TYPES = {"pair_id": "i8", "time_ns": "f8", "setting_index": "i2", "outcome": "i1"}
 
 
 def station_path(prefix: str | Path, station: int) -> Path:
@@ -217,17 +229,35 @@ def _check_rows(path: Path, bad: np.ndarray, message: str) -> None:
         raise TagFormatError(f"{path}:{k}: {message}")
 
 
+def _load_rows(path: Path, names: tuple[str, ...]) -> dict[str, np.ndarray] | None:
+    """The rows' columns by name, each in its own type or, if that parse fails, as floats; None if both fail."""
+
+    def load(dtype, ndmin: int) -> np.ndarray | None:
+        try:
+            return np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=2, comments=None, ndmin=ndmin,
+                              encoding="utf-8")
+        except UnicodeDecodeError:
+            raise  # a ValueError too, but one that no parse gets past
+        except ValueError:
+            return None
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt's empty-body warning; see "no events"
+        data = load([(name, _TYPES[name]) for name in names], 1)
+        if data is not None:
+            return {name: data[name] for name in names}
+        data = load(float, 2)
+    return None if data is None or data.shape[1] != len(names) else dict(zip(names, data.T))
+
+
 def _parse_station_file(path: Path, expected_station: int) -> StationStream:
     try:
         with path.open(encoding="utf-8") as fh:
             first, second = fh.readline(), fh.readline()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # loadtxt's empty-body warning; see "no events"
-            data = np.loadtxt(path, delimiter=",", skiprows=2, comments=None, ndmin=2, encoding="utf-8")
+        header = tuple(second.rstrip("\n").split(","))
+        columns = _load_rows(path, header) if header in (_COLUMNS, _COLUMNS[1:]) else None
     except (OSError, UnicodeDecodeError) as exc:
         raise TagFormatError(f"{path}: cannot read tag file: {exc}") from exc
-    except ValueError:
-        data = None
     if not second:
         raise TagFormatError(f"{path}: truncated tag file (need version and header lines)")
     head = first.split()
@@ -241,13 +271,12 @@ def _parse_station_file(path: Path, expected_station: int) -> StationStream:
         raise TagFormatError(f"{path}:1: bad station token {token!r}")
     if int(station) != expected_station:
         raise TagFormatError(f"{path}:1: station {station} file given for station {expected_station}")
-    header = tuple(second.rstrip("\n").split(","))
     if header not in (_COLUMNS, _COLUMNS[1:]):
         raise TagFormatError(f"{path}:2: unexpected columns {header!r}")
 
-    if data is not None and len(data) == 0:
+    if columns is not None and not len(columns["time_ns"]):
         raise TagFormatError(f"{path}: no events")
-    if data is None or data.shape[1] != len(header):
+    if columns is None:
         for k, line in _data_lines(path):
             fields = line.split(",")
             if len(fields) != len(header):
@@ -262,7 +291,7 @@ def _parse_station_file(path: Path, expected_station: int) -> StationStream:
                     raise TagFormatError(f"{path}:{k}: malformed tag data: {name} value {tok.strip()!r}")
         raise TagFormatError(f"{path}: malformed tag data")
 
-    t, idx, outcome = data[:, -3:].T
+    t, idx, outcome = columns["time_ns"], columns["setting_index"], columns["outcome"]
     _check_rows(path, (outcome != 1) & (outcome != -1), "outcome must be 1 or -1")
     _check_rows(path, ~_is_index(idx, 2.0**15), "setting_index must be an integer in [0, 2**15)")
     _check_rows(path, ~np.isfinite(t), "non-finite time tag")
@@ -270,17 +299,17 @@ def _parse_station_file(path: Path, expected_station: int) -> StationStream:
     order, pid = np.arange(len(t)), None
     if header == _COLUMNS:
         # 2**53: above it a float no longer holds every integer exactly.
-        _check_rows(path, ~_is_index(data[:, 0], 2.0**53), "pair_id must be an integer in [0, 2**53)")
-        order = np.argsort(data[:, 0], kind="stable")
-        pid = data[order, 0].astype(np.int64)
+        _check_rows(path, ~_is_index(columns["pair_id"], 2.0**53), "pair_id must be an integer in [0, 2**53)")
+        order = np.argsort(columns["pair_id"], kind="stable")
+        pid = columns["pair_id"][order].astype(np.int64, copy=False)
         repeats = np.zeros(len(pid), dtype=bool)
         repeats[order[1:]] = np.diff(pid) == 0
         _check_rows(path, repeats, "repeated pair_id")
     return StationStream(
         station=expected_station,
         time_tag=t[order],
-        setting_index=idx[order].astype(np.int16),
-        outcome=outcome[order].astype(np.int8),
+        setting_index=idx[order].astype(np.int16, copy=False),
+        outcome=outcome[order].astype(np.int8, copy=False),
         pair_id=pid,
     )
 

@@ -425,7 +425,8 @@ class TestScanBlocks:
     def test_peak_memory_per_event(self):
         # Nearly every event of this log is contested.  Python lists over all
         # of them peak near 200 bytes per event; block-sized ones, with every
-        # group of the walk gathered here, near 58.
+        # group of the walk gathered here, near 35 (near 58 with sorted tags
+        # of both stations and 8-byte sort orders).
         log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=200_000,
                                               seed=5, emission=EmissionSpec.poisson(0.005)))
         tracemalloc.start()
@@ -439,7 +440,8 @@ class TestScanBlocks:
     def test_one_window_sweep_peak_per_event(self):
         # The same dense log through the whole one-window sweep.  A second
         # full-length search, full-length candidate tests and the split kept
-        # alive past the scan peaked near 91 bytes per event.
+        # alive past the scan peaked near 91 bytes per event; sorted tags of
+        # both stations and 8-byte sort orders, 32 bytes per event, near 36.
         log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=200_000,
                                               seed=5, emission=EmissionSpec.poisson(0.005)))
         tracemalloc.start()
@@ -449,6 +451,8 @@ class TestScanBlocks:
         finally:
             tracemalloc.stop()
         assert peak / log.n_pairs < 75
+        # The sorted station-2 tags and two 4-byte sort orders are 16 bytes per event.
+        assert peak / log.n_pairs < 28
 
     def test_grid_sweep_peak_per_event(self):
         # The same dense log swept over 20 windows.  Full-length first-window
@@ -466,9 +470,10 @@ class TestScanBlocks:
 
     def test_walk_holds_little_at_its_yield(self):
         # At a grid of one the walk yields one group per block.  At the first
-        # it holds the sorted tags and sort orders, 32 bytes per event, and one
-        # block's temporaries, 36 bytes per event in all, and no full-length
-        # ranges or split.
+        # it holds the sorted station-2 tags and the two 4-byte sort orders,
+        # 16 bytes per event, and one block's temporaries, and no full-length
+        # ranges or split.  Sorted tags of both stations and 8-byte sort
+        # orders held 36 bytes per event.
         log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=50_000,
                                               seed=5, emission=EmissionSpec.poisson(0.005)))
         tracemalloc.start()
@@ -481,6 +486,7 @@ class TestScanBlocks:
             tracemalloc.stop()
         walk.close()
         assert held / log.n_pairs < 40
+        assert held / log.n_pairs < 25
 
 
 END = 0.1 + 0.2  # fl(0.1 + 0.2) = 0.30000000000000004, the bound of an event at 0.1 with W = 0.2

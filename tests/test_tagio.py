@@ -260,6 +260,51 @@ def test_read_peak_memory_per_pair(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / log.n_pairs < 150
+    # Integer columns parsed as float64 peaked near 89 bytes per pair.
+    assert peak / log.n_pairs < 78
+
+
+def _count_loadtxt(monkeypatch) -> list:
+    """Record the dtype of every ``np.loadtxt`` call from here on."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(np.dtype(kwargs.get("dtype", float)))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+@pytest.mark.parametrize("pair_ids", [True, False], ids=["pair-ids", "no-pair-ids"])
+def test_written_files_are_read_in_one_typed_pass(tmp_path, monkeypatch, pair_ids):
+    log = run_experiment(POISSON)
+    if not pair_ids:
+        log = EventLog(replace(log.station1, pair_id=None), replace(log.station2, pair_id=None))
+    write_tags(log, tmp_path / "run")
+    calls = _count_loadtxt(monkeypatch)
+    back = read_tags(tmp_path / "run", POISSON)
+    assert [dtype.names for dtype in calls] == [tagio._COLUMNS[not pair_ids:]] * 2
+    for station in (back.station1, back.station2):
+        assert (station.setting_index.dtype, station.outcome.dtype) == (np.int16, np.int8)
+    if pair_ids:
+        assert back == log
+        assert back.station1.pair_id.dtype == np.int64
+
+
+def test_float_syntax_in_integer_columns_reads_through_the_fallback(tmp_path, monkeypatch):
+    log = run_experiment(POISSON)
+    write_tags(log, tmp_path / "run")
+    for station in (1, 2):
+        lines = station_path(tmp_path / "run", station).read_text(encoding="utf-8").splitlines(keepends=True)
+        rows = [line.rstrip("\n").split(",") for line in lines[2:]]
+        text = "".join(f"{pid}.0,{t},{idx}e0,{outcome}.0\n" for pid, t, idx, outcome in rows)
+        station_path(tmp_path / "float", station).write_text("".join(lines[:2]) + text, encoding="utf-8")
+    calls = _count_loadtxt(monkeypatch)
+    back = read_tags(tmp_path / "float", POISSON)
+    assert [dtype.names is None for dtype in calls] == [False, True] * 2
+    assert back == log
 
 
 def test_write_peak_memory_per_pair(tmp_path):
