@@ -10,8 +10,13 @@ Four batch modes:
 
 ``mc``, ``sweep`` and ``reanalyze`` share one analysis.  It runs on the
 ``--windows`` grid if given, else on the default grid for ``sweep``, else
-at the single ``--window``.  One window writes ``correlations.csv`` and
-records S; a grid writes ``sweep.csv`` and records S at its ends.
+at the single ``--window``.  The manifest's ``per_window`` holds one
+record per window, the same for both shapes: the window, S, its stderr,
+the coincidence rate, matched and unmatched events, empty setting cells
+and the four CHSH correlations.  One window writes ``correlations.csv``
+and copies record 0's keys to the top level; a grid writes ``sweep.csv``
+and records S at its ends (``s_first``, ``s_last``), where it crosses 2,
+and the event counts and empty cells as lists over the records.
 
 Angles must carry an explicit unit suffix (``22.5deg`` or ``0.3927rad``);
 window grids are ``min:max:logN`` or ``min:max:linN`` in the same time
@@ -225,46 +230,47 @@ def _analyze(log, config, windows, policy, quadruple, outdir: Path, manifest: Ru
     """Select coincidences at ``windows``, write the result CSV and build ``manifest.results``.
 
     The selection is one ``window_sweep``, and one window (a float) is a
-    grid of one.  It writes ``correlations.csv`` and records S with its
-    four correlations; a grid writes ``sweep.csv`` and records S at its ends
-    and where it crosses 2.  Both record matched and unmatched events, the
-    setting cells with no coincidences (one list per window for a grid),
-    and ``diagnostics`` with the ``analyze`` stage added.
+    grid of one.  Both shapes build ``per_window``, one record per window,
+    the same way and read every other result from it: one window's
+    scalar keys are record 0's; a grid's ``s_first`` and ``s_last`` are
+    its end records' S, and its ``matched``, ``unmatched1``,
+    ``unmatched2`` and ``empty_cells`` list the records' values, next to
+    ``crossings_at_2``.  The shape chooses only that summary, the CSV
+    (``correlations.csv`` or ``sweep.csv``) and the printed lines.  Both
+    add ``policy`` and ``diagnostics`` with the ``analyze`` stage.
     """
     with _stage(diagnostics["stage_s"], "analyze"):
         sweep = window_sweep(config, np.atleast_1d(windows), quadruple, policy, log=log)
+        e = (sweep.correlation[:, i, j].tolist() for i, j in sweep.cells)
+        per_window = [
+            {"window": w, "s": s, "s_stderr": s_stderr, "coincidence_rate": rate, "matched": m,
+             "unmatched1": len(log.station1) - m, "unmatched2": len(log.station2) - m, "empty_cells": empty,
+             "correlations": dict(zip(("e_ab", "e_abp", "e_apb", "e_apbp"), e_w))}
+            for w, s, s_stderr, rate, m, empty, *e_w in zip(
+                sweep.windows.tolist(), sweep.s.tolist(), sweep.s_stderr.tolist(), sweep.rate.tolist(),
+                sweep.matched.tolist(), sweep.empty_cells, *e)
+        ]
+        first, last = per_window[0], per_window[-1]
         if np.ndim(windows) == 0:
             csv_path = write_correlation_csv(outdir / "correlations.csv", sweep, config)
-            matched = sweep.matched[0]
-            empty_cells = sweep.empty_cells[0]
-            rate, s, s_stderr = float(sweep.rate[0]), float(sweep.s[0]), float(sweep.s_stderr[0])
-            e = [float(sweep.correlation[0, i, j]) for i, j in sweep.cells]
-            summary = {"window": windows, "coincidence_rate": rate, "s": s, "s_stderr": s_stderr,
-                       "correlations": dict(zip(("e_ab", "e_abp", "e_apb", "e_apbp"), e))}
-            print(f"{manifest.mode}: n_pairs={log.n_pairs} window={windows} rate={rate:.6f}")
-            print(f"{manifest.mode}: S = {s:.6f} +- {s_stderr:.6f}")
+            summary = first
+            print(f"{manifest.mode}: n_pairs={log.n_pairs} window={first['window']} "
+                  f"rate={first['coincidence_rate']:.6f}")
+            print(f"{manifest.mode}: S = {first['s']:.6f} +- {first['s_stderr']:.6f}")
         else:
             csv_path = write_sweep_csv(outdir / "sweep.csv", sweep)
-            matched = sweep.matched
-            empty_cells = sweep.empty_cells
-            crossings = sweep.crossings()
-            summary = {"crossings_at_2": crossings, "s_first": float(sweep.s[0]), "s_last": float(sweep.s[-1])}
-            print(f"{manifest.mode}: {len(windows)} windows {windows[0]:g}..{windows[-1]:g}, "
-                  f"S {sweep.s[0]:.4f} -> {sweep.s[-1]:.4f}, crossings at 2: {crossings}")
+            lists = {k: [r[k] for r in per_window] for k in ("matched", "unmatched1", "unmatched2", "empty_cells")}
+            summary = {"crossings_at_2": sweep.crossings(), "s_first": first["s"], "s_last": last["s"], **lists}
+            print(f"{manifest.mode}: {len(per_window)} windows {first['window']:g}..{last['window']:g}, "
+                  f"S {first['s']:.4f} -> {last['s']:.4f}, crossings at 2: {summary['crossings_at_2']}")
     manifest.outputs.append(str(csv_path))
-    manifest.results = {
-        "policy": policy,
-        **summary,
-        "matched": matched.tolist(),
-        "unmatched1": (len(log.station1) - matched).tolist(),
-        "unmatched2": (len(log.station2) - matched).tolist(),
-        "empty_cells": empty_cells,
-        "diagnostics": diagnostics,
-    }
+    manifest.results = {"policy": policy, **summary, "per_window": per_window, "diagnostics": diagnostics}
 
 
 def _run_analysis(args, outdir: Path) -> RunManifest:
     """``mc``, ``sweep`` and ``reanalyze``: generate or read the log, then ``_analyze`` it."""
+    if not np.isfinite(args.window):  # reanalyze builds no ModelParams from it
+        raise ValidationError(f"--window must be finite, got {args.window}")
     grid = args.windows or ("1:1000:log20" if args.mode == "sweep" else None)
     windows = parse_windows(grid) if grid else args.window
     stage_s = {}

@@ -67,9 +67,9 @@ def check_settings(angles) -> None:
 class ModelParams:
     """The three knobs of the model.
 
-    d       dimensionless exponent of the delay timescale (>= 0)
+    d       dimensionless exponent of the delay timescale (finite, >= 0)
     t0      maximum delay timescale, time units (finite, > 0)
-    window  coincidence window W, same time units (>= 0)
+    window  coincidence window W, same time units (finite, >= 0)
     """
 
     d: float = 4.0
@@ -79,10 +79,10 @@ class ModelParams:
     def __post_init__(self):
         if not (0 < self.t0 < np.inf):
             raise ValidationError(f"t0 must be finite and > 0, got {self.t0}")
-        if not (self.window >= 0):
-            raise ValidationError(f"window must be >= 0, got {self.window}")
-        if not (self.d >= 0):
-            raise ValidationError(f"d must be >= 0, got {self.d}")
+        if not (0 <= self.window < np.inf):
+            raise ValidationError(f"window must be finite and >= 0, got {self.window}")
+        if not (0 <= self.d < np.inf):
+            raise ValidationError(f"d must be finite and >= 0, got {self.d}")
 
 
 def normalize_angle(angle):

@@ -354,7 +354,11 @@ class RunManifest:
     created_utc: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        """Strict JSON: a NaN or infinite value raises ValidationError instead of writing ``NaN`` or ``Infinity``."""
+        try:
+            return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise ValidationError(f"{self.mode} manifest is not strict JSON: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":

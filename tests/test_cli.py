@@ -122,12 +122,46 @@ def test_sweep_manifests_account_for_every_window(tmp_path):
         ["--mode", "mc", "--emission", "poisson:inf"],
         ["--mode", "mc", "--angles1", "1e308rad,0rad"],
         ["--mode", "oracle", "--quadruple", "1e308rad,0rad,0rad,0rad"],
+        ["--mode", "mc", "--window", "inf"],
+        ["--mode", "oracle", "--window", "inf"],
+        ["--mode", "mc", "--d", "inf"],
     ],
 )
 def test_non_finite_input_exits_1(tmp_path, capsys, argv):
     assert main([*argv, "--pairs", "100", "--out", str(tmp_path)]) == 1
     assert "invalid configuration" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+def test_reanalyze_with_a_non_finite_window_exits_1(tmp_path, capsys):
+    # The model of reanalyzed tags comes from their side manifest, so --window is checked on its own.
+    assert main(["--mode", "mc", "--pairs", "2000", "--tags-out", "tags", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["--mode", "reanalyze", "--tags-in", str(tmp_path / "tags"), "--window", "inf", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["eprsim: invalid configuration: --window must be finite, got inf"]
+    assert not any(out.iterdir())
+
+
+def test_manifest_with_a_non_finite_result_exits_1(tmp_path, capsys):
+    # Manifests are strict JSON.  A side manifest edited to carry NaN is read
+    # (Python's json accepts it), and reanalyze copies its RNG record into
+    # its own results: the write refuses it rather than writing NaN.
+    assert main(["--mode", "mc", "--pairs", "2000", "--tags-out", "tags", "--out", str(tmp_path)]) == 0
+    side = tmp_path / "tags.manifest.json"
+    manifest = json.loads(side.read_text(encoding="utf-8"))
+    manifest["results"]["rng"] = float("nan")
+    side.write_text(json.dumps(manifest), encoding="utf-8")
+    assert "NaN" in side.read_text(encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--mode", "reanalyze", "--tags-in", "tags", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("eprsim: invalid configuration: reanalyze manifest is not strict JSON: ")
+    assert not (tmp_path / "reanalyze.manifest.json").exists()
+    with pytest.raises(ValidationError, match="^tags manifest is not strict JSON"):
+        RunManifest(mode="tags", seed=1, config={}, results={"rate": float("inf")}).write(tmp_path / "t.manifest.json")
+    assert not (tmp_path / "t.manifest.json").exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -281,6 +315,12 @@ def test_one_results_schema_per_shape(tmp_path, first, second, same):
         assert shape_keys | {"empty_cells"} <= set(results[1])
         # Every cell has coincidences; a grid records one list per window.
         assert results[1]["empty_cells"] == ([[]] * 3 if grid else [])
+        # One record per window, with the same keys for both shapes; a one-window run's scalars are record 0.
+        record_keys = {"window", "s", "s_stderr", "coincidence_rate", "matched", "unmatched1", "unmatched2",
+                       "empty_cells", "correlations"}
+        for res in results:
+            assert [set(record) for record in res["per_window"]] == [record_keys] * (3 if grid else 1)
+            assert grid or {key: res[key] for key in record_keys} == res["per_window"][0]
 
 
 @pytest.mark.parametrize("windows, empty_cells", [

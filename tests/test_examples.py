@@ -85,6 +85,9 @@ def assert_grid_ends_equal_single_windows(grid_dir, first_dir, last_dir):
     grid, first, last = (results(d, "reanalyze") for d in (grid_dir, first_dir, last_dir))
     assert (grid["s_first"], grid["matched"][0]) == (first["s"], first["matched"])
     assert (grid["s_last"], grid["matched"][-1]) == (last["s"], last["matched"])
+    # Whole records: a grid's end windows are described as the single-window runs describe theirs.
+    assert grid["per_window"][0] == first["per_window"][0]
+    assert grid["per_window"][-1] == last["per_window"][0]
 
 
 def test_poisson_grid_ends_equal_the_single_window_runs(run, tmp_path):

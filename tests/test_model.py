@@ -26,7 +26,8 @@ class TestModelParams:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(t0=0.0), dict(t0=-1.0), dict(t0=np.inf), dict(t0=np.nan), dict(window=-0.1), dict(d=-1.0)],
+        [dict(t0=0.0), dict(t0=-1.0), dict(t0=np.inf), dict(t0=np.nan), dict(window=-0.1), dict(d=-1.0),
+         dict(window=np.inf), dict(d=np.inf)],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValidationError):
