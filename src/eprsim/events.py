@@ -15,7 +15,9 @@ generation order, so runs are reproducible bit-for-bit for any worker count.
 Each range of pairs holds one chunk of variates at a time, turns it into
 that chunk's slice of the output columns and writes its own rows' time
 tags, so generation's peak memory is the log itself, plus the ``gap``
-column of emission times under Poisson emission.
+column of emission times under Poisson emission.  The log keeps each
+column in the smallest type that holds it: 24 bytes per pair up to
+2**32 pairs and 256 settings a station (see :class:`StationStream`).
 
 Parallel passes over pairs go through :func:`map_ranges`: it cuts rows
 [0, n) into contiguous ranges with block-aligned inner edges and runs them
@@ -119,8 +121,9 @@ class ExperimentConfig:
         object.__setattr__(self, "settings2", tuple(float(a) for a in self.settings2))
         if not 1 <= self.n_pairs <= 2**53:  # pair ids must fit the tag format's [0, 2**53)
             raise ValidationError(f"n_pairs must be in [1, 2**53], got {self.n_pairs}")
-        if not self.settings1 or not self.settings2:
-            raise ValidationError("both setting lists must be non-empty")
+        counts = (len(self.settings1), len(self.settings2))
+        if not all(1 <= k <= 2**15 for k in counts):  # setting indices must fit the tag format's [0, 2**15)
+            raise ValidationError(f"each station needs 1 to 2**15 settings, got {counts[0]} and {counts[1]}")
         check_settings(self.settings1 + self.settings2)
         if not isinstance(self.seed, (int, np.integer)) or not (0 <= int(self.seed) < _MAX_SEED):
             raise ValidationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
@@ -163,6 +166,14 @@ class StationStream:
     be None for streams read from tag files that omit the column; such
     streams keep the row order of their file and support stream matching
     but not per-pair filtering.
+
+    Column types: ``time_tag`` is float64 and ``outcome`` int8 (+1 or -1).
+    A generated stream keeps ``pair_id`` in ``np.min_scalar_type(n_pairs
+    - 1)`` (uint32 for 2**16 < n_pairs <= 2**32) and ``setting_index`` in
+    ``np.min_scalar_type(len(settings) - 1)`` (uint8 up to 256 settings).
+    A stream read from tag files keeps the file format's types, int64
+    pair ids and int16 setting indices.  Consumers read the columns by
+    value, so equal values are equal logs whatever their types.
     """
 
     station: int
@@ -270,8 +281,8 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> EventLog:
         raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
     n = config.n_pairs
     cols = {
-        "idx1": np.empty(n, dtype=np.int16),
-        "idx2": np.empty(n, dtype=np.int16),
+        "idx1": np.empty(n, dtype=np.min_scalar_type(len(config.settings1) - 1)),
+        "idx2": np.empty(n, dtype=np.min_scalar_type(len(config.settings2) - 1)),
         "x1": np.empty(n, dtype=np.int8),
         "x2": np.empty(n, dtype=np.int8),
         "delay1": np.empty(n),
@@ -308,7 +319,7 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> EventLog:
                 np.round(t, TIME_TAG_DECIMALS, out=t)
 
     each_range(finish)
-    pid = np.arange(n, dtype=np.int64)
+    pid = np.arange(n, dtype=np.min_scalar_type(n - 1))
     return EventLog(
         station1=StationStream(1, cols["delay1"], cols["idx1"], cols["x1"], pid),
         station2=StationStream(2, cols["delay2"], cols["idx2"], cols["x2"], pid),

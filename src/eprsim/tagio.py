@@ -49,7 +49,7 @@ the product rounds before the digits are taken.)  The sign comes from
 the sign bit, so -0.0 writes as ``-0.000000``.  The writer formats
 ``_FORMAT_ROWS`` (2**13) rows at a time, so beyond each station's sort
 order its temporaries are block-sized: writing 50,000 pairs peaks near
-41 traced bytes per pair (numpy 2.4).
+40 traced bytes per pair (numpy 2.4).
 
 Result tables (correlations, sweeps, reference curves) are plain CSV with
 floats serialized via repr, which round-trips exactly.  A JSON manifest
@@ -341,6 +341,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     )
 
 
+def _refuse_constant(constant: str):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
 @dataclass
 class RunManifest:
     """What a run was and what it produced."""
@@ -362,7 +366,8 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        return cls(**json.loads(text))
+        """Strict JSON: ``NaN``, ``Infinity`` and ``-Infinity`` raise ValueError, as ``to_json`` never writes them."""
+        return cls(**json.loads(text, parse_constant=_refuse_constant))
 
     def write(self, path: str | Path) -> Path:
         path = Path(path)

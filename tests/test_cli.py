@@ -144,23 +144,27 @@ def test_reanalyze_with_a_non_finite_window_exits_1(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
-def test_manifest_with_a_non_finite_result_exits_1(tmp_path, capsys):
-    # Manifests are strict JSON.  A side manifest edited to carry NaN is read
-    # (Python's json accepts it), and reanalyze copies its RNG record into
-    # its own results: the write refuses it rather than writing NaN.
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+def test_manifest_with_a_non_finite_value_is_refused(tmp_path, capsys, value):
+    # Manifests are strict JSON both ways.  A side manifest edited to carry
+    # NaN or Infinity is malformed, and reanalyze refuses it before any tag
+    # is read, so it writes nothing; a manifest whose results hold one is
+    # not written.
     assert main(["--mode", "mc", "--pairs", "2000", "--tags-out", "tags", "--out", str(tmp_path)]) == 0
     side = tmp_path / "tags.manifest.json"
     manifest = json.loads(side.read_text(encoding="utf-8"))
-    manifest["results"]["rng"] = float("nan")
+    manifest["results"]["rng"] = value
     side.write_text(json.dumps(manifest), encoding="utf-8")
-    assert "NaN" in side.read_text(encoding="utf-8")
+    assert json.dumps(value) in side.read_text(encoding="utf-8")  # NaN, Infinity or -Infinity
     capsys.readouterr()
-    assert main(["--mode", "reanalyze", "--tags-in", "tags", "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("eprsim: invalid configuration: reanalyze manifest is not strict JSON: ")
-    assert not (tmp_path / "reanalyze.manifest.json").exists()
+    out = tmp_path / "re"
+    assert main(["--mode", "reanalyze", "--tags-in", str(tmp_path / "tags"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"eprsim: runtime error: {side}: malformed manifest: "), err
+    assert captured.out == "" and not any(out.iterdir())
     with pytest.raises(ValidationError, match="^tags manifest is not strict JSON"):
-        RunManifest(mode="tags", seed=1, config={}, results={"rate": float("inf")}).write(tmp_path / "t.manifest.json")
+        RunManifest(mode="tags", seed=1, config={}, results={"rate": value}).write(tmp_path / "t.manifest.json")
     assert not (tmp_path / "t.manifest.json").exists()
 
 

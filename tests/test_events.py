@@ -68,12 +68,15 @@ def record_pool_sizes(monkeypatch):
 
 
 def log_digest(log):
-    """sha256 of both stations' time tags, setting indices, outcomes and pair ids."""
+    """sha256 of both stations' time tags, setting indices, outcomes and pair ids.
+
+    Each column is hashed cast to its pinned type (float64, int16, int8,
+    int64), so a digest pins values, not the type a log stores them in.
+    """
     h = hashlib.sha256()
     for s in (log.station1, log.station2):
         for col, dtype in ((s.time_tag, "<f8"), (s.setting_index, "<i2"), (s.outcome, "i1"), (s.pair_id, "<i8")):
-            assert col.dtype == np.dtype(dtype)
-            h.update(col.tobytes())
+            h.update(col.astype(dtype).tobytes())
     return h.hexdigest()
 
 
@@ -95,6 +98,8 @@ class TestConfigValidation:
             dict(settings1=(np.nan, 1.0)),
             dict(settings2=(0.5, np.inf)),
             dict(settings1=(1e308, 0.0)),  # finite, but 2 * zeta overflows
+            dict(settings1=tuple(np.linspace(0.0, 1.0, 2**15 + 1))),  # setting indices beyond the tag format's
+            dict(settings2=tuple(np.linspace(0.0, 1.0, 40_000))),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -190,7 +195,7 @@ class TestRunExperiment:
 
     def test_peak_memory_per_pair(self):
         # One chunk of variates per worker, not an n_pairs x 8 matrix.  The
-        # log's own columns are 30 bytes per pair.
+        # log's own columns are 24 bytes per pair.
         cfg = small_config(n_pairs=200_000)
         run_experiment(small_config(n_pairs=10))  # first-call allocations are not per pair
         tracemalloc.start()
@@ -201,21 +206,46 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert peak / cfg.n_pairs < 80
 
-    @pytest.mark.parametrize("emission, bound", [(None, 34), (EmissionSpec.poisson(0.005), 42)],
+    @pytest.mark.parametrize("emission, bound", [(None, 25), (EmissionSpec.poisson(0.005), 33)],
                              ids=["regular", "poisson"])
     def test_peak_memory_is_the_log(self, emission, bound):
         # Each range writes its own rows' tags from chunk-sized emission blocks:
         # no full-length emission array, and no gap column under regular
-        # emission.  The log is 30 bytes per pair, Poisson's gap column 8 more.
-        cfg = small_config(n_pairs=200_000, emission=emission)
+        # emission.  The log is 24 bytes per pair (two float64 tags, two int8
+        # outcomes, two uint8 setting indices, one shared uint32 pair id),
+        # Poisson's gap column 8 more.  Each worker's chunk buffers add about
+        # 0.7 MB, under a byte per pair at 1e6 pairs.
+        cfg = small_config(n_pairs=10**6, emission=emission)
         run_experiment(small_config(n_pairs=10, emission=emission))  # first-call allocations are not per pair
-        tracemalloc.start()
-        try:
-            run_experiment(cfg, n_workers=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / cfg.n_pairs < bound
+        for workers in (1, 2):
+            tracemalloc.start()
+            try:
+                run_experiment(cfg, n_workers=workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / cfg.n_pairs < bound, workers
+
+    @pytest.mark.parametrize("n_pairs, pid_type", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                                   (2**16 + 1, np.uint32)])
+    def test_pair_ids_in_the_smallest_type(self, n_pairs, pid_type):
+        log = run_experiment(small_config(n_pairs=n_pairs))
+        assert log.station1.pair_id is log.station2.pair_id
+        assert log.station1.pair_id.dtype == pid_type
+        assert np.array_equal(log.station1.pair_id, np.arange(n_pairs))
+
+    @pytest.mark.parametrize("k, index_type", [(1, np.uint8), (256, np.uint8), (257, np.uint16), (2**15, np.uint16)])
+    def test_setting_indices_in_the_smallest_type(self, k, index_type):
+        # Each station's indices take the type of its own largest index, and
+        # equal the int64 choices of _generate_columns, up to 2**15 - 1.
+        cfg = small_config(settings1=tuple(np.linspace(0.0, 1.0, k)), settings2=(0.5,) * 2)
+        log = run_experiment(cfg)
+        whole = {name: np.zeros(cfg.n_pairs) for name in COLUMNS}
+        _generate_columns(cfg, whole, 0, cfg.n_pairs)
+        assert (log.station1.setting_index.dtype, log.station2.setting_index.dtype) == (index_type, np.uint8)
+        assert np.array_equal(log.station1.setting_index, whole["idx1"])
+        assert np.array_equal(log.station2.setting_index, whole["idx2"])
+        assert log.station1.setting_index.max() >= k - 1 - k // 256
 
     @pytest.mark.parametrize("cpus, threads", [(4, 4), (None, 1), (64, 10)])
     def test_pool_sized_by_cpus_not_workers(self, monkeypatch, cpus, threads):
