@@ -14,9 +14,10 @@ of shape (n_windows, n1, n2, 2, 2), and ``SweepResult`` derives E, its
 stderr, S and S's stderr from the cube as arrays over every window at
 once; no per-window table exists.
 
-``window_sweep`` checks the grid, the policy, the policy's checks of the
-log, every event's setting index and the CHSH angles (``chsh_cells``)
-before it counts; then that each window keeps coincidences in every CHSH cell.
+``window_sweep`` checks the grid, the policy, the first window, the
+policy's checks of the log, every event's setting index and the CHSH
+angles (``chsh_cells``) before it counts; then that each window keeps
+coincidences in every CHSH cell.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class SweepResult:
     n_pairs: int
     cells: tuple[tuple[int, int], ...]
 
-    @property
+    @cached_property
     def n_total(self) -> np.ndarray:
         """Coincidences per window and setting pair."""
         return self.counts.sum(axis=(3, 4))
@@ -125,7 +126,7 @@ class SweepResult:
     @property
     def matched(self) -> np.ndarray:
         """Coincidences at each window."""
-        return self.counts.sum(axis=(1, 2, 3, 4))
+        return self.n_total.sum(axis=(1, 2))
 
     @property
     def rate(self) -> np.ndarray:
@@ -211,11 +212,12 @@ def window_sweep(
     tags, which gives a smooth correlated-sample curve; for independent
     error bars, sweep one log per seed.  Before counting (see
     ``_sweep_counts``) it raises, in this order, for a grid that is not
-    1-D and strictly increasing, an unknown policy, the policy's checks
-    of the log at ``windows[0]``, an event with a setting index outside
-    ``config`` (kept at any window or none), and a ``quadruple`` angle
-    that matches no setting of its station or two, mod pi; then for the
-    first window with no coincidence or an empty CHSH cell.
+    1-D and strictly increasing, an unknown policy, a first window below
+    0 or NaN, the policy's checks of the log, an event with a setting
+    index outside ``config`` (kept at any window or none), and a
+    ``quadruple`` angle that matches no setting of its station or two,
+    mod pi; then for the first window with no coincidence or an empty
+    CHSH cell.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 1 or len(windows) == 0:
@@ -225,17 +227,19 @@ def window_sweep(
     check = {"paired": check_pair_filter, "stream": check_stream_match}.get(policy)
     if check is None:
         raise ValidationError(f"unknown match policy {policy!r}")
-    check(log, windows[0])
+    if not (windows[0] >= 0):
+        raise ValidationError(f"window must be >= 0, got {windows[0]}")
+    check(log)
     for s, settings in ((log.station1, config.settings1), (log.station2, config.settings2)):
         # min and max allocate nothing the size of the log; initial=0 lets an empty station pass
         if s.setting_index.min(initial=0) < 0 or s.setting_index.max(initial=0) >= len(settings):
             raise ValidationError("setting index out of range for the supplied config")
     cells = chsh_cells(config, quadruple)
-    counts = _sweep_counts(log, windows, config, policy)
-    for n_total in counts.sum(axis=(3, 4)):
+    result = SweepResult(windows, _sweep_counts(log, windows, config, policy), log.n_pairs, cells)
+    for n_total in result.n_total:
         if not n_total.any():
             raise ValidationError("cannot tabulate an empty coincidence list")
         for i, j in cells:
             if n_total[i, j] == 0:
                 raise ValidationError(f"missing combination: no coincidences for setting pair ({i},{j})")
-    return SweepResult(windows=windows, counts=counts, n_pairs=log.n_pairs, cells=cells)
+    return result

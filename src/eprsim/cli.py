@@ -15,8 +15,8 @@ record per window, the same for both shapes: the window, S, its stderr,
 the coincidence rate, matched and unmatched events, empty setting cells
 and the four CHSH correlations.  One window writes ``correlations.csv``
 and copies record 0's keys to the top level; a grid writes ``sweep.csv``
-and records S at its ends (``s_first``, ``s_last``), where it crosses 2,
-and the event counts and empty cells as lists over the records.
+and adds only S at its ends (``s_first``, ``s_last``) and where S
+crosses 2 (``crossings_at_2``).
 
 Angles must carry an explicit unit suffix (``22.5deg`` or ``0.3927rad``);
 window grids are ``min:max:logN`` or ``min:max:linN`` in the same time
@@ -231,10 +231,9 @@ def _analyze(log, config, windows, policy, quadruple, outdir: Path, manifest: Ru
 
     The selection is one ``window_sweep``, and one window (a float) is a
     grid of one.  Both shapes build ``per_window``, one record per window,
-    the same way and read every other result from it: one window's
-    scalar keys are record 0's; a grid's ``s_first`` and ``s_last`` are
-    its end records' S, and its ``matched``, ``unmatched1``,
-    ``unmatched2`` and ``empty_cells`` list the records' values, next to
+    the same way, and it is the only place a grid stores per-window
+    facts: one window's scalar keys are a copy of record 0's; a grid
+    adds only ``s_first`` and ``s_last``, its end records' S, and
     ``crossings_at_2``.  The shape chooses only that summary, the CSV
     (``correlations.csv`` or ``sweep.csv``) and the printed lines.  Both
     add ``policy`` and ``diagnostics`` with the ``analyze`` stage.
@@ -259,8 +258,7 @@ def _analyze(log, config, windows, policy, quadruple, outdir: Path, manifest: Ru
             print(f"{manifest.mode}: S = {first['s']:.6f} +- {first['s_stderr']:.6f}")
         else:
             csv_path = write_sweep_csv(outdir / "sweep.csv", sweep)
-            lists = {k: [r[k] for r in per_window] for k in ("matched", "unmatched1", "unmatched2", "empty_cells")}
-            summary = {"crossings_at_2": sweep.crossings(), "s_first": first["s"], "s_last": last["s"], **lists}
+            summary = {"crossings_at_2": sweep.crossings(), "s_first": first["s"], "s_last": last["s"]}
             print(f"{manifest.mode}: {len(per_window)} windows {first['window']:g}..{last['window']:g}, "
                   f"S {first['s']:.4f} -> {last['s']:.4f}, crossings at 2: {summary['crossings_at_2']}")
     manifest.outputs.append(str(csv_path))

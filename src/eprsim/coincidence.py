@@ -128,18 +128,12 @@ MatchPolicy = Literal["paired", "stream"]
 _SCAN_BLOCK = 2**12  # events per block of the stream matcher
 
 
-def _check_window(window: float) -> None:
-    if not (window >= 0):
-        raise ValidationError(f"window must be >= 0, got {window}")
+def check_pair_filter(log: EventLog) -> None:
+    """Check that the paired policy can select from ``log``.
 
-
-def check_pair_filter(log: EventLog, window: float) -> None:
-    """Check that the paired policy can select from ``log`` at ``window``.
-
-    Raises, in this order, unless the window is >= 0, both streams carry
-    pair ids, and the two stations' ``pair_id`` columns are equal.
+    Raises, in this order, unless both streams carry pair ids and the
+    two stations' ``pair_id`` columns are equal.
     """
-    _check_window(window)
     s1, s2 = log.station1, log.station2
     if s1.pair_id is None or s2.pair_id is None:
         raise ValidationError("per-pair filtering needs pair ids in both streams")
@@ -147,14 +141,13 @@ def check_pair_filter(log: EventLog, window: float) -> None:
         raise ValidationError("mismatched pair_id columns between stations")
 
 
-def check_stream_match(log: EventLog, window: float) -> None:
-    """Check that the stream policy can select from ``log`` at ``window`` and above.
+def check_stream_match(log: EventLog) -> None:
+    """Check that the stream policy can select from ``log``.
 
-    Raises unless the window is >= 0, then if a time tag is +-inf: at
-    W = inf its range bound fl(t -+ W) would be NaN, and the walk needs
-    ranges that shrink as W falls.  A NaN tag matches nothing.
+    Raises if a time tag is +-inf: at W = inf its range bound fl(t -+ W)
+    would be NaN, and the walk needs ranges that shrink as W falls.  A
+    NaN tag matches nothing.
     """
-    _check_window(window)
     for s in (log.station1, log.station2):
         if np.isinf(s.time_tag).any():
             raise ValidationError(f"station {s.station} has an infinite time tag")
@@ -170,7 +163,7 @@ def pair_window_index(log: EventLog, windows: np.ndarray, rows: slice) -> np.nda
     |dt| <= W.  A pair no window keeps, a NaN |dt| too, gets
     ``len(windows)``.  The index has the smallest unsigned type that
     holds ``len(windows)`` (uint8 up to 255 windows).  Runs no check:
-    call ``check_pair_filter(log, windows[0])`` once before.
+    call ``check_pair_filter(log)`` once before.
     """
     dt = log.station2.time_tag[rows] - log.station1.time_tag[rows]
     np.abs(dt, out=dt)
@@ -281,8 +274,8 @@ def stream_window_index(log: EventLog, windows: Sequence[float]):
     """The stream matches at every window of a grid, from one sort per station, as coincidence groups.
 
     Works without pair ids; each event takes part in at most one
-    coincidence per window.  ``windows`` must increase strictly, and
-    ``check_stream_match(log, windows[0])`` must have passed.  Yields
+    coincidence per window.  ``windows`` must increase strictly from 0
+    or above, and ``check_stream_match(log)`` must have passed.  Yields
     groups ``(rows1, rows2, start, stop)``: coincidence k of a group pairs
     row ``rows1[k]`` of station 1 with row ``rows2[k]`` of station 2 and
     is a match at ``windows[j]`` exactly for ``start[k] <= j < stop``.

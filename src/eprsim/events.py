@@ -15,9 +15,13 @@ generation order, so runs are reproducible bit-for-bit for any worker count.
 Each range of pairs holds one chunk of variates at a time, turns it into
 that chunk's slice of the output columns and writes its own rows' time
 tags, so generation's peak memory is the log itself, plus the ``gap``
-column of emission times under Poisson emission.  The log keeps each
-column in the smallest type that holds it: 24 bytes per pair up to
-2**32 pairs and 256 settings a station (see :class:`StationStream`).
+column of emission times under Poisson emission, plus about 0.7 MB of
+chunk-sized temporaries per range (a chunk's variates and the kernels'
+columns).  These are under a byte per pair at 1e6 pairs but show below
+it: on 2e5 Poisson pairs the traced peak is 32 bytes per pair on one
+worker and 35 on two.  The log keeps each column in the smallest type
+that holds it: 24 bytes per pair up to 2**32 pairs and 256 settings a
+station (see :class:`StationStream`).
 
 Parallel passes over pairs go through :func:`map_ranges`: it cuts rows
 [0, n) into contiguous ranges with block-aligned inner edges and runs them

@@ -232,22 +232,18 @@ def _check_rows(path: Path, bad: np.ndarray, message: str) -> None:
 def _load_rows(path: Path, names: tuple[str, ...]) -> dict[str, np.ndarray] | None:
     """The rows' columns by name, each in its own type or, if that parse fails, as floats; None if both fail."""
 
-    def load(dtype, ndmin: int) -> np.ndarray | None:
-        try:
-            return np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=2, comments=None, ndmin=ndmin,
-                              encoding="utf-8")
-        except UnicodeDecodeError:
-            raise  # a ValueError too, but one that no parse gets past
-        except ValueError:
-            return None
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # loadtxt's empty-body warning; see "no events"
-        data = load([(name, _TYPES[name]) for name in names], 1)
-        if data is not None:
+        for types in (_TYPES, dict.fromkeys(names, "f8")):
+            try:
+                data = np.loadtxt(path, dtype=[(name, types[name]) for name in names], delimiter=",", skiprows=2,
+                                  comments=None, ndmin=1, encoding="utf-8")
+            except UnicodeDecodeError:
+                raise  # a ValueError too, but one that no parse gets past
+            except ValueError:
+                continue
             return {name: data[name] for name in names}
-        data = load(float, 2)
-    return None if data is None or data.shape[1] != len(names) else dict(zip(names, data.T))
+    return None
 
 
 def _parse_station_file(path: Path, expected_station: int) -> StationStream:

@@ -99,11 +99,13 @@ def test_sweep_manifests_account_for_every_window(tmp_path):
     assert main(["--mode", "reanalyze", "--tags-in", "tags", "--windows", "1:1000:log5", "--out", out]) == 0
     stream = RunManifest.read(tmp_path / "reanalyze.manifest.json").results
     assert (paired["policy"], stream["policy"]) == ("paired", "stream")
-    assert paired["matched"] == stream["matched"]
-    assert [m / 2000 for m in paired["matched"]] == rates
-    assert 0 < paired["matched"][0] < paired["matched"][-1] == 2000
+    matched = [[record["matched"] for record in results["per_window"]] for results in (paired, stream)]
+    assert matched[0] == matched[1]
+    assert [m / 2000 for m in matched[0]] == rates
+    assert 0 < matched[0][0] < matched[0][-1] == 2000
     for results in (paired, stream):
-        assert results["unmatched1"] == results["unmatched2"] == [2000 - m for m in results["matched"]]
+        for record in results["per_window"]:
+            assert record["unmatched1"] == record["unmatched2"] == 2000 - record["matched"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -315,20 +317,20 @@ def test_one_results_schema_per_shape(tmp_path, first, second, same):
         assert set(results[0]) == set(results[1])
         assert set(results[0]["diagnostics"]) == set(results[1]["diagnostics"]) == {"rng", "stage_s"}
         grid = "--windows" in first
-        shape_keys = {"s_first", "s_last", "crossings_at_2"} if grid else {"s", "window"}
-        assert shape_keys | {"empty_cells"} <= set(results[1])
-        # Every cell has coincidences; a grid records one list per window.
-        assert results[1]["empty_cells"] == ([[]] * 3 if grid else [])
         # One record per window, with the same keys for both shapes; a one-window run's scalars are record 0.
         record_keys = {"window", "s", "s_stderr", "coincidence_rate", "matched", "unmatched1", "unmatched2",
                        "empty_cells", "correlations"}
+        shape_keys = {"s_first", "s_last", "crossings_at_2"} if grid else record_keys
+        assert set(results[1]) == {"policy", "diagnostics", "per_window"} | shape_keys
+        # Every cell has coincidences at every window.
+        assert [record["empty_cells"] for record in results[1]["per_window"]] == [[]] * (3 if grid else 1)
         for res in results:
             assert [set(record) for record in res["per_window"]] == [record_keys] * (3 if grid else 1)
             assert grid or {key: res[key] for key in record_keys} == res["per_window"][0]
 
 
 @pytest.mark.parametrize("windows, empty_cells", [
-    (["--window", "5"], [[2, 0], [2, 1]]),
+    (["--window", "5"], [[[2, 0], [2, 1]]]),
     (["--windows", "1:5:lin2"], [[[2, 0], [2, 1]]] * 2),
 ], ids=["one-window", "grid"])
 def test_manifest_records_empty_cells(tmp_path, windows, empty_cells):
@@ -348,7 +350,8 @@ def test_manifest_records_empty_cells(tmp_path, windows, empty_cells):
                 outputs=[p.name for p in paths]).write(tmp_path / "tags.manifest.json")
     argv = ["--mode", "reanalyze", "--tags-in", "tags", "--matcher", "paired", *windows, "--out", str(tmp_path)]
     assert main(argv) == 0
-    assert RunManifest.read(tmp_path / "reanalyze.manifest.json").results["empty_cells"] == empty_cells
+    records = RunManifest.read(tmp_path / "reanalyze.manifest.json").results["per_window"]
+    assert [record["empty_cells"] for record in records] == empty_cells
 
 
 def test_reanalyze_rejects_a_setting_index_outside_the_side_manifest(tmp_path, capsys):

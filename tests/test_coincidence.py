@@ -46,7 +46,7 @@ def tiny_log(times1, times2, pair_ids=True):
 
 def paired(log, window):
     """The rows the paired policy keeps at ``window``: the pairs whose first window on a grid of one is 0."""
-    check_pair_filter(log, window)
+    check_pair_filter(log)
     rows = np.flatnonzero(pair_window_index(log, np.array([window]), slice(None)) == 0)
     return rows, rows
 
@@ -154,8 +154,9 @@ class TestPairFilter:
         assert rows1.tolist() == rows2.tolist() == [0, 2]
 
     def test_negative_window_rejected(self):
-        with pytest.raises(ValidationError):
-            paired(tiny_log([0.0], [0.0]), window=-1.0)
+        # The sweep checks the first window once, before the policy's checks of the log.
+        with pytest.raises(ValidationError, match="window must be >= 0"):
+            window_sweep(ExperimentConfig(), [-1.0], policy="paired", log=tiny_log([0.0], [0.0]))
 
     def test_dt_within_window_always(self):
         log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1.0, window=0), n_pairs=4000, seed=2))

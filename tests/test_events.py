@@ -377,13 +377,13 @@ class TestEventLogPairing:
         log = run_experiment(small_config(n_pairs=50))
         stripped = EventLog(station1=replace(log.station1, pair_id=None), station2=log.station2)
         with pytest.raises(ValidationError, match="needs pair ids"):
-            check_pair_filter(stripped, 0.1)
+            check_pair_filter(stripped)
 
     def test_mismatched_pair_ids_rejected(self):
         log = run_experiment(small_config(n_pairs=50))
         bad = EventLog(station1=log.station1, station2=replace(log.station2, pair_id=log.station2.pair_id + 1))
         with pytest.raises(ValidationError, match="mismatched pair_id"):
-            check_pair_filter(bad, 0.1)
+            check_pair_filter(bad)
 
     def test_equality_distinguishes_missing_pair_ids(self):
         stream = run_experiment(small_config(n_pairs=50)).station1
