@@ -22,7 +22,6 @@ coincidences in every CHSH cell.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from .coincidence import MatchPolicy, check_pair_filter, check_stream_match, pair_window_index, stream_window_index
 from .errors import ValidationError
-from .events import EventLog, ExperimentConfig, map_ranges
+from .events import EventLog, ExperimentConfig
 from .model import DEFAULT_QUADRUPLE, normalize_angle
 
 __all__ = [
@@ -178,24 +177,17 @@ def _sweep_counts(log: EventLog, windows: np.ndarray, config: ExperimentConfig, 
 
     The tables have shape (len(windows), n1, n2, 2, 2); ``window_sweep``
     has checked the policy and run its checks.  Policy ``"paired"`` bins
-    each pair once, at the first window that keeps it: :func:`map_ranges`
-    splits the log into one contiguous, block-aligned row range per CPU,
-    and each range is binned in groups of ``_BLOCK_PAIRS`` pairs into a
-    histogram of its own, so no temporary grows with the log.  The
-    integer histograms are summed: the tables do not depend on the split.
-    Any other policy is ``"stream"``, which bins the groups of
+    each pair once, at the first window that keeps it, in blocks of
+    ``_BLOCK_PAIRS`` pairs, so no temporary grows with the log.  Any
+    other policy is ``"stream"``, which bins the groups of
     ``stream_window_index``.
     """
     if policy == "paired":
-        def histogram(start: int, stop: int) -> np.ndarray:
-            blocks = (slice(lo, min(lo + _BLOCK_PAIRS, stop)) for lo in range(start, stop, _BLOCK_PAIRS))
-            groups = ((rows, rows, pair_window_index(log, windows, rows), len(windows)) for rows in blocks)
-            return _bin(log, groups, len(windows), config)
-
-        hist = sum(map_ranges(histogram, log.n_pairs, _BLOCK_PAIRS, os.cpu_count() or 1))
+        blocks = (slice(lo, lo + _BLOCK_PAIRS) for lo in range(0, log.n_pairs, _BLOCK_PAIRS))
+        groups = ((rows, rows, pair_window_index(log, windows, rows), len(windows)) for rows in blocks)
     else:
-        hist = _bin(log, stream_window_index(log, windows), len(windows), config)
-    return np.cumsum(hist[:-1], axis=0)
+        groups = stream_window_index(log, windows)
+    return np.cumsum(_bin(log, groups, len(windows), config)[:-1], axis=0)
 
 
 def window_sweep(

@@ -23,10 +23,9 @@ worker and 35 on two.  The log keeps each column in the smallest type
 that holds it: 24 bytes per pair up to 2**32 pairs and 256 settings a
 station (see :class:`StationStream`).
 
-Parallel passes over pairs go through :func:`map_ranges`: it cuts rows
-[0, n) into contiguous ranges with block-aligned inner edges and runs them
-on at most one thread per CPU.  Generation uses it with chunk-sized blocks,
-the paired window sweep of :mod:`eprsim.analysis` with its own blocks.
+Generation is the one parallel pass over pairs.  It goes through
+:func:`map_ranges`, which cuts rows [0, n) into contiguous ranges with
+chunk-aligned inner edges and runs them on at most one thread per CPU.
 
 A run is stored in pair order: row k of both station streams is pair k,
 and the two streams share one ``pair_id`` array.  Consumers that need
@@ -82,6 +81,11 @@ CHUNK_PAIRS = 4096
 _MAX_SEED = 2**64
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EmissionSpec:
     """Emission-time process: regular spacing or Poisson arrivals."""
@@ -123,13 +127,14 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "settings1", tuple(float(a) for a in self.settings1))
         object.__setattr__(self, "settings2", tuple(float(a) for a in self.settings2))
-        if not 1 <= self.n_pairs <= 2**53:  # pair ids must fit the tag format's [0, 2**53)
-            raise ValidationError(f"n_pairs must be in [1, 2**53], got {self.n_pairs}")
+        # pair ids must fit the tag format's [0, 2**53)
+        if not _is_integer(self.n_pairs) or not 1 <= self.n_pairs <= 2**53:
+            raise ValidationError(f"n_pairs must be in [1, 2**53] and an integer, got {self.n_pairs!r}")
         counts = (len(self.settings1), len(self.settings2))
         if not all(1 <= k <= 2**15 for k in counts):  # setting indices must fit the tag format's [0, 2**15)
             raise ValidationError(f"each station needs 1 to 2**15 settings, got {counts[0]} and {counts[1]}")
         check_settings(self.settings1 + self.settings2)
-        if not isinstance(self.seed, (int, np.integer)) or not (0 <= int(self.seed) < _MAX_SEED):
+        if not _is_integer(self.seed) or not (0 <= int(self.seed) < _MAX_SEED):
             raise ValidationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     def resolved_emission(self) -> EmissionSpec:

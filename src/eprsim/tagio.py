@@ -331,8 +331,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         params=ModelParams(**d["params"]),
         settings1=tuple(d["settings1"]),
         settings2=tuple(d["settings2"]),
-        n_pairs=int(d["n_pairs"]),
-        seed=int(d["seed"]),
+        n_pairs=d["n_pairs"],
+        seed=d["seed"],
         emission=None if emission is None else EmissionSpec(**emission),
     )
 

@@ -35,6 +35,7 @@ from references import (
     stream_reference,
     table_reference,
 )
+from test_events import record_pool_sizes
 
 
 def tabulate(log, config, policy="paired", cell=(0, 0)):
@@ -594,45 +595,19 @@ def reference_tables(log, windows, config):
 
 
 class TestBlockedPass:
-    """The paired sweep's histogram, one per thread over blocks of ``_BLOCK_PAIRS`` pairs."""
+    """The paired sweep's one histogram, over blocks of ``_BLOCK_PAIRS`` pairs on the calling thread."""
 
     N_PAIRS = 2 * _BLOCK_PAIRS + 1  # two full blocks and one of a single pair
     WINDOWS = np.array([5.0, 50.0, 500.0, np.inf])
-
-    @pytest.fixture(params=[1, 2, 3])
-    def cpus(self, request, monkeypatch):
-        """Patch the CPU count; ``cpus(pool)`` starts recording the thread pool sizes the passes ask for.
-
-        Tests call it once their log is generated, so that generation's
-        pool does not count.  The log has three blocks, so the pass asks
-        for one thread per CPU; on one CPU its one range runs inline, with
-        no pool.  With ``pool=False`` the test expects no pass, and no pool.
-        """
-        sizes, expected = [], set()
-
-        class Recorder(eprsim.events.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        def record(pool=True):
-            if pool and request.param > 1:
-                expected.add(request.param)
-            monkeypatch.setattr(eprsim.events, "ThreadPoolExecutor", Recorder)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: request.param)
-        yield record
-        assert set(sizes) == expected
 
     def config(self, emission=None):
         return ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), settings1=(0.0, np.pi / 4, np.pi / 2),
                                 n_pairs=self.N_PAIRS, seed=8, emission=emission)
 
     @pytest.mark.parametrize("emission", [None, EmissionSpec.poisson(0.002)], ids=["regular", "poisson"])
-    def test_tables_equal_the_reference(self, cpus, emission):
+    def test_tables_equal_the_reference(self, emission):
         config = self.config(emission)
         log = run_experiment(config)
-        cpus()
         new = window_sweep(config, self.WINDOWS, log=log).counts
         ref = list(reference_tables(log, self.WINDOWS, config))
         assert len(new) == len(ref) == len(self.WINDOWS)
@@ -640,11 +615,11 @@ class TestBlockedPass:
             np.testing.assert_array_equal(a, b)
         assert_same_as_reference(config, self.WINDOWS, log)
 
-    def test_out_of_range_index_in_the_last_block_raises_at_its_window(self, cpus):
+    def test_out_of_range_index_in_the_last_block_raises_at_its_window(self):
         # Index 2 in the last block's one pair (|dt| 100, kept from window 2)
         # and in a first-block pair kept only from window 3: the sweep
-        # rejects the log before it counts, so no pass starts a thread pool,
-        # and the per-window reference rejects it before its first window.
+        # rejects the log before it counts, and the per-window reference
+        # rejects it before its first window.
         config = replace(self.config(), settings1=(0.0, np.pi / 4))
         log = run_experiment(config)
         s1, s2 = log.station1, log.station2
@@ -652,16 +627,13 @@ class TestBlockedPass:
         dt = np.abs(s2.time_tag - s1.time_tag)
         first_block_late = int(np.flatnonzero(dt[:_BLOCK_PAIRS] > 500.0)[0])
         s1.setting_index[[first_block_late, -1]] = 2
-        cpus(pool=False)
         with pytest.raises(ValidationError) as new:
             window_sweep(config, self.WINDOWS, log=log)
         with pytest.raises(ValidationError) as ref:
             sweep_reference(config, self.WINDOWS, log=log)
         assert str(new.value) == str(ref.value) == "setting index out of range for the supplied config"
 
-    def test_no_temporary_grows_with_the_log(self, monkeypatch):
-        # Two threads at both sizes, so that per-thread block buffers cancel.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_no_temporary_grows_with_the_log(self):
         windows = np.geomspace(1.0, 1000.0, 20)
 
         def peak_above_log(n_pairs):
@@ -675,5 +647,14 @@ class TestBlockedPass:
             finally:
                 tracemalloc.stop()
 
+        # A temporary of one byte a pair would add 6e5 bytes at the larger log.
         small = peak_above_log(200_000)
-        assert peak_above_log(800_000) <= small + 4e6
+        assert peak_above_log(800_000) <= small + 1e5
+
+    def test_opens_no_thread_pool(self, monkeypatch):
+        config = self.config()
+        log = run_experiment(config)
+        sizes = record_pool_sizes(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        window_sweep(config, self.WINDOWS, log=log)
+        assert sizes == []

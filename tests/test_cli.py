@@ -170,6 +170,24 @@ def test_manifest_with_a_non_finite_value_is_refused(tmp_path, capsys, value):
     assert not (tmp_path / "t.manifest.json").exists()
 
 
+@pytest.mark.parametrize("edit", [{"seed": 7.9, "n_pairs": 3.5}, {"seed": True}, {"n_pairs": 2000.0}],
+                         ids=["fractions", "bool-seed", "float-n_pairs"])
+def test_manifest_with_a_non_integer_seed_or_n_pairs_exits_1(tmp_path, capsys, edit):
+    # The side manifest's seed and n_pairs reach the config as they are, so
+    # reanalyze refuses them instead of recording them truncated.
+    assert main(["--mode", "mc", "--pairs", "2000", "--tags-out", "tags", "--out", str(tmp_path)]) == 0
+    side = tmp_path / "tags.manifest.json"
+    manifest = json.loads(side.read_text(encoding="utf-8"))
+    manifest["config"].update(edit)
+    side.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "re"
+    assert main(["--mode", "reanalyze", "--tags-in", str(tmp_path / "tags"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("eprsim: invalid configuration: "), err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("emission", ["regular:1e303", "poisson:1e-305"])
 def test_emission_overflow_exits_1(tmp_path, capsys, emission):

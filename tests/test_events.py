@@ -100,6 +100,10 @@ class TestConfigValidation:
             dict(settings1=(1e308, 0.0)),  # finite, but 2 * zeta overflows
             dict(settings1=tuple(np.linspace(0.0, 1.0, 2**15 + 1))),  # setting indices beyond the tag format's
             dict(settings2=tuple(np.linspace(0.0, 1.0, 40_000))),
+            dict(n_pairs=1.5),
+            dict(n_pairs=2000.0),
+            dict(n_pairs=True),
+            dict(seed=True),
         ],
     )
     def test_invalid_rejected(self, kwargs):
