@@ -604,18 +604,27 @@ class TestBlockedPass:
         return ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), settings1=(0.0, np.pi / 4, np.pi / 2),
                                 n_pairs=self.N_PAIRS, seed=8, emission=emission)
 
+    @pytest.fixture(params=[1, 2, 3])
+    def cpus(self, request, monkeypatch):
+        """Patch the CPU count: the sweep's counts and its one thread must not depend on it."""
+        monkeypatch.setattr(os, "cpu_count", lambda: request.param)
+        return request.param
+
     @pytest.mark.parametrize("emission", [None, EmissionSpec.poisson(0.002)], ids=["regular", "poisson"])
-    def test_tables_equal_the_reference(self, emission):
+    def test_tables_equal_the_reference(self, cpus, emission, monkeypatch):
         config = self.config(emission)
         log = run_experiment(config)
+        # Recorded once the log is generated, so that generation's pool does not count.
+        sizes = record_pool_sizes(monkeypatch)
         new = window_sweep(config, self.WINDOWS, log=log).counts
+        assert sizes == []
         ref = list(reference_tables(log, self.WINDOWS, config))
         assert len(new) == len(ref) == len(self.WINDOWS)
         for a, b in zip(new, ref):
             np.testing.assert_array_equal(a, b)
         assert_same_as_reference(config, self.WINDOWS, log)
 
-    def test_out_of_range_index_in_the_last_block_raises_at_its_window(self):
+    def test_out_of_range_index_in_the_last_block_raises_at_its_window(self, cpus):
         # Index 2 in the last block's one pair (|dt| 100, kept from window 2)
         # and in a first-block pair kept only from window 3: the sweep
         # rejects the log before it counts, and the per-window reference
@@ -650,11 +659,3 @@ class TestBlockedPass:
         # A temporary of one byte a pair would add 6e5 bytes at the larger log.
         small = peak_above_log(200_000)
         assert peak_above_log(800_000) <= small + 1e5
-
-    def test_opens_no_thread_pool(self, monkeypatch):
-        config = self.config()
-        log = run_experiment(config)
-        sizes = record_pool_sizes(monkeypatch)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        window_sweep(config, self.WINDOWS, log=log)
-        assert sizes == []
