@@ -14,14 +14,23 @@ of shape (n_windows, n1, n2, 2, 2), and ``SweepResult`` derives E, its
 stderr, S and S's stderr from the cube as arrays over every window at
 once; no per-window table exists.
 
-``window_sweep`` checks the grid, the policy, the first window, the
-policy's checks of the log, every event's setting index and the CHSH
-angles (``chsh_cells``) before it counts; then that each window keeps
-coincidences in every CHSH cell.
+Under the paired policy the log may come as a stream of consecutive
+segments of one run, which is how the CLI's paired runs under regular
+emission without ``--tags-out`` feed it: each segment is binned as it
+arrives and dropped, and the count tables of the segments add up, so
+the sweep's memory is the few segments alive at once, not the log.
+The stream policy matches across the whole run, so it takes one log.
+
+``window_sweep`` checks the grid, the policy, the first window, then
+for each segment the policy's checks of it and every event's setting
+index (and, after the first segment's, the CHSH angles through
+``chsh_cells``) before it counts that segment; then that each window
+keeps coincidences in every CHSH cell.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -168,12 +177,13 @@ class SweepResult:
 
 
 # Pairs per block of the paired sweep: a block's temporaries, about
-# 23 bytes a pair (1.5 MB), stay near a core's cache.
+# 23 bytes a pair (1.5 MB), stay near a core's cache.  The CLI's streamed
+# runs generate segments of this many pairs, one block each.
 _BLOCK_PAIRS = 1 << 16
 
 
 def _sweep_counts(log: EventLog, windows: np.ndarray, config: ExperimentConfig, policy: MatchPolicy) -> np.ndarray:
-    """Every window's count table, from one ``_bin`` histogram.
+    """Every window's count table of one log, from one ``_bin`` histogram.
 
     The tables have shape (len(windows), n1, n2, 2, 2); ``window_sweep``
     has checked the policy and run its checks.  Policy ``"paired"`` bins
@@ -196,20 +206,28 @@ def window_sweep(
     quadruple: tuple[float, float, float, float] = DEFAULT_QUADRUPLE,
     policy: MatchPolicy = "paired",
     *,
-    log: EventLog,
+    log: EventLog | Iterable[EventLog],
 ) -> SweepResult:
     """S(W) of one event log over a window grid; one window is a grid of one.
 
     Every window is analyzed on the same ``log``, generated or read from
     tags, which gives a smooth correlated-sample curve; for independent
-    error bars, sweep one log per seed.  Before counting (see
-    ``_sweep_counts``) it raises, in this order, for a grid that is not
-    1-D and strictly increasing, an unknown policy, a first window below
-    0 or NaN, the policy's checks of the log, an event with a setting
-    index outside ``config`` (kept at any window or none), and a
-    ``quadruple`` angle that matches no setting of its station or two,
-    mod pi; then for the first window with no coincidence or an empty
-    CHSH cell.
+    error bars, sweep one log per seed.  Under the paired policy ``log``
+    may also be an iterable of consecutive segments of one run (one log
+    is a run of one segment): each is checked and binned as it arrives
+    and then dropped, so only the segments the iterable holds are alive,
+    and ``n_pairs`` is their total.  The stream policy matches across
+    the whole log, so it takes one log.
+
+    It raises, in this order, for a grid that is not 1-D and strictly
+    increasing, an unknown policy or segments under the stream policy, a
+    first window below 0 or NaN; then, for each segment before it is
+    counted, for the policy's checks of it and an event with a setting
+    index outside ``config`` (kept at any window or none), and, after
+    the first segment's checks, for a ``quadruple`` angle that matches
+    no setting of its station or two, mod pi; and after counting, for no
+    segment at all and for the first window with no coincidence or an
+    empty CHSH cell.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 1 or len(windows) == 0:
@@ -219,15 +237,24 @@ def window_sweep(
     check = {"paired": check_pair_filter, "stream": check_stream_match}.get(policy)
     if check is None:
         raise ValidationError(f"unknown match policy {policy!r}")
+    if policy == "stream" and not isinstance(log, EventLog):
+        raise ValidationError("the stream policy matches across the whole run: it takes one event log, not segments")
     if not (windows[0] >= 0):
         raise ValidationError(f"window must be >= 0, got {windows[0]}")
-    check(log)
-    for s, settings in ((log.station1, config.settings1), (log.station2, config.settings2)):
-        # min and max allocate nothing the size of the log; initial=0 lets an empty station pass
-        if s.setting_index.min(initial=0) < 0 or s.setting_index.max(initial=0) >= len(settings):
-            raise ValidationError("setting index out of range for the supplied config")
-    cells = chsh_cells(config, quadruple)
-    result = SweepResult(windows, _sweep_counts(log, windows, config, policy), log.n_pairs, cells)
+    counts, n_pairs, cells = 0, 0, None
+    for segment in (log,) if isinstance(log, EventLog) else log:
+        check(segment)
+        for s, settings in ((segment.station1, config.settings1), (segment.station2, config.settings2)):
+            # min and max allocate nothing the size of the log; initial=0 lets an empty station pass
+            if s.setting_index.min(initial=0) < 0 or s.setting_index.max(initial=0) >= len(settings):
+                raise ValidationError("setting index out of range for the supplied config")
+        cells = cells or chsh_cells(config, quadruple)
+        counts = counts + _sweep_counts(segment, windows, config, policy)  # integer sums: exact in any order
+        n_pairs += segment.n_pairs
+        del segment  # not alive while the next one is awaited
+    if cells is None:
+        raise ValidationError("cannot tabulate an empty coincidence list: no log segment")
+    result = SweepResult(windows, counts, n_pairs, cells)
     for n_total in result.n_total:
         if not n_total.any():
             raise ValidationError("cannot tabulate an empty coincidence list")

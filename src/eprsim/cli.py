@@ -18,6 +18,19 @@ and copies record 0's keys to the top level; a grid writes ``sweep.csv``
 and adds only S at its ends (``s_first``, ``s_last``) and where S
 crosses 2 (``crossings_at_2``).
 
+Paired ``mc`` and ``sweep`` runs under regular emission without
+``--tags-out`` are streamed: segments of 2**16 pairs are generated on
+one pool of min(``--workers``, CPUs) threads, at most that many ahead
+of the analysis, which bins each one and drops it, so memory does not
+grow with ``--pairs``.  The stream matcher and ``--tags-out`` keep the
+whole log, because they need it in time order, and so does Poisson
+emission, whose emission times are one cumulative sum over the run.
+The manifest's ``stage_s`` records the wall time of ``generate`` or
+``read_tags``, ``write_tags`` when tags are written, and ``analyze``.
+On a streamed run ``generate`` is the time the analysis waited for
+segments and ``analyze`` the rest of the fused stage; the two sum to
+its wall time.
+
 Angles must carry an explicit unit suffix (``22.5deg`` or ``0.3927rad``);
 window grids are ``min:max:logN`` or ``min:max:linN`` in the same time
 unit as ``--t0``.  Exit status: 0 success, 1 invalid arguments or
@@ -29,14 +42,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from contextlib import contextmanager
+from collections.abc import Iterator
+from contextlib import closing, contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import DEFAULT_QUADRUPLE, chsh_cells, window_sweep
+from .analysis import _BLOCK_PAIRS, DEFAULT_QUADRUPLE, chsh_cells, window_sweep
 from .errors import EprSimError, TagFormatError, ValidationError
-from .events import EmissionSpec, EventLog, ExperimentConfig, rng_provenance, run_experiment
+from .events import EmissionSpec, EventLog, ExperimentConfig, map_ranges, rng_provenance, run_experiment
 from .model import ModelParams
 from .oracle import chsh_exact, correlation_curve, mixed_correlation, singlet_correlation
 from .tagio import (
@@ -153,7 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tags-out", type=str, default=None, help="prefix for written time-tag files")
     p.add_argument("--tags-in", type=str, default=None, help="prefix of time-tag files to reanalyze")
     p.add_argument("--out", type=str, default=".", help="output directory (default '.')")
-    p.add_argument("--workers", type=int, default=1, help="worker count for event generation (default 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads for event generation: a stored log's ranges, or a streamed run's segments "
+                        "generated ahead of its analysis (default 1)")
     return p
 
 
@@ -180,14 +196,42 @@ def _build_config(args) -> tuple[ExperimentConfig, tuple[float, float, float, fl
 
 @contextmanager
 def _stage(stage_s: dict, name: str):
-    """Record the wall time of the enclosed block as ``stage_s[name]``, in seconds."""
-    start = time.perf_counter()
+    """Add the wall time of the enclosed block to ``stage_s[name]``, in seconds, less what stages inside it add."""
+    start, inner = time.perf_counter(), sum(stage_s.values())
     yield
-    stage_s[name] = time.perf_counter() - start
+    elapsed = time.perf_counter() - start - (sum(stage_s.values()) - inner)
+    stage_s[name] = stage_s.get(name, 0.0) + elapsed
 
 
-def _generate(args, config: ExperimentConfig, outdir: Path, stage_s: dict) -> tuple[EventLog, list[str]]:
-    """Generate the log; with ``--tags-out`` also write its tags and their side manifest."""
+def _timed(segments, stage_s: dict):
+    """The log segments of ``segments``, each wait added to stage ``generate``; closing this closes them."""
+    with closing(segments):
+        while True:
+            with _stage(stage_s, "generate"):
+                segment = next(segments, None)
+            if segment is None:
+                return
+            yield segment
+            del segment  # not alive while the next one is awaited
+
+
+def _generate(args, config: ExperimentConfig, policy: str, outdir: Path,
+              stage_s: dict) -> tuple[EventLog | Iterator[EventLog], list[str]]:
+    """The log, or a streamed run's segments; with ``--tags-out`` also write its tags and their side manifest.
+
+    Which runs stream is in the module docstring.  A segment is one
+    ``run_experiment`` call of one worker over ``_BLOCK_PAIRS`` pairs,
+    on ``map_ranges``'s pool.
+    """
+    if args.workers < 1:  # a segment runs on one worker, so run_experiment would not see it
+        raise ValidationError(f"--workers must be >= 1, got {args.workers}")
+    if policy == "paired" and args.tags_out is None and config.resolved_emission().mode == "regular":
+        def segment(start, stop):
+            return run_experiment(config, 1, pairs=range(start, stop))
+
+        n = config.n_pairs
+        segments = map_ranges(segment, n, _BLOCK_PAIRS, parts=-(-n // _BLOCK_PAIRS), threads=args.workers)
+        return _timed(segments, stage_s), []
     with _stage(stage_s, "generate"):
         log = run_experiment(config, n_workers=args.workers)
     if args.tags_out is None:
@@ -229,21 +273,25 @@ def _read_source(args, quadruple, outdir: Path, stage_s: dict) -> tuple[EventLog
 def _analyze(log, config, windows, policy, quadruple, outdir: Path, manifest: RunManifest, diagnostics: dict) -> None:
     """Select coincidences at ``windows``, write the result CSV and build ``manifest.results``.
 
-    The selection is one ``window_sweep``, and one window (a float) is a
-    grid of one.  Both shapes build ``per_window``, one record per window,
-    the same way, and it is the only place a grid stores per-window
-    facts: one window's scalar keys are a copy of record 0's; a grid
-    adds only ``s_first`` and ``s_last``, its end records' S, and
+    The selection is one ``window_sweep`` of ``log``, one stored log or
+    a stream of segments, and one window (a float) is a grid of one.
+    Both shapes build ``per_window``, one record per window, the same
+    way, and it is the only place a grid stores per-window facts: one
+    window's scalar keys are a copy of record 0's; a grid adds only
+    ``s_first`` and ``s_last``, its end records' S, and
     ``crossings_at_2``.  The shape chooses only that summary, the CSV
     (``correlations.csv`` or ``sweep.csv``) and the printed lines.  Both
-    add ``policy`` and ``diagnostics`` with the ``analyze`` stage.
+    add ``policy`` and ``diagnostics`` with the ``analyze`` stage, which
+    on a streamed run excludes the wait for segments (see ``_timed``).
     """
     with _stage(diagnostics["stage_s"], "analyze"):
         sweep = window_sweep(config, np.atleast_1d(windows), quadruple, policy, log=log)
+        # A stream of segments is a generated paired run: both stations have n_pairs events.
+        n2 = len(log.station2) if isinstance(log, EventLog) else sweep.n_pairs
         e = (sweep.correlation[:, i, j].tolist() for i, j in sweep.cells)
         per_window = [
             {"window": w, "s": s, "s_stderr": s_stderr, "coincidence_rate": rate, "matched": m,
-             "unmatched1": len(log.station1) - m, "unmatched2": len(log.station2) - m, "empty_cells": empty,
+             "unmatched1": sweep.n_pairs - m, "unmatched2": n2 - m, "empty_cells": empty,
              "correlations": dict(zip(("e_ab", "e_abp", "e_apb", "e_apbp"), e_w))}
             for w, s, s_stderr, rate, m, empty, *e_w in zip(
                 sweep.windows.tolist(), sweep.s.tolist(), sweep.s_stderr.tolist(), sweep.rate.tolist(),
@@ -253,7 +301,7 @@ def _analyze(log, config, windows, policy, quadruple, outdir: Path, manifest: Ru
         if np.ndim(windows) == 0:
             csv_path = write_correlation_csv(outdir / "correlations.csv", sweep, config)
             summary = first
-            print(f"{manifest.mode}: n_pairs={log.n_pairs} window={first['window']} "
+            print(f"{manifest.mode}: n_pairs={sweep.n_pairs} window={first['window']} "
                   f"rate={first['coincidence_rate']:.6f}")
             print(f"{manifest.mode}: S = {first['s']:.6f} +- {first['s_stderr']:.6f}")
         else:
@@ -271,6 +319,7 @@ def _run_analysis(args, outdir: Path) -> RunManifest:
         raise ValidationError(f"--window must be finite, got {args.window}")
     grid = args.windows or ("1:1000:log20" if args.mode == "sweep" else None)
     windows = parse_windows(grid) if grid else args.window
+    policy = args.matcher or ("stream" if args.mode == "reanalyze" else "paired")
     stage_s = {}
     if args.mode == "reanalyze":
         quadruple, outputs = _parse_quadruple(args), []
@@ -278,11 +327,11 @@ def _run_analysis(args, outdir: Path) -> RunManifest:
     else:
         config, quadruple = _build_config(args)
         chsh_cells(config, quadruple)  # before any event is generated or tag written
-        log, outputs = _generate(args, config, outdir, stage_s)
+        log, outputs = _generate(args, config, policy, outdir, stage_s)
         rng = rng_provenance()
     manifest = RunManifest(mode=args.mode, seed=config.seed, config=config_to_dict(config), outputs=outputs)
-    policy = args.matcher or ("stream" if args.mode == "reanalyze" else "paired")
-    _analyze(log, config, windows, policy, quadruple, outdir, manifest, {"rng": rng, "stage_s": stage_s})
+    with nullcontext() if isinstance(log, EventLog) else closing(log):  # an error stops the segments' pool
+        _analyze(log, config, windows, policy, quadruple, outdir, manifest, {"rng": rng, "stage_s": stage_s})
     return manifest
 
 

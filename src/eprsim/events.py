@@ -23,9 +23,22 @@ worker and 35 on two.  The log keeps each column in the smallest type
 that holds it: 24 bytes per pair up to 2**32 pairs and 256 settings a
 station (see :class:`StationStream`).
 
-Generation is the one parallel pass over pairs.  It goes through
-:func:`map_ranges`, which cuts rows [0, n) into contiguous ranges with
-chunk-aligned inner edges and runs them on at most one thread per CPU.
+Generation is the one parallel pass over pairs, and :func:`map_ranges`
+owns its threads.  It cuts rows [0, n) into contiguous ranges with
+block-aligned inner edges, runs them on one pool of at most one thread
+per CPU, and yields their results lazily in range order, with at most
+one range per thread ahead of the consumer.
+
+A run can also be generated in segments: ``run_experiment(config, 1,
+pairs=range(lo, hi))`` is rows lo..hi of the whole log.  The CLI's
+paired runs under regular emission without ``--tags-out`` generate
+segments of 2**16 pairs on one ``map_ranges`` pool and bin each as it
+arrives (see :func:`eprsim.analysis.window_sweep`), so they hold a few
+1.5 MB segments instead of the 24-byte-per-pair log.  Three kinds of
+run keep one stored log: the stream policy, which matches across the
+whole log in time order; ``--tags-out``, whose tag files are written
+in time order over the whole run; and Poisson emission, whose emission
+times are one cumulative sum over the run.
 
 A run is stored in pair order: row k of both station streams is pair k,
 and the two streams share one ``pair_id`` array.  Consumers that need
@@ -43,15 +56,17 @@ round-tripped files are identical.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from .errors import ValidationError
 from .model import (DEFAULT_QUADRUPLE, ModelParams, Setting, check_settings, delay_from_uniform,
-                    hidden_from_uniform, misalignments, outcome_from_uniform)
+                    hidden_from_uniform, is_real, misalignments, outcome_from_uniform)
 
 __all__ = [
     "EmissionSpec",
@@ -96,11 +111,11 @@ class EmissionSpec:
 
     def __post_init__(self):
         if self.mode == "regular":
-            if self.interval is None or not (0 < self.interval < np.inf):
-                raise ValidationError(f"regular emission needs a finite interval > 0, got {self.interval}")
+            if not (is_real(self.interval) and 0 < self.interval < np.inf):
+                raise ValidationError(f"regular emission needs a finite interval > 0, got {self.interval!r}")
         elif self.mode == "poisson":
-            if self.rate is None or not (0 < self.rate < np.inf):
-                raise ValidationError(f"poisson emission needs a finite rate > 0, got {self.rate}")
+            if not (is_real(self.rate) and 0 < self.rate < np.inf):
+                raise ValidationError(f"poisson emission needs a finite rate > 0, got {self.rate!r}")
         else:
             raise ValidationError(f"unknown emission mode {self.mode!r}")
 
@@ -125,8 +140,11 @@ class ExperimentConfig:
     emission: EmissionSpec | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "settings1", tuple(float(a) for a in self.settings1))
-        object.__setattr__(self, "settings2", tuple(float(a) for a in self.settings2))
+        for name in ("settings1", "settings2"):
+            angles = tuple(getattr(self, name))
+            if not all(is_real(a) for a in angles):  # float() would read "0" and True as angles
+                raise ValidationError(f"{name} must be real numbers, got {angles!r}")
+            object.__setattr__(self, name, tuple(float(a) for a in angles))
         # pair ids must fit the tag format's [0, 2**53)
         if not _is_integer(self.n_pairs) or not 1 <= self.n_pairs <= 2**53:
             raise ValidationError(f"n_pairs must be in [1, 2**53] and an integer, got {self.n_pairs!r}")
@@ -230,25 +248,42 @@ class EventLog:
         return self.station1 == other.station1 and self.station2 == other.station2
 
 
-def map_ranges(fn, n: int, block: int, parts: int) -> list:
-    """``fn(start, stop)`` over contiguous ranges of rows [0, n), results in range order.
+def map_ranges(fn, n: int, block: int, parts: int, threads: int | None = None):
+    """``fn(start, stop)`` over contiguous ranges of rows [0, n), yielded lazily in range order.
 
     The rows are cut into at most ``parts`` ranges of nearly equal block
     counts, with inner edges at multiples of ``block``; ``n == 0`` is one
-    empty range.  The ranges run on one thread each, up to one thread per
-    CPU; a single range runs inline, without a thread pool.
+    empty range.  A single range runs inline, without a thread pool.
+    More run on one pool of min(ranges, ``threads``, CPUs) threads
+    (``threads`` defaults to ``parts``), and no more ranges than it has
+    threads run ahead of the one the consumer holds, so a consumer that
+    drops each result keeps at most that many plus one alive.  A range
+    that raises raises here, in order; closing the generator, or an
+    error, cancels the ranges not started and waits for the running
+    ones, so no pool thread outlives it.
     """
     n_blocks = -(-n // block)
     k = max(1, min(parts, n_blocks))
     edges = [min(n, block * (n_blocks * i // k)) for i in range(k + 1)]
     if k == 1:
-        return [fn(0, n)]
-    with ThreadPoolExecutor(max_workers=min(k, os.cpu_count() or 1)) as pool:
-        return list(pool.map(fn, edges[:-1], edges[1:]))
+        yield fn(0, n)
+        return
+    ranges = zip(edges[:-1], edges[1:])
+    ahead = min(k, parts if threads is None else threads, os.cpu_count() or 1)
+    pool = ThreadPoolExecutor(max_workers=ahead)
+    try:
+        running = deque(pool.submit(fn, *r) for r in islice(ranges, ahead))
+        while running:
+            # Queued behind the running ranges, the next starts as the head is handed over;
+            # no local keeps a result the consumer has dropped.
+            running.extend(pool.submit(fn, *r) for r in islice(ranges, 1))
+            yield running.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _generate_columns(config: ExperimentConfig, cols: dict, start: int, stop: int) -> None:
-    """Compute raw per-pair columns for pairs [start, stop), one chunk at a time; ``gap`` only if Poisson."""
+def _generate_columns(config: ExperimentConfig, cols: dict, start: int, stop: int, first: int = 0) -> None:
+    """Raw columns of pairs [start, stop) into rows from ``start - first``, by chunks; ``gap`` only if Poisson."""
     params = config.params
     rate = config.resolved_emission().rate
     a1 = np.asarray(config.settings1)
@@ -259,7 +294,7 @@ def _generate_columns(config: ExperimentConfig, cols: dict, start: int, stop: in
         chunk, row = divmod(pid, CHUNK_PAIRS)
         take = min(CHUNK_PAIRS - row, stop - pid)
         u = _chunk_uniforms(config.seed, chunk, row + take)[row:]
-        sl = slice(pid, pid + take)
+        sl = slice(pid - first, pid - first + take)
         pid += take
 
         idx1 = np.minimum((u[:, _COL_SET1] * k1).astype(np.int64), k1 - 1)
@@ -278,32 +313,47 @@ def _generate_columns(config: ExperimentConfig, cols: dict, start: int, stop: in
                 cols["gap"][sl] = -np.log1p(-u[:, _COL_EMIT]) / rate
 
 
-def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> EventLog:
-    """Run the full two-station experiment described by ``config``.
+def run_experiment(config: ExperimentConfig, n_workers: int = 1, pairs: range | None = None) -> EventLog:
+    """Run the two-station experiment described by ``config``, or the segment ``pairs`` of it.
 
     ``n_workers`` is how many ranges the pairs are split into (see
     :func:`map_ranges`).  The result is identical for any ``n_workers``:
     each pair's variates are fixed by ``(seed, pair_id)``.
     Both stations come back in pair order and share one ``pair_id`` array.
+
+    ``pairs``, a non-empty step-1 range of pair ids in [0, n_pairs),
+    defaults to the whole run.  Its rows equal those rows of the whole
+    run's log, pair ids included, in the whole run's pair-id type.
+    Under Poisson emission every emission time is one cumulative sum over
+    the run, so only the whole run can be generated.  The emission
+    overflow check bounds the last pair of the whole run, so it raises
+    for every segment alike.
     """
     if n_workers < 1:
         raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
     n = config.n_pairs
-    cols = {
-        "idx1": np.empty(n, dtype=np.min_scalar_type(len(config.settings1) - 1)),
-        "idx2": np.empty(n, dtype=np.min_scalar_type(len(config.settings2) - 1)),
-        "x1": np.empty(n, dtype=np.int8),
-        "x2": np.empty(n, dtype=np.int8),
-        "delay1": np.empty(n),
-        "delay2": np.empty(n),
-    }
-    # Ranges split on chunk boundaries, so each regenerates whole chunks.
-    each_range = partial(map_ranges, n=n, block=CHUNK_PAIRS, parts=n_workers)
+    pairs = range(n) if pairs is None else pairs
+    if not (isinstance(pairs, range) and pairs.step == 1 and 0 <= pairs.start < pairs.stop <= n):
+        raise ValidationError(f"pairs must be a non-empty step-1 range within range({n}), got {pairs!r}")
+    first, m = pairs.start, len(pairs)
     interval = config.resolved_emission().interval
+    if interval is None and m != n:
+        raise ValidationError(f"poisson emission times are one cumulative sum over the run: "
+                              f"generate all {n} pairs, not {pairs!r}")
+    cols = {
+        "idx1": np.empty(m, dtype=np.min_scalar_type(len(config.settings1) - 1)),
+        "idx2": np.empty(m, dtype=np.min_scalar_type(len(config.settings2) - 1)),
+        "x1": np.empty(m, dtype=np.int8),
+        "x2": np.empty(m, dtype=np.int8),
+        "delay1": np.empty(m),
+        "delay2": np.empty(m),
+    }
+    # Ranges split on chunk boundaries of the rows, which are the pairs' when ``first`` is (the CLI's segments are).
+    each_range = partial(map_ranges, n=m, block=CHUNK_PAIRS, parts=n_workers)
     if interval is None:
         # Poisson: the cumulative sum is one sequential pass, independent of the split.
         cols["gap"] = gap = np.empty(n)
-        each_range(partial(_generate_columns, config, cols))
+        list(each_range(partial(_generate_columns, config, cols)))
         with np.errstate(over="ignore"):
             last = float(np.cumsum(gap, out=gap)[-1])
     else:
@@ -317,18 +367,18 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1) -> EventLog:
         )
 
     def finish(start, stop):
-        """Pairs [start, stop): regular emission's columns, then tag = emission + delay, quantized, in place."""
+        """Rows [start, stop): regular emission's columns, then tag = emission + delay, quantized, in place."""
         if interval is not None:
-            _generate_columns(config, cols, start, stop)
+            _generate_columns(config, cols, first + start, first + stop, first)
         for lo in range(start, stop, CHUNK_PAIRS):
             hi = min(lo + CHUNK_PAIRS, stop)
-            emitted = gap[lo:hi] if interval is None else np.arange(lo, hi) * interval
+            emitted = gap[lo:hi] if interval is None else np.arange(first + lo, first + hi) * interval
             for t in (cols["delay1"][lo:hi], cols["delay2"][lo:hi]):
                 np.add(emitted, t, out=t)
                 np.round(t, TIME_TAG_DECIMALS, out=t)
 
-    each_range(finish)
-    pid = np.arange(n, dtype=np.min_scalar_type(n - 1))
+    list(each_range(finish))
+    pid = np.arange(first, first + m, dtype=np.min_scalar_type(n - 1))
     return EventLog(
         station1=StationStream(1, cols["delay1"], cols["idx1"], cols["x1"], pid),
         station2=StationStream(2, cols["delay2"], cols["idx2"], cols["x2"], pid),

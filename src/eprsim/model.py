@@ -30,6 +30,7 @@ power, which numpy computes differently for scalars and arrays.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,11 @@ Setting = float
 DEFAULT_QUADRUPLE = (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
 
 
+def is_real(value) -> bool:
+    """A real number: an int or a float, numpy's included; a bool or a string is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_settings(angles) -> None:
     """Raise ValidationError unless every angle, and twice it, is finite: the kernels take sin and cos of 2 zeta."""
     if not np.all(np.abs(np.asarray(angles, dtype=float)) <= np.finfo(float).max / 2):
@@ -70,6 +76,8 @@ class ModelParams:
     d       dimensionless exponent of the delay timescale (finite, >= 0)
     t0      maximum delay timescale, time units (finite, > 0)
     window  coincidence window W, same time units (finite, >= 0)
+
+    Each is a real number (see ``is_real``): a bool or a string is rejected.
     """
 
     d: float = 4.0
@@ -77,12 +85,12 @@ class ModelParams:
     window: float = 10.0
 
     def __post_init__(self):
-        if not (0 < self.t0 < np.inf):
-            raise ValidationError(f"t0 must be finite and > 0, got {self.t0}")
-        if not (0 <= self.window < np.inf):
-            raise ValidationError(f"window must be finite and >= 0, got {self.window}")
-        if not (0 <= self.d < np.inf):
-            raise ValidationError(f"d must be finite and >= 0, got {self.d}")
+        if not (is_real(self.t0) and 0 < self.t0 < np.inf):
+            raise ValidationError(f"t0 must be finite and > 0, got {self.t0!r}")
+        if not (is_real(self.window) and 0 <= self.window < np.inf):
+            raise ValidationError(f"window must be finite and >= 0, got {self.window!r}")
+        if not (is_real(self.d) and 0 <= self.d < np.inf):
+            raise ValidationError(f"d must be finite and >= 0, got {self.d!r}")
 
 
 def normalize_angle(angle):

@@ -1,6 +1,7 @@
 """Count cube, CHSH, and window-sweep tests."""
 
 import os
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -659,3 +660,69 @@ class TestBlockedPass:
         # A temporary of one byte a pair would add 6e5 bytes at the larger log.
         small = peak_above_log(200_000)
         assert peak_above_log(800_000) <= small + 1e5
+
+
+class TestSegments:
+    """The paired sweep over consecutive segments of one run, as the CLI streams them."""
+
+    N_PAIRS, WINDOWS = TestBlockedPass.N_PAIRS, TestBlockedPass.WINDOWS
+    config = TestBlockedPass.config
+
+    def segments(self, config, size, workers=1):
+        """``run_experiment`` over consecutive ``size``-pair segments, generated as they are taken."""
+        n = config.n_pairs
+        return (run_experiment(config, workers, pairs=range(lo, min(lo + size, n))) for lo in range(0, n, size))
+
+    @pytest.mark.parametrize("size, workers", [(_BLOCK_PAIRS, 1), (_BLOCK_PAIRS, 2), (5000, 3), (N_PAIRS, 1)],
+                             ids=["blocks", "blocks-2", "unaligned-3", "one"])
+    def test_equal_the_whole_log(self, size, workers):
+        config = self.config()
+        whole = window_sweep(config, self.WINDOWS, log=run_experiment(config))
+        streamed = window_sweep(config, self.WINDOWS, log=self.segments(config, size, workers))
+        assert streamed.n_pairs == whole.n_pairs == config.n_pairs
+        assert streamed.counts.dtype == whole.counts.dtype
+        np.testing.assert_array_equal(streamed.counts, whole.counts)
+        assert streamed.cells == whole.cells
+
+    def test_in_order_on_more_threads_than_cores(self, monkeypatch):
+        # 27 segments on 8 threads, switching threads as often as the interpreter can:
+        # a segment binned out of order or twice would change the counts.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        config = self.config()
+        n = config.n_pairs
+
+        def segment(start, stop):
+            return run_experiment(config, 1, pairs=range(start, stop))
+
+        segments = eprsim.events.map_ranges(segment, n, 5000, -(-n // 5000), threads=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            streamed = window_sweep(config, self.WINDOWS, log=segments)
+        finally:
+            sys.setswitchinterval(interval)
+        whole = window_sweep(config, self.WINDOWS, log=run_experiment(config))
+        np.testing.assert_array_equal(streamed.counts, whole.counts)
+        assert streamed.n_pairs == n
+
+    def test_every_segment_is_checked(self):
+        # An index outside the config in the last segment's one pair raises like it does in one log.
+        config = replace(self.config(), settings1=(0.0, np.pi / 4))
+        segments = list(self.segments(config, _BLOCK_PAIRS))
+        segments[-1].station1.setting_index[-1] = 2
+        with pytest.raises(ValidationError, match="^setting index out of range for the supplied config$"):
+            window_sweep(config, self.WINDOWS, log=iter(segments))
+        segments[-1].station1.setting_index[-1] = 0
+        segments[1].station2.pair_id = segments[1].station2.pair_id.copy()
+        segments[1].station2.pair_id[0] += 1
+        with pytest.raises(ValidationError, match="pair"):
+            window_sweep(config, self.WINDOWS, log=iter(segments))
+
+    def test_stream_policy_takes_one_log(self):
+        config = self.config()
+        with pytest.raises(ValidationError, match="stream policy .* one event log"):
+            window_sweep(config, self.WINDOWS, policy="stream", log=self.segments(config, _BLOCK_PAIRS))
+
+    def test_no_segment_rejected(self):
+        with pytest.raises(ValidationError, match="no log segment"):
+            window_sweep(self.config(), self.WINDOWS, log=iter(()))

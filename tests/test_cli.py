@@ -7,11 +7,15 @@ Non-finite input is a configuration error: exit status 1, no output.
 
 import hashlib
 import json
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from eprsim import EventLog, ExperimentConfig, StationStream, ValidationError, write_tags
+import eprsim.cli
+from eprsim import EventLog, ExperimentConfig, QuadratureError, StationStream, ValidationError, write_tags
+from eprsim.analysis import _BLOCK_PAIRS
 from eprsim.cli import main, parse_emission
 from eprsim.events import CHUNK_PAIRS, DRAWS_PER_PAIR
 from eprsim.tagio import RunManifest, config_to_dict
@@ -179,6 +183,33 @@ def test_manifest_with_a_non_integer_seed_or_n_pairs_exits_1(tmp_path, capsys, e
     side = tmp_path / "tags.manifest.json"
     manifest = json.loads(side.read_text(encoding="utf-8"))
     manifest["config"].update(edit)
+    side.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "re"
+    assert main(["--mode", "reanalyze", "--tags-in", str(tmp_path / "tags"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("eprsim: invalid configuration: "), err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(("params", "d"), "4"), (("params", "window"), True), (("params", "t0"), "1000"),
+     (("settings1",), ["0", 0.7853981633974483]), (("emission",), {"mode": "poisson", "rate": True}),
+     (("emission",), {"mode": "regular", "interval": "5"})],
+    ids=["string-d", "bool-window", "string-t0", "string-angle", "bool-rate", "string-interval"],
+)
+def test_manifest_with_a_bool_or_string_number_exits_1(tmp_path, capsys, path, value):
+    # A bool or a string where the config takes a number is an invalid
+    # configuration, not a malformed manifest.
+    assert main(["--mode", "mc", "--pairs", "2000", "--tags-out", "tags", "--out", str(tmp_path)]) == 0
+    side = tmp_path / "tags.manifest.json"
+    manifest = json.loads(side.read_text(encoding="utf-8"))
+    *parents, key = path
+    target = manifest["config"]
+    for name in parents:
+        target = target[name]
+    target[key] = value
     side.write_text(json.dumps(manifest), encoding="utf-8")
     capsys.readouterr()
     out = tmp_path / "re"
@@ -444,3 +475,90 @@ def test_reanalyze_with_manifest_bad_value_exits_1(side_manifest, tmp_path, caps
     side_manifest.write_text(json.dumps(manifest), encoding="utf-8")
     assert _reanalyze(tmp_path) == 1
     assert "t0 must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_streamed_runs_equal_the_stored_log(tmp_path, workers):
+    # Without --tags-out a paired run streams segments of _BLOCK_PAIRS pairs;
+    # with it the run stores its log.  Two full segments and a partial one.
+    run = ["--pairs", str(2 * _BLOCK_PAIRS + 5000), "--seed", "4", "--workers", str(workers)]
+    for mode, csv in (("sweep", "sweep.csv"), ("mc", "correlations.csv")):
+        streamed, stored = tmp_path / f"{mode}-streamed", tmp_path / f"{mode}-stored"
+        assert main(["--mode", mode, *run, "--out", str(streamed)]) == 0
+        assert main(["--mode", mode, *run, "--tags-out", "tags", "--out", str(stored)]) == 0
+        assert (streamed / csv).read_bytes() == (stored / csv).read_bytes()
+        results = [RunManifest.read(d / f"{mode}.manifest.json").results for d in (streamed, stored)]
+        for r in results:
+            del r["diagnostics"]["stage_s"]
+        assert results[0] == results[1]
+
+
+def test_workers_below_1_exit_1_before_any_event_is_generated(tmp_path, capsys, monkeypatch):
+    # Segments run on one worker each, so the CLI checks --workers itself.
+    monkeypatch.setattr("eprsim.cli.run_experiment", lambda *args, **kwargs: pytest.fail("events generated"))
+    for mode in ("mc", "sweep"):
+        assert main(["--mode", mode, "--pairs", "200000", "--workers", "0", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["eprsim: invalid configuration: --workers must be >= 1, got 0"]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+def test_streamed_emission_overflow_fires_on_the_first_segment(tmp_path, capsys, monkeypatch):
+    # Only the run's last pairs overflow at 6 decimals; the first segment's own tags would not.
+    calls = []
+    real = eprsim.cli.run_experiment
+
+    def recorded(config, n_workers=1, pairs=None):
+        calls.append(pairs)
+        return real(config, n_workers, pairs=pairs)
+
+    monkeypatch.setattr("eprsim.cli.run_experiment", recorded)
+    argv = ["--mode", "sweep", "--emission", "regular:1e297", "--pairs", "200000", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "emission times overflow: the last of 200000 pairs" in capsys.readouterr().err
+    assert calls[0] == range(_BLOCK_PAIRS)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "error, code, line",
+    [(MemoryError("Unable to allocate 1.00 PiB"), 2, "eprsim: runtime error: Unable to allocate 1.00 PiB"),
+     (QuadratureError("no convergence"), 2, "eprsim: runtime error: no convergence"),
+     (ValidationError("bad segment"), 1, "eprsim: invalid configuration: bad segment")],
+    ids=["memory", "runtime", "validation"],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_segment_exits_like_a_failing_run(tmp_path, capsys, monkeypatch, error, code, line, workers):
+    # The second segment raises: one stderr line, the exit code of its type,
+    # no output file, and no generation thread left running.
+    real = eprsim.cli.run_experiment
+
+    def failing(config, n_workers=1, pairs=None):
+        if pairs is not None and pairs.start == _BLOCK_PAIRS:
+            raise error
+        return real(config, n_workers, pairs=pairs)
+
+    monkeypatch.setattr("eprsim.cli.run_experiment", failing)
+    before = set(threading.enumerate())
+    argv = ["--mode", "sweep", "--pairs", str(4 * _BLOCK_PAIRS), "--workers", str(workers), "--out", str(tmp_path)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line] and captured.out == ""
+    assert not any(tmp_path.iterdir())
+    assert set(threading.enumerate()) <= before
+
+
+def test_streamed_sweep_memory_does_not_grow_with_the_run(tmp_path, capsys):
+    # A stored log would add 24 bytes a pair, 1.4e7 bytes from 2e5 to 8e5
+    # pairs.  A streamed run holds the segment being binned and the one the
+    # pool's one thread generates ahead, each 1.5 MB, whatever the run's size.
+    def peak(n_pairs):
+        tracemalloc.start()
+        try:
+            assert main(["--mode", "sweep", "--pairs", str(n_pairs), "--workers", "1", "--out", str(tmp_path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20_000)  # first-call allocations do not grow with the run
+    assert peak(800_000) <= peak(200_000) + 1e6

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -104,6 +105,8 @@ class TestConfigValidation:
             dict(n_pairs=2000.0),
             dict(n_pairs=True),
             dict(seed=True),
+            dict(settings1=("0", 1.0)),  # float() would read these as angles
+            dict(settings2=(0.5, True)),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -118,6 +121,9 @@ class TestConfigValidation:
             dict(mode="regular", interval=np.nan),
             dict(mode="poisson"),
             dict(mode="burst"),
+            dict(mode="poisson", rate=True),
+            dict(mode="regular", interval="5"),
+            dict(mode="regular", interval=np.bool_(True)),
         ],
     )
     def test_bad_emission_rejected(self, kwargs):
@@ -260,6 +266,43 @@ class TestRunExperiment:
         assert run_experiment(cfg, n_workers=64) == one_range
         assert sizes == [threads]
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("first, stop", [(0, 2 * CHUNK_PAIRS), (CHUNK_PAIRS, 3 * CHUNK_PAIRS + 100),
+                                             (57, CHUNK_PAIRS + 1), (2 * CHUNK_PAIRS - 1, 3 * CHUNK_PAIRS + 100),
+                                             (3 * CHUNK_PAIRS + 99, 3 * CHUNK_PAIRS + 100)],
+                             ids=["aligned", "aligned-to-end", "unaligned", "unaligned-to-end", "last-pair"])
+    def test_segment_equals_its_rows_of_the_whole_log(self, workers, first, stop):
+        # Every column, and pair ids in the whole run's type (uint16 here, even for a one-pair segment).
+        cfg = small_config(n_pairs=3 * CHUNK_PAIRS + 100, emission=EmissionSpec.regular(0.7))
+        whole = run_experiment(cfg)
+        part = run_experiment(cfg, workers, pairs=range(first, stop))
+        assert part.station1.pair_id is part.station2.pair_id
+        for a, b in ((part.station1, whole.station1), (part.station2, whole.station2)):
+            for name in ("time_tag", "setting_index", "outcome", "pair_id"):
+                col, ref = getattr(a, name), getattr(b, name)[first:stop]
+                assert col.dtype == ref.dtype and np.array_equal(col, ref), name
+        assert part.station1.pair_id.dtype == np.uint16
+
+    @pytest.mark.parametrize("pairs", [range(0), range(5, 5), range(0, 5001), range(-1, 10), range(0, 10, 2),
+                                       (0, 10)], ids=str)
+    def test_invalid_segment_rejected(self, pairs):
+        with pytest.raises(ValidationError, match="pairs must be"):
+            run_experiment(small_config(), pairs=pairs)
+
+    def test_poisson_segment_rejected(self):
+        # Poisson emission times are one cumulative sum over the run: only the whole run can be generated.
+        cfg = small_config(emission=EmissionSpec.poisson(0.5))
+        with pytest.raises(ValidationError, match="cumulative sum"):
+            run_experiment(cfg, pairs=range(0, CHUNK_PAIRS))
+        assert run_experiment(cfg, pairs=range(cfg.n_pairs)) == run_experiment(cfg)
+
+    def test_emission_overflow_of_the_last_pair_rejected_in_the_first_segment(self):
+        # Pair 2**16 - 1 is emitted near 6.6e301, which tags; the run's last, near 2e302, does not.
+        cfg = small_config(n_pairs=200_000, emission=EmissionSpec.regular(1e297))
+        assert np.isfinite(((2**16 - 1) * 1e297 + cfg.params.t0) * 10.0**TIME_TAG_DECIMALS)
+        with pytest.raises(ValidationError, match="emission times overflow: the last of 200000 pairs"):
+            run_experiment(cfg, pairs=range(2**16))
+
     def test_any_pair_rebuilds_in_isolation(self):
         # Pair pid generated alone equals row pid of the whole run, setting
         # choice included, on both sides of a chunk boundary.  The emission
@@ -365,7 +408,7 @@ class TestMapRanges:
     def test_block_aligned_ranges_cover_the_rows_in_order(self, monkeypatch, n, parts):
         sizes = record_pool_sizes(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        ranges = map_ranges(lambda start, stop: (start, stop), n, self.BLOCK, parts)
+        ranges = list(map_ranges(lambda start, stop: (start, stop), n, self.BLOCK, parts))
         # Results in range order: each range starts where the previous one stops.
         edges = [start for start, _ in ranges] + [ranges[-1][1]]
         assert edges[0] == 0 and edges[-1] == n
@@ -374,6 +417,52 @@ class TestMapRanges:
         assert len(ranges) <= min(parts, -(-n // self.BLOCK))
         # A single range runs inline and opens no pool.
         assert sizes == ([min(len(ranges), 2)] if len(ranges) > 1 else [])
+
+
+    @pytest.mark.parametrize("cpus, threads, ahead", [(2, 2, 2), (1, 2, 1), (4, 1, 1), (4, 3, 3)])
+    def test_lazy_and_at_most_the_pool_ahead_of_the_consumer(self, monkeypatch, cpus, threads, ahead):
+        # Ranges start only as the consumer takes results, and while it holds
+        # result i at most ``ahead`` more ranges have started, on one pool.
+        sizes = record_pool_sizes(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        started = []
+
+        def fn(start, stop):
+            started.append(start)
+            return start
+
+        results = map_ranges(fn, 10 * self.BLOCK, self.BLOCK, parts=10, threads=threads)
+        assert started == [] and sizes == []
+        for i, start in enumerate(results):
+            assert start == i * self.BLOCK
+            assert len(started) <= i + 1 + ahead
+        assert sorted(started) == [i * self.BLOCK for i in range(10)]
+        assert sizes == [ahead]
+
+    @pytest.mark.parametrize("stop_by", ["error", "close"])
+    def test_an_error_or_close_stops_the_ranges_and_their_threads(self, monkeypatch, stop_by):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        before = set(threading.enumerate())
+        started = []
+
+        def fn(start, stop):
+            started.append(start)
+            if stop_by == "error" and start == 3 * self.BLOCK:
+                raise ValidationError("range 3 failed")
+            return start
+
+        results = map_ranges(fn, 10 * self.BLOCK, self.BLOCK, parts=10, threads=2)
+        taken = [next(results) for _ in range(3)]
+        if stop_by == "error":
+            with pytest.raises(ValidationError, match="range 3 failed"):
+                next(results)
+        else:
+            results.close()
+        assert taken == [0, self.BLOCK, 2 * self.BLOCK]
+        # Holding range 2, the pool's two threads ran ahead to ranges 3 and 4; asking
+        # for range 3 queued range 5.  Nothing after it started.
+        assert max(started) <= 5 * self.BLOCK
+        assert set(threading.enumerate()) <= before
 
 
 class TestEventLogPairing:

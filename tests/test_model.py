@@ -27,11 +27,16 @@ class TestModelParams:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(t0=0.0), dict(t0=-1.0), dict(t0=np.inf), dict(t0=np.nan), dict(window=-0.1), dict(d=-1.0),
-         dict(window=np.inf), dict(d=np.inf)],
+         dict(window=np.inf), dict(d=np.inf), dict(d=True), dict(window=True), dict(d="4"), dict(t0="1000"),
+         dict(window=np.bool_(True))],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             ModelParams(**kwargs)
+
+    def test_numpy_and_integer_values_accepted(self):
+        p = ModelParams(d=np.float64(2.0), t0=1000, window=np.int64(5))
+        assert (p.d, p.t0, p.window) == (2.0, 1000, 5)
 
 
 class TestOutcomeProb:
