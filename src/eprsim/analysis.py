@@ -16,9 +16,11 @@ once; no per-window table exists.
 
 Under the paired policy the log may come as a stream of consecutive
 segments of one run, which is how the CLI's paired runs under regular
-emission without ``--tags-out`` feed it: each segment is binned as it
-arrives and dropped, and the count tables of the segments add up, so
-the sweep's memory is the few segments alive at once, not the log.
+emission without ``--tags-out`` feed it, ``events.SEGMENT_PAIRS`` pairs
+at a time: each segment is binned as it arrives and dropped, and the
+count tables of the segments add up, so the sweep's memory is the few
+segments alive at once, not the log.  One stored log is binned in
+blocks of the same size.
 The stream policy matches across the whole run, so it takes one log.
 
 ``window_sweep`` checks the grid, the policy, the first window, then
@@ -38,7 +40,7 @@ import numpy as np
 
 from .coincidence import MatchPolicy, check_pair_filter, check_stream_match, pair_window_index, stream_window_index
 from .errors import ValidationError
-from .events import EventLog, ExperimentConfig
+from .events import SEGMENT_PAIRS, EventLog, ExperimentConfig
 from .model import DEFAULT_QUADRUPLE, normalize_angle
 
 __all__ = [
@@ -176,24 +178,18 @@ class SweepResult:
         return [(float(lo), float(hi)) for lo, hi in zip(self.windows[k], self.windows[k + 1])]
 
 
-# Pairs per block of the paired sweep: a block's temporaries, about
-# 23 bytes a pair (1.5 MB), stay near a core's cache.  The CLI's streamed
-# runs generate segments of this many pairs, one block each.
-_BLOCK_PAIRS = 1 << 16
-
-
 def _sweep_counts(log: EventLog, windows: np.ndarray, config: ExperimentConfig, policy: MatchPolicy) -> np.ndarray:
     """Every window's count table of one log, from one ``_bin`` histogram.
 
     The tables have shape (len(windows), n1, n2, 2, 2); ``window_sweep``
     has checked the policy and run its checks.  Policy ``"paired"`` bins
     each pair once, at the first window that keeps it, in blocks of
-    ``_BLOCK_PAIRS`` pairs, so no temporary grows with the log.  Any
+    ``SEGMENT_PAIRS`` pairs, so no temporary grows with the log.  Any
     other policy is ``"stream"``, which bins the groups of
     ``stream_window_index``.
     """
     if policy == "paired":
-        blocks = (slice(lo, lo + _BLOCK_PAIRS) for lo in range(0, log.n_pairs, _BLOCK_PAIRS))
+        blocks = (slice(lo, lo + SEGMENT_PAIRS) for lo in range(0, log.n_pairs, SEGMENT_PAIRS))
         groups = ((rows, rows, pair_window_index(log, windows, rows), len(windows)) for rows in blocks)
     else:
         groups = stream_window_index(log, windows)

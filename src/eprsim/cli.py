@@ -19,12 +19,14 @@ and adds only S at its ends (``s_first``, ``s_last``) and where S
 crosses 2 (``crossings_at_2``).
 
 Paired ``mc`` and ``sweep`` runs under regular emission without
-``--tags-out`` are streamed: segments of 2**16 pairs are generated on
-one pool of min(``--workers``, CPUs) threads, at most that many ahead
-of the analysis, which bins each one and drops it, so memory does not
-grow with ``--pairs``.  The stream matcher and ``--tags-out`` keep the
-whole log, because they need it in time order, and so does Poisson
-emission, whose emission times are one cumulative sum over the run.
+``--tags-out`` are streamed: the run is cut into segments of 2**16
+pairs, ``--workers`` of them are generated at once (at most one per
+CPU, and inline for one), and the analysis bins each in order and drops
+it, so memory does not grow with ``--pairs``.  The stream matcher and
+``--tags-out`` keep the whole log, because they need it in time order,
+and so does Poisson emission, whose segments need the emission time
+carried from every earlier one; every log is generated in the same
+segments, ``--workers`` at once.
 The manifest's ``stage_s`` records the wall time of ``generate`` or
 ``read_tags``, ``write_tags`` when tags are written, and ``analyze``.
 On a streamed run ``generate`` is the time the analysis waited for
@@ -48,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import _BLOCK_PAIRS, DEFAULT_QUADRUPLE, chsh_cells, window_sweep
+from .analysis import DEFAULT_QUADRUPLE, chsh_cells, window_sweep
 from .errors import EprSimError, TagFormatError, ValidationError
 from .events import EmissionSpec, EventLog, ExperimentConfig, map_ranges, rng_provenance, run_experiment
 from .model import ModelParams
@@ -168,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tags-in", type=str, default=None, help="prefix of time-tag files to reanalyze")
     p.add_argument("--out", type=str, default=".", help="output directory (default '.')")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads for event generation: a stored log's ranges, or a streamed run's segments "
-                        "generated ahead of its analysis (default 1)")
+                   help="2**16-pair segments of events generated at once, at most one per CPU (default 1)")
     return p
 
 
@@ -220,8 +221,8 @@ def _generate(args, config: ExperimentConfig, policy: str, outdir: Path,
     """The log, or a streamed run's segments; with ``--tags-out`` also write its tags and their side manifest.
 
     Which runs stream is in the module docstring.  A segment is one
-    ``run_experiment`` call of one worker over ``_BLOCK_PAIRS`` pairs,
-    on ``map_ranges``'s pool.
+    ``run_experiment`` call of one worker over ``events.SEGMENT_PAIRS``
+    pairs, run by ``map_ranges``.
     """
     if args.workers < 1:  # a segment runs on one worker, so run_experiment would not see it
         raise ValidationError(f"--workers must be >= 1, got {args.workers}")
@@ -229,9 +230,7 @@ def _generate(args, config: ExperimentConfig, policy: str, outdir: Path,
         def segment(start, stop):
             return run_experiment(config, 1, pairs=range(start, stop))
 
-        n = config.n_pairs
-        segments = map_ranges(segment, n, _BLOCK_PAIRS, parts=-(-n // _BLOCK_PAIRS), threads=args.workers)
-        return _timed(segments, stage_s), []
+        return _timed(map_ranges(segment, config.n_pairs, args.workers), stage_s), []
     with _stage(stage_s, "generate"):
         log = run_experiment(config, n_workers=args.workers)
     if args.tags_out is None:

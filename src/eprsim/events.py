@@ -12,33 +12,34 @@ variates taken from a counter-based generator keyed by ``(seed,
 chunk_index)``, where pairs are grouped in fixed-size chunks.  The variates
 a pair sees therefore depend only on ``(seed, pair_id)``, never on
 generation order, so runs are reproducible bit-for-bit for any worker count.
-Each range of pairs holds one chunk of variates at a time, turns it into
-that chunk's slice of the output columns and writes its own rows' time
-tags, so generation's peak memory is the log itself, plus the ``gap``
-column of emission times under Poisson emission, plus about 0.7 MB of
-chunk-sized temporaries per range (a chunk's variates and the kernels'
-columns).  These are under a byte per pair at 1e6 pairs but show below
-it: on 2e5 Poisson pairs the traced peak is 32 bytes per pair on one
-worker and 35 on two.  The log keeps each column in the smallest type
-that holds it: 24 bytes per pair up to 2**32 pairs and 256 settings a
-station (see :class:`StationStream`).
 
 Generation is the one parallel pass over pairs, and :func:`map_ranges`
-owns its threads.  It cuts rows [0, n) into contiguous ranges with
-block-aligned inner edges, runs them on one pool of at most one thread
-per CPU, and yields their results lazily in range order, with at most
-one range per thread ahead of the consumer.
+owns its threads: it runs ``SEGMENT_PAIRS`` (2**16) rows at a time,
+inline or on one pool of at most one thread per CPU, and yields the
+results lazily in order, at most one segment per thread ahead of the
+consumer.  A segment holds one chunk of variates at a time and turns it
+into that chunk's slice of the raw columns; under Poisson emission it
+also returns its inter-arrival times.  The consumer finishes the tags in
+pair order, and Poisson emission times are the running sum of those
+times carried across segments, bit for bit the whole run's cumulative
+sum.  So generation's peak memory is the log plus, per segment alive,
+about 0.7 MB of chunk temporaries and, under Poisson emission, 0.5 MB of
+inter-arrival times: under a byte per pair at 1e6 pairs, but on 2e5
+Poisson pairs the traced peak is 29 bytes per pair on one worker and 33
+on two.  The log keeps each column in the smallest type that holds it:
+24 bytes per pair up to 2**32 pairs and 256 settings a station (see
+:class:`StationStream`).
 
 A run can also be generated in segments: ``run_experiment(config, 1,
 pairs=range(lo, hi))`` is rows lo..hi of the whole log.  The CLI's
-paired runs under regular emission without ``--tags-out`` generate
-segments of 2**16 pairs on one ``map_ranges`` pool and bin each as it
-arrives (see :func:`eprsim.analysis.window_sweep`), so they hold a few
-1.5 MB segments instead of the 24-byte-per-pair log.  Three kinds of
-run keep one stored log: the stream policy, which matches across the
-whole log in time order; ``--tags-out``, whose tag files are written
-in time order over the whole run; and Poisson emission, whose emission
-times are one cumulative sum over the run.
+paired runs under regular emission without ``--tags-out`` generate their
+segments on one ``map_ranges`` pool and bin each as it arrives (see
+:func:`eprsim.analysis.window_sweep`), so they hold a few 1.5 MB
+segments instead of the 24-byte-per-pair log.  Three kinds of run keep
+one stored log: the stream policy, which matches across the whole log
+in time order; ``--tags-out``, whose tag files are written in time
+order over the whole run; and Poisson emission, whose segments need
+the emission time carried from every earlier one.
 
 A run is stored in pair order: row k of both station streams is pair k,
 and the two streams share one ``pair_id`` array.  Consumers that need
@@ -59,8 +60,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import islice
+from itertools import islice, starmap
 
 import numpy as np
 
@@ -93,6 +93,11 @@ _COL_HIDDEN, _COL_SET1, _COL_SET2, _COL_OUT1, _COL_OUT2, _COL_DELAY1, _COL_DELAY
 # cheap, large enough that per-chunk generator setup is negligible.
 CHUNK_PAIRS = 4096
 
+# Pairs per segment: the unit of parallel generation, of the CLI's streamed
+# runs and of the paired sweep's blocks.  A segment's columns and
+# temporaries, about 23 bytes a pair (1.5 MB), stay near a core's cache.
+SEGMENT_PAIRS = 1 << 16
+
 _MAX_SEED = 2**64
 
 
@@ -110,22 +115,23 @@ class EmissionSpec:
     rate: float | None = None
 
     def __post_init__(self):
-        if self.mode == "regular":
-            if not (is_real(self.interval) and 0 < self.interval < np.inf):
-                raise ValidationError(f"regular emission needs a finite interval > 0, got {self.interval!r}")
-        elif self.mode == "poisson":
-            if not (is_real(self.rate) and 0 < self.rate < np.inf):
-                raise ValidationError(f"poisson emission needs a finite rate > 0, got {self.rate!r}")
-        else:
+        if self.mode not in ("regular", "poisson"):
             raise ValidationError(f"unknown emission mode {self.mode!r}")
+        name, other = ("interval", "rate") if self.mode == "regular" else ("rate", "interval")
+        if getattr(self, other) is not None:  # run_experiment reads the mode from which one is set
+            raise ValidationError(f"{self.mode} emission takes no {other}, got {getattr(self, other)!r}")
+        value = getattr(self, name)
+        if not (is_real(value) and 0 < value < np.inf):
+            raise ValidationError(f"{self.mode} emission needs a finite {name} > 0, got {value!r}")
+        object.__setattr__(self, name, float(value))  # an int interval would make int64 emission times, which wrap
 
     @classmethod
     def regular(cls, interval: float) -> "EmissionSpec":
-        return cls(mode="regular", interval=float(interval))
+        return cls(mode="regular", interval=interval)
 
     @classmethod
     def poisson(cls, rate: float) -> "EmissionSpec":
-        return cls(mode="poisson", rate=float(rate))
+        return cls(mode="poisson", rate=rate)
 
 
 @dataclass(frozen=True)
@@ -248,44 +254,43 @@ class EventLog:
         return self.station1 == other.station1 and self.station2 == other.station2
 
 
-def map_ranges(fn, n: int, block: int, parts: int, threads: int | None = None):
-    """``fn(start, stop)`` over contiguous ranges of rows [0, n), yielded lazily in range order.
+def map_ranges(fn, n: int, threads: int):
+    """``fn(start, stop)`` over the segments of rows [0, n), yielded lazily in order.
 
-    The rows are cut into at most ``parts`` ranges of nearly equal block
-    counts, with inner edges at multiples of ``block``; ``n == 0`` is one
-    empty range.  A single range runs inline, without a thread pool.
-    More run on one pool of min(ranges, ``threads``, CPUs) threads
-    (``threads`` defaults to ``parts``), and no more ranges than it has
-    threads run ahead of the one the consumer holds, so a consumer that
-    drops each result keeps at most that many plus one alive.  A range
-    that raises raises here, in order; closing the generator, or an
-    error, cancels the ranges not started and waits for the running
-    ones, so no pool thread outlives it.
+    Segments are ``SEGMENT_PAIRS`` rows each, the last one fewer.  They
+    run inline if min(segments, ``threads``, CPUs) is one, else on one
+    pool of that many threads, and no more segments than it has threads
+    run ahead of the one the consumer holds, so a consumer that drops
+    each result keeps at most that many plus one alive.  A segment that
+    raises raises here, in order; closing the generator, or an error,
+    cancels the segments not started and waits for the running ones, so
+    no pool thread outlives it.
     """
-    n_blocks = -(-n // block)
-    k = max(1, min(parts, n_blocks))
-    edges = [min(n, block * (n_blocks * i // k)) for i in range(k + 1)]
-    if k == 1:
-        yield fn(0, n)
+    segments = ((lo, min(lo + SEGMENT_PAIRS, n)) for lo in range(0, n, SEGMENT_PAIRS))
+    ahead = min(-(-n // SEGMENT_PAIRS), threads, os.cpu_count() or 1)
+    if ahead <= 1:
+        yield from starmap(fn, segments)
         return
-    ranges = zip(edges[:-1], edges[1:])
-    ahead = min(k, parts if threads is None else threads, os.cpu_count() or 1)
     pool = ThreadPoolExecutor(max_workers=ahead)
     try:
-        running = deque(pool.submit(fn, *r) for r in islice(ranges, ahead))
+        running = deque(pool.submit(fn, *r) for r in islice(segments, ahead))
         while running:
-            # Queued behind the running ranges, the next starts as the head is handed over;
+            # Queued behind the running segments, the next starts as the head is handed over;
             # no local keeps a result the consumer has dropped.
-            running.extend(pool.submit(fn, *r) for r in islice(ranges, 1))
+            running.extend(pool.submit(fn, *r) for r in islice(segments, 1))
             yield running.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _generate_columns(config: ExperimentConfig, cols: dict, start: int, stop: int, first: int = 0) -> None:
-    """Raw columns of pairs [start, stop) into rows from ``start - first``, by chunks; ``gap`` only if Poisson."""
-    params = config.params
+def _generate_columns(config: ExperimentConfig, cols: dict, start: int, stop: int, first: int = 0) -> np.ndarray | None:
+    """Raw columns of pairs [start, stop) into rows from ``start - first``, by chunks.
+
+    Returns the pairs' emission inter-arrival times under Poisson
+    emission, else None.
+    """
     rate = config.resolved_emission().rate
+    gap = None if rate is None else np.empty(stop - start)
     a1 = np.asarray(config.settings1)
     a2 = np.asarray(config.settings2)
     k1, k2 = len(a1), len(a2)
@@ -295,7 +300,6 @@ def _generate_columns(config: ExperimentConfig, cols: dict, start: int, stop: in
         take = min(CHUNK_PAIRS - row, stop - pid)
         u = _chunk_uniforms(config.seed, chunk, row + take)[row:]
         sl = slice(pid - first, pid - first + take)
-        pid += take
 
         idx1 = np.minimum((u[:, _COL_SET1] * k1).astype(np.int64), k1 - 1)
         idx2 = np.minimum((u[:, _COL_SET2] * k2).astype(np.int64), k2 - 1)
@@ -306,28 +310,33 @@ def _generate_columns(config: ExperimentConfig, cols: dict, start: int, stop: in
         cols["idx2"][sl] = idx2
         cols["x1"][sl] = outcome_from_uniform(u[:, _COL_OUT1], zeta1)
         cols["x2"][sl] = outcome_from_uniform(u[:, _COL_OUT2], zeta2)
-        cols["delay1"][sl] = delay_from_uniform(u[:, _COL_DELAY1], zeta1, params)
-        cols["delay2"][sl] = delay_from_uniform(u[:, _COL_DELAY2], zeta2, params)
-        if rate is not None:
+        cols["delay1"][sl] = delay_from_uniform(u[:, _COL_DELAY1], zeta1, config.params)
+        cols["delay2"][sl] = delay_from_uniform(u[:, _COL_DELAY2], zeta2, config.params)
+        if gap is not None:
             with np.errstate(over="ignore"):  # inverse-CDF exponential inter-arrival times
-                cols["gap"][sl] = -np.log1p(-u[:, _COL_EMIT]) / rate
+                gap[pid - start:pid - start + take] = -np.log1p(-u[:, _COL_EMIT]) / rate
+        pid += take
+    return gap
 
 
 def run_experiment(config: ExperimentConfig, n_workers: int = 1, pairs: range | None = None) -> EventLog:
     """Run the two-station experiment described by ``config``, or the segment ``pairs`` of it.
 
-    ``n_workers`` is how many ranges the pairs are split into (see
-    :func:`map_ranges`).  The result is identical for any ``n_workers``:
-    each pair's variates are fixed by ``(seed, pair_id)``.
+    The pairs are generated in segments (see :func:`map_ranges`), at
+    most ``n_workers`` at once.  The result is identical for any
+    ``n_workers``: each pair's variates are fixed by ``(seed, pair_id)``,
+    and the emission times are added to the delays in pair order.
     Both stations come back in pair order and share one ``pair_id`` array.
 
     ``pairs``, a non-empty step-1 range of pair ids in [0, n_pairs),
     defaults to the whole run.  Its rows equal those rows of the whole
     run's log, pair ids included, in the whole run's pair-id type.
-    Under Poisson emission every emission time is one cumulative sum over
-    the run, so only the whole run can be generated.  The emission
-    overflow check bounds the last pair of the whole run, so it raises
-    for every segment alike.
+    Under Poisson emission each emission time is the sum of every
+    earlier pair's inter-arrival time, so only the whole run can be
+    generated.  Under regular emission the overflow check bounds the
+    last pair of the whole run, so it raises for every segment alike;
+    under Poisson emission it raises at the first segment whose last
+    emission overflows.
     """
     if n_workers < 1:
         raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
@@ -340,6 +349,17 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1, pairs: range | 
     if interval is None and m != n:
         raise ValidationError(f"poisson emission times are one cumulative sum over the run: "
                               f"generate all {n} pairs, not {pairs!r}")
+
+    def check(last, of_the_last_pair):
+        # Emission times never decrease and delays are at most t0, so this bounds
+        # every tag up to the pair emitted at ``last``, scaled as quantizing scales it.
+        if not np.isfinite((last + config.params.t0) * 10.0**TIME_TAG_DECIMALS):
+            raise ValidationError(f"emission times overflow: the last of {n} pairs is emitted at {last}"
+                                  f"{'' if of_the_last_pair else ' or later'}, too late to tag at "
+                                  f"{TIME_TAG_DECIMALS} decimals")
+
+    if interval is not None:
+        check((n - 1) * interval, True)
     cols = {
         "idx1": np.empty(m, dtype=np.min_scalar_type(len(config.settings1) - 1)),
         "idx2": np.empty(m, dtype=np.min_scalar_type(len(config.settings2) - 1)),
@@ -348,36 +368,25 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1, pairs: range | 
         "delay1": np.empty(m),
         "delay2": np.empty(m),
     }
-    # Ranges split on chunk boundaries of the rows, which are the pairs' when ``first`` is (the CLI's segments are).
-    each_range = partial(map_ranges, n=m, block=CHUNK_PAIRS, parts=n_workers)
-    if interval is None:
-        # Poisson: the cumulative sum is one sequential pass, independent of the split.
-        cols["gap"] = gap = np.empty(n)
-        list(each_range(partial(_generate_columns, config, cols)))
-        with np.errstate(over="ignore"):
-            last = float(np.cumsum(gap, out=gap)[-1])
-    else:
-        last = (n - 1) * interval
-    # Emission times never decrease and delays are at most t0, so this bounds
-    # every tag, scaled as quantizing scales it.
-    if not np.isfinite((last + config.params.t0) * 10.0**TIME_TAG_DECIMALS):
-        raise ValidationError(
-            f"emission times overflow: the last of {n} pairs is emitted at {last}, "
-            f"too late to tag at {TIME_TAG_DECIMALS} decimals"
-        )
 
-    def finish(start, stop):
-        """Rows [start, stop): regular emission's columns, then tag = emission + delay, quantized, in place."""
-        if interval is not None:
-            _generate_columns(config, cols, first + start, first + stop, first)
+    def raw(start, stop):
+        return start, stop, _generate_columns(config, cols, first + start, first + stop, first)
+
+    # The pool fills each segment's raw columns; its tags, emission + delay, are finished here in order.
+    emitted_before = -0.0  # the identity of float addition; 0.0 would turn a first gap of -0.0 into 0.0
+    for start, stop, gap in map_ranges(raw, m, n_workers):
+        if gap is not None:
+            with np.errstate(over="ignore"):  # the sequential sum of the whole run's gaps, bit for bit
+                gap[0] += emitted_before
+                np.cumsum(gap, out=gap)
+            emitted_before = float(gap[-1])
+            check(emitted_before, stop == m)
         for lo in range(start, stop, CHUNK_PAIRS):
             hi = min(lo + CHUNK_PAIRS, stop)
-            emitted = gap[lo:hi] if interval is None else np.arange(first + lo, first + hi) * interval
+            emitted = np.arange(first + lo, first + hi) * interval if gap is None else gap[lo - start:hi - start]
             for t in (cols["delay1"][lo:hi], cols["delay2"][lo:hi]):
                 np.add(emitted, t, out=t)
                 np.round(t, TIME_TAG_DECIMALS, out=t)
-
-    list(each_range(finish))
     pid = np.arange(first, first + m, dtype=np.min_scalar_type(n - 1))
     return EventLog(
         station1=StationStream(1, cols["delay1"], cols["idx1"], cols["x1"], pid),

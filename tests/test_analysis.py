@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import eprsim.coincidence
 import eprsim.events
-from eprsim.analysis import _BLOCK_PAIRS
 from eprsim import (
     DEFAULT_QUADRUPLE,
     EmissionSpec,
@@ -28,6 +27,7 @@ from eprsim import (
     window_sweep,
     write_tags,
 )
+from eprsim.events import SEGMENT_PAIRS
 from references import (
     cells_reference,
     chsh_reference,
@@ -596,9 +596,9 @@ def reference_tables(log, windows, config):
 
 
 class TestBlockedPass:
-    """The paired sweep's one histogram, over blocks of ``_BLOCK_PAIRS`` pairs on the calling thread."""
+    """The paired sweep's one histogram, over blocks of ``SEGMENT_PAIRS`` pairs on the calling thread."""
 
-    N_PAIRS = 2 * _BLOCK_PAIRS + 1  # two full blocks and one of a single pair
+    N_PAIRS = 2 * SEGMENT_PAIRS + 1  # two full blocks and one of a single pair
     WINDOWS = np.array([5.0, 50.0, 500.0, np.inf])
 
     def config(self, emission=None):
@@ -635,7 +635,7 @@ class TestBlockedPass:
         s1, s2 = log.station1, log.station2
         s2.time_tag[-1] = s1.time_tag[-1] + 100.0
         dt = np.abs(s2.time_tag - s1.time_tag)
-        first_block_late = int(np.flatnonzero(dt[:_BLOCK_PAIRS] > 500.0)[0])
+        first_block_late = int(np.flatnonzero(dt[:SEGMENT_PAIRS] > 500.0)[0])
         s1.setting_index[[first_block_late, -1]] = 2
         with pytest.raises(ValidationError) as new:
             window_sweep(config, self.WINDOWS, log=log)
@@ -673,7 +673,7 @@ class TestSegments:
         n = config.n_pairs
         return (run_experiment(config, workers, pairs=range(lo, min(lo + size, n))) for lo in range(0, n, size))
 
-    @pytest.mark.parametrize("size, workers", [(_BLOCK_PAIRS, 1), (_BLOCK_PAIRS, 2), (5000, 3), (N_PAIRS, 1)],
+    @pytest.mark.parametrize("size, workers", [(SEGMENT_PAIRS, 1), (SEGMENT_PAIRS, 2), (5000, 3), (N_PAIRS, 1)],
                              ids=["blocks", "blocks-2", "unaligned-3", "one"])
     def test_equal_the_whole_log(self, size, workers):
         config = self.config()
@@ -688,13 +688,14 @@ class TestSegments:
         # 27 segments on 8 threads, switching threads as often as the interpreter can:
         # a segment binned out of order or twice would change the counts.
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(eprsim.events, "SEGMENT_PAIRS", 5000)
         config = self.config()
         n = config.n_pairs
 
         def segment(start, stop):
             return run_experiment(config, 1, pairs=range(start, stop))
 
-        segments = eprsim.events.map_ranges(segment, n, 5000, -(-n // 5000), threads=8)
+        segments = eprsim.events.map_ranges(segment, n, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -708,7 +709,7 @@ class TestSegments:
     def test_every_segment_is_checked(self):
         # An index outside the config in the last segment's one pair raises like it does in one log.
         config = replace(self.config(), settings1=(0.0, np.pi / 4))
-        segments = list(self.segments(config, _BLOCK_PAIRS))
+        segments = list(self.segments(config, SEGMENT_PAIRS))
         segments[-1].station1.setting_index[-1] = 2
         with pytest.raises(ValidationError, match="^setting index out of range for the supplied config$"):
             window_sweep(config, self.WINDOWS, log=iter(segments))
@@ -721,7 +722,7 @@ class TestSegments:
     def test_stream_policy_takes_one_log(self):
         config = self.config()
         with pytest.raises(ValidationError, match="stream policy .* one event log"):
-            window_sweep(config, self.WINDOWS, policy="stream", log=self.segments(config, _BLOCK_PAIRS))
+            window_sweep(config, self.WINDOWS, policy="stream", log=self.segments(config, SEGMENT_PAIRS))
 
     def test_no_segment_rejected(self):
         with pytest.raises(ValidationError, match="no log segment"):

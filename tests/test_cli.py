@@ -15,9 +15,8 @@ import pytest
 
 import eprsim.cli
 from eprsim import EventLog, ExperimentConfig, QuadratureError, StationStream, ValidationError, write_tags
-from eprsim.analysis import _BLOCK_PAIRS
 from eprsim.cli import main, parse_emission
-from eprsim.events import CHUNK_PAIRS, DRAWS_PER_PAIR
+from eprsim.events import CHUNK_PAIRS, DRAWS_PER_PAIR, SEGMENT_PAIRS
 from eprsim.tagio import RunManifest, config_to_dict
 
 SWEEP_SHA = "82c61d6f7aa64b329b4aa1399762d7c2f83efdcdc4d1e92ad4b2537416c5af64"
@@ -479,9 +478,9 @@ def test_reanalyze_with_manifest_bad_value_exits_1(side_manifest, tmp_path, caps
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_streamed_runs_equal_the_stored_log(tmp_path, workers):
-    # Without --tags-out a paired run streams segments of _BLOCK_PAIRS pairs;
+    # Without --tags-out a paired run streams segments of SEGMENT_PAIRS pairs;
     # with it the run stores its log.  Two full segments and a partial one.
-    run = ["--pairs", str(2 * _BLOCK_PAIRS + 5000), "--seed", "4", "--workers", str(workers)]
+    run = ["--pairs", str(2 * SEGMENT_PAIRS + 5000), "--seed", "4", "--workers", str(workers)]
     for mode, csv in (("sweep", "sweep.csv"), ("mc", "correlations.csv")):
         streamed, stored = tmp_path / f"{mode}-streamed", tmp_path / f"{mode}-stored"
         assert main(["--mode", mode, *run, "--out", str(streamed)]) == 0
@@ -516,7 +515,7 @@ def test_streamed_emission_overflow_fires_on_the_first_segment(tmp_path, capsys,
     argv = ["--mode", "sweep", "--emission", "regular:1e297", "--pairs", "200000", "--out", str(tmp_path)]
     assert main(argv) == 1
     assert "emission times overflow: the last of 200000 pairs" in capsys.readouterr().err
-    assert calls[0] == range(_BLOCK_PAIRS)
+    assert calls[0] == range(SEGMENT_PAIRS)
     assert not any(tmp_path.iterdir())
 
 
@@ -534,13 +533,13 @@ def test_a_failing_segment_exits_like_a_failing_run(tmp_path, capsys, monkeypatc
     real = eprsim.cli.run_experiment
 
     def failing(config, n_workers=1, pairs=None):
-        if pairs is not None and pairs.start == _BLOCK_PAIRS:
+        if pairs is not None and pairs.start == SEGMENT_PAIRS:
             raise error
         return real(config, n_workers, pairs=pairs)
 
     monkeypatch.setattr("eprsim.cli.run_experiment", failing)
     before = set(threading.enumerate())
-    argv = ["--mode", "sweep", "--pairs", str(4 * _BLOCK_PAIRS), "--workers", str(workers), "--out", str(tmp_path)]
+    argv = ["--mode", "sweep", "--pairs", str(4 * SEGMENT_PAIRS), "--workers", str(workers), "--out", str(tmp_path)]
     assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [line] and captured.out == ""
@@ -550,8 +549,8 @@ def test_a_failing_segment_exits_like_a_failing_run(tmp_path, capsys, monkeypatc
 
 def test_streamed_sweep_memory_does_not_grow_with_the_run(tmp_path, capsys):
     # A stored log would add 24 bytes a pair, 1.4e7 bytes from 2e5 to 8e5
-    # pairs.  A streamed run holds the segment being binned and the one the
-    # pool's one thread generates ahead, each 1.5 MB, whatever the run's size.
+    # pairs.  A streamed run on one worker generates its segments inline and
+    # holds the one being binned, 1.5 MB, whatever the run's size.
     def peak(n_pairs):
         tracemalloc.start()
         try:

@@ -22,7 +22,8 @@ from eprsim import (
 )
 import eprsim.events
 from eprsim.coincidence import check_pair_filter
-from eprsim.events import CHUNK_PAIRS, TIME_TAG_DECIMALS, _chunk_uniforms, _generate_columns, map_ranges
+from eprsim.events import (CHUNK_PAIRS, SEGMENT_PAIRS, TIME_TAG_DECIMALS, _chunk_uniforms, _generate_columns,
+                            map_ranges)
 from eprsim.model import hidden_from_uniform
 
 
@@ -39,7 +40,7 @@ def small_config(**overrides):
 
 
 # The raw per-pair columns that _generate_columns fills.
-COLUMNS = ("idx1", "idx2", "x1", "x2", "delay1", "delay2", "gap")
+COLUMNS = ("idx1", "idx2", "x1", "x2", "delay1", "delay2")
 
 
 def pair_columns(cfg, pid):
@@ -55,8 +56,14 @@ def hidden_angle(seed, pid):
     return float(hidden_from_uniform(u[0]))
 
 
+@pytest.fixture
+def chunk_segments(monkeypatch):
+    """Cut runs into segments of one chunk, so that a few chunks are many segments."""
+    monkeypatch.setattr(eprsim.events, "SEGMENT_PAIRS", CHUNK_PAIRS)
+
+
 def record_pool_sizes(monkeypatch):
-    """Record the thread count of every pool the range runner opens from now on."""
+    """Record the thread count of every pool the segment runner opens from now on."""
     sizes = []
 
     class Recorder(eprsim.events.ThreadPoolExecutor):
@@ -124,11 +131,27 @@ class TestConfigValidation:
             dict(mode="poisson", rate=True),
             dict(mode="regular", interval="5"),
             dict(mode="regular", interval=np.bool_(True)),
+            dict(mode="poisson", rate=0.5, interval=10.0),  # one process, one parameter
+            dict(mode="regular", interval=10.0, rate=0.5),
         ],
     )
     def test_bad_emission_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             EmissionSpec(**kwargs)
+
+    @pytest.mark.parametrize("make, value", [(EmissionSpec.regular, "5"), (EmissionSpec.poisson, True)],
+                             ids=["regular-str", "poisson-bool"])
+    def test_constructors_check_the_type_too(self, make, value):
+        # float() would read these as a number.
+        with pytest.raises(ValidationError):
+            make(value)
+
+    def test_integer_interval_is_kept_as_a_float(self):
+        # Pair ids times an int interval would be int64 emission times, which wrap past 2**63.
+        spec = EmissionSpec(mode="regular", interval=2**62)
+        assert type(spec.interval) is float and spec == EmissionSpec.regular(2.0**62)
+        log = run_experiment(small_config(n_pairs=3, emission=spec))
+        assert np.all(np.diff(log.station1.time_tag) > 0)
 
 
 class TestGeneratePair:
@@ -185,8 +208,10 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers", [2, 3, 8])
     def test_worker_count_invariance(self, workers):
-        cfg = small_config(n_pairs=3 * CHUNK_PAIRS + 17)
-        assert run_experiment(cfg, n_workers=1) == run_experiment(cfg, n_workers=workers)
+        # Four segments, the last of 17 pairs.
+        for emission in (None, EmissionSpec.poisson(0.005)):
+            cfg = small_config(n_pairs=3 * SEGMENT_PAIRS + 17, emission=emission)
+            assert run_experiment(cfg, n_workers=1) == run_experiment(cfg, n_workers=workers)
 
     # Event logs pinned by sha256: any change to the variates, the kernels,
     # the worker split or the tag arithmetic moves a digest.
@@ -198,6 +223,16 @@ class TestRunExperiment:
     def test_poisson_log_pinned(self):
         log = run_experiment(small_config(n_pairs=50_000, emission=EmissionSpec.poisson(0.005)), n_workers=2)
         assert log_digest(log) == "b00745a177a251573bc38d91540806424f54a6d0509f307f4b7c7f4fe62d84bb"
+
+    # Four segments: Poisson emission times carried across three segment edges.
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("emission, digest", [
+        (None, "feb544903418c396e0bf56c5811d314327856de0f9c5ace590f2164908903c6b"),
+        (EmissionSpec.poisson(0.005), "631f97db0ff047dba4cb317ac0d376adf9e901cab0e7af7f9e6817a40d14e25f"),
+    ], ids=["regular", "poisson"])
+    def test_multi_segment_log_pinned(self, emission, digest, workers):
+        log = run_experiment(small_config(n_pairs=3 * SEGMENT_PAIRS + 17, emission=emission), n_workers=workers)
+        assert log_digest(log) == digest
 
     def test_single_pair_log_pinned(self):
         log = run_experiment(small_config(n_pairs=1))
@@ -216,15 +251,16 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert peak / cfg.n_pairs < 80
 
-    @pytest.mark.parametrize("emission, bound", [(None, 25), (EmissionSpec.poisson(0.005), 33)],
+    @pytest.mark.parametrize("emission, bound", [(None, 25), (EmissionSpec.poisson(0.005), 25)],
                              ids=["regular", "poisson"])
     def test_peak_memory_is_the_log(self, emission, bound):
-        # Each range writes its own rows' tags from chunk-sized emission blocks:
-        # no full-length emission array, and no gap column under regular
-        # emission.  The log is 24 bytes per pair (two float64 tags, two int8
-        # outcomes, two uint8 setting indices, one shared uint32 pair id),
-        # Poisson's gap column 8 more.  Each worker's chunk buffers add about
-        # 0.7 MB, under a byte per pair at 1e6 pairs.
+        # Tags are written a segment at a time from chunk-sized emission blocks
+        # or the segment's own inter-arrival times: no full-length emission or
+        # gap array.  The log is 24 bytes per pair (two float64 tags, two int8
+        # outcomes, two uint8 setting indices, one shared uint32 pair id).  Each
+        # segment alive adds about 0.7 MB of chunk buffers, and under Poisson
+        # emission 0.5 MB of inter-arrival times, under a byte per pair at 1e6
+        # pairs.
         cfg = small_config(n_pairs=10**6, emission=emission)
         run_experiment(small_config(n_pairs=10, emission=emission))  # first-call allocations are not per pair
         for workers in (1, 2):
@@ -258,21 +294,23 @@ class TestRunExperiment:
         assert log.station1.setting_index.max() >= k - 1 - k // 256
 
     @pytest.mark.parametrize("cpus, threads", [(4, 4), (None, 1), (64, 10)])
-    def test_pool_sized_by_cpus_not_workers(self, monkeypatch, cpus, threads):
+    def test_pool_sized_by_cpus_not_workers(self, monkeypatch, chunk_segments, cpus, threads):
+        # Ten segments: one thread each up to the CPU count; one thread runs them inline.
         cfg = small_config(n_pairs=10 * CHUNK_PAIRS)
-        one_range = run_experiment(cfg)
+        inline = run_experiment(cfg)
         sizes = record_pool_sizes(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert run_experiment(cfg, n_workers=64) == one_range
-        assert sizes == [threads]
+        assert run_experiment(cfg, n_workers=64) == inline
+        assert sizes == ([threads] if threads > 1 else [])
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("first, stop", [(0, 2 * CHUNK_PAIRS), (CHUNK_PAIRS, 3 * CHUNK_PAIRS + 100),
                                              (57, CHUNK_PAIRS + 1), (2 * CHUNK_PAIRS - 1, 3 * CHUNK_PAIRS + 100),
                                              (3 * CHUNK_PAIRS + 99, 3 * CHUNK_PAIRS + 100)],
                              ids=["aligned", "aligned-to-end", "unaligned", "unaligned-to-end", "last-pair"])
-    def test_segment_equals_its_rows_of_the_whole_log(self, workers, first, stop):
+    def test_segment_equals_its_rows_of_the_whole_log(self, chunk_segments, workers, first, stop):
         # Every column, and pair ids in the whole run's type (uint16 here, even for a one-pair segment).
+        # Generation's own segments are a chunk long, so an unaligned segment cuts every chunk.
         cfg = small_config(n_pairs=3 * CHUNK_PAIRS + 100, emission=EmissionSpec.regular(0.7))
         whole = run_experiment(cfg)
         part = run_experiment(cfg, workers, pairs=range(first, stop))
@@ -390,39 +428,43 @@ class TestRunExperiment:
             run_experiment(small_config(n_pairs=3, emission=emission))
 
     @pytest.mark.parametrize("emission", [EmissionSpec.regular(1e303), EmissionSpec.poisson(1e-305),
-                                          EmissionSpec.poisson(1e-310)],
-                             ids=["regular", "poisson", "poisson-infinite-gap"])
-    def test_emission_overflow_rejected_on_threads(self, emission):
-        # Emission times computed in worker threads overflow there too; under
-        # -W error an unguarded overflow would surface as a RuntimeWarning.  At
-        # a subnormal rate the inter-arrival times themselves overflow to inf.
+                                          EmissionSpec.poisson(1e-310), EmissionSpec.poisson(1 / 3e298)],
+                             ids=["regular", "poisson", "poisson-infinite-gap", "poisson-second-segment"])
+    def test_emission_overflow_rejected_on_threads(self, chunk_segments, emission):
+        # Three segments on two threads.  Inter-arrival times computed in worker
+        # threads overflow there, and emission times carried across segments
+        # overflow too; under -W error an unguarded overflow would surface as a
+        # RuntimeWarning.  At a subnormal rate the inter-arrival times themselves
+        # overflow to inf.  At a mean gap of 3e298 the first segment's tags fit
+        # (its last emission is near 1.2e302) and the second's do not.
         with pytest.raises(ValidationError, match="emission times overflow"):
             run_experiment(small_config(n_pairs=2 * CHUNK_PAIRS + 1, emission=emission), n_workers=2)
 
 
 class TestMapRanges:
-    BLOCK = 8
+    SEGMENT = 8
 
-    @pytest.mark.parametrize("parts", [1, 2, 3, 64])
-    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 3])
-    def test_block_aligned_ranges_cover_the_rows_in_order(self, monkeypatch, n, parts):
+    @pytest.fixture(autouse=True)
+    def small_segments(self, monkeypatch):
+        monkeypatch.setattr(eprsim.events, "SEGMENT_PAIRS", self.SEGMENT)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 64])
+    @pytest.mark.parametrize("n", [0, 1, SEGMENT - 1, SEGMENT, SEGMENT + 1, 5 * SEGMENT + 3])
+    def test_block_aligned_ranges_cover_the_rows_in_order(self, monkeypatch, n, threads):
         sizes = record_pool_sizes(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        ranges = list(map_ranges(lambda start, stop: (start, stop), n, self.BLOCK, parts))
-        # Results in range order: each range starts where the previous one stops.
-        edges = [start for start, _ in ranges] + [ranges[-1][1]]
-        assert edges[0] == 0 and edges[-1] == n
-        assert all(a < b for a, b in zip(edges, edges[1:]))
-        assert all(edge % self.BLOCK == 0 for edge in edges[1:-1])
-        assert len(ranges) <= min(parts, -(-n // self.BLOCK))
-        # A single range runs inline and opens no pool.
-        assert sizes == ([min(len(ranges), 2)] if len(ranges) > 1 else [])
-
+        ranges = list(map_ranges(lambda start, stop: (start, stop), n, threads))
+        # Results in order: segments of SEGMENT rows, the last one fewer; none for no rows.
+        assert ranges == [(lo, min(lo + self.SEGMENT, n)) for lo in range(0, n, self.SEGMENT)]
+        # One segment, one thread or one CPU runs inline and opens no pool.
+        ahead = min(len(ranges), threads, 2)
+        assert sizes == ([ahead] if ahead > 1 else [])
 
     @pytest.mark.parametrize("cpus, threads, ahead", [(2, 2, 2), (1, 2, 1), (4, 1, 1), (4, 3, 3)])
     def test_lazy_and_at_most_the_pool_ahead_of_the_consumer(self, monkeypatch, cpus, threads, ahead):
-        # Ranges start only as the consumer takes results, and while it holds
-        # result i at most ``ahead`` more ranges have started, on one pool.
+        # Segments start only as the consumer takes results, and while it holds
+        # result i at most ``ahead`` more segments have started, on one pool
+        # (inline, none ahead, for one thread).
         sizes = record_pool_sizes(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         started = []
@@ -431,13 +473,13 @@ class TestMapRanges:
             started.append(start)
             return start
 
-        results = map_ranges(fn, 10 * self.BLOCK, self.BLOCK, parts=10, threads=threads)
+        results = map_ranges(fn, 10 * self.SEGMENT, threads)
         assert started == [] and sizes == []
         for i, start in enumerate(results):
-            assert start == i * self.BLOCK
-            assert len(started) <= i + 1 + ahead
-        assert sorted(started) == [i * self.BLOCK for i in range(10)]
-        assert sizes == [ahead]
+            assert start == i * self.SEGMENT
+            assert len(started) <= i + 1 + (ahead if ahead > 1 else 0)
+        assert sorted(started) == [i * self.SEGMENT for i in range(10)]
+        assert sizes == ([ahead] if ahead > 1 else [])
 
     @pytest.mark.parametrize("stop_by", ["error", "close"])
     def test_an_error_or_close_stops_the_ranges_and_their_threads(self, monkeypatch, stop_by):
@@ -447,21 +489,21 @@ class TestMapRanges:
 
         def fn(start, stop):
             started.append(start)
-            if stop_by == "error" and start == 3 * self.BLOCK:
-                raise ValidationError("range 3 failed")
+            if stop_by == "error" and start == 3 * self.SEGMENT:
+                raise ValidationError("segment 3 failed")
             return start
 
-        results = map_ranges(fn, 10 * self.BLOCK, self.BLOCK, parts=10, threads=2)
+        results = map_ranges(fn, 10 * self.SEGMENT, 2)
         taken = [next(results) for _ in range(3)]
         if stop_by == "error":
-            with pytest.raises(ValidationError, match="range 3 failed"):
+            with pytest.raises(ValidationError, match="segment 3 failed"):
                 next(results)
         else:
             results.close()
-        assert taken == [0, self.BLOCK, 2 * self.BLOCK]
-        # Holding range 2, the pool's two threads ran ahead to ranges 3 and 4; asking
-        # for range 3 queued range 5.  Nothing after it started.
-        assert max(started) <= 5 * self.BLOCK
+        assert taken == [0, self.SEGMENT, 2 * self.SEGMENT]
+        # Holding segment 2, the pool's two threads ran ahead to segments 3 and 4; asking
+        # for segment 3 queued segment 5.  Nothing after it started.
+        assert max(started) <= 5 * self.SEGMENT
         assert set(threading.enumerate()) <= before
 
 
