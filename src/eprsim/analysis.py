@@ -14,14 +14,16 @@ of shape (n_windows, n1, n2, 2, 2), and ``SweepResult`` derives E, its
 stderr, S and S's stderr from the cube as arrays over every window at
 once; no per-window table exists.
 
-Under the paired policy the log may come as a stream of consecutive
-segments of one run, which is how the CLI's paired runs under regular
-emission without ``--tags-out`` feed it, ``events.SEGMENT_PAIRS`` pairs
-at a time: each segment is binned as it arrives and dropped, and the
-count tables of the segments add up, so the sweep's memory is the few
-segments alive at once, not the log.  One stored log is binned in
-blocks of the same size.
-The stream policy matches across the whole run, so it takes one log.
+The log may come as a stream of consecutive segments of one generated
+run, which is how the CLI feeds every run without ``--tags-out``.  The
+paired policy bins each segment as it arrives and drops it, and the
+count tables of the segments add up; one stored log is binned in blocks
+of ``events.SEGMENT_PAIRS`` pairs.  The stream policy's walk takes the
+segments in time order, keeping only the rows a later segment may still
+precede or match (see ``coincidence.stream_window_index``), and a group
+may pair rows of two segments; one stored log is a stream of one
+segment.  Either way the sweep's memory is the few segments alive at
+once, not the log.
 
 ``window_sweep`` checks the grid, the policy, the first window, then
 for each segment the policy's checks of it and every event's setting
@@ -57,26 +59,26 @@ def chsh_combination(e_ab: float, e_abp: float, e_apb: float, e_apbp: float) -> 
     return abs(e_ab - e_abp + e_apb + e_apbp)
 
 
-def _bin(log: EventLog, groups, n_windows: int, config: ExperimentConfig) -> np.ndarray:
+def _bin(groups, n_windows: int, config: ExperimentConfig) -> np.ndarray:
     """Coincidence groups counted by window and cell.
 
-    Each group is ``(rows1, rows2, start, stop)``: coincidence k pairs
-    row ``rows1[k]`` of station 1 with row ``rows2[k]`` of station 2 and
-    is kept at windows ``start[k] <= j < stop`` (``start`` may be of any
-    integer type; it is widened to ``np.intp``, in place if it is one
-    already, and overwritten; a start of ``n_windows`` is kept at no
-    window).  Each group is counted at ``start`` and its total
-    subtracted at ``stop``, so the cumulative sum of the histogram over
-    its first axis is every window's count table.  The histogram has
-    shape (n_windows + 1, n1, n2, 2, 2); its last row, which no window
-    reads, holds what no window keeps.  Every setting index must lie in
-    ``config``'s lists, or it lands in another cell.
+    Each group is ``(rows1, rows2, start, stop, log)``: coincidence k
+    pairs row ``rows1[k]`` of ``log``'s station 1 with row ``rows2[k]`` of
+    its station 2 and is kept at windows ``start[k] <= j < stop``
+    (``start`` may be of any integer type; it is widened to ``np.intp``,
+    in place if it is one already, and overwritten; a start of
+    ``n_windows`` is kept at no window).  Each group is counted at
+    ``start`` and its total subtracted at ``stop``, so the cumulative sum
+    of the histogram over its first axis is every window's count table.
+    The histogram has shape (n_windows + 1, n1, n2, 2, 2); its last row,
+    which no window reads, holds what no window keeps.  Every setting
+    index must lie in ``config``'s lists, or it lands in another cell.
     """
-    s1, s2 = log.station1, log.station2
     n1, n2 = len(config.settings1), len(config.settings2)
     shape = (n_windows + 1, n1, n2, 2, 2)
     hist = np.zeros(shape, dtype=np.int64)
-    for rows1, rows2, start, stop in groups:
+    for rows1, rows2, start, stop, log in groups:
+        s1, s2 = log.station1, log.station2
         code = start.astype(np.intp, copy=False)  # wide enough for a cell code
         i1, i2 = s1.setting_index[rows1], s2.setting_index[rows2]
         for size, digit in ((n1, i1), (n2, i2), (2, s1.outcome[rows1] < 0), (2, s2.outcome[rows2] < 0)):
@@ -85,6 +87,7 @@ def _bin(log: EventLog, groups, n_windows: int, config: ExperimentConfig) -> np.
         group = np.bincount(code, minlength=hist.size).reshape(shape)
         hist += group
         hist[stop] -= group[:stop].sum(axis=0)
+        del rows1, rows2, start, code, i1, i2, log, s1, s2  # not alive while the next group is awaited
     return hist
 
 
@@ -178,22 +181,23 @@ class SweepResult:
         return [(float(lo), float(hi)) for lo, hi in zip(self.windows[k], self.windows[k + 1])]
 
 
-def _sweep_counts(log: EventLog, windows: np.ndarray, config: ExperimentConfig, policy: MatchPolicy) -> np.ndarray:
+def _sweep_counts(log: EventLog | Iterable[EventLog], windows: np.ndarray, config: ExperimentConfig,
+                  policy: MatchPolicy) -> np.ndarray:
     """Every window's count table of one log, from one ``_bin`` histogram.
 
     The tables have shape (len(windows), n1, n2, 2, 2); ``window_sweep``
     has checked the policy and run its checks.  Policy ``"paired"`` bins
-    each pair once, at the first window that keeps it, in blocks of
-    ``SEGMENT_PAIRS`` pairs, so no temporary grows with the log.  Any
-    other policy is ``"stream"``, which bins the groups of
-    ``stream_window_index``.
+    each pair of one log once, at the first window that keeps it, in
+    blocks of ``SEGMENT_PAIRS`` pairs, so no temporary grows with the
+    log.  Any other policy is ``"stream"``, which bins the groups of
+    ``stream_window_index`` over one log or the segments of a run.
     """
     if policy == "paired":
         blocks = (slice(lo, lo + SEGMENT_PAIRS) for lo in range(0, log.n_pairs, SEGMENT_PAIRS))
-        groups = ((rows, rows, pair_window_index(log, windows, rows), len(windows)) for rows in blocks)
+        groups = ((rows, rows, pair_window_index(log, windows, rows), len(windows), log) for rows in blocks)
     else:
         groups = stream_window_index(log, windows)
-    return np.cumsum(_bin(log, groups, len(windows), config)[:-1], axis=0)
+    return np.cumsum(_bin(groups, len(windows), config)[:-1], axis=0)
 
 
 def window_sweep(
@@ -208,18 +212,18 @@ def window_sweep(
 
     Every window is analyzed on the same ``log``, generated or read from
     tags, which gives a smooth correlated-sample curve; for independent
-    error bars, sweep one log per seed.  Under the paired policy ``log``
-    may also be an iterable of consecutive segments of one run (one log
-    is a run of one segment): each is checked and binned as it arrives
-    and then dropped, so only the segments the iterable holds are alive,
-    and ``n_pairs`` is their total.  The stream policy matches across
-    the whole log, so it takes one log.
+    error bars, sweep one log per seed.  ``log`` may also be an iterable
+    of the consecutive segments of one run, in pair order, as
+    ``run_experiment`` generates them (one log is a run of one segment):
+    each is checked as it arrives, then binned and dropped (paired) or
+    walked until only the rows the walk still needs are kept (stream),
+    and ``n_pairs`` is their total.
 
     It raises, in this order, for a grid that is not 1-D and strictly
-    increasing, an unknown policy or segments under the stream policy, a
-    first window below 0 or NaN; then, for each segment before it is
-    counted, for the policy's checks of it and an event with a setting
-    index outside ``config`` (kept at any window or none), and, after
+    increasing, an unknown policy, a first window below 0 or NaN; then,
+    for each segment before it is counted, for the policy's checks of it
+    and an event with a setting index outside ``config`` (kept at any
+    window or none), and, after
     the first segment's checks, for a ``quadruple`` angle that matches
     no setting of its station or two, mod pi; and after counting, for no
     segment at all and for the first window with no coincidence or an
@@ -233,21 +237,30 @@ def window_sweep(
     check = {"paired": check_pair_filter, "stream": check_stream_match}.get(policy)
     if check is None:
         raise ValidationError(f"unknown match policy {policy!r}")
-    if policy == "stream" and not isinstance(log, EventLog):
-        raise ValidationError("the stream policy matches across the whole run: it takes one event log, not segments")
     if not (windows[0] >= 0):
         raise ValidationError(f"window must be >= 0, got {windows[0]}")
-    counts, n_pairs, cells = 0, 0, None
-    for segment in (log,) if isinstance(log, EventLog) else log:
+    n_pairs, cells = 0, None
+
+    def checked(segment: EventLog) -> EventLog:
+        nonlocal n_pairs, cells
         check(segment)
         for s, settings in ((segment.station1, config.settings1), (segment.station2, config.settings2)):
             # min and max allocate nothing the size of the log; initial=0 lets an empty station pass
             if s.setting_index.min(initial=0) < 0 or s.setting_index.max(initial=0) >= len(settings):
                 raise ValidationError("setting index out of range for the supplied config")
         cells = cells or chsh_cells(config, quadruple)
-        counts = counts + _sweep_counts(segment, windows, config, policy)  # integer sums: exact in any order
         n_pairs += segment.n_pairs
-        del segment  # not alive while the next one is awaited
+        return segment
+
+    if isinstance(log, EventLog):
+        counts = _sweep_counts(checked(log), windows, config, policy)
+    elif policy == "stream":  # the walk takes each segment as it arrives and keeps the rows it still needs
+        counts = _sweep_counts(map(checked, log), windows, config, policy)
+    else:
+        counts = 0
+        for segment in log:
+            counts = counts + _sweep_counts(checked(segment), windows, config, policy)  # exact in any order
+            del segment  # not alive while the next one is awaited
     if cells is None:
         raise ValidationError("cannot tabulate an empty coincidence list: no log segment")
     result = SweepResult(windows, counts, n_pairs, cells)

@@ -18,15 +18,19 @@ and copies record 0's keys to the top level; a grid writes ``sweep.csv``
 and adds only S at its ends (``s_first``, ``s_last``) and where S
 crosses 2 (``crossings_at_2``).
 
-Paired ``mc`` and ``sweep`` runs under regular emission without
-``--tags-out`` are streamed: the run is cut into segments of 2**16
-pairs, ``--workers`` of them are generated at once (at most one per
-CPU, and inline for one), and the analysis bins each in order and drops
-it, so memory does not grow with ``--pairs``.  The stream matcher and
-``--tags-out`` keep the whole log, because they need it in time order,
-and so does Poisson emission, whose segments need the emission time
-carried from every earlier one; every log is generated in the same
-segments, ``--workers`` at once.
+``mc`` and ``sweep`` runs without ``--tags-out`` are streamed, with
+either matcher and either emission: the run is generated in segments
+and the analysis takes each in order and drops it, so memory does not
+grow with ``--pairs``.  Under regular emission a segment is 2**16 pairs
+and ``--workers`` of them are generated at once (at most one per CPU,
+and inline for one).  Under Poisson emission each segment continues the
+emission times of the one before, so the segments, of 2**16 pairs per
+worker, come one after the other, each generated on ``--workers``
+threads.  The paired matcher bins each segment; the stream matcher
+walks them in time order, carrying the rows a later segment may
+precede.  Only ``--tags-out`` keeps the whole log, because its tag
+files are written in time order over the whole run; it is generated in
+the same 2**16-pair parts, ``--workers`` at once.
 The manifest's ``stage_s`` records the wall time of ``generate`` or
 ``read_tags``, ``write_tags`` when tags are written, and ``analyze``.
 On a streamed run ``generate`` is the time the analysis waited for
@@ -42,6 +46,7 @@ configuration, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections.abc import Iterator
@@ -52,7 +57,7 @@ import numpy as np
 
 from .analysis import DEFAULT_QUADRUPLE, chsh_cells, window_sweep
 from .errors import EprSimError, TagFormatError, ValidationError
-from .events import EmissionSpec, EventLog, ExperimentConfig, map_ranges, rng_provenance, run_experiment
+from .events import SEGMENT_PAIRS, EmissionSpec, EventLog, ExperimentConfig, map_ranges, rng_provenance, run_experiment
 from .model import ModelParams
 from .oracle import chsh_exact, correlation_curve, mixed_correlation, singlet_correlation
 from .tagio import (
@@ -209,28 +214,40 @@ def _timed(segments, stage_s: dict):
     with closing(segments):
         while True:
             with _stage(stage_s, "generate"):
-                segment = next(segments, None)
-            if segment is None:
+                segment = [next(segments, None)]
+            if segment[0] is None:
                 return
-            yield segment
-            del segment  # not alive while the next one is awaited
+            yield segment.pop()  # held by the consumer alone, which may drop it before the next is awaited
 
 
-def _generate(args, config: ExperimentConfig, policy: str, outdir: Path,
-              stage_s: dict) -> tuple[EventLog | Iterator[EventLog], list[str]]:
-    """The log, or a streamed run's segments; with ``--tags-out`` also write its tags and their side manifest.
+def _segments(config: ExperimentConfig, workers: int) -> Iterator[EventLog]:
+    """A generated run's consecutive segments, in order, each one ``run_experiment`` call.
 
-    Which runs stream is in the module docstring.  A segment is one
-    ``run_experiment`` call of one worker over ``events.SEGMENT_PAIRS``
-    pairs, run by ``map_ranges``.
+    Under regular emission a segment is ``events.SEGMENT_PAIRS`` pairs
+    on one worker, and ``map_ranges`` runs ``workers`` of them at once.
+    Under Poisson emission each segment continues the emission times
+    from the one before, so they run one after the other, each on
+    ``workers`` threads over as many ``SEGMENT_PAIRS``-pair parts (at
+    most one per CPU).
     """
-    if args.workers < 1:  # a segment runs on one worker, so run_experiment would not see it
-        raise ValidationError(f"--workers must be >= 1, got {args.workers}")
-    if policy == "paired" and args.tags_out is None and config.resolved_emission().mode == "regular":
-        def segment(start, stop):
-            return run_experiment(config, 1, pairs=range(start, stop))
+    n = config.n_pairs
+    if config.resolved_emission().mode == "regular":
+        yield from map_ranges(lambda start, stop: run_experiment(config, 1, pairs=range(start, stop)), n, workers)
+        return
+    size, emitted = SEGMENT_PAIRS * min(workers, os.cpu_count() or 1), None
+    for start in range(0, n, size):
+        segment = [run_experiment(config, workers, pairs=range(start, min(start + size, n)), emitted_before=emitted)]
+        emitted = segment[0].emitted
+        yield segment.pop()  # held by the consumer alone
 
-        return _timed(map_ranges(segment, config.n_pairs, args.workers), stage_s), []
+
+def _generate(args, config: ExperimentConfig, outdir: Path,
+              stage_s: dict) -> tuple[EventLog | Iterator[EventLog], list[str]]:
+    """The run's segments, streamed; with ``--tags-out`` the stored log, whose tags and side manifest it writes."""
+    if args.workers < 1:  # a regular segment runs on one worker, so run_experiment would not see it
+        raise ValidationError(f"--workers must be >= 1, got {args.workers}")
+    if args.tags_out is None:
+        return _timed(_segments(config, args.workers), stage_s), []
     with _stage(stage_s, "generate"):
         log = run_experiment(config, n_workers=args.workers)
     if args.tags_out is None:
@@ -285,7 +302,7 @@ def _analyze(log, config, windows, policy, quadruple, outdir: Path, manifest: Ru
     """
     with _stage(diagnostics["stage_s"], "analyze"):
         sweep = window_sweep(config, np.atleast_1d(windows), quadruple, policy, log=log)
-        # A stream of segments is a generated paired run: both stations have n_pairs events.
+        # A stream of segments is a generated run: both stations have n_pairs events.
         n2 = len(log.station2) if isinstance(log, EventLog) else sweep.n_pairs
         e = (sweep.correlation[:, i, j].tolist() for i, j in sweep.cells)
         per_window = [
@@ -326,7 +343,7 @@ def _run_analysis(args, outdir: Path) -> RunManifest:
     else:
         config, quadruple = _build_config(args)
         chsh_cells(config, quadruple)  # before any event is generated or tag written
-        log, outputs = _generate(args, config, policy, outdir, stage_s)
+        log, outputs = _generate(args, config, outdir, stage_s)
         rng = rng_provenance()
     manifest = RunManifest(mode=args.mode, seed=config.seed, config=config_to_dict(config), outputs=outputs)
     with nullcontext() if isinstance(log, EventLog) else closing(log):  # an error stops the segments' pool

@@ -28,8 +28,8 @@ meaningful.  Events left unmatched are dropped from all statistics: the
 post-selected ensemble is the object under study.
 
 The stream policy is the walk of ``stream_window_index``, after
-``check_stream_match`` has run its checks once.  It sorts each station
-once and goes through the grid from the largest window down, running
+``check_stream_match`` has run its checks.  It takes each station in
+time order and goes through the grid from the largest window down, running
 stage 1 (see below) at each window only on the events still contested
 at every larger window.  An event uncontested among those at
 window k keeps its one tag, or has none, at every smaller window:
@@ -43,12 +43,28 @@ lies in their ranges, so matching them alone gives what matching every
 event gives them.  Regular emission leaves nothing contested at the
 largest window, and the walk ends there.
 
-A selection is two row-index arrays into the one stored log: coincidence
-k is row ``rows1[k]`` of station 1 and row ``rows2[k]`` of station 2; no
-column is copied.  The paired policy selects rows in pair order (rows1
-is rows2); the stream walk scans each station in
-:meth:`StationStream.time_order` and reports its matches in station-1
-time order.
+A selection is two row-index arrays into a log: coincidence k is row
+``rows1[k]`` of station 1 and row ``rows2[k]`` of station 2; no column
+is copied.  The paired policy selects rows in pair order (rows1 is
+rows2); the stream walk scans each station in time order and reports
+its matches at a window in station-1 time order.
+
+The walk takes a run as time-ordered segments and keeps its state per
+window across them: the events still to match there, the stack, the
+frontier ``p``.  One stored log is one segment, which it sorts whole
+with :meth:`StationStream.time_order`.  A generated run comes as
+pair-order segments; each is put in time order by merging it with the
+rows carried from the segments before (``_time_ordered``).  A pair's
+tags lie in [e, e + t0] up to tag rounding and emission times e never
+decrease, so no later pair's tag lies below ``events.later_tags_from``
+of the segment: the rows up to that bound are released in time order,
+and a stable sort with the carried, lower rows first gives the whole
+run's ``time_order``.  A window matches a released event once its range
+can reach no tag still to come, fl(t + W) below the bound, and its next
+event, ``_settle``'s neighbour, is released too; the others wait for the
+next segment, and the run's end releases everything.  Station-2 tags
+below every range still to come are dropped, as are the rows no event
+still uses.
 
 At each window the stream matcher runs in two stages and returns exactly
 what one greedy scan over all events returns.  Station-1 event i can
@@ -90,28 +106,33 @@ scan's lists cover that slice and are freed before the next block's are
 built, and the stack and ``p`` are rebased onto it.  An uncontested
 match's first window is found by one search of the grid for |dt|,
 stepped down or up by the scan's own bounds.  Beyond block-sized
-temporaries a window holds the sorted station-2 tags (8 bytes per
-event) and the two stations' sort orders, each in the smallest
-unsigned type that holds its row count (4 bytes per event below 2**32
-rows), 16 bytes per event, and the events it leaves contested (8 bytes
-each, none at the last window).  Station 1's tags are gathered per
-block through its sort order, and station 2's sorted tags a block at a
-time, so no intp copy of a sort order is made.  On 200,000 dense
-Poisson pairs (numpy 2.4) the stream sweep peaks near 20 traced bytes
-per event at W = 1000 and near 46 over 20 windows from 1 to 1000.
+temporaries the walk of one stored log holds the sorted station-2 tags
+(8 bytes per event) and the two stations' sort orders, each in the
+smallest unsigned type that holds its row count (4 bytes per event
+below 2**32 rows), 16 bytes per event, and the events a window leaves
+contested.  Station 1's tags are gathered per block through its sort
+order, and station 2's sorted tags a block at a time, so no intp copy
+of a sort order is made.  On 200,000 dense Poisson pairs (numpy 2.4)
+the stream sweep of a stored log peaks near 20 traced bytes per event
+at W = 1000 and near 46 over 20 windows from 1 to 1000.  The walk of a
+generated run's segments holds one segment's rows, sort and released
+tags, with 8-byte rows, plus what it carries and the events each
+window holds back, a few times the pairs emitted within t0 + W of a
+segment's end: its memory does not grow with the run.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from itertools import count
 from typing import Literal
 
 import numpy as np
 
 from .errors import ValidationError
-from .events import EventLog
+from .events import EventLog, StationStream, later_tags_from
 
 __all__ = [
     "MatchPolicy",
@@ -270,70 +291,156 @@ def _first_windows(ta: np.ndarray, tb: np.ndarray, lower: np.ndarray) -> np.ndar
     return first
 
 
-def stream_window_index(log: EventLog, windows: Sequence[float]):
-    """The stream matches at every window of a grid, from one sort per station, as coincidence groups.
+def _time_ordered(carried, tags: np.ndarray, first: int, below: float):
+    """The carried rows and the rows of ``tags`` in time order, split at the tags a later segment may precede.
+
+    ``carried`` holds time-ordered tags and run rows from earlier
+    segments; ``tags[r]`` is the tag of run row ``first + r``.  Ties keep
+    run row order: the carried rows, which come first, have the lower
+    rows.  Returns the tags and rows up to and including tag ``below``,
+    which no later segment's tag lies below, and the rest, which are
+    carried on.
+    """
+    tags = np.concatenate([carried[0], tags])
+    rows = np.argsort(tags, kind="stable")
+    tags = tags[rows]
+    # rows holds positions in the carried rows and then in ``tags``: make them run rows in place.
+    n = len(carried[1])
+    from_carried = np.flatnonzero(rows < n)
+    before = carried[1][rows[from_carried]]
+    rows += first - n
+    rows[from_carried] = before
+    cut = int(np.searchsorted(tags, below, side="right"))
+    return (tags[:cut], rows[:cut]), (tags[cut:].copy(), rows[cut:].copy())  # not views of the whole pool
+
+
+def _rows_from(stream: StationStream, start: int, then: StationStream | None = None) -> StationStream:
+    """Rows ``start`` on of ``stream``, followed by every row of ``then``, as a new stream without pair ids."""
+    columns = (getattr(stream, n)[start:] for n in ("time_tag", "setting_index", "outcome"))
+    if then is None:
+        return StationStream(stream.station, *(c.copy() for c in columns))
+    if start >= len(stream):
+        return then
+    return StationStream(stream.station, *(np.concatenate([c, getattr(then, n)])
+                                           for c, n in zip(columns, ("time_tag", "setting_index", "outcome"))))
+
+
+def stream_window_index(log: EventLog | Iterable[EventLog], windows: Sequence[float]):
+    """The stream matches at every window of a grid, walked over time-ordered segments, as coincidence groups.
 
     Works without pair ids; each event takes part in at most one
     coincidence per window.  ``windows`` must increase strictly from 0
-    or above, and ``check_stream_match(log)`` must have passed.  Yields
-    groups ``(rows1, rows2, start, stop)``: coincidence k of a group pairs
-    row ``rows1[k]`` of station 1 with row ``rows2[k]`` of station 2 and
-    is a match at ``windows[j]`` exactly for ``start[k] <= j < stop``.
-    Rows are unsigned, in the smallest type that holds their station's
-    row count.  The grid is walked from the largest window down, one
-    group per block of ``_SCAN_BLOCK`` events still contested at every
-    larger window.  At window k a block's group holds the matches of
-    both stages, in station-1 time order, with ``stop = k + 1``; the
-    events still contested go on to window k - 1, and the walk ends when
-    none are.
+    or above, and ``check_stream_match`` must have passed for every
+    segment.  ``log`` is one log, which the walk sorts whole, or the
+    consecutive pair-order segments of one generated run (see
+    ``_time_ordered`` and ``events.later_tags_from``).  Yields groups
+    ``(rows1, rows2, start, stop, rows_of)``: coincidence k of a group
+    pairs row ``rows1[k]`` of ``rows_of``'s station 1 with row
+    ``rows2[k]`` of its station 2 and is a match at ``windows[j]``
+    exactly for ``start[k] <= j < stop``.  For one log ``rows_of`` is
+    the log, and its rows are unsigned, in the smallest type that holds
+    their station's row count; for segments it holds the rows of the
+    run still in use, from the oldest segment that one comes from.  The
+    grid is walked from the largest window down, one group per block of
+    ``_SCAN_BLOCK`` events still contested at every larger window.  At
+    window k a block's group holds the matches of both stages, in
+    station-1 time order, with ``stop = k + 1``; the events still
+    contested go on to window k - 1.
     """
-    s1, s2 = log.station1, log.station2
-    if not len(s2):
-        return  # without tags no event has a candidate
-    # o1: the rows of the events contested at every larger window, in time order, whose ranges lie in t2.
-    o1 = s1.time_order().astype(np.min_scalar_type(len(s1)))
-    o2 = s2.time_order().astype(np.min_scalar_type(len(s2)))
-    t2 = np.empty(len(o2))
-    for a in range(0, len(o2), _SCAN_BLOCK):  # numpy widens a narrow index to intp: a block at a time
-        t2[a : a + _SCAN_BLOCK] = s2.time_tag[o2[a : a + _SCAN_BLOCK]]
     grid = np.asarray(windows, dtype=float)
-    for k in range(len(grid) - 1, -1, -1):
-        w = float(grid[k])
-        rest = []  # per block, the events left contested, which window k - 1 matches again
-        stack: list[int] = []  # the free tags before p, ascending: the top is the nearest left tag
-        p = 0  # the frontier: no tag at or past it is taken
-        base = 0  # the tags the scan gets start at t2[base]
-        for a in range(0, len(o1), _SCAN_BLOCK):
-            # t1 holds the block's tags, from t1[j], and the two next to it, which _settle reads.
-            j = min(a, 1)
-            t1 = s1.time_tag[o1[a - j : a + _SCAN_BLOCK + 1]]
-            partner, contested, lo = _settle(t1, t2, w, j, min(j + _SCAN_BLOCK, len(t1)))
-            block = np.flatnonzero(contested)
-            if len(block):
-                shift = int(lo[block[0]]) - base  # no event of this block reaches a tag below its first lo
-                base += shift
-                stack = [s - shift for s in stack if s >= shift]
-                p = max(p - shift, 0)
-                # The scan reads no station-2 tag past the last event's range.
-                top = int(np.searchsorted(t2, t1[j + block[-1]] + w, side="right"))
-                got, stack, p = _scan(t1[j + block], lo[block] - base, t2[base:top], w, stack, p)
-                partner[block] = np.where(got >= 0, got + base, -1)
-                if k:  # window 0 is the last
-                    rest.append(block + a)
-            m = np.flatnonzero(partner >= 0)
-            pm = partner[m]
-            # A match is kept at k: its own range holds its tag.  An uncontested one is kept from
-            # its first window on, where its range first holds its tag.
-            first = np.full(len(m), k, dtype=np.intp)
-            if k:
-                free = ~contested[m]
-                first[free] = _first_windows(t1[j + m[free]], t2[pm[free]], grid[:k])
-            yield o1[a + m], o2[pm], first, k + 1
-        if not rest:
-            return
-        # The next window's events and tags: lo and hi never decrease, so the tags
-        # span from the first event's lo to the end of the last one's range.
-        rest = np.concatenate(rest)
-        base = int(np.searchsorted(t2, s1.time_tag[o1[rest[0]]] - w, side="left"))
-        top = int(np.searchsorted(t2, s1.time_tag[o1[rest[-1]]] + w, side="right"))
-        o1, t2, o2 = o1[rest], t2[base:top], o2[base:top]
+    # Per window, the station-1 events to match there, in time order, as run rows.  Once the
+    # window has matched events, the first is the last of them, _settle's neighbour of the next.
+    queue = [np.empty(0, dtype=np.intp) for _ in grid]
+    held = [0] * len(grid)  # per window, 1 once its queue starts with that neighbour
+    stacks = [[] for _ in grid]  # per window, the scan's free tags before p, ascending
+    frontier = [0] * len(grid)  # per window, the scan's p: no tag at or past it is taken
+    # t2 and o2: the time-ordered station-2 tags released so far and their run rows, from tag g2 on.
+    # Run row r of station s is row r - first[s] of rows_of.  Indices into t2 are global: t2[i - g2].
+    g2, first = 0, [0, 0]
+
+    def walk(below: float):
+        """Match every queued event whose range holds no tag at or past ``below`` and whose next event is queued."""
+        s1 = rows_of.station1
+        for k in range(len(grid) - 1, -1, -1):
+            q, a0, w = queue[k], held[k], float(grid[k])
+            stop = len(q)
+            if below < np.inf:
+                # fl(t + W) never decreases, so these events are a prefix; the last waits for its next neighbour.
+                reach = bisect_left(range(a0, len(q)), below, key=lambda i: s1.time_tag[q[i] - first[0]] + w)
+                stop = min(a0 + reach, len(q) - 1)
+            if stop <= a0:
+                continue
+            rest = []  # per block, the events left contested, which window k - 1 matches again
+            for a in range(a0 if len(t2) else stop, stop, _SCAN_BLOCK):  # without tags no event has a candidate
+                # t1 holds the block's tags, from t1[j], and the two next to it, which _settle reads.
+                j, b = min(a, 1), min(a + _SCAN_BLOCK, stop)
+                t1 = s1.time_tag[q[a - j : b + 1] - first[0]]
+                partner, contested, lo = _settle(t1, t2, w, j, j + b - a)
+                block = np.flatnonzero(contested)
+                if len(block):
+                    base = int(lo[block[0]])  # no event of this block reaches a tag below its first lo
+                    at = g2 + base
+                    # The scan reads no station-2 tag past the last event's range.
+                    top = int(np.searchsorted(t2, t1[j + block[-1]] + w, side="right"))
+                    got, stack, p = _scan(t1[j + block], lo[block] - base, t2[base:top], w,
+                                          [s - at for s in stacks[k] if s >= at], max(frontier[k] - at, 0))
+                    stacks[k], frontier[k] = [s + at for s in stack], p + at
+                    partner[block] = np.where(got >= 0, got + base, -1)
+                    if k:  # window 0 is the last
+                        rest.append(block + a)
+                m = np.flatnonzero(partner >= 0)
+                pm = partner[m]
+                # A match is kept at k: its own range holds its tag.  An uncontested one is kept from
+                # its first window on, where its range first holds its tag.
+                start = np.full(len(m), k, dtype=np.intp)
+                if k:
+                    free = ~contested[m]
+                    start[free] = _first_windows(t1[j + m[free]], t2[pm[free]], grid[:k])
+                yield q[a + m] - first[0], o2[pm] - first[1], start, k + 1, rows_of
+            if rest:
+                queue[k - 1] = np.concatenate([queue[k - 1], q[np.concatenate(rest)]])
+            queue[k], held[k] = q[stop - 1 :].copy(), 1
+
+    if isinstance(log, EventLog):
+        rows_of = log
+        s1, s2 = log.station1, log.station2
+        queue[-1] = s1.time_order().astype(np.min_scalar_type(len(s1)))
+        queue[:-1] = [np.empty(0, dtype=queue[-1].dtype) for _ in grid[1:]]  # rows keep their narrow type
+        o2 = s2.time_order().astype(np.min_scalar_type(len(s2)))
+        t2 = np.empty(len(o2))
+        for a in range(0, len(o2), _SCAN_BLOCK):  # numpy widens a narrow index to intp: a block at a time
+            t2[a : a + _SCAN_BLOCK] = s2.time_tag[o2[a : a + _SCAN_BLOCK]]
+        del s1, s2
+        yield from walk(np.inf)
+        return
+    rows_of = EventLog(*(StationStream(n, np.empty(0), np.empty(0), np.empty(0)) for n in (1, 2)))
+    carried = [(np.empty(0), np.empty(0, dtype=np.intp))] * 2  # per station, the rows not yet released
+    t2, o2 = np.empty(0), np.empty(0, dtype=np.intp)
+    seen = [0, 0]  # the rows of each station so far
+    for segment in log:
+        below = later_tags_from(segment)
+        rows_of = EventLog(_rows_from(rows_of.station1, 0, segment.station1),
+                           _rows_from(rows_of.station2, 0, segment.station2))
+        del segment  # its rows live on in rows_of alone
+        for s, stream in enumerate((rows_of.station1, rows_of.station2)):
+            released, carried[s] = _time_ordered(carried[s], stream.time_tag[seen[s] - first[s]:], seen[s], below)
+            seen[s] = first[s] + len(stream)
+            if s:
+                t2, o2 = np.concatenate([t2, released[0]]), np.concatenate([o2, released[1]])
+            else:
+                queue[-1] = np.concatenate([queue[-1], released[1]])
+        del stream, released
+        yield from walk(below)
+        # Drop the station-2 tags below every range still to come: the queued events' and later ones'.
+        lows = [rows_of.station1.time_tag[q[a0] - first[0]] - w for q, a0, w in zip(queue, held, grid) if len(q) > a0]
+        cut = int(np.searchsorted(t2, min([below - grid[-1], *lows]), side="left"))
+        t2, o2, g2 = t2[cut:].copy(), o2[cut:].copy(), g2 + cut
+        # Keep the rows still in use while the next segment is awaited: carried, queued, or behind a held tag.
+        first = [int(min(np.min(rows, initial=seen[s]) for rows in in_use))
+                 for s, in_use in enumerate(([carried[0][1], *queue], [carried[1][1], o2]))]
+        rows_of = EventLog(*(_rows_from(stream, start - seen[s] + len(stream))
+                             for s, (stream, start) in enumerate(zip((rows_of.station1, rows_of.station2), first))))
+    # The run has ended: every carried row is released.
+    queue[-1] = np.concatenate([queue[-1], carried[0][1]])
+    t2, o2 = np.concatenate([t2, carried[1][0]]), np.concatenate([o2, carried[1][1]])
+    yield from walk(np.inf)

@@ -31,15 +31,17 @@ on two.  The log keeps each column in the smallest type that holds it:
 :class:`StationStream`).
 
 A run can also be generated in segments: ``run_experiment(config, 1,
-pairs=range(lo, hi))`` is rows lo..hi of the whole log.  The CLI's
-paired runs under regular emission without ``--tags-out`` generate their
-segments on one ``map_ranges`` pool and bin each as it arrives (see
-:func:`eprsim.analysis.window_sweep`), so they hold a few 1.5 MB
-segments instead of the 24-byte-per-pair log.  Three kinds of run keep
-one stored log: the stream policy, which matches across the whole log
-in time order; ``--tags-out``, whose tag files are written in time
-order over the whole run; and Poisson emission, whose segments need
-the emission time carried from every earlier one.
+pairs=range(lo, hi))`` is rows lo..hi of the whole log.  Its log's
+``emitted`` is the emission time of its last pair; under Poisson
+emission the next segment continues the sum from it,
+``run_experiment(config, 1, pairs=range(hi, ...), emitted_before=emitted)``,
+bit for bit the whole run's.  The CLI streams every generated run
+without ``--tags-out``: it generates the segments in order and the
+analysis consumes each as it arrives (see
+:func:`eprsim.analysis.window_sweep`), so it holds a few 1.5 MB
+segments instead of the 24-byte-per-pair log.  Only ``--tags-out``
+keeps one stored log, because its tag files are written in time order
+over the whole run.
 
 A run is stored in pair order: row k of both station streams is pair k,
 and the two streams share one ``pair_id`` array.  Consumers that need
@@ -237,12 +239,16 @@ class EventLog:
 
     Equality compares the recorded streams only, not the attached config
     (a log re-read from disk carries no config unless a manifest supplied
-    one).
+    one) or ``emitted``.  ``emitted`` is the emission time of the last
+    pair of a generated log, None for any other: no later pair of its run
+    is emitted before it, so no later tag lies below it rounded as tags
+    are (:func:`later_tags_from`).
     """
 
     station1: StationStream
     station2: StationStream
     config: ExperimentConfig | None = None
+    emitted: float | None = None
 
     @property
     def n_pairs(self) -> int:
@@ -252,6 +258,17 @@ class EventLog:
         if not isinstance(other, EventLog):
             return NotImplemented
         return self.station1 == other.station1 and self.station2 == other.station2
+
+
+def later_tags_from(log: EventLog) -> float:
+    """A bound below every tag of the pairs generated after ``log`` in its run; -inf unless ``log`` is generated.
+
+    Emission times never decrease and delays are at least 0, so each tag
+    of a later pair is at least ``log.emitted`` rounded as tags are.
+    """
+    if log.emitted is None:
+        return -np.inf
+    return float(np.round(np.array([log.emitted]), TIME_TAG_DECIMALS)[0])
 
 
 def map_ranges(fn, n: int, threads: int):
@@ -319,7 +336,8 @@ def _generate_columns(config: ExperimentConfig, cols: dict, start: int, stop: in
     return gap
 
 
-def run_experiment(config: ExperimentConfig, n_workers: int = 1, pairs: range | None = None) -> EventLog:
+def run_experiment(config: ExperimentConfig, n_workers: int = 1, pairs: range | None = None,
+                   emitted_before: float | None = None) -> EventLog:
     """Run the two-station experiment described by ``config``, or the segment ``pairs`` of it.
 
     The pairs are generated in segments (see :func:`map_ranges`), at
@@ -330,13 +348,15 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1, pairs: range | 
 
     ``pairs``, a non-empty step-1 range of pair ids in [0, n_pairs),
     defaults to the whole run.  Its rows equal those rows of the whole
-    run's log, pair ids included, in the whole run's pair-id type.
-    Under Poisson emission each emission time is the sum of every
-    earlier pair's inter-arrival time, so only the whole run can be
-    generated.  Under regular emission the overflow check bounds the
-    last pair of the whole run, so it raises for every segment alike;
-    under Poisson emission it raises at the first segment whose last
-    emission overflows.
+    run's log, pair ids included, in the whole run's pair-id type, and
+    its log's ``emitted`` is its last pair's emission time.  Under
+    Poisson emission each emission time is the sum of every earlier
+    pair's inter-arrival time: a segment that does not start at pair 0
+    takes ``emitted_before``, the ``emitted`` of the segment that ends
+    just before it, and no other segment takes one.  Under regular
+    emission the overflow check bounds the last pair of the whole run, so
+    it raises for every segment alike; under Poisson emission it raises
+    at the first segment whose last emission overflows.
     """
     if n_workers < 1:
         raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
@@ -346,9 +366,10 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1, pairs: range | 
         raise ValidationError(f"pairs must be a non-empty step-1 range within range({n}), got {pairs!r}")
     first, m = pairs.start, len(pairs)
     interval = config.resolved_emission().interval
-    if interval is None and m != n:
-        raise ValidationError(f"poisson emission times are one cumulative sum over the run: "
-                              f"generate all {n} pairs, not {pairs!r}")
+    if (interval is None and first > 0) != (emitted_before is not None):
+        raise ValidationError(f"poisson emission times are one cumulative sum over the run: emitted_before, the "
+                              f"emission time of the pair before, is taken by a poisson segment after pair 0 and "
+                              f"by no other; got {emitted_before!r} for {pairs!r}")
 
     def check(last, of_the_last_pair):
         # Emission times never decrease and delays are at most t0, so this bounds
@@ -373,14 +394,15 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1, pairs: range | 
         return start, stop, _generate_columns(config, cols, first + start, first + stop, first)
 
     # The pool fills each segment's raw columns; its tags, emission + delay, are finished here in order.
-    emitted_before = -0.0  # the identity of float addition; 0.0 would turn a first gap of -0.0 into 0.0
+    if emitted_before is None:
+        emitted_before = -0.0  # the identity of float addition; 0.0 would turn a first gap of -0.0 into 0.0
     for start, stop, gap in map_ranges(raw, m, n_workers):
         if gap is not None:
             with np.errstate(over="ignore"):  # the sequential sum of the whole run's gaps, bit for bit
                 gap[0] += emitted_before
                 np.cumsum(gap, out=gap)
             emitted_before = float(gap[-1])
-            check(emitted_before, stop == m)
+            check(emitted_before, first + stop == n)
         for lo in range(start, stop, CHUNK_PAIRS):
             hi = min(lo + CHUNK_PAIRS, stop)
             emitted = np.arange(first + lo, first + hi) * interval if gap is None else gap[lo - start:hi - start]
@@ -392,4 +414,5 @@ def run_experiment(config: ExperimentConfig, n_workers: int = 1, pairs: range | 
         station1=StationStream(1, cols["delay1"], cols["idx1"], cols["x1"], pid),
         station2=StationStream(2, cols["delay2"], cols["idx2"], cols["x2"], pid),
         config=config,
+        emitted=emitted_before if interval is None else (first + m - 1) * interval,
     )

@@ -36,7 +36,7 @@ from references import (
     stream_reference,
     table_reference,
 )
-from test_events import record_pool_sizes
+from test_events import record_pool_sizes, segments_of
 
 
 def tabulate(log, config, policy="paired", cell=(0, 0)):
@@ -403,6 +403,16 @@ class TestOnePassSweep:
     def test_stream_equals_per_window_reference(self, inputs):
         assert_same_as_reference(*inputs, policy="stream")
 
+    @settings(max_examples=25, deadline=None)
+    @given(sweep_inputs(), st.integers(20, 700))
+    def test_stream_over_segments_equals_per_window_reference(self, inputs, size):
+        # Segment edges fall anywhere, inside clusters too, and windows sit on or one ulp below a |dt|.
+        config, windows, log = inputs
+        sweep = window_sweep(config, windows, policy="stream", log=segments_of(config, size))
+        s, s_stderr, rate = sweep_reference(config, windows, policy="stream", log=log)
+        assert np.array_equal(sweep.s, s) and np.array_equal(sweep.s_stderr, s_stderr)
+        assert np.array_equal(sweep.rate, rate)
+
     def test_stream_dense_poisson(self):
         # Clusters of many events: nearly every event is contested at the largest window.
         config = ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=3000, seed=5,
@@ -670,8 +680,7 @@ class TestSegments:
 
     def segments(self, config, size, workers=1):
         """``run_experiment`` over consecutive ``size``-pair segments, generated as they are taken."""
-        n = config.n_pairs
-        return (run_experiment(config, workers, pairs=range(lo, min(lo + size, n))) for lo in range(0, n, size))
+        return segments_of(config, size, workers)
 
     @pytest.mark.parametrize("size, workers", [(SEGMENT_PAIRS, 1), (SEGMENT_PAIRS, 2), (5000, 3), (N_PAIRS, 1)],
                              ids=["blocks", "blocks-2", "unaligned-3", "one"])
@@ -719,10 +728,17 @@ class TestSegments:
         with pytest.raises(ValidationError, match="pair"):
             window_sweep(config, self.WINDOWS, log=iter(segments))
 
-    def test_stream_policy_takes_one_log(self):
-        config = self.config()
-        with pytest.raises(ValidationError, match="stream policy .* one event log"):
-            window_sweep(config, self.WINDOWS, policy="stream", log=self.segments(config, SEGMENT_PAIRS))
+    @pytest.mark.parametrize("emission", [None, EmissionSpec.poisson(0.002)], ids=["regular", "poisson"])
+    @pytest.mark.parametrize("size", [SEGMENT_PAIRS, 5000], ids=["blocks", "unaligned"])
+    def test_stream_policy_equals_the_whole_log(self, emission, size):
+        # The stream walk takes the run's segments in time order, carrying the rows a later segment
+        # may precede and holding back the events whose ranges may reach later tags.
+        config = self.config(emission)
+        windows = self.WINDOWS[:-1]
+        whole = window_sweep(config, windows, policy="stream", log=run_experiment(config))
+        streamed = window_sweep(config, windows, policy="stream", log=self.segments(config, size))
+        assert streamed.n_pairs == whole.n_pairs == config.n_pairs
+        np.testing.assert_array_equal(streamed.counts, whole.counts)
 
     def test_no_segment_rejected(self):
         with pytest.raises(ValidationError, match="no log segment"):

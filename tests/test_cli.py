@@ -219,10 +219,40 @@ def test_manifest_with_a_bool_or_string_number_exits_1(tmp_path, capsys, path, v
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("emission", ["regular:1e303", "poisson:1e-305"])
-def test_emission_overflow_exits_1(tmp_path, capsys, emission):
-    assert main(["--mode", "sweep", "--emission", emission, "--pairs", "3", "--out", str(tmp_path)]) == 1
-    assert "emission times overflow" in capsys.readouterr().err
+@pytest.mark.parametrize("emission, matcher", [
+    pytest.param("regular:1e303", "paired", id="regular:1e303"),
+    pytest.param("poisson:1e-305", "paired", id="poisson:1e-305"),
+    pytest.param("poisson:1e-305", "stream", id="poisson:1e-305-stream"),
+])
+def test_emission_overflow_exits_1(tmp_path, capsys, emission, matcher):
+    before = set(threading.enumerate())
+    argv = ["--mode", "sweep", "--emission", emission, "--matcher", matcher, "--pairs", "3", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "emission times overflow" in err[0]
+    assert not any(tmp_path.iterdir())
+    assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.filterwarnings("error")
+def test_streamed_poisson_overflow_fires_at_its_segment(tmp_path, capsys, monkeypatch):
+    # Emission times near 1.5e297 a pair: the first segment's last pair is emitted near
+    # 1e302, which tags at 6 decimals, and the second segment, which carries it on, near 2e302.
+    calls = []
+    real = eprsim.cli.run_experiment
+
+    def recorded(config, n_workers=1, pairs=None, emitted_before=None):
+        calls.append(pairs)
+        return real(config, n_workers, pairs=pairs, emitted_before=emitted_before)
+
+    monkeypatch.setattr("eprsim.cli.run_experiment", recorded)
+    argv = ["--mode", "mc", "--matcher", "stream", "--emission", "poisson:6.5e-298", "--window", "1000",
+            "--pairs", str(2 * SEGMENT_PAIRS), "--workers", "1", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("eprsim: invalid configuration: emission times overflow: "
+                                               f"the last of {2 * SEGMENT_PAIRS} pairs is emitted at 2."), err
+    assert calls == [range(SEGMENT_PAIRS), range(SEGMENT_PAIRS, 2 * SEGMENT_PAIRS)]
     assert not any(tmp_path.iterdir())
 
 
@@ -476,15 +506,24 @@ def test_reanalyze_with_manifest_bad_value_exits_1(side_manifest, tmp_path, caps
     assert "t0 must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_streamed_runs_equal_the_stored_log(tmp_path, workers):
-    # Without --tags-out a paired run streams segments of SEGMENT_PAIRS pairs;
-    # with it the run stores its log.  Two full segments and a partial one.
-    run = ["--pairs", str(2 * SEGMENT_PAIRS + 5000), "--seed", "4", "--workers", str(workers)]
-    for mode, csv in (("sweep", "sweep.csv"), ("mc", "correlations.csv")):
+STREAM_POISSON = ["--matcher", "stream", "--emission", "poisson:0.005"]
+
+
+@pytest.mark.parametrize("workers, matcher", [
+    *(pytest.param(w, [], id=str(w)) for w in (1, 2, 3)),
+    *(pytest.param(w, ["--matcher", "stream"], id=f"stream-{w}") for w in (1, 2, 3)),
+    *(pytest.param(w, STREAM_POISSON, id=f"stream-poisson-{w}") for w in (1, 2, 3)),
+])
+def test_streamed_runs_equal_the_stored_log(tmp_path, workers, matcher):
+    # Without --tags-out a run streams its segments; with it the run stores its
+    # log.  Two full segments of SEGMENT_PAIRS pairs and a partial one.
+    run = ["--pairs", str(2 * SEGMENT_PAIRS + 5000), "--seed", "4", "--workers", str(workers), *matcher]
+    # The stream matcher's runs at a 3-window grid and at one window.
+    grids = (["--windows", "10:1000:log3"], ["--window", "1000"]) if matcher else ([], [])
+    for (mode, csv), window in zip((("sweep", "sweep.csv"), ("mc", "correlations.csv")), grids):
         streamed, stored = tmp_path / f"{mode}-streamed", tmp_path / f"{mode}-stored"
-        assert main(["--mode", mode, *run, "--out", str(streamed)]) == 0
-        assert main(["--mode", mode, *run, "--tags-out", "tags", "--out", str(stored)]) == 0
+        assert main(["--mode", mode, *run, *window, "--out", str(streamed)]) == 0
+        assert main(["--mode", mode, *run, *window, "--tags-out", "tags", "--out", str(stored)]) == 0
         assert (streamed / csv).read_bytes() == (stored / csv).read_bytes()
         results = [RunManifest.read(d / f"{mode}.manifest.json").results for d in (streamed, stored)]
         for r in results:
@@ -526,20 +565,25 @@ def test_streamed_emission_overflow_fires_on_the_first_segment(tmp_path, capsys,
      (ValidationError("bad segment"), 1, "eprsim: invalid configuration: bad segment")],
     ids=["memory", "runtime", "validation"],
 )
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_failing_segment_exits_like_a_failing_run(tmp_path, capsys, monkeypatch, error, code, line, workers):
+@pytest.mark.parametrize("workers, matcher", [
+    *(pytest.param(w, [], id=str(w)) for w in (1, 2)),
+    *(pytest.param(w, STREAM_POISSON, id=f"{w}-stream-poisson") for w in (1, 2)),
+])
+def test_a_failing_segment_exits_like_a_failing_run(tmp_path, capsys, monkeypatch, error, code, line, workers,
+                                                    matcher):
     # The second segment raises: one stderr line, the exit code of its type,
     # no output file, and no generation thread left running.
     real = eprsim.cli.run_experiment
 
-    def failing(config, n_workers=1, pairs=None):
-        if pairs is not None and pairs.start == SEGMENT_PAIRS:
+    def failing(config, n_workers=1, pairs=None, emitted_before=None):
+        if pairs is not None and pairs.start > 0:
             raise error
-        return real(config, n_workers, pairs=pairs)
+        return real(config, n_workers, pairs=pairs, emitted_before=emitted_before)
 
     monkeypatch.setattr("eprsim.cli.run_experiment", failing)
     before = set(threading.enumerate())
-    argv = ["--mode", "sweep", "--pairs", str(4 * SEGMENT_PAIRS), "--workers", str(workers), "--out", str(tmp_path)]
+    argv = ["--mode", "sweep", "--pairs", str(4 * SEGMENT_PAIRS), "--workers", str(workers), *matcher,
+            "--out", str(tmp_path)]
     assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [line] and captured.out == ""
@@ -561,3 +605,22 @@ def test_streamed_sweep_memory_does_not_grow_with_the_run(tmp_path, capsys):
 
     peak(20_000)  # first-call allocations do not grow with the run
     assert peak(800_000) <= peak(200_000) + 1e6
+
+
+def test_streamed_stream_matcher_memory_does_not_grow_with_the_run(tmp_path, capsys):
+    # A stored log would add 24 bytes a pair and the walk's sort orders and
+    # sorted tags 16 more, 2.4e7 bytes from 2e5 to 8e5 pairs.  A streamed run
+    # holds one segment, the rows it carries into the next and the events
+    # each window holds back.
+    def peak(n_pairs):
+        tracemalloc.start()
+        try:
+            argv = ["--mode", "mc", "--matcher", "stream", "--emission", "poisson:0.005", "--window", "1000",
+                    "--pairs", str(n_pairs), "--workers", "1", "--out", str(tmp_path)]
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20_000)  # first-call allocations do not grow with the run
+    assert peak(800_000) <= peak(200_000) + 2e6

@@ -26,6 +26,7 @@ from eprsim.analysis import _sweep_counts, window_sweep
 from eprsim.cli import parse_windows
 from eprsim.coincidence import _settle, check_pair_filter, pair_window_index, stream_window_index
 from references import paired_reference, scan_reference, stream_reference
+from test_events import segments_of
 
 
 def tiny_log(times1, times2, pair_ids=True):
@@ -337,7 +338,7 @@ class TestTwoStageMatch:
 def rows_kept_at(groups, j):
     """The (row1, row2) pairs that ``stream_window_index`` groups keep at window j, sorted."""
     pairs = []
-    for rows1, rows2, start, stop in groups:
+    for rows1, rows2, start, stop, _ in groups:
         keep = (start <= j) & (j < stop)
         pairs += zip(rows1[keep].tolist(), rows2[keep].tolist())
     return sorted(pairs)
@@ -359,6 +360,28 @@ class TestStreamWindowIndex:
         log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=2000,
                                               seed=seed, emission=EmissionSpec.poisson(rate)))
         self.assert_rows_equal_reference(log, self.WINDOWS)
+
+    @pytest.mark.parametrize("emission", [EmissionSpec.poisson(5e-3), EmissionSpec.poisson(5e-4), None],
+                             ids=["dense", "sparse", "regular"])
+    @pytest.mark.parametrize("size", [1, 7, 500])
+    def test_segments_of_a_run(self, emission, size):
+        # A run's segments in pair order, walked as they arrive: segment edges fall inside
+        # clusters, and a group may pair rows of two segments.  Each coincidence is read
+        # through its group's rows_of as the tags, settings and outcomes it pairs.
+        config = ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=1500, seed=24,
+                                  emission=emission)
+        log = run_experiment(config)
+
+        def events(station, rows):
+            return zip(*(getattr(station, name)[rows].tolist() for name in ("time_tag", "setting_index", "outcome")))
+
+        windows = [w for w in self.WINDOWS if w < np.inf]
+        groups = [(list(zip(events(g[4].station1, g[0]), events(g[4].station2, g[1]))), g[2], g[3])
+                  for g in stream_window_index(segments_of(config, size), windows)]
+        for j, w in enumerate(windows):
+            kept = [pair for pairs, start, stop in groups for pair, k in zip(pairs, start) if k <= j < stop]
+            r1, r2 = stream_reference(log, w)
+            assert sorted(kept) == sorted(zip(events(log.station1, r1), events(log.station2, r2))), w
 
     @pytest.mark.parametrize("seed", range(5))
     def test_tied_tags(self, seed):

@@ -62,6 +62,22 @@ def chunk_segments(monkeypatch):
     monkeypatch.setattr(eprsim.events, "SEGMENT_PAIRS", CHUNK_PAIRS)
 
 
+def segments_of(config, size, workers=1):
+    """``run_experiment`` over consecutive ``size``-pair segments, generated as they are taken.
+
+    Under Poisson emission each segment after the first continues the
+    emission times from the ``emitted`` of the one before.
+    """
+    n, emitted = config.n_pairs, None
+    poisson = config.resolved_emission().mode == "poisson"
+    for lo in range(0, n, size):
+        segment = run_experiment(config, workers, pairs=range(lo, min(lo + size, n)),
+                                 emitted_before=emitted if poisson and lo else None)
+        emitted = segment.emitted
+        yield segment
+        del segment
+
+
 def record_pool_sizes(monkeypatch):
     """Record the thread count of every pool the segment runner opens from now on."""
     sizes = []
@@ -327,12 +343,31 @@ class TestRunExperiment:
         with pytest.raises(ValidationError, match="pairs must be"):
             run_experiment(small_config(), pairs=pairs)
 
-    def test_poisson_segment_rejected(self):
-        # Poisson emission times are one cumulative sum over the run: only the whole run can be generated.
+    @pytest.mark.parametrize("size", [1, 999, CHUNK_PAIRS, CHUNK_PAIRS + 1])
+    def test_poisson_segments_carry_the_emission_time(self, size):
+        # Poisson emission times are one cumulative sum over the run: each segment continues it
+        # from the emitted of the one before, bit for bit.
+        cfg = small_config(n_pairs=2 * CHUNK_PAIRS + 17, emission=EmissionSpec.poisson(0.5))
+        whole = run_experiment(cfg)
+        segments = list(segments_of(cfg, size))
+        for name in ("time_tag", "setting_index", "outcome", "pair_id"):
+            for s in ("station1", "station2"):
+                joined = np.concatenate([getattr(getattr(g, s), name) for g in segments])
+                assert np.array_equal(joined, getattr(getattr(whole, s), name))
+        assert segments[-1].emitted == whole.emitted
+        assert whole.emitted > 0
+
+    @pytest.mark.parametrize("pairs, emitted_before", [(range(1, 9), None), (range(0, 9), 1.0)],
+                             ids=["missing", "first-segment"])
+    def test_poisson_segment_needs_the_emission_time_before_it(self, pairs, emitted_before):
         cfg = small_config(emission=EmissionSpec.poisson(0.5))
         with pytest.raises(ValidationError, match="cumulative sum"):
-            run_experiment(cfg, pairs=range(0, CHUNK_PAIRS))
-        assert run_experiment(cfg, pairs=range(cfg.n_pairs)) == run_experiment(cfg)
+            run_experiment(cfg, pairs=pairs, emitted_before=emitted_before)
+
+    def test_regular_segment_takes_no_emission_time(self):
+        with pytest.raises(ValidationError, match="cumulative sum"):
+            run_experiment(small_config(), pairs=range(1, 9), emitted_before=0.0)
+        assert run_experiment(small_config(), pairs=range(1, 9)).emitted == 8 * 10.0
 
     def test_emission_overflow_of_the_last_pair_rejected_in_the_first_segment(self):
         # Pair 2**16 - 1 is emitted near 6.6e301, which tags; the run's last, near 2e302, does not.
