@@ -14,16 +14,17 @@ of shape (n_windows, n1, n2, 2, 2), and ``SweepResult`` derives E, its
 stderr, S and S's stderr from the cube as arrays over every window at
 once; no per-window table exists.
 
-The log may come as a stream of consecutive segments of one generated
-run, which is how the CLI feeds every run without ``--tags-out``.  The
-paired policy bins each segment as it arrives and drops it, and the
-count tables of the segments add up; one stored log is binned in blocks
-of ``events.SEGMENT_PAIRS`` pairs.  The stream policy's walk takes the
+A log is the consecutive segments of one run, in pair order, and a
+stored log is a run of one segment; the CLI streams every generated run
+without ``--tags-out``.  ``window_sweep`` has one count loop: it checks
+each segment as it arrives, and the policy's groups feed one ``_bin``
+histogram.  The paired policy bins every segment in blocks of
+``events.SEGMENT_PAIRS`` pairs and drops it before the next is awaited.
+The stream policy's walk sorts a stored log whole and takes a run's
 segments in time order, keeping only the rows a later segment may still
-precede or match (see ``coincidence.stream_window_index``), and a group
-may pair rows of two segments; one stored log is a stream of one
-segment.  Either way the sweep's memory is the few segments alive at
-once, not the log.
+precede or match (see ``coincidence.stream_window_index``), so a group
+may pair rows of two segments.  Either way the sweep's memory is the
+few segments alive at once, not the run.
 
 ``window_sweep`` checks the grid, the policy, the first window, then
 for each segment the policy's checks of it and every event's setting
@@ -181,23 +182,17 @@ class SweepResult:
         return [(float(lo), float(hi)) for lo, hi in zip(self.windows[k], self.windows[k + 1])]
 
 
-def _sweep_counts(log: EventLog | Iterable[EventLog], windows: np.ndarray, config: ExperimentConfig,
-                  policy: MatchPolicy) -> np.ndarray:
-    """Every window's count table of one log, from one ``_bin`` histogram.
+def _pair_groups(segments: Iterable[EventLog], windows: np.ndarray):
+    """The paired policy's groups: each segment's blocks of ``SEGMENT_PAIRS`` pairs, at their pairs' first windows.
 
-    The tables have shape (len(windows), n1, n2, 2, 2); ``window_sweep``
-    has checked the policy and run its checks.  Policy ``"paired"`` bins
-    each pair of one log once, at the first window that keeps it, in
-    blocks of ``SEGMENT_PAIRS`` pairs, so no temporary grows with the
-    log.  Any other policy is ``"stream"``, which bins the groups of
-    ``stream_window_index`` over one log or the segments of a run.
+    Each segment is dropped before the next one is awaited, so no
+    temporary grows with the log or the run.
     """
-    if policy == "paired":
-        blocks = (slice(lo, lo + SEGMENT_PAIRS) for lo in range(0, log.n_pairs, SEGMENT_PAIRS))
-        groups = ((rows, rows, pair_window_index(log, windows, rows), len(windows), log) for rows in blocks)
-    else:
-        groups = stream_window_index(log, windows)
-    return np.cumsum(_bin(groups, len(windows), config)[:-1], axis=0)
+    for segment in segments:
+        for lo in range(0, segment.n_pairs, SEGMENT_PAIRS):
+            rows = slice(lo, lo + SEGMENT_PAIRS)
+            yield rows, rows, pair_window_index(segment, windows, rows), len(windows), segment
+        del segment
 
 
 def window_sweep(
@@ -214,10 +209,11 @@ def window_sweep(
     tags, which gives a smooth correlated-sample curve; for independent
     error bars, sweep one log per seed.  ``log`` may also be an iterable
     of the consecutive segments of one run, in pair order, as
-    ``run_experiment`` generates them (one log is a run of one segment):
-    each is checked as it arrives, then binned and dropped (paired) or
-    walked until only the rows the walk still needs are kept (stream),
-    and ``n_pairs`` is their total.
+    ``run_experiment`` generates them; a stored log is a run of one
+    segment.  Each segment is checked as it arrives, then binned in
+    blocks and dropped (paired) or walked until only the rows the walk
+    still needs are kept (stream), all into one histogram, and
+    ``n_pairs`` is their total.
 
     It raises, in this order, for a grid that is not 1-D and strictly
     increasing, an unknown policy, a first window below 0 or NaN; then,
@@ -252,15 +248,13 @@ def window_sweep(
         n_pairs += segment.n_pairs
         return segment
 
-    if isinstance(log, EventLog):
-        counts = _sweep_counts(checked(log), windows, config, policy)
-    elif policy == "stream":  # the walk takes each segment as it arrives and keeps the rows it still needs
-        counts = _sweep_counts(map(checked, log), windows, config, policy)
-    else:
-        counts = 0
-        for segment in log:
-            counts = counts + _sweep_counts(checked(segment), windows, config, policy)  # exact in any order
-            del segment  # not alive while the next one is awaited
+    stored = isinstance(log, EventLog)  # a stored log is the one segment of its run
+    segments = map(checked, [log] if stored else log)
+    if policy == "paired":
+        groups = _pair_groups(segments, windows)
+    else:  # the walk sorts a stored log whole and takes a run's segments in time order
+        groups = stream_window_index(next(segments) if stored else segments, windows)
+    counts = np.cumsum(_bin(groups, len(windows), config)[:-1], axis=0)
     if cells is None:
         raise ValidationError("cannot tabulate an empty coincidence list: no log segment")
     result = SweepResult(windows, counts, n_pairs, cells)

@@ -241,6 +241,18 @@ def _segments(config: ExperimentConfig, workers: int) -> Iterator[EventLog]:
         yield segment.pop()  # held by the consumer alone
 
 
+def _tags_prefix(outdir: Path, prefix: str, option: str) -> Path:
+    """``outdir / prefix``, the prefix of a run's tag files; an absolute prefix replaces ``outdir``.
+
+    The files are named by appending to the prefix's last path
+    component, so it must name a file, not a directory (empty, ``.`` or
+    ``..``): with ``""`` or ``.`` the files would land beside ``outdir``.
+    """
+    if os.path.basename(prefix) in ("", ".", ".."):
+        raise ValidationError(f"{option} prefix {prefix!r} must end in a file name")
+    return outdir / prefix
+
+
 def _generate(args, config: ExperimentConfig, outdir: Path,
               stage_s: dict) -> tuple[EventLog | Iterator[EventLog], list[str]]:
     """The run's segments, streamed; with ``--tags-out`` the stored log, whose tags and side manifest it writes."""
@@ -248,11 +260,9 @@ def _generate(args, config: ExperimentConfig, outdir: Path,
         raise ValidationError(f"--workers must be >= 1, got {args.workers}")
     if args.tags_out is None:
         return _timed(_segments(config, args.workers), stage_s), []
+    tags_prefix = _tags_prefix(outdir, args.tags_out, "--tags-out")
     with _stage(stage_s, "generate"):
         log = run_experiment(config, n_workers=args.workers)
-    if args.tags_out is None:
-        return log, []
-    tags_prefix = outdir / args.tags_out  # an absolute prefix replaces outdir
     with _stage(stage_s, "write_tags"):
         p1, p2 = write_tags(log, tags_prefix)
     side = RunManifest(mode="tags", seed=config.seed, config=config_to_dict(config),
@@ -265,7 +275,7 @@ def _read_source(args, quadruple, outdir: Path, stage_s: dict) -> tuple[EventLog
     """The log read from ``--tags-in``, with the config and RNG provenance (or None) of its side manifest."""
     if not args.tags_in:
         raise ValidationError("reanalyze mode requires --tags-in <prefix>")
-    prefix = outdir / args.tags_in
+    prefix = _tags_prefix(outdir, args.tags_in, "--tags-in")
     side_path = Path(f"{prefix}.manifest.json")
     if not side_path.exists():
         raise ValidationError(

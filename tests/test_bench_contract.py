@@ -58,3 +58,17 @@ def test_traced_runs_select_every_window_through_window_sweep(tracer, tmp_path):
     assert layers["events.run_experiment"]["calls"] == 3
     assert tracer.generated == 9000
     assert tracer.matches == []
+
+
+def test_traced_tag_round_trip_calls_each_lab_layer_once(tracer, tmp_path):
+    # lab-roundtrip's tag and generation metrics are the spans of these three hooked calls.
+    spans, tracer, missing = tracer
+    out = str(tmp_path)
+    with tracer.span(spans.ROOT):
+        assert main(["--mode", "mc", "--pairs", "3000", "--tags-out", "tags", "--out", out]) == 0
+        assert main(["--mode", "reanalyze", "--tags-in", "tags", "--windows", "1:1000:log3", "--out", out]) == 0
+
+    layers = spans.layer_times(tracer.spans)
+    for layer in ("tagio.write_tags", "tagio.read_tags", "events.run_experiment"):
+        assert layers[layer]["calls"] == 1, layer
+    assert tracer.generated == 3000

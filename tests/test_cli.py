@@ -329,6 +329,38 @@ def test_ambiguous_quadruple_angle_writes_no_tags(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("prefix", ["", ".", "..", "tags/", "sub/."],
+                         ids=["empty", "dot", "dotdot", "slash", "sub-dot"])
+def test_tags_out_prefix_without_a_file_name_exits_1(tmp_path, capsys, monkeypatch, prefix):
+    # The tag files are named by appending to the prefix, so "" or "." would write run.station1.csv
+    # beside the --out directory run/.  It is refused before any event is generated.
+    monkeypatch.setattr("eprsim.cli.run_experiment", lambda *args, **kwargs: pytest.fail("events generated"))
+    out = tmp_path / "run"
+    assert main(["--mode", "mc", "--pairs", "2000", "--tags-out", prefix, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"eprsim: invalid configuration: --tags-out prefix {prefix!r} must end in a file name"
+    ]
+    assert list(tmp_path.iterdir()) == [out]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("prefix", [".", "..", "tags/"], ids=["dot", "dotdot", "slash"])
+def test_tags_in_prefix_without_a_file_name_exits_1(tmp_path, capsys, monkeypatch, prefix):
+    # Tags written beside run/ under the prefix run: "--tags-in ." with --out run would read them.
+    argv = ["--mode", "mc", "--pairs", "2000", "--tags-out", str(tmp_path / "run")]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.setattr("eprsim.cli.read_tags", lambda *args: pytest.fail("tags read"))
+    out = tmp_path / "run"
+    assert main(["--mode", "reanalyze", "--tags-in", prefix, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"eprsim: invalid configuration: --tags-in prefix {prefix!r} must end in a file name"
+    ]
+    assert sorted(tmp_path.iterdir()) == sorted([*before, out])
+    assert not any(out.iterdir())
+
+
 def test_reanalyze_with_a_quadruple_angle_not_in_the_side_manifest_exits_1(side_manifest, tmp_path, capsys,
                                                                           monkeypatch):
     # The angle is looked up in the side manifest's settings before any tag file is read.

@@ -22,7 +22,7 @@ from eprsim import (
     run_experiment,
 )
 from eprsim import coincidence
-from eprsim.analysis import _sweep_counts, window_sweep
+from eprsim.analysis import window_sweep
 from eprsim.cli import parse_windows
 from eprsim.coincidence import _settle, check_pair_filter, pair_window_index, stream_window_index
 from references import paired_reference, scan_reference, stream_reference
@@ -623,5 +623,5 @@ class TestCoincidenceRate:
         log = tiny_log([0.0], [0.1])
         cfg = ExperimentConfig(settings1=(0.0,), settings2=(0.5,), n_pairs=1, seed=0)
         for policy in ("paired", "stream"):
-            counts = _sweep_counts(log, np.array([0.5]), cfg, policy)
-            assert counts.sum() / log.n_pairs == 1.0
+            sweep = window_sweep(cfg, [0.5], (0.0, 0.0, 0.5, 0.5), policy, log=log)
+            assert sweep.counts.sum() / log.n_pairs == 1.0
