@@ -14,17 +14,9 @@ of shape (n_windows, n1, n2, 2, 2), and ``SweepResult`` derives E, its
 stderr, S and S's stderr from the cube as arrays over every window at
 once; no per-window table exists.
 
-A log is the consecutive segments of one run, in pair order, and a
-stored log is a run of one segment; the CLI streams every generated run
-without ``--tags-out``.  ``window_sweep`` has one count loop: it checks
-each segment as it arrives, and the policy's groups feed one ``_bin``
-histogram.  The paired policy bins every segment in blocks of
-``events.SEGMENT_PAIRS`` pairs and drops it before the next is awaited.
-The stream policy's walk sorts a stored log whole and takes a run's
-segments in time order, keeping only the rows a later segment may still
-precede or match (see ``coincidence.stream_window_index``), so a group
-may pair rows of two segments.  Either way the sweep's memory is the
-few segments alive at once, not the run.
+``window_sweep`` has one count loop: it looks the policy up in
+``coincidence.MATCH_POLICIES``, checks each segment of the log as it
+arrives, and bins the policy's groups in one ``_bin`` histogram.
 
 ``window_sweep`` checks the grid, the policy, the first window, then
 for each segment the policy's checks of it and every event's setting
@@ -41,9 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .coincidence import MatchPolicy, check_pair_filter, check_stream_match, pair_window_index, stream_window_index
+from .coincidence import MATCH_POLICIES, MatchPolicy
 from .errors import ValidationError
-from .events import SEGMENT_PAIRS, EventLog, ExperimentConfig
+from .events import EventLog, ExperimentConfig
 from .model import DEFAULT_QUADRUPLE, normalize_angle
 
 __all__ = [
@@ -182,19 +174,6 @@ class SweepResult:
         return [(float(lo), float(hi)) for lo, hi in zip(self.windows[k], self.windows[k + 1])]
 
 
-def _pair_groups(segments: Iterable[EventLog], windows: np.ndarray):
-    """The paired policy's groups: each segment's blocks of ``SEGMENT_PAIRS`` pairs, at their pairs' first windows.
-
-    Each segment is dropped before the next one is awaited, so no
-    temporary grows with the log or the run.
-    """
-    for segment in segments:
-        for lo in range(0, segment.n_pairs, SEGMENT_PAIRS):
-            rows = slice(lo, lo + SEGMENT_PAIRS)
-            yield rows, rows, pair_window_index(segment, windows, rows), len(windows), segment
-        del segment
-
-
 def window_sweep(
     config: ExperimentConfig,
     windows,
@@ -210,10 +189,9 @@ def window_sweep(
     error bars, sweep one log per seed.  ``log`` may also be an iterable
     of the consecutive segments of one run, in pair order, as
     ``run_experiment`` generates them; a stored log is a run of one
-    segment.  Each segment is checked as it arrives, then binned in
-    blocks and dropped (paired) or walked until only the rows the walk
-    still needs are kept (stream), all into one histogram, and
-    ``n_pairs`` is their total.
+    segment.  Each segment is checked as it arrives, the groups of the
+    policy's generator in ``coincidence.MATCH_POLICIES`` are binned into
+    one histogram, and ``n_pairs`` is the segments' total.
 
     It raises, in this order, for a grid that is not 1-D and strictly
     increasing, an unknown policy, a first window below 0 or NaN; then,
@@ -230,9 +208,9 @@ def window_sweep(
         raise ValidationError("windows must be a non-empty 1-D sequence")
     if not np.all(windows[1:] > windows[:-1]):  # "not >" so that a NaN or a repeated inf fails too
         raise ValidationError("window values must be strictly increasing")
-    check = {"paired": check_pair_filter, "stream": check_stream_match}.get(policy)
-    if check is None:
+    if policy not in MATCH_POLICIES:
         raise ValidationError(f"unknown match policy {policy!r}")
+    check, groups_of = MATCH_POLICIES[policy]
     if not (windows[0] >= 0):
         raise ValidationError(f"window must be >= 0, got {windows[0]}")
     n_pairs, cells = 0, None
@@ -248,12 +226,7 @@ def window_sweep(
         n_pairs += segment.n_pairs
         return segment
 
-    stored = isinstance(log, EventLog)  # a stored log is the one segment of its run
-    segments = map(checked, [log] if stored else log)
-    if policy == "paired":
-        groups = _pair_groups(segments, windows)
-    else:  # the walk sorts a stored log whole and takes a run's segments in time order
-        groups = stream_window_index(next(segments) if stored else segments, windows)
+    groups = groups_of(checked(log) if isinstance(log, EventLog) else map(checked, log), windows)
     counts = np.cumsum(_bin(groups, len(windows), config)[:-1], axis=0)
     if cells is None:
         raise ValidationError("cannot tabulate an empty coincidence list: no log segment")

@@ -5,6 +5,21 @@ of one.  For each window W of a strictly increasing grid, each policy
 gives every coincidence the first window that keeps it, so the sweep
 bins it once and reads every window's table from one histogram.
 
+``MATCH_POLICIES`` is the one table of policies: per policy, the check
+of a log segment and the generator of its coincidence groups.  A log is
+the consecutive segments of one run, in pair order, and a stored log is
+a run of one segment; the CLI streams every generated run without
+``--tags-out``.  Each generator takes one stored log or a run's
+segments, checked as they arrive, and its groups feed the sweep's one
+histogram.  The paired policy's ``pair_window_groups`` cuts every
+segment into blocks of ``events.SEGMENT_PAIRS`` pairs and drops it
+before the next is awaited.  The stream policy's walk sorts a stored
+log whole and takes a run's segments in time order, keeping only the
+rows a later segment may still precede or match (see
+``stream_window_index``), so a group may pair rows of two segments.
+Either way the sweep's memory is the few segments alive at once, not
+the run.
+
 Policy ``"paired"`` is the idealized per-pair rule: the two events of an
 emitted pair are kept iff their time tags differ by at most W, a closed
 boundary.  ``check_pair_filter`` runs its checks once; then
@@ -132,12 +147,14 @@ from typing import Literal
 import numpy as np
 
 from .errors import ValidationError
-from .events import EventLog, StationStream, later_tags_from
+from .events import SEGMENT_PAIRS, EventLog, StationStream, later_tags_from
 
 __all__ = [
+    "MATCH_POLICIES",
     "MatchPolicy",
     "check_pair_filter",
     "check_stream_match",
+    "pair_window_groups",
     "pair_window_index",
     "stream_window_index",
 ]
@@ -193,6 +210,23 @@ def pair_window_index(log: EventLog, windows: np.ndarray, rows: slice) -> np.nda
     for w in windows:
         index -= np.less_equal(dt, w, out=kept)
     return index
+
+
+def pair_window_groups(log: EventLog | Iterable[EventLog], windows: np.ndarray):
+    """The paired policy's coincidence groups: each segment's blocks of ``SEGMENT_PAIRS`` pairs.
+
+    ``log`` is one log or the consecutive segments of one run, each
+    checked by ``check_pair_filter``.  Yields, per block of rows ``rows``
+    of a segment, the group ``(rows, rows, pair_window_index(segment,
+    windows, rows), len(windows), segment)`` (see
+    ``stream_window_index``).  Each segment is dropped before the next
+    one is awaited, so no temporary grows with the log or the run.
+    """
+    for segment in [log] if isinstance(log, EventLog) else log:
+        for lo in range(0, segment.n_pairs, SEGMENT_PAIRS):
+            rows = slice(lo, lo + SEGMENT_PAIRS)
+            yield rows, rows, pair_window_index(segment, windows, rows), len(windows), segment
+        del segment
 
 
 def _settle(t1: np.ndarray, t2: np.ndarray, window: float, a: int, b: int):
@@ -333,7 +367,9 @@ def stream_window_index(log: EventLog | Iterable[EventLog], windows: Sequence[fl
     or above, and ``check_stream_match`` must have passed for every
     segment.  ``log`` is one log, which the walk sorts whole, or the
     consecutive pair-order segments of one generated run (see
-    ``_time_ordered`` and ``events.later_tags_from``).  Yields groups
+    ``_time_ordered`` and ``events.later_tags_from``); a segment with a
+    tag below ``later_tags_from`` of the one before, one out of order or
+    from another run, raises ValidationError.  Yields groups
     ``(rows1, rows2, start, stop, rows_of)``: coincidence k of a group
     pairs row ``rows1[k]`` of ``rows_of``'s station 1 with row
     ``rows2[k]`` of its station 2 and is a match at ``windows[j]``
@@ -416,8 +452,12 @@ def stream_window_index(log: EventLog | Iterable[EventLog], windows: Sequence[fl
     rows_of = EventLog(*(StationStream(n, np.empty(0), np.empty(0), np.empty(0)) for n in (1, 2)))
     carried = [(np.empty(0), np.empty(0, dtype=np.intp))] * 2  # per station, the rows not yet released
     t2, o2 = np.empty(0), np.empty(0, dtype=np.intp)
-    seen = [0, 0]  # the rows of each station so far
+    seen, below = [0, 0], -math.inf  # the rows of each station so far; no tag of this segment lies below
     for segment in log:
+        for s in (segment.station1, segment.station2):
+            if (s.time_tag < below).any():  # a NaN tag matches nothing, so it passes
+                raise ValidationError(f"station {s.station} has a tag below {below}, the bound of the "
+                                      "segment before: stream segments must be the consecutive segments of one run")
         below = later_tags_from(segment)
         rows_of = EventLog(_rows_from(rows_of.station1, 0, segment.station1),
                            _rows_from(rows_of.station2, 0, segment.station2))
@@ -444,3 +484,8 @@ def stream_window_index(log: EventLog | Iterable[EventLog], windows: Sequence[fl
     queue[-1] = np.concatenate([queue[-1], carried[0][1]])
     t2, o2 = np.concatenate([t2, carried[1][0]]), np.concatenate([o2, carried[1][1]])
     yield from walk(np.inf)
+
+
+# Per policy, the check of each log segment and the generator of its coincidence groups.
+MATCH_POLICIES = {"paired": (check_pair_filter, pair_window_groups),
+                  "stream": (check_stream_match, stream_window_index)}

@@ -356,7 +356,8 @@ class RunManifest:
     def to_json(self) -> str:
         """Strict JSON: a NaN or infinite value raises ValidationError instead of writing ``NaN`` or ``Infinity``."""
         try:
-            return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
+            # The fields are plain JSON values already, so they are dumped as they are, not deep-copied.
+            return json.dumps(vars(self), indent=2, sort_keys=True, allow_nan=False)
         except ValueError as exc:
             raise ValidationError(f"{self.mode} manifest is not strict JSON: {exc}") from None
 
@@ -379,24 +380,18 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # Result tables: column CSV with exact float round-trip.
 
-def _cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 def write_csv_columns(path: str | Path, columns: list[tuple[str, np.ndarray]]) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     names = [name for name, _ in columns]
     arrays = [np.asarray(arr) for _, arr in columns]
-    length = len(arrays[0])
-    if any(len(a) != length for a in arrays):
+    if any(len(a) != len(arrays[0]) for a in arrays):
         raise ValidationError("all result columns must have equal length")
     with path.open("w", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
-        for k in range(length):
-            fh.write(",".join(_cell(a[k]) for a in arrays) + "\n")
+        # tolist() gives Python ints and floats, and str of those is their repr: exact round-trip.
+        for row in zip(*(a.tolist() for a in arrays)):
+            fh.write(",".join(map(str, row)) + "\n")
     return path
 
 

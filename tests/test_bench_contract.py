@@ -72,3 +72,14 @@ def test_traced_tag_round_trip_calls_each_lab_layer_once(tracer, tmp_path):
     for layer in ("tagio.write_tags", "tagio.read_tags", "events.run_experiment"):
         assert layers[layer]["calls"] == 1, layer
     assert tracer.generated == 3000
+
+
+def test_traced_oracle_run_calls_the_curve_and_chsh_once(tracer, tmp_path):
+    # oracle-curve's layer metrics are the spans of these two hooked calls.
+    spans, tracer, missing = tracer
+    with tracer.span(spans.ROOT):
+        assert main(["--mode", "oracle", "--window", "10", "--out", str(tmp_path)]) == 0
+
+    layers = spans.layer_times(tracer.spans)
+    for layer in ("oracle.correlation_curve", "oracle.chsh_exact"):
+        assert layers[layer]["calls"] == 1, layer

@@ -405,6 +405,34 @@ def test_the_stream_sweep_rejects_an_infinite_tag(t1, t2, windows, station):
         window_sweep(ExperimentConfig(), windows, policy="stream", log=tiny_log(t1, t2))
 
 
+def halves_of_a_dense_run(seed):
+    """A 6,000-pair dense Poisson run and its two 3,000-pair segments."""
+    config = ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=6000, seed=seed,
+                              emission=EmissionSpec.poisson(5e-3))
+    return config, list(segments_of(config, 3000))
+
+
+@pytest.mark.parametrize("other", ["swapped", "another-run"])
+def test_the_stream_walk_refuses_segments_not_consecutive_in_one_run(other):
+    # Either way the second segment has tags below later_tags_from of the first: a walk that
+    # took it would miscount silently.
+    config, (first, second) = halves_of_a_dense_run(1)
+    segments = [second, first] if other == "swapped" else [first, halves_of_a_dense_run(2)[1][1]]
+    with pytest.raises(ValidationError, match="^station 1 has a tag below .*: stream segments must be the "
+                                              "consecutive segments of one run$"):
+        window_sweep(config, [10.0, 1000.0], policy="stream", log=segments)
+
+
+def test_a_nan_tag_passes_the_segment_order_check():
+    # A NaN tag lies below no bound and matches nothing, in segments as in the whole log.
+    config, segments = halves_of_a_dense_run(1)
+    log = run_experiment(config)
+    for in_segment, in_log in ((segments[1].station1, log.station1), (segments[1].station2, log.station2)):
+        in_segment.time_tag[5] = in_log.time_tag[3005] = np.nan
+    streamed, whole = (window_sweep(config, [10.0, 1000.0], policy="stream", log=x) for x in (segments, log))
+    np.testing.assert_array_equal(streamed.counts, whole.counts)
+
+
 @pytest.fixture(params=[1, 2, 5])
 def small_scan_blocks(request, monkeypatch):
     """Scan the contested events in blocks of 1, 2 and 5, so that most cases take many blocks."""
