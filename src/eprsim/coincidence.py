@@ -13,9 +13,9 @@ a run of one segment; the CLI streams every generated run without
 segments, checked as they arrive, and its groups feed the sweep's one
 histogram.  The paired policy's ``pair_window_groups`` cuts every
 segment into blocks of ``events.SEGMENT_PAIRS`` pairs and drops it
-before the next is awaited.  The stream policy's walk sorts a stored
-log whole and takes a run's segments in time order, keeping only the
-rows a later segment may still precede or match (see
+before the next is awaited.  The stream policy's walk takes a run's
+segments in time order, a stored log as the one segment of a whole run,
+keeping only the rows a later segment may still precede or match (see
 ``stream_window_index``), so a group may pair rows of two segments.
 Either way the sweep's memory is the few segments alive at once, not
 the run.
@@ -66,20 +66,22 @@ its matches at a window in station-1 time order.
 
 The walk takes a run as time-ordered segments and keeps its state per
 window across them: the events still to match there, the stack, the
-frontier ``p``.  One stored log is one segment, which it sorts whole
-with :meth:`StationStream.time_order`.  A generated run comes as
-pair-order segments; each is put in time order by merging it with the
-rows carried from the segments before (``_time_ordered``).  A pair's
-tags lie in [e, e + t0] up to tag rounding and emission times e never
-decrease, so no later pair's tag lies below ``events.later_tags_from``
-of the segment: the rows up to that bound are released in time order,
-and a stable sort with the carried, lower rows first gives the whole
-run's ``time_order``.  A window matches a released event once its range
-can reach no tag still to come, fl(t + W) below the bound, and its next
-event, ``_settle``'s neighbour, is released too; the others wait for the
-next segment, and the run's end releases everything.  Station-2 tags
-below every range still to come are dropped, as are the rows no event
-still uses.
+frontier ``p``.  A run comes as pair-order segments, a stored log as
+the one segment of its run; each is put in time order by merging it
+with the rows carried from the segments before (``_time_ordered``).
+A pair's tags lie in [e, e + t0] up to tag rounding and emission times
+e never decrease, so no later pair's tag lies below
+``events.later_tags_from`` of the segment: the rows up to that bound
+are released in time order, and a stable sort with the carried, lower
+rows first gives the whole run's ``time_order``.  A window matches a
+released event once its range can reach no tag still to come,
+fl(t + W) below the bound, and its next event, ``_settle``'s
+neighbour, is released too; the others wait for the next segment, and
+the run's end releases everything.  Station-2 tags below every range
+still to come are dropped, as are the rows no event still uses.  A
+stored log carries no emission time: it is a whole run, its bound is
++inf, so every row is released and matched at once, its groups' rows
+index the log itself, and a segment after it is refused.
 
 At each window the stream matcher runs in two stages and returns exactly
 what one greedy scan over all events returns.  Station-1 event i can
@@ -121,19 +123,21 @@ scan's lists cover that slice and are freed before the next block's are
 built, and the stack and ``p`` are rebased onto it.  An uncontested
 match's first window is found by one search of the grid for |dt|,
 stepped down or up by the scan's own bounds.  Beyond block-sized
-temporaries the walk of one stored log holds the sorted station-2 tags
-(8 bytes per event) and the two stations' sort orders, each in the
-smallest unsigned type that holds its row count (4 bytes per event
-below 2**32 rows), 16 bytes per event, and the events a window leaves
-contested.  Station 1's tags are gathered per block through its sort
-order, and station 2's sorted tags a block at a time, so no intp copy
-of a sort order is made.  On 200,000 dense Poisson pairs (numpy 2.4)
-the stream sweep of a stored log peaks near 20 traced bytes per event
-at W = 1000 and near 46 over 20 windows from 1 to 1000.  The walk of a
+temporaries the walk holds the released station-2 tags in time order
+(8 bytes per event) and both stations' released rows in time order,
+each in the smallest unsigned type that holds the run's row count so
+far (4 bytes per event below 2**32 rows), 16 bytes per event, and the
+events a window leaves contested.  Station 1's tags are gathered per
+block through its rows and are not kept sorted.  While a station is
+sorted, ``_time_ordered`` also holds its intp sort and sorted tags, 16
+bytes per event; station 1's sorted tags are dropped before station 2
+is sorted.  On 200,000 dense Poisson pairs (numpy 2.4) the stream sweep
+of a stored log, one segment, peaks near 24 traced bytes per event at
+W = 1000 and near 46 over 20 windows from 1 to 1000.  The walk of a
 generated run's segments holds one segment's rows, sort and released
-tags, with 8-byte rows, plus what it carries and the events each
-window holds back, a few times the pairs emitted within t0 + W of a
-segment's end: its memory does not grow with the run.
+tags, plus what it carries and the events each window holds back, a
+few times the pairs emitted within t0 + W of a segment's end: its
+memory does not grow with the run.
 """
 
 from __future__ import annotations
@@ -333,16 +337,18 @@ def _time_ordered(carried, tags: np.ndarray, first: int, below: float):
     run row order: the carried rows, which come first, have the lower
     rows.  Returns the tags and rows up to and including tag ``below``,
     which no later segment's tag lies below, and the rest, which are
-    carried on.
+    carried on.  Rows are unsigned, in the smallest type that holds the
+    run's row count so far.
     """
-    tags = np.concatenate([carried[0], tags])
-    rows = np.argsort(tags, kind="stable")
-    tags = tags[rows]
-    # rows holds positions in the carried rows and then in ``tags``: make them run rows in place.
     n = len(carried[1])
+    tags = np.concatenate([carried[0], tags]) if n else tags
+    rows = np.argsort(tags, kind="stable")
+    tags = tags[rows]  # gathered through intp rows: numpy widens a narrow index to intp
+    # rows holds positions in the carried rows and then in ``tags``: make them run rows.
     from_carried = np.flatnonzero(rows < n)
     before = carried[1][rows[from_carried]]
     rows += first - n
+    rows = rows.astype(np.min_scalar_type(first + len(tags) - n))
     rows[from_carried] = before
     cut = int(np.searchsorted(tags, below, side="right"))
     return (tags[:cut], rows[:cut]), (tags[cut:].copy(), rows[cut:].copy())  # not views of the whole pool
@@ -359,24 +365,29 @@ def _rows_from(stream: StationStream, start: int, then: StationStream | None = N
                                            for c, n in zip(columns, ("time_tag", "setting_index", "outcome"))))
 
 
+def _joined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a`` followed by ``b``; the other one itself, in its own type, when one is empty."""
+    return np.concatenate([a, b]) if len(a) and len(b) else b if len(b) else a
+
+
 def stream_window_index(log: EventLog | Iterable[EventLog], windows: Sequence[float]):
     """The stream matches at every window of a grid, walked over time-ordered segments, as coincidence groups.
 
     Works without pair ids; each event takes part in at most one
     coincidence per window.  ``windows`` must increase strictly from 0
     or above, and ``check_stream_match`` must have passed for every
-    segment.  ``log`` is one log, which the walk sorts whole, or the
-    consecutive pair-order segments of one generated run (see
+    segment.  ``log`` is the consecutive pair-order segments of one run
+    or one stored log, which is the one segment of a whole run (see
     ``_time_ordered`` and ``events.later_tags_from``); a segment with a
-    tag below ``later_tags_from`` of the one before, one out of order or
-    from another run, raises ValidationError.  Yields groups
-    ``(rows1, rows2, start, stop, rows_of)``: coincidence k of a group
-    pairs row ``rows1[k]`` of ``rows_of``'s station 1 with row
-    ``rows2[k]`` of its station 2 and is a match at ``windows[j]``
-    exactly for ``start[k] <= j < stop``.  For one log ``rows_of`` is
-    the log, and its rows are unsigned, in the smallest type that holds
-    their station's row count; for segments it holds the rows of the
-    run still in use, from the oldest segment that one comes from.  The
+    tag below ``later_tags_from`` of the one before, one out of order,
+    from another run or after a whole run, raises ValidationError.
+    Yields groups ``(rows1, rows2, start, stop, rows_of)``: coincidence
+    k of a group pairs row ``rows1[k]`` of ``rows_of``'s station 1 with
+    row ``rows2[k]`` of its station 2 and is a match at ``windows[j]``
+    exactly for ``start[k] <= j < stop``.  ``rows_of`` holds the rows of
+    the run still in use, from the oldest segment that one comes from:
+    for one stored log, the log's own stations.  Rows are unsigned, in
+    the smallest type that holds the run's row count so far.  The
     grid is walked from the largest window down, one group per block of
     ``_SCAN_BLOCK`` events still contested at every larger window.  At
     window k a block's group holds the matches of both stages, in
@@ -434,26 +445,14 @@ def stream_window_index(log: EventLog | Iterable[EventLog], windows: Sequence[fl
                     start[free] = _first_windows(t1[j + m[free]], t2[pm[free]], grid[:k])
                 yield q[a + m] - first[0], o2[pm] - first[1], start, k + 1, rows_of
             if rest:
-                queue[k - 1] = np.concatenate([queue[k - 1], q[np.concatenate(rest)]])
+                queue[k - 1] = _joined(queue[k - 1], q[np.concatenate(rest)])
             queue[k], held[k] = q[stop - 1 :].copy(), 1
 
-    if isinstance(log, EventLog):
-        rows_of = log
-        s1, s2 = log.station1, log.station2
-        queue[-1] = s1.time_order().astype(np.min_scalar_type(len(s1)))
-        queue[:-1] = [np.empty(0, dtype=queue[-1].dtype) for _ in grid[1:]]  # rows keep their narrow type
-        o2 = s2.time_order().astype(np.min_scalar_type(len(s2)))
-        t2 = np.empty(len(o2))
-        for a in range(0, len(o2), _SCAN_BLOCK):  # numpy widens a narrow index to intp: a block at a time
-            t2[a : a + _SCAN_BLOCK] = s2.time_tag[o2[a : a + _SCAN_BLOCK]]
-        del s1, s2
-        yield from walk(np.inf)
-        return
     rows_of = EventLog(*(StationStream(n, np.empty(0), np.empty(0), np.empty(0)) for n in (1, 2)))
     carried = [(np.empty(0), np.empty(0, dtype=np.intp))] * 2  # per station, the rows not yet released
     t2, o2 = np.empty(0), np.empty(0, dtype=np.intp)
     seen, below = [0, 0], -math.inf  # the rows of each station so far; no tag of this segment lies below
-    for segment in log:
+    for segment in [EventLog(log.station1, log.station2)] if isinstance(log, EventLog) else log:
         for s in (segment.station1, segment.station2):
             if (s.time_tag < below).any():  # a NaN tag matches nothing, so it passes
                 raise ValidationError(f"station {s.station} has a tag below {below}, the bound of the "
@@ -466,23 +465,25 @@ def stream_window_index(log: EventLog | Iterable[EventLog], windows: Sequence[fl
             released, carried[s] = _time_ordered(carried[s], stream.time_tag[seen[s] - first[s]:], seen[s], below)
             seen[s] = first[s] + len(stream)
             if s:
-                t2, o2 = np.concatenate([t2, released[0]]), np.concatenate([o2, released[1]])
+                t2, o2 = _joined(t2, released[0]), _joined(o2, released[1])
             else:
-                queue[-1] = np.concatenate([queue[-1], released[1]])
-        del stream, released
+                queue[-1] = _joined(queue[-1], released[1])
+            del stream, released  # station 1's tags are not kept while station 2 is sorted
         yield from walk(below)
+        if below == math.inf:  # a whole run: all is matched, and no segment may follow
+            continue
         # Drop the station-2 tags below every range still to come: the queued events' and later ones'.
         lows = [rows_of.station1.time_tag[q[a0] - first[0]] - w for q, a0, w in zip(queue, held, grid) if len(q) > a0]
         cut = int(np.searchsorted(t2, min([below - grid[-1], *lows]), side="left"))
         t2, o2, g2 = t2[cut:].copy(), o2[cut:].copy(), g2 + cut
         # Keep the rows still in use while the next segment is awaited: carried, queued, or behind a held tag.
-        first = [int(min(np.min(rows, initial=seen[s]) for rows in in_use))
+        first = [int(min((rows.min() for rows in in_use if len(rows)), default=seen[s]))
                  for s, in_use in enumerate(([carried[0][1], *queue], [carried[1][1], o2]))]
         rows_of = EventLog(*(_rows_from(stream, start - seen[s] + len(stream))
                              for s, (stream, start) in enumerate(zip((rows_of.station1, rows_of.station2), first))))
     # The run has ended: every carried row is released.
-    queue[-1] = np.concatenate([queue[-1], carried[0][1]])
-    t2, o2 = np.concatenate([t2, carried[1][0]]), np.concatenate([o2, carried[1][1]])
+    queue[-1] = _joined(queue[-1], carried[0][1])
+    t2, o2 = _joined(t2, carried[1][0]), _joined(o2, carried[1][1])
     yield from walk(np.inf)
 
 

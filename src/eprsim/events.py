@@ -45,8 +45,9 @@ over the whole run.
 
 A run is stored in pair order: row k of both station streams is pair k,
 and the two streams share one ``pair_id`` array.  Consumers that need
-time order (the stream matcher, tag files) take it from
-:meth:`StationStream.time_order`.
+time order take the stable order of :meth:`StationStream.time_order`:
+the tag files from it, the stream matcher a segment at a time
+(``coincidence._time_ordered``).
 
 Time tags are rounded to ``TIME_TAG_DECIMALS`` decimals (micro-nanoseconds
 by default), the resolution of the on-disk tag format.  Below 2**33 time
@@ -240,9 +241,10 @@ class EventLog:
     Equality compares the recorded streams only, not the attached config
     (a log re-read from disk carries no config unless a manifest supplied
     one) or ``emitted``.  ``emitted`` is the emission time of the last
-    pair of a generated log, None for any other: no later pair of its run
-    is emitted before it, so no later tag lies below it rounded as tags
-    are (:func:`later_tags_from`).
+    pair of a generated log: no later pair of its run is emitted before
+    it, so no later tag lies below it rounded as tags are
+    (:func:`later_tags_from`).  None marks a whole run, such as a log
+    read from tag files: no pair follows it.
     """
 
     station1: StationStream
@@ -261,13 +263,15 @@ class EventLog:
 
 
 def later_tags_from(log: EventLog) -> float:
-    """A bound below every tag of the pairs generated after ``log`` in its run; -inf unless ``log`` is generated.
+    """A bound below every tag of the pairs generated after ``log`` in its run; +inf for a whole run.
 
     Emission times never decrease and delays are at least 0, so each tag
-    of a later pair is at least ``log.emitted`` rounded as tags are.
+    of a later pair is at least ``log.emitted`` rounded as tags are.  A
+    log without ``emitted`` is a whole run, which no pair follows: its
+    bound is +inf, and every finite tag offered after it lies below.
     """
     if log.emitted is None:
-        return -np.inf
+        return np.inf
     return float(np.round(np.array([log.emitted]), TIME_TAG_DECIMALS)[0])
 
 

@@ -452,16 +452,17 @@ class TestOnePassSweep:
             np.testing.assert_array_equal(next_t1, t1[contested])
 
     def test_stream_sorts_each_station_once(self, monkeypatch):
+        # A stored log is the one segment of its run: the walk's _time_ordered sorts each station's tags once.
         config = ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=3000, seed=21)
         log = run_experiment(config)
         sorted_stations = []
-        time_order = StationStream.time_order
+        time_ordered = eprsim.coincidence._time_ordered
 
-        def counted(stream):
-            sorted_stations.append(stream.station)
-            return time_order(stream)
+        def counted(carried, tags, first, below):
+            sorted_stations.append(1 if np.shares_memory(tags, log.station1.time_tag) else 2)
+            return time_ordered(carried, tags, first, below)
 
-        monkeypatch.setattr(StationStream, "time_order", counted)
+        monkeypatch.setattr(eprsim.coincidence, "_time_ordered", counted)
         window_sweep(config, [5.0, 50.0, 500.0, np.inf], policy="stream", log=log)
         assert sorted(sorted_stations) == [1, 2]
 

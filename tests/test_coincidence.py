@@ -412,12 +412,13 @@ def halves_of_a_dense_run(seed):
     return config, list(segments_of(config, 3000))
 
 
-@pytest.mark.parametrize("other", ["swapped", "another-run"])
+@pytest.mark.parametrize("other", ["swapped", "another-run", "after-a-whole-run"])
 def test_the_stream_walk_refuses_segments_not_consecutive_in_one_run(other):
-    # Either way the second segment has tags below later_tags_from of the first: a walk that
-    # took it would miscount silently.
+    # Each way the second segment has tags below later_tags_from of the first, +inf for a log
+    # without emitted, a whole run as read from tags: a walk that took it would miscount silently.
     config, (first, second) = halves_of_a_dense_run(1)
-    segments = [second, first] if other == "swapped" else [first, halves_of_a_dense_run(2)[1][1]]
+    segments = {"swapped": [second, first], "another-run": [first, halves_of_a_dense_run(2)[1][1]],
+                "after-a-whole-run": [EventLog(first.station1, first.station2), second]}[other]
     with pytest.raises(ValidationError, match="^station 1 has a tag below .*: stream segments must be the "
                                               "consecutive segments of one run$"):
         window_sweep(config, [10.0, 1000.0], policy="stream", log=segments)
@@ -494,17 +495,22 @@ class TestScanBlocks:
         # full-length search, full-length candidate tests and the split kept
         # alive past the scan peaked near 91 bytes per event; sorted tags of
         # both stations and 8-byte sort orders, 32 bytes per event, near 36.
+        # The log as read from tags, without emitted, is the one segment of
+        # a whole run, as the generated log is: the lab path through the walk.
         log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=200_000,
                                               seed=5, emission=EmissionSpec.poisson(0.005)))
-        tracemalloc.start()
-        try:
-            window_sweep(log.config, [1000.0], policy="stream", log=log)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / log.n_pairs < 75
-        # The sorted station-2 tags and two 4-byte sort orders are 16 bytes per event.
-        assert peak / log.n_pairs < 28
+        for stored in (log, EventLog(log.station1, log.station2)):
+            tracemalloc.start()
+            try:
+                window_sweep(log.config, [1000.0], policy="stream", log=stored)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / log.n_pairs < 75
+            # The peak is near 24 bytes per event, while station 2 is sorted:
+            # station 1's 4-byte rows, station 2's intp sort and sorted tags
+            # and its 4-byte rows.  Holding station 1's sorted tags too read 32.
+            assert peak / log.n_pairs < 28
 
     def test_grid_sweep_peak_per_event(self):
         # The same dense log swept over 20 windows.  Full-length first-window
@@ -522,23 +528,24 @@ class TestScanBlocks:
 
     def test_walk_holds_little_at_its_yield(self):
         # At a grid of one the walk yields one group per block.  At the first
-        # it holds the sorted station-2 tags and the two 4-byte sort orders,
-        # 16 bytes per event, and one block's temporaries, and no full-length
-        # ranges or split.  Sorted tags of both stations and 8-byte sort
-        # orders held 36 bytes per event.
+        # it holds the sorted station-2 tags and both stations' 4-byte rows
+        # in time order, 16 bytes per event, and one block's temporaries,
+        # and no full-length ranges or split.  Sorted tags of both stations
+        # and 8-byte sort orders held 36 bytes per event.
         log = run_experiment(ExperimentConfig(params=ModelParams(d=4, t0=1000.0, window=0), n_pairs=50_000,
                                               seed=5, emission=EmissionSpec.poisson(0.005)))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            walk = stream_window_index(log, [1000.0])
-            group = next(walk)
-            held = tracemalloc.get_traced_memory()[0] - before - sum(a.nbytes for a in group[:3])
-        finally:
-            tracemalloc.stop()
-        walk.close()
-        assert held / log.n_pairs < 40
-        assert held / log.n_pairs < 25
+        for stored in (log, EventLog(log.station1, log.station2)):  # generated, and as read from tags
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                walk = stream_window_index(stored, [1000.0])
+                group = next(walk)
+                held = tracemalloc.get_traced_memory()[0] - before - sum(a.nbytes for a in group[:3])
+            finally:
+                tracemalloc.stop()
+            walk.close()
+            assert held / log.n_pairs < 40
+            assert held / log.n_pairs < 25
 
 
 END = 0.1 + 0.2  # fl(0.1 + 0.2) = 0.30000000000000004, the bound of an event at 0.1 with W = 0.2

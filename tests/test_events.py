@@ -23,7 +23,7 @@ from eprsim import (
 import eprsim.events
 from eprsim.coincidence import check_pair_filter
 from eprsim.events import (CHUNK_PAIRS, SEGMENT_PAIRS, TIME_TAG_DECIMALS, _chunk_uniforms, _generate_columns,
-                            map_ranges)
+                            later_tags_from, map_ranges)
 from eprsim.model import hidden_from_uniform
 
 
@@ -368,6 +368,16 @@ class TestRunExperiment:
         with pytest.raises(ValidationError, match="cumulative sum"):
             run_experiment(small_config(), pairs=range(1, 9), emitted_before=0.0)
         assert run_experiment(small_config(), pairs=range(1, 9)).emitted == 8 * 10.0
+
+    def test_a_log_without_emitted_is_a_whole_run(self, tmp_path):
+        # No pair follows a whole run, as a log read from tags is: no later tag lies below +inf.
+        cfg = small_config(n_pairs=6000, emission=EmissionSpec.poisson(0.5))
+        first = next(segments_of(cfg, 3000))
+        assert later_tags_from(first) < np.inf
+        assert later_tags_from(EventLog(first.station1, first.station2)) == np.inf
+        write_tags(first, tmp_path / "t")
+        back = read_tags(tmp_path / "t", cfg)
+        assert back.emitted is None and later_tags_from(back) == np.inf
 
     def test_emission_overflow_of_the_last_pair_rejected_in_the_first_segment(self):
         # Pair 2**16 - 1 is emitted near 6.6e301, which tags; the run's last, near 2e302, does not.
